@@ -22,6 +22,7 @@ from .errors import (
     EigensolverError,
     NonFiniteEntryError,
     ShapeMismatchError,
+    SVDConvergenceError,
     SingularResolventError,
 )
 
@@ -194,9 +195,21 @@ def scale(alpha, a: Element) -> Element:
     return alpha * a
 
 
+def _blockwise(solver, blocks, error) -> list:
+    """``solver`` applied to each block; a LinAlgError becomes ``error(block)``."""
+    out = []
+    for i, b in enumerate(blocks):
+        try:
+            out.append(solver(b))
+        except np.linalg.LinAlgError as exc:
+            raise error(i, str(exc)) from exc
+    return out
+
+
 def operator_norm(a: Element) -> float:
     """Largest operator 2-norm over the blocks."""
-    return max(float(np.linalg.norm(b, 2)) for b in a.blocks)
+    norms = _blockwise(lambda b: np.linalg.norm(b, 2), a.blocks, SVDConvergenceError)
+    return max(float(n) for n in norms)
 
 
 def frobenius_norm(a: Element) -> float:
@@ -205,13 +218,19 @@ def frobenius_norm(a: Element) -> float:
 
 def eigenvalues(a: Element) -> np.ndarray:
     """All eigenvalues with multiplicity, concatenated across blocks."""
-    vals = []
-    for i, b in enumerate(a.blocks):
-        try:
-            vals.append(np.linalg.eigvals(b))
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverError(i, str(exc)) from exc
-    return np.concatenate(vals)
+    return block_eigenvalues(a.blocks)
+
+
+def block_eigenvalues(blocks) -> np.ndarray:
+    """Eigenvalues of a sequence of blocks, concatenated along the last axis.
+
+    Block i is one ``(n_i, n_i)`` matrix or a stack ``(p, n_i, n_i)`` of
+    them; a stack is solved by one ``eigvals`` call, and the result is
+    then ``(p, sum n_i)``, row k holding the eigenvalues of the k-th
+    matrix of every block. A solver failure names the block.
+    """
+    vals = _blockwise(np.linalg.eigvals, blocks, EigensolverError)
+    return np.concatenate(vals, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -271,25 +290,34 @@ def cluster_eigenvalues(
     Repeatedly merges the closest pair of clusters (multiplicity-weighted
     centroid) while any pair sits within ``tol_abs``. Deterministic:
     inputs are sorted lexicographically first, and ties merge the
-    lexicographically first pair.
+    lexicographically first pair. The pairwise distance matrix is built
+    once; a merge recomputes only the surviving center's row and column
+    and retires the absorbed one to infinity, so the argmin sees the
+    same values, in the same order, as on the matrix of the surviving
+    centers alone.
     """
     order = np.lexsort((values.imag, values.real))
     centers = values[order].astype(complex)
-    counts = np.ones(len(centers), dtype=int)
-    while len(centers) > 1:
-        diff = np.abs(centers[:, None] - centers[None, :])
-        np.fill_diagonal(diff, np.inf)
-        i, j = np.unravel_index(int(np.argmin(diff)), diff.shape)
+    n = len(centers)
+    counts = np.ones(n, dtype=int)
+    dead = np.zeros(n, dtype=bool)
+    diff = np.abs(centers[:, None] - centers[None, :])
+    diff.flat[:: n + 1] = np.inf
+    for _ in range(n - 1):
+        # diff is symmetric, so its first minimum in row-major order has i < j
+        i, j = divmod(int(diff.argmin()), n)
         if diff[i, j] > tol_abs:
             break
-        if i > j:
-            i, j = j, i
         w = counts[i] + counts[j]
         centers[i] = (counts[i] * centers[i] + counts[j] * centers[j]) / w
         counts[i] = w
-        centers = np.delete(centers, j)
-        counts = np.delete(counts, j)
-    return centers, counts
+        dead[j] = True
+        row = np.abs(centers[i] - centers)
+        row[dead] = np.inf
+        row[i] = np.inf
+        diff[i] = diff[:, i] = row
+        diff[j] = diff[:, j] = np.inf
+    return centers[~dead], counts[~dead]
 
 
 def spectrum(a: Element, tol: float = CLUSTER_TOL) -> SpectrumReport:
@@ -320,20 +348,33 @@ def spectrum(a: Element, tol: float = CLUSTER_TOL) -> SpectrumReport:
 
 
 def nonzero_spectrum_count(a: Element, tol: float = CLUSTER_TOL) -> int:
-    """#(distinct nonzero spectral values), on the fast path.
+    """#(distinct nonzero spectral values) of one element."""
+    return int(nonzero_spectrum_counts(eigenvalues(a)[None, :], tol)[0])
 
-    Identical clustering rule to :func:`spectrum`, skipping the report;
-    used heavily by randomized rank probing.
+
+def nonzero_spectrum_counts(vals: np.ndarray, tol: float = CLUSTER_TOL) -> np.ndarray:
+    """#(distinct nonzero spectral values) for each row of ``vals``.
+
+    ``vals`` is ``(p, N)``: row k holds all eigenvalues, with
+    multiplicity, of the k-th element. Each row is clustered by the
+    rule of :func:`spectrum` (merge radius ``tol * max(spectral radius,
+    1)``), skipping the report. The scales and the test for a pair
+    within the merge radius are computed for all rows at once; only
+    rows that have such a pair run :func:`cluster_eigenvalues`.
     """
-    vals = eigenvalues(a)
-    scale_ = max(float(np.max(np.abs(vals))), 1.0)
-    tol_abs = tol * scale_
-    if len(vals) > 1:
-        diff = np.abs(vals[:, None] - vals[None, :])
-        np.fill_diagonal(diff, np.inf)
-        if diff.min() <= tol_abs:
-            vals, _ = cluster_eigenvalues(vals, tol_abs)
-    return int(np.sum(np.abs(vals) > tol_abs))
+    if tol <= 0:
+        raise ValueError("cluster tolerance must be positive")
+    mods = np.abs(vals)
+    tol_abs = tol * np.maximum(mods.max(axis=1), 1.0)
+    counts = np.sum(mods > tol_abs[:, None], axis=1)
+    if vals.shape[1] > 1:
+        diff = np.abs(vals[:, :, None] - vals[:, None, :])
+        diag = np.arange(vals.shape[1])
+        diff[:, diag, diag] = np.inf
+        for k in np.flatnonzero(diff.min(axis=(1, 2)) <= tol_abs):
+            centers, _ = cluster_eigenvalues(vals[k], tol_abs[k])
+            counts[k] = np.sum(np.abs(centers) > tol_abs[k])
+    return counts
 
 
 def spectral_radius(a: Element, tol: float = CLUSTER_TOL) -> float:
@@ -376,7 +417,9 @@ def classical_rank(a: Element, tol: float = RANK_TOL) -> int:
     """
     if tol <= 0:
         raise ValueError("rank tolerance must be positive")
-    svals = [np.linalg.svd(b, compute_uv=False) for b in a.blocks]
+    svals = _blockwise(
+        lambda b: np.linalg.svd(b, compute_uv=False), a.blocks, SVDConvergenceError
+    )
     tops = [s[0] if len(s) else 0.0 for s in svals]
     floor = tol * max(max(tops), 1.0)
     total = 0

@@ -17,13 +17,7 @@ import json
 import sys
 
 from . import jsonio
-from .algebra import (
-    CLUSTER_TOL,
-    IDEMPOTENCY_TOL,
-    RANK_TOL,
-    classical_trace,
-    spectrum,
-)
+from .algebra import CLUSTER_TOL, classical_trace, spectrum
 from .classify import is_socle_minimal_ideal, orthogonal_decomposition, verify_theorems
 from .commutators import commutator_decompose, rank_one_commutator
 from .errors import CertificationError, ShapeMismatchError, SocleLabError
@@ -78,8 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=_positive_int, default=None)
         p.add_argument("--nodes", type=_positive_int, default=None)
         p.add_argument("--tol-cluster", type=_positive_float, default=CLUSTER_TOL)
-        p.add_argument("--tol-rank", type=_positive_float, default=RANK_TOL)
-        p.add_argument("--tol-idem", type=_positive_float, default=IDEMPOTENCY_TOL)
 
     for name, needs_input in [
         ("spectrum", True),

@@ -37,6 +37,10 @@ class EigensolverError(SocleLabError):
         return {"block_index": self.block_index}
 
 
+class SVDConvergenceError(EigensolverError):
+    """The singular value decomposition failed to converge on a block."""
+
+
 class SingularResolventError(SocleLabError):
     """The resolvent was requested too close to a spectral point."""
 

@@ -23,7 +23,10 @@ def complex_to_json(z: complex) -> list[float]:
 def complex_from_json(data) -> complex:
     if not isinstance(data, (list, tuple)) or len(data) != 2:
         raise ShapeMismatchError(f"expected [re, im] pair, got {data!r}")
-    return complex(float(data[0]), float(data[1]))
+    try:
+        return complex(float(data[0]), float(data[1]))
+    except (TypeError, ValueError) as exc:
+        raise ShapeMismatchError(f"expected numeric [re, im] pair, got {data!r}") from exc
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -32,6 +35,10 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 
 def matrix_from_json(data) -> np.ndarray:
+    if not isinstance(data, (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) and len(row) == len(data[0]) for row in data
+    ):
+        raise ShapeMismatchError("expected a matrix: a list of rows of equal length")
     return np.array(
         [[complex_from_json(entry) for entry in row] for row in data],
         dtype=complex,
@@ -43,6 +50,8 @@ def vector_to_json(v: np.ndarray) -> list:
 
 
 def vector_from_json(data) -> np.ndarray:
+    if not isinstance(data, (list, tuple)):
+        raise ShapeMismatchError(f"expected a vector of [re, im] pairs, got {data!r}")
     return np.array([complex_from_json(z) for z in data], dtype=complex)
 
 
@@ -51,19 +60,31 @@ def spec_to_json(spec: AlgebraSpec) -> dict:
 
 
 def spec_from_json(data) -> AlgebraSpec:
-    if "block_sizes" not in data:
-        raise ShapeMismatchError('algebra JSON needs a "block_sizes" field')
-    return AlgebraSpec(tuple(int(n) for n in data["block_sizes"]))
+    sizes = data.get("block_sizes") if isinstance(data, dict) else None
+    if not isinstance(sizes, list) or not all(
+        isinstance(n, int) and not isinstance(n, bool) for n in sizes
+    ):
+        raise ShapeMismatchError(
+            'algebra JSON needs a "block_sizes" field holding a list of integers'
+        )
+    return AlgebraSpec(tuple(sizes))
 
 
 def element_to_json(a: Element) -> dict:
     return {"blocks": [matrix_to_json(b) for b in a.blocks]}
 
 
+def _matrices_from_json(data, field: str, kind: str) -> list[np.ndarray]:
+    """The list of matrices held in ``data[field]``."""
+    if not isinstance(data, dict) or not isinstance(data.get(field), list):
+        raise ShapeMismatchError(
+            f'{kind} JSON needs a "{field}" field holding a list of matrices'
+        )
+    return [matrix_from_json(m) for m in data[field]]
+
+
 def element_from_json(data, spec: AlgebraSpec | None = None) -> Element:
-    if "blocks" not in data:
-        raise ShapeMismatchError('element JSON needs a "blocks" field')
-    blocks = [matrix_from_json(b) for b in data["blocks"]]
+    blocks = _matrices_from_json(data, "blocks", "element")
     if spec is None:
         spec = AlgebraSpec(tuple(b.shape[0] for b in blocks))
     return Element(spec, blocks)
@@ -76,9 +97,7 @@ def functional_to_json(f) -> dict:
 def functional_from_json(data, spec: AlgebraSpec | None = None):
     from .functionals import Functional
 
-    if "weights" not in data:
-        raise ShapeMismatchError('functional JSON needs a "weights" field')
-    weights = [matrix_from_json(w) for w in data["weights"]]
+    weights = _matrices_from_json(data, "weights", "functional")
     if spec is None:
         spec = AlgebraSpec(tuple(w.shape[0] for w in weights))
     return Functional(spec, weights)
@@ -121,22 +140,6 @@ def diagonalization_to_json(d) -> dict:
         "values": [complex_to_json(v) for v in d.values],
         "projections": [element_to_json(p) for p in d.projections],
         "residual": d.residual,
-    }
-
-
-def compression_report_to_json(rep) -> dict:
-    return {
-        "subalgebra": spec_to_json(rep.subalgebra) if rep.subalgebra else None,
-        "compressed": element_to_json(rep.compressed) if rep.compressed else None,
-        "nonzero_spectra_match": rep.nonzero_spectra_match,
-        "rank_ambient": rep.rank_ambient,
-        "rank_compressed": rep.rank_compressed,
-        "classical_trace_ambient": complex_to_json(rep.classical_trace_ambient),
-        "classical_trace_compressed": complex_to_json(rep.classical_trace_compressed),
-        "spectral_trace_ambient": complex_to_json(rep.spectral_trace_ambient),
-        "spectral_trace_compressed": complex_to_json(rep.spectral_trace_compressed),
-        "trace_match": rep.trace_match,
-        "consistent": rep.consistent,
     }
 
 

@@ -4,6 +4,12 @@ All randomness in the package flows through these helpers so results
 are reproducible: a run is determined by an integer seed, and probe i
 of a batch uses ``seed ^ i``, which makes per-probe results independent
 of evaluation order.
+
+A batch of probes is drawn by :func:`random_element_stack`: each
+probe's generator makes one flat draw of all its Gaussian entries, and
+the draws are stacked per block. Generator output is sequential, so
+probe i of the stack is bit for bit the element
+``random_element(spec, rng_for(seed, i))``; batching changes no stream.
 """
 
 from __future__ import annotations
@@ -34,9 +40,28 @@ def random_element(spec: AlgebraSpec, rng: np.random.Generator) -> Element:
     """Element with independent standard complex Gaussian entries."""
     return Element(
         spec,
-        tuple(complex_gaussian(rng, (n, n)) for n in spec.block_sizes),
+        tuple(x[0] for x in random_element_stack(spec, [rng])),
         _checked=True,
     )
+
+
+def random_element_stack(spec: AlgebraSpec, rngs) -> tuple[np.ndarray, ...]:
+    """One Gaussian element per generator, stacked per block.
+
+    Block i of the result has shape ``(len(rngs), n_i, n_i)``. Each
+    generator draws ``2 * spec.dimension`` normals in one call, laid out
+    block by block as the real then the imaginary parts, the order in
+    which per-block :func:`complex_gaussian` draws would consume them.
+    """
+    draws = np.stack([rng.standard_normal(2 * spec.dimension) for rng in rngs])
+    blocks = []
+    pos = 0
+    for n in spec.block_sizes:
+        re = draws[:, pos : pos + n * n]
+        im = draws[:, pos + n * n : pos + 2 * n * n]
+        pos += 2 * n * n
+        blocks.append(((re + 1j * im) / np.sqrt(2)).reshape(-1, n, n))
+    return tuple(blocks)
 
 
 def random_invertible(

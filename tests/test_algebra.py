@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import soclelab as sl
+from soclelab.algebra import cluster_eigenvalues, nonzero_spectrum_counts
 from soclelab.errors import (
     NonFiniteEntryError,
     ShapeMismatchError,
     SingularResolventError,
+    SVDConvergenceError,
 )
 from soclelab.sampling import random_element, random_invertible, rng_for
 
@@ -116,6 +120,61 @@ class TestSpectrum:
             np.testing.assert_allclose(left, right, atol=1e-8, rtol=1e-8)
 
 
+def reference_cluster(values, tol_abs):
+    """Agglomerative clustering that rebuilds the distance matrix every merge."""
+    order = np.lexsort((values.imag, values.real))
+    centers = values[order].astype(complex)
+    counts = np.ones(len(centers), dtype=int)
+    while len(centers) > 1:
+        diff = np.abs(centers[:, None] - centers[None, :])
+        np.fill_diagonal(diff, np.inf)
+        i, j = np.unravel_index(int(np.argmin(diff)), diff.shape)
+        if diff[i, j] > tol_abs:
+            break
+        if i > j:
+            i, j = j, i
+        w = counts[i] + counts[j]
+        centers[i] = (counts[i] * centers[i] + counts[j] * centers[j]) / w
+        counts[i] = w
+        centers = np.delete(centers, j)
+        counts = np.delete(counts, j)
+    return centers, counts
+
+
+def assert_same_clusters(values, tol_abs):
+    centers, counts = cluster_eigenvalues(values, tol_abs)
+    ref_centers, ref_counts = reference_cluster(values, tol_abs)
+    assert centers.tobytes() == ref_centers.tobytes()
+    assert counts.tobytes() == ref_counts.tobytes()
+
+
+class TestClustering:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # one decimal makes exact ties between pairwise distances common
+        points=st.lists(
+            st.tuples(st.integers(-15, 15), st.integers(-15, 15)), max_size=30
+        ),
+        tol_abs=st.sampled_from([1e-6, 0.1, 0.15, 0.3, 0.75, 2.0]),
+    )
+    def test_matches_rebuilding_reference(self, points, tol_abs):
+        values = np.array([complex(re, im) for re, im in points]) / 10
+        assert_same_clusters(values, tol_abs)
+
+    def test_sixty_fold_zero_cluster(self):
+        rng = rng_for(7)
+        noise = 1e-9 * (rng.standard_normal(60) + 1j * rng.standard_normal(60))
+        values = np.concatenate([noise, [1.0, 1.0 + 2e-7, 2.0j]])
+        assert_same_clusters(values, 1e-6)
+        centers, counts = cluster_eigenvalues(values, 1e-6)
+        assert sorted(counts.tolist()) == [1, 2, 60]
+
+    def test_rows_merge_at_their_own_radius(self):
+        # radius 1e-6 keeps the pair in row 0 apart; 1e-4 merges the one in row 1
+        vals = np.array([[0.5, 0.5 + 2e-6, 0], [100, 50, 50 + 1e-5]], dtype=complex)
+        assert nonzero_spectrum_counts(vals).tolist() == [2, 2]
+
+
 class TestSpectralRadius:
     def test_identity(self, spec23):
         assert sl.spectral_radius(sl.identity(spec23)) == 1.0
@@ -169,6 +228,12 @@ class TestClassicalOracles:
     def test_rank_ignores_roundoff_blocks(self, spec23):
         a = sl.Element(spec23, [np.eye(2), 1e-15 * np.ones((3, 3))])
         assert sl.classical_rank(a) == 2
+
+    def test_rank_svd_failure_is_typed(self, m2):
+        a = sl.Element(m2, (np.full((2, 2), np.nan, dtype=complex),), _checked=True)
+        with pytest.raises(SVDConvergenceError) as info:
+            sl.classical_rank(a)
+        assert info.value.details() == {"block_index": 0}
 
     def test_trace_identity(self, spec23):
         assert sl.classical_trace(sl.identity(spec23)) == 5

@@ -199,3 +199,37 @@ class TestCLIBehavior:
         code, out = invoke(capsys, "trace")
         assert code == 0
         assert out["classical_trace"] == [2.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "command, document",
+        [
+            ("spectrum", {"blocks": 5}),
+            ("spectrum", {"blocks": [[[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]]]}),
+            ("spectrum", {"blocks": [[[["a", 0.0]]]]}),
+            ("spectrum", 5),
+            ("check-functional", {"weights": 5}),
+            ("rank-one-commutator", {"x": 5, "f": [], "y": [], "g": []}),
+            # entries this large overflow the contour solves into NaN
+            (
+                "trace",
+                {
+                    "blocks": [
+                        [[[1e308, 0.0], [1e308, 0.0]], [[1e308, 0.0], [-1e308, 0.0]]]
+                    ]
+                },
+            ),
+        ],
+    )
+    def test_bad_input_is_a_json_error(self, tmp_path, capsys, command, document):
+        path = write_input(tmp_path, document)
+        with np.errstate(all="ignore"):
+            code, out = invoke(capsys, command, "--input", path)
+        assert code == 1
+        assert set(out) == {"error"}
+        assert out["error"]["type"] in {"ShapeMismatchError", "SVDConvergenceError"}
+
+    def test_bad_spec_is_a_json_error(self, capsys):
+        code, out = invoke(capsys, "classify", "--spec", '{"block_sizes": 3}')
+        assert code == 1
+        assert out["error"]["type"] == "ShapeMismatchError"
+        assert "block_sizes" in out["error"]["message"]

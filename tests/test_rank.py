@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import soclelab as sl
+from soclelab.errors import RankCertificationError
 from soclelab.sampling import (
+    complex_gaussian,
     random_element,
     random_invertible,
     random_low_rank_element,
@@ -108,3 +112,75 @@ class TestMaximalElements:
 
     def test_nilpotent_not_maximal(self, m2):
         assert not sl.is_maximal_finite_rank(sl.matrix_unit(m2, 0, 0, 1))
+
+
+def reference_probe_counts(a, probes, seed):
+    """Probe counts and first best probe, drawing and counting one probe at a time."""
+    counts = []
+    best = None
+    for i in range(probes):
+        x = random_element(a.spec, rng_for(seed, i))
+        counts.append(sl.nonzero_spectrum_count(x @ a))
+        if counts[-1] > max(counts[:-1], default=-1):
+            best = x
+    return counts, best
+
+
+def planted_block(kind, n, rng):
+    g = complex_gaussian(rng, (n, n))
+    if kind == "low-rank":
+        r = int(rng.integers(0, n + 1))
+        return g[:, :r] @ complex_gaussian(rng, (r, n))
+    if kind == "zero":
+        return np.zeros((n, n), dtype=complex)
+    if kind == "nilpotent":
+        return np.triu(g, k=1)
+    return g
+
+
+class TestBatchedProbing:
+    def test_random_element_keeps_per_block_stream(self, spec23):
+        # the draw order of per-block complex_gaussian calls
+        x = random_element(spec23, rng_for(53))
+        rng = rng_for(53)
+        for block, n in zip(x.blocks, spec23.block_sizes):
+            assert block.tobytes() == complex_gaussian(rng, (n, n)).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        blocks=st.lists(
+            st.tuples(
+                st.integers(1, 6),
+                st.sampled_from(["dense", "low-rank", "zero", "nilpotent"]),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        probes=st.integers(1, 16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_probe_loop(self, blocks, probes, seed):
+        rng = rng_for(seed, 1 << 40)
+        spec = sl.AlgebraSpec(tuple(n for n, _ in blocks))
+        a = sl.Element(
+            spec, tuple(planted_block(kind, n, rng) for n, kind in blocks)
+        )
+        counts, best = reference_probe_counts(a, probes, seed)
+        if max(counts) != sl.classical_rank(a):
+            with pytest.raises(RankCertificationError):
+                sl.spectral_rank(a, probes=probes, seed=seed)
+            return
+        rep = sl.spectral_rank(a, probes=probes, seed=seed)
+        assert rep.rank == max(counts)
+        assert rep.achieved_counts == {c: counts.count(c) for c in sorted(set(counts))}
+        assert [b.tobytes() for b in rep.best_probe.blocks] == [
+            b.tobytes() for b in best.blocks
+        ]
+
+    def test_rejects_nonpositive_tolerance(self, spec23):
+        a = random_element(spec23, rng_for(61))
+        for tol in (0.0, -1e-6):
+            with pytest.raises(ValueError):
+                sl.nonzero_spectrum_count(a, tol)
+            with pytest.raises(ValueError):
+                sl.spectral_rank(a, probes=2, tol=tol)
