@@ -4,10 +4,14 @@ Every command reads one JSON document (file, inline, or stdin), runs
 the corresponding library operation with an explicit seed, and writes
 one JSON report. Identical invocations produce byte-identical output.
 
-Exit status: 0 on success, 1 on a domain error (bad input, violated
+Each command accepts only the flags it reads (see ``_COMMANDS``).
+
+Exit status: 0 on success, 1 on a usage error (unknown command or
+flag, bad flag value) or a domain error (bad input, violated
 precondition), 2 when a certification cross-check or a verified
 implication pattern fails. Errors are reported as a machine-readable
-JSON object on the chosen output stream.
+JSON object on the chosen output stream; usage errors, which come
+before ``--output`` is known, go to stdout.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from . import jsonio
 from .algebra import CLUSTER_TOL, classical_trace, spectrum
 from .classify import is_socle_minimal_ideal, orthogonal_decomposition, verify_theorems
 from .commutators import commutator_decompose, rank_one_commutator
-from .errors import CertificationError, ShapeMismatchError, SocleLabError
+from .errors import CertificationError, ShapeMismatchError, SocleLabError, UsageError
 from .functionals import characterize
 from .rank import DEFAULT_PROBES, spectral_rank
 from .riesz import DEFAULT_NODES, diagonalize_maximal, riesz_projection, spectral_trace
@@ -47,45 +51,40 @@ def _positive_float(text: str) -> float:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser that raises ``UsageError`` instead of exiting 2.
+
+    ``add_subparsers`` builds the subcommand parsers with this class too.
+    """
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+_OPTIONS = {
+    "input": dict(default="-", help="path of the input JSON document, or - for stdin"),
+    "spec": dict(
+        default=None, help="algebra layout as inline JSON or a path to a JSON file"
+    ),
+    "seed": dict(type=_nonnegative_int, default=0),
+    "probes": dict(type=_positive_int, default=DEFAULT_PROBES),
+    "trials": dict(type=_positive_int, default=100),
+    "nodes": dict(type=_positive_int, default=DEFAULT_NODES),
+    "tol-cluster": dict(type=_positive_float, default=CLUSTER_TOL),
+    "output": dict(default="-", help="report path, or - for stdout"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="soclelab",
         description="Spectral rank/trace laboratory for block matrix algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, needs_input: bool = True):
-        if needs_input:
-            p.add_argument(
-                "--input",
-                default="-",
-                help="path of the input JSON document, or - for stdin",
-            )
-        p.add_argument(
-            "--spec",
-            default=None,
-            help="algebra layout as inline JSON or a path to a JSON file",
-        )
-        p.add_argument("--output", default="-", help="report path, or - for stdout")
-        p.add_argument("--seed", type=_nonnegative_int, default=0)
-        p.add_argument("--probes", type=_positive_int, default=None)
-        p.add_argument("--trials", type=_positive_int, default=None)
-        p.add_argument("--nodes", type=_positive_int, default=None)
-        p.add_argument("--tol-cluster", type=_positive_float, default=CLUSTER_TOL)
-
-    for name, needs_input in [
-        ("spectrum", True),
-        ("rank", True),
-        ("trace", True),
-        ("riesz", True),
-        ("diagonalize", True),
-        ("commutator", True),
-        ("rank-one-commutator", True),
-        ("check-functional", True),
-        ("classify", False),
-        ("verify", False),
-    ]:
-        common(sub.add_parser(name), needs_input=needs_input)
+    for name, (_, flags) in _COMMANDS.items():
+        p = sub.add_parser(name)
+        for flag in flags + ("output",):
+            p.add_argument(f"--{flag}", **_OPTIONS[flag])
     return parser
 
 
@@ -133,7 +132,7 @@ def _run_rank(args) -> dict:
     a = _element_input(args)
     rep = spectral_rank(
         a,
-        probes=args.probes or DEFAULT_PROBES,
+        probes=args.probes,
         seed=args.seed,
         tol=args.tol_cluster,
     )
@@ -157,9 +156,7 @@ def _run_riesz(args) -> dict:
         )
     a = jsonio.element_from_json(data["element"], _read_spec(args))
     targets = [jsonio.complex_from_json(t) for t in data["targets"]]
-    rep = riesz_projection(
-        a, targets, nodes=args.nodes or DEFAULT_NODES, tol=args.tol_cluster
-    )
+    rep = riesz_projection(a, targets, nodes=args.nodes, tol=args.tol_cluster)
     return jsonio.riesz_report_to_json(rep)
 
 
@@ -167,10 +164,10 @@ def _run_diagonalize(args) -> dict:
     a = _element_input(args)
     d = diagonalize_maximal(
         a,
-        probes=args.probes or DEFAULT_PROBES,
+        probes=args.probes,
         seed=args.seed,
         tol=args.tol_cluster,
-        nodes=args.nodes or DEFAULT_NODES,
+        nodes=args.nodes,
     )
     return jsonio.diagonalization_to_json(d)
 
@@ -227,54 +224,47 @@ def _run_verify(args) -> dict:
     spec = _read_spec(args)
     if spec is None:
         raise ShapeMismatchError("verify needs --spec")
-    rep = verify_theorems(
-        spec, trials=args.trials or 100, seed=args.seed, tol=args.tol_cluster
-    )
+    rep = verify_theorems(spec, trials=args.trials, seed=args.seed)
     return jsonio.verification_report_to_json(rep)
 
 
+# Each command with its runner and the flags it reads; every command
+# also takes --output.
 _COMMANDS = {
-    "spectrum": _run_spectrum,
-    "rank": _run_rank,
-    "trace": _run_trace,
-    "riesz": _run_riesz,
-    "diagonalize": _run_diagonalize,
-    "commutator": _run_commutator,
-    "rank-one-commutator": _run_rank_one_commutator,
-    "check-functional": _run_check_functional,
-    "classify": _run_classify,
-    "verify": _run_verify,
+    "spectrum": (_run_spectrum, ("input", "spec", "tol-cluster")),
+    "rank": (_run_rank, ("input", "spec", "seed", "probes", "tol-cluster")),
+    "trace": (_run_trace, ("input", "spec", "seed", "tol-cluster")),
+    "riesz": (_run_riesz, ("input", "spec", "nodes", "tol-cluster")),
+    "diagonalize": (
+        _run_diagonalize,
+        ("input", "spec", "seed", "probes", "nodes", "tol-cluster"),
+    ),
+    "commutator": (_run_commutator, ("input",)),
+    "rank-one-commutator": (_run_rank_one_commutator, ("input",)),
+    "check-functional": (_run_check_functional, ("input", "spec", "seed")),
+    "classify": (_run_classify, ("spec", "seed")),
+    "verify": (_run_verify, ("spec", "seed", "trials")),
 }
 
 
-def _emit(args, payload: dict) -> None:
+def _emit(output: str, payload: dict) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.output == "-":
+    if output == "-":
         sys.stdout.write(text)
     else:
-        with open(args.output, "w", encoding="utf-8") as fh:
+        with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    output = "-"  # usage errors come before --output is known
     try:
-        payload = _COMMANDS[args.command](args)
-    except CertificationError as exc:
-        _emit(
-            args,
-            {
-                "error": {
-                    "type": type(exc).__name__,
-                    "message": str(exc),
-                    "details": exc.details(),
-                }
-            },
-        )
-        return 2
+        args = build_parser().parse_args(argv)
+        output = args.output
+        payload = _COMMANDS[args.command][0](args)
     except SocleLabError as exc:
         _emit(
-            args,
+            output,
             {
                 "error": {
                     "type": type(exc).__name__,
@@ -283,8 +273,8 @@ def run(argv=None) -> int:
                 }
             },
         )
-        return 1
-    _emit(args, payload)
+        return 2 if isinstance(exc, CertificationError) else 1
+    _emit(output, payload)
     return 0
 
 

@@ -16,6 +16,10 @@ class SocleLabError(Exception):
         return {}
 
 
+class UsageError(SocleLabError):
+    """The command line names an unknown command or flag, or a bad value."""
+
+
 class ShapeMismatchError(SocleLabError):
     """Operands do not share an algebra layout, or blocks have wrong shapes."""
 

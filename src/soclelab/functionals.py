@@ -34,6 +34,7 @@ from .errors import (
     NoCounterexampleError,
     NonFiniteEntryError,
     ShapeMismatchError,
+    TheoremViolationError,
 )
 from .sampling import (
     complex_gaussian,
@@ -148,8 +149,9 @@ def is_tracial(f: Functional, tol: float = TRACIAL_TOL) -> bool:
             b = random_element(f.spec, rng)
             gap = abs(evaluate(f, a @ b) - evaluate(f, b @ a))
             if gap > 1e3 * tol * f.weight_scale():
-                raise AssertionError(
-                    "scalar-weight criterion contradicted by direct evaluation"
+                raise TheoremViolationError(
+                    "scalar-weight criterion contradicted by direct evaluation",
+                    witness=(a, b),
                 )
     return verdict
 
@@ -219,15 +221,36 @@ def spectral_bound_witness(f: Functional, tol: float = TRACIAL_TOL) -> SpectralB
         alphas, _ = _scalar_deviations(f)
         c = float(sum(abs(a) * n for a, n in zip(alphas, f.spec.block_sizes)))
         return SpectralBoundResult(constant=c, witness=None, witness_value=None)
-    best = None
-    best_val = 0.0
-    for w in square_zero_basis(f.spec):
-        v = evaluate(f, w)
-        if abs(v) > best_val:
-            best_val = abs(v)
-            best = (w, v)
-    assert best is not None, "non-scalar weights must hit the square-zero span"
-    return SpectralBoundResult(constant=None, witness=best[0], witness_value=best[1])
+    values, _ = _square_zero_values(f)
+    magnitudes = np.abs(values)
+    if not np.any(magnitudes):
+        raise TheoremViolationError(
+            "non-scalar weights vanish on the whole square-zero span"
+        )
+    best = int(np.argmax(magnitudes))
+    return SpectralBoundResult(
+        constant=None,
+        witness=_square_zero_element(f.spec, _square_zero_keys(f.spec)[best]),
+        witness_value=complex(values[best]),
+    )
+
+
+def _square_zero_keys(spec: AlgebraSpec) -> list[tuple[int, int, int, bool]]:
+    """(block, i, j, rank_one) for each element of the square-zero basis."""
+    keys = []
+    for k, n in enumerate(spec.block_sizes):
+        keys += [(k, i, j, False) for i in range(n) for j in range(n) if i != j]
+        keys += [(k, i, j, True) for i in range(n) for j in range(i + 1, n)]
+    return keys
+
+
+def _square_zero_element(spec: AlgebraSpec, key) -> Element:
+    k, i, j, rank_one = key
+    if not rank_one:
+        return matrix_unit(spec, k, i, j)
+    w = zero(spec)
+    w.blocks[k][[i, i, j, j], [i, j, i, j]] = (1.0, -1.0, 1.0, -1.0)
+    return w
 
 
 def square_zero_basis(spec: AlgebraSpec) -> list[Element]:
@@ -238,21 +261,26 @@ def square_zero_basis(spec: AlgebraSpec) -> list[Element]:
     as (e_i + e_j)(e_i - e_j)^T with orthogonal factors and therefore
     squares to zero. Size-1 blocks contribute nothing.
     """
-    basis: list[Element] = []
-    for k, n in enumerate(spec.block_sizes):
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    basis.append(matrix_unit(spec, k, i, j))
-        for i in range(n):
-            for j in range(i + 1, n):
-                w = zero(spec)
-                w.blocks[k][i, i] = 1.0
-                w.blocks[k][i, j] = -1.0
-                w.blocks[k][j, i] = 1.0
-                w.blocks[k][j, j] = -1.0
-                basis.append(w)
-    return basis
+    return [_square_zero_element(spec, key) for key in _square_zero_keys(spec)]
+
+
+def _square_zero_values(f: Functional) -> tuple[np.ndarray, np.ndarray]:
+    """f on every square-zero basis element, and each element's norm.
+
+    tr(W e_ij) = W[j, i], and the rank-one element gives
+    (W[i,i] + W[i,j]) + (-W[j,i] - W[j,j]), summed in the order the
+    blockwise product and trace sum it; adding 0 turns -0.0 into +0.0
+    as :func:`evaluate` does, so the values equal evaluate's bit for
+    bit. The units have operator norm 1, the rank-one elements
+    |e_i + e_j| |e_i - e_j| = 2. Both arrays follow the basis order.
+    """
+    values, norms = [], []
+    for w, n in zip(f.weights, f.spec.block_sizes):
+        r, c = np.nonzero(~np.eye(n, dtype=bool))
+        i, j = np.triu_indices(n, 1)
+        values += [w[c, r], (w[i, i] + w[i, j]) + (-w[j, i] - w[j, j])]
+        norms += [np.ones(r.size), np.full(i.size, 2.0)]
+    return 0 + np.concatenate(values), np.concatenate(norms)
 
 
 @dataclass(frozen=True)
@@ -262,6 +290,29 @@ class VanishingVerdict:
     witness_value: complex | None
 
 
+def _first_nonvanishing(f: Functional, elements, tol: float) -> VanishingVerdict:
+    """Scan the square-zero basis, then ``elements``, for a value of f.
+
+    A value counts when it exceeds ``tol`` times the weight scale times
+    the element's operator norm (at least 1); the first such element is
+    the witness. ``elements`` is consumed lazily, so nothing past the
+    witness is drawn.
+    """
+    scale = f.weight_scale()
+    values, norms = _square_zero_values(f)
+    hits = np.flatnonzero(np.abs(values) > tol * scale * norms)
+    if hits.size:
+        first = int(hits[0])
+        w = _square_zero_element(f.spec, _square_zero_keys(f.spec)[first])
+        return VanishingVerdict(False, w, complex(values[first]))
+    for w in elements:
+        v = evaluate(f, w)
+        wscale = max(1.0, max(float(np.linalg.norm(b, 2)) for b in w.blocks))
+        if abs(v) > tol * scale * wscale:
+            return VanishingVerdict(False, w, v)
+    return VanishingVerdict(True, None, None)
+
+
 def vanishes_on_square_zero(
     f: Functional,
     trials: int = 8,
@@ -269,25 +320,19 @@ def vanishes_on_square_zero(
     tol: float = CONSTANCY_TOL,
 ) -> VanishingVerdict:
     """Evaluate f on the square-zero basis and random conjugates of it."""
-    candidates = list(square_zero_basis(f.spec))
+    keys = _square_zero_keys(f.spec)
     rng = rng_for(seed)
-    base = candidates[: len(candidates)]
-    for _ in range(trials):
-        if not base:
-            break
-        w = base[int(rng.integers(0, len(base)))]
-        u = random_invertible(f.spec, rng)
-        uinv = Element(
-            f.spec, tuple(np.linalg.inv(b) for b in u.blocks), _checked=True
-        )
-        candidates.append(u @ w @ uinv)
-    scale = f.weight_scale()
-    for w in candidates:
-        v = evaluate(f, w)
-        wscale = max(1.0, max(float(np.linalg.norm(b, 2)) for b in w.blocks))
-        if abs(v) > tol * scale * wscale:
-            return VanishingVerdict(False, w, v)
-    return VanishingVerdict(True, None, None)
+
+    def conjugates():
+        for _ in range(trials if keys else 0):
+            w = _square_zero_element(f.spec, keys[int(rng.integers(0, len(keys)))])
+            u = random_invertible(f.spec, rng)
+            uinv = Element(
+                f.spec, tuple(np.linalg.inv(b) for b in u.blocks), _checked=True
+            )
+            yield u @ w @ uinv
+
+    return _first_nonvanishing(f, conjugates(), tol)
 
 
 def vanishes_on_nilpotents(
@@ -304,20 +349,13 @@ def vanishes_on_nilpotents(
     those are nilpotent too.
     """
     rng = rng_for(seed)
-    scale = f.weight_scale()
-    for w in square_zero_basis(f.spec):
-        v = evaluate(f, w)
-        wscale = max(1.0, max(float(np.linalg.norm(b, 2)) for b in w.blocks))
-        if abs(v) > tol * scale * wscale:
-            return VanishingVerdict(False, w, v)
-    for _ in range(trials):
-        u = random_invertible(f.spec, rng)
-        w = random_nilpotent(f.spec, rng, conjugate_by=u)
-        v = evaluate(f, w)
-        wscale = max(1.0, max(float(np.linalg.norm(b, 2)) for b in w.blocks))
-        if abs(v) > tol * scale * wscale:
-            return VanishingVerdict(False, w, v)
-    return VanishingVerdict(True, None, None)
+
+    def nilpotents():
+        for _ in range(trials):
+            u = random_invertible(f.spec, rng)
+            yield random_nilpotent(f.spec, rng, conjugate_by=u)
+
+    return _first_nonvanishing(f, nilpotents(), tol)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from .algebra import (
     CLUSTER_TOL,
     IDEMPOTENCY_TOL,
     RANK_TOL,
+    RESOLVENT_FLOOR,
     AlgebraSpec,
     Element,
     SpectrumReport,
@@ -126,13 +127,11 @@ def riesz_projection(
     targets,
     nodes: int = DEFAULT_NODES,
     tol: float = CLUSTER_TOL,
-    radius_factor: float = RADIUS_FACTOR,
-    floor: float = 1e-10,
 ) -> RieszReport:
     """Spectral projection of ``a`` onto one or more spectral values.
 
     Each target must match a clustered spectral value; its contour is
-    the circle around that value with radius ``radius_factor`` times the
+    the circle around that value with radius ``RADIUS_FACTOR`` times the
     distance to the nearest other value. For several targets the
     per-target projections are summed. The reported multiplicity is the
     classical rank of the projection.
@@ -157,11 +156,11 @@ def riesz_projection(
     radii = []
     blocks = [np.zeros((n, n), dtype=complex) for n in a.spec.block_sizes]
     for c in centers:
-        r = radius_factor * rep.gap(c)
-        if r < floor * scale:
+        r = RADIUS_FACTOR * rep.gap(c)
+        if r < RESOLVENT_FLOOR * scale:
             raise ContourCollapseError(
                 f"contour radius {r:.3e} around {c} is below the "
-                f"singularity floor {floor * scale:.3e}"
+                f"singularity floor {RESOLVENT_FLOOR * scale:.3e}"
             )
         radii.append(float(r))
         for acc, term in zip(blocks, _contour_projection_blocks(a, c, r, nodes)):
@@ -195,7 +194,6 @@ def riesz_projection(
 def multiplicity(
     a: Element,
     target: complex,
-    eps: float = DEFAULT_EPS,
     probes: int = MULTIPLICITY_PROBES,
     seed: int = 0,
     tol: float = CLUSTER_TOL,
@@ -203,13 +201,13 @@ def multiplicity(
 ) -> int:
     """Spectral multiplicity of ``a`` at one of its spectral values.
 
-    Route A perturbs the identity by ``eps`` times a normalized Gaussian
-    element, requires the perturbation to preserve the nonzero-spectrum
-    count (rank), and counts the distinct spectral values of the product
-    that land in the disk of one third the local gap around the target;
-    the count must be the same for every admissible probe. For nonzero
-    targets, Route B takes the rank of the Riesz projection, and the two
-    must agree exactly.
+    Route A perturbs the identity by ``DEFAULT_EPS`` times a normalized
+    Gaussian element, requires the perturbation to preserve the
+    nonzero-spectrum count (rank), and counts the distinct spectral
+    values of the product that land in the disk of one third the local
+    gap around the target; the count must be the same for every
+    admissible probe. For nonzero targets, Route B takes the rank of
+    the Riesz projection, and the two must agree exactly.
     """
     if probes < 1:
         raise ValueError("need at least one probe")
@@ -226,7 +224,7 @@ def multiplicity(
     for i in range(probes):
         g = random_element(a.spec, rng_for(seed, i))
         g = (1.0 / operator_norm(g)) * g
-        x = one + eps * g
+        x = one + DEFAULT_EPS * g
         srep = spectrum(x @ a, tol)
         if srep.num_nonzero != rank_a:
             continue  # probe fell outside the rank-attaining set
@@ -254,45 +252,40 @@ def multiplicity(
 
 def spectral_trace(
     a: Element,
-    eps: float = DEFAULT_EPS,
     probes: int = MULTIPLICITY_PROBES,
     seed: int = 0,
     tol: float = CLUSTER_TOL,
     nodes: int = DEFAULT_NODES,
-    certify: bool = True,
 ) -> complex:
     """Multiplicity-weighted sum of spectral values.
 
     The spectral value 0 contributes nothing, so only nonzero values
     need their multiplicities. The result is certified against the
-    diagonal-sum oracle to relative tolerance ``TRACE_CERT_TOL`` unless
-    ``certify`` is switched off.
+    diagonal-sum oracle to relative tolerance ``TRACE_CERT_TOL``.
     """
     rep = spectrum(a, tol)
     total = 0j
     for v, _ in rep.points:
         if v == 0:
             continue
-        m = multiplicity(a, v, eps=eps, probes=probes, seed=seed, tol=tol, nodes=nodes)
+        m = multiplicity(a, v, probes=probes, seed=seed, tol=tol, nodes=nodes)
         total += v * m
-    if certify:
-        oracle = classical_trace(a)
-        if abs(total - oracle) > TRACE_CERT_TOL * max(1.0, abs(oracle)):
-            raise TraceCertificationError(total, oracle)
+    oracle = classical_trace(a)
+    if abs(total - oracle) > TRACE_CERT_TOL * max(1.0, abs(oracle)):
+        raise TraceCertificationError(total, oracle)
     return total
 
 
-def trace_bound_check(
-    a: Element,
-    seed: int = 0,
-    tol: float = CLUSTER_TOL,
-    slack: float = 1e-8,
-) -> bool:
-    """|trace| <= rank * spectral radius, within numerical slack."""
+def trace_bound_check(a: Element, seed: int = 0, tol: float = CLUSTER_TOL) -> bool:
+    """|trace| <= rank * spectral radius, within ``TRACE_CERT_TOL``.
+
+    The spectral trace is only certified to that relative tolerance, so
+    the bound cannot be checked more tightly.
+    """
     rep = spectrum(a, tol)
     tr = spectral_trace(a, seed=seed, tol=tol)
     bound = classical_rank(a) * rep.radius
-    return abs(tr) <= bound + slack * max(1.0, bound)
+    return abs(tr) <= bound + TRACE_CERT_TOL * max(1.0, bound)
 
 
 def diagonalize_maximal(
@@ -358,15 +351,15 @@ class CompressionReport:
         )
 
 
-def compress_to_corner(a: Element, p: Element, tol_idem: float = IDEMPOTENCY_TOL):
+def compress_to_corner(a: Element, p: Element):
     """Matrix of p*a*p on orthonormal bases of the block ranges of p.
 
     Returns (subalgebra spec, compressed element); both are None when
     p = 0. Raises when p is not idempotent within tolerance.
     """
     defect = operator_norm(p @ p - p)
-    if defect > tol_idem:
-        raise NotIdempotentError(float(defect), tol_idem)
+    if defect > IDEMPOTENCY_TOL:
+        raise NotIdempotentError(float(defect), IDEMPOTENCY_TOL)
     pap = p @ a @ p
     sizes = []
     mats = []
@@ -409,11 +402,10 @@ def pAp_consistency(
     a: Element,
     p: Element,
     tol: float = CLUSTER_TOL,
-    tol_idem: float = IDEMPOTENCY_TOL,
     seed: int = 0,
 ) -> CompressionReport:
     """Certify that corner and ambient computations agree on p*a*p."""
-    sub, compressed = compress_to_corner(a, p, tol_idem=tol_idem)
+    sub, compressed = compress_to_corner(a, p)
     pap = p @ a @ p
     rank_ambient = classical_rank(pap)
     tr_ambient = classical_trace(pap)

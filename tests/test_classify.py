@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import soclelab as sl
 from soclelab.classify import block_support
@@ -44,6 +46,77 @@ class TestGeneratedIdeal:
             return int(np.sum(s > 1e-9 * s[0]))
 
         assert dim(si) + dim(sj) == dim(np.vstack([si, sj]))
+
+
+def span_rank_reference(block: np.ndarray) -> int:
+    """Numerical dimension of span{e a f : e, f matrix units} in one block.
+
+    The stacked n^4 x n^2 coefficient matrix with a relative 1e-9 SVD
+    cutoff: the route the closed form replaced, kept as its reference.
+    """
+    n = block.shape[0]
+    rows = []
+    for s in range(n):
+        for t in range(n):
+            for r in range(n):
+                for u in range(n):
+                    vec = np.zeros(n * n, dtype=complex)
+                    vec[r * n + u] = block[s, t]
+                    rows.append(vec)
+    stacked = np.array(rows)
+    if not np.any(stacked):
+        return 0
+    svals = np.linalg.svd(stacked, compute_uv=False)
+    return int(np.sum(svals > 1e-9 * svals[0]))
+
+
+class TestIdealClosedForm:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        exponent=st.integers(-300, 300),
+        density=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_stacked_span(self, n, exponent, density, seed):
+        rng = np.random.default_rng(seed)
+        block = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        block *= 10.0**exponent * (rng.uniform(size=(n, n)) < density)
+        spec = sl.AlgebraSpec((n,))
+        rep = sl.generated_ideal(spec, sl.Element(spec, [block]))
+        assert rep.ideal_dimension == span_rank_reference(block)
+        assert rep.supported_blocks == (frozenset({0}) if np.any(block) else frozenset())
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_huge_entries_span_the_block(self, n):
+        spec = sl.AlgebraSpec((n,))
+        rep = sl.generated_ideal(spec, sl.Element(spec, [np.full((n, n), 1e308)]))
+        assert rep.ideal_dimension == n * n
+        assert rep.is_whole_algebra
+
+    def test_sums_over_supported_blocks(self):
+        spec = sl.AlgebraSpec((2, 3, 1))
+        a = sl.matrix_unit(spec, 0, 1, 0) + sl.scale(1e-300, sl.matrix_unit(spec, 2, 0, 0))
+        rep = sl.generated_ideal(spec, a)
+        assert rep.ideal_dimension == 4 + 1
+        assert rep.supported_blocks == frozenset({0, 2})
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 4), min_size=2, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_different_blocks_multiply_to_exact_zero(self, sizes, seed):
+        # Why orthogonal_decomposition need not check that block ideals
+        # annihilate: blockwise products make it exact.
+        spec = sl.AlgebraSpec(tuple(sizes))
+        rng = np.random.default_rng(seed)
+        i, j = rng.choice(len(sizes), size=2, replace=False)
+        u, v = sl.zero(spec), sl.zero(spec)
+        u.blocks[i][:] = 1e300 * rng.standard_normal((sizes[i], sizes[i]))
+        v.blocks[j][:] = 1e300 * rng.standard_normal((sizes[j], sizes[j]))
+        for prod in (u @ v, v @ u):
+            assert not any(np.any(b) for b in prod.blocks)
 
 
 class TestOrthogonalDecomposition:

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -233,3 +234,71 @@ class TestCLIBehavior:
         assert code == 1
         assert out["error"]["type"] == "ShapeMismatchError"
         assert "block_sizes" in out["error"]["message"]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["no-such-command"],
+            ["rank", "--seed", "-1"],
+            ["rank", "--probes", "0"],
+            ["spectrum", "--tol-cluster", "0"],
+            ["verify", "--trials", "many"],
+            ["rank", "--no-such-flag"],
+            # flags a command does not read are not accepted either
+            ["classify", "--spec", '{"block_sizes": [2]}', "--nodes", "5"],
+            ["classify", "--spec", '{"block_sizes": [2]}', "--tol-cluster", "3"],
+            ["verify", "--spec", '{"block_sizes": [2]}', "--tol-cluster", "3"],
+            ["trace", "--nodes", "5"],
+            ["trace", "--probes", "5"],
+            ["commutator", "--spec", '{"block_sizes": [2]}'],
+        ],
+    )
+    def test_usage_error_is_a_json_error(self, capsys, argv):
+        code = run(argv)
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert code == 1
+        assert set(out) == {"error"}
+        assert out["error"]["type"] == "UsageError"
+        assert out["error"]["message"].startswith("soclelab")
+        assert captured.err == ""  # no plain-text usage
+
+    def test_usage_error_ignores_output_flag(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        code, out = invoke(capsys, "rank", "--output", str(report), "--seed", "-1")
+        assert code == 1
+        assert out["error"]["type"] == "UsageError"
+        assert not report.exists()
+
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        from soclelab.cli import build_parser
+
+        sub = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        flags = {
+            name: sorted(
+                s for a in p._actions for s in a.option_strings if s.startswith("--")
+            )
+            for name, p in sub.choices.items()
+        }
+        flags = {name: [f for f in fs if f != "--help"] for name, fs in flags.items()}
+        assert flags == {
+            "spectrum": ["--input", "--output", "--spec", "--tol-cluster"],
+            "rank": ["--input", "--output", "--probes", "--seed", "--spec", "--tol-cluster"],
+            "trace": ["--input", "--output", "--seed", "--spec", "--tol-cluster"],
+            "riesz": ["--input", "--nodes", "--output", "--spec", "--tol-cluster"],
+            "diagonalize": [
+                "--input", "--nodes", "--output", "--probes", "--seed", "--spec",
+                "--tol-cluster",
+            ],
+            "commutator": ["--input", "--output"],
+            "rank-one-commutator": ["--input", "--output"],
+            "check-functional": ["--input", "--output", "--seed", "--spec"],
+            "classify": ["--output", "--seed", "--spec"],
+            "verify": ["--output", "--seed", "--spec", "--trials"],
+        }
+        assert sum(map(len, flags.values())) == 42

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import soclelab as sl
-from soclelab.errors import NoCounterexampleError
-from soclelab.functionals import Functional
+import soclelab.functionals as functionals
+from soclelab.errors import NoCounterexampleError, TheoremViolationError
+from soclelab.functionals import Functional, _square_zero_values
 from soclelab.sampling import (
     random_element,
     random_rank_one_projection,
@@ -59,6 +62,17 @@ class TestTracial:
         assert sl.tracial_witness(f) is None
 
 
+def test_tracial_contradiction_raises(m2, monkeypatch):
+    # Weights that claim to be scalar while evaluation is not tracial
+    # mean the criterion itself is broken.
+    f = e12_functional(m2)
+    monkeypatch.setattr(
+        functionals, "_scalar_deviations", lambda f: (np.zeros(1, dtype=complex), 0.0)
+    )
+    with pytest.raises(TheoremViolationError):
+        sl.is_tracial(f)
+
+
 class TestScalarTrace:
     def test_common_scalar(self, spec23):
         f = sl.blockwise_scalar_functional(spec23, [3.0, 3.0])
@@ -112,6 +126,99 @@ class TestSquareZeroBasis:
         svals = np.linalg.svd(np.array(rows), compute_uv=False)
         dim = int(np.sum(svals > 1e-9 * svals[0]))
         assert dim == sum(n * n - 1 for n in spec23.block_sizes)
+
+
+def wscale(w) -> float:
+    return max(1.0, max(float(np.linalg.norm(b, 2)) for b in w.blocks))
+
+
+def bound_witness_reference(f):
+    """The square-zero scan spectral_bound_witness ran element by element."""
+    best, best_val = None, 0.0
+    for w in sl.square_zero_basis(f.spec):
+        v = sl.evaluate(f, w)
+        if abs(v) > best_val:
+            best_val, best = abs(v), (w, v)
+    return best
+
+
+def basis_witness_reference(f, tol=functionals.CONSTANCY_TOL):
+    """The basis scan both vanishing checks ran element by element."""
+    scale = f.weight_scale()
+    for w in sl.square_zero_basis(f.spec):
+        v = sl.evaluate(f, w)
+        if abs(v) > tol * scale * wscale(w):
+            return w, v
+    return None
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=complex).tobytes()
+
+
+@st.composite
+def awkward_functionals(draw):
+    """Functionals with signed zeros, ties, tiny and huge entries, and
+    off-diagonal parts near the vanishing threshold."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["gaussian", "integer", "signed-zero", "near-tracial"]))
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    weights = []
+    for n in sizes:
+        if kind == "integer":
+            w = rng.integers(-2, 3, (n, n)) + 1j * rng.integers(-2, 3, (n, n))
+        elif kind == "signed-zero":
+            w = rng.choice([0.0, -0.0, 1.0, -1.0], (n, n)) + 1j * rng.choice(
+                [0.0, -0.0, 1.0, -1.0], (n, n)
+            )
+        else:
+            w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if kind == "near-tracial":
+            w = np.eye(n) * w[0, 0] + 10.0 ** rng.uniform(-10, -7) * w
+        weights.append(scale * w)
+    return Functional(sl.AlgebraSpec(tuple(sizes)), weights)
+
+
+class TestSquareZeroClosedForm:
+    @settings(max_examples=200, deadline=None)
+    @given(f=awkward_functionals())
+    def test_values_equal_evaluate_bitwise(self, f):
+        basis = sl.square_zero_basis(f.spec)
+        values, norms = _square_zero_values(f)
+        assert bits(values) == bits([sl.evaluate(f, w) for w in basis])
+        assert norms.tolist() == [wscale(w) for w in basis]
+
+    @settings(max_examples=200, deadline=None)
+    @given(f=awkward_functionals())
+    def test_witnesses_match_elementwise_scans(self, f):
+        expected = basis_witness_reference(f)
+        for check in (sl.vanishes_on_square_zero, sl.vanishes_on_nilpotents):
+            got = check(f)
+            if expected is None:
+                continue  # the random families decide; unchanged code
+            w, v = expected
+            assert not got.vanishes
+            assert bits(got.witness_value) == bits(v)
+            assert all(bits(x) == bits(y) for x, y in zip(got.witness.blocks, w.blocks))
+        best = bound_witness_reference(f)
+        if not sl.is_tracial(f) and best is not None:
+            got = sl.spectral_bound_witness(f)
+            assert bits(got.witness_value) == bits(best[1])
+            assert all(
+                bits(x) == bits(y) for x, y in zip(got.witness.blocks, best[0].blocks)
+            )
+
+    def test_first_strict_maximum_wins_ties(self, m3):
+        w = np.zeros((3, 3), dtype=complex)
+        w[2, 0] = w[0, 2] = 1.0  # e_02 and e_20 give the same |value|
+        res = sl.spectral_bound_witness(Functional(m3, [w]))
+        np.testing.assert_array_equal(res.witness.blocks[0], sl.matrix_unit(m3, 0, 0, 2).blocks[0])
+
+    def test_bound_witness_raises_when_scan_finds_nothing(self, m2, monkeypatch):
+        monkeypatch.setattr(functionals, "is_tracial", lambda f, tol: False)
+        with pytest.raises(TheoremViolationError):
+            sl.spectral_bound_witness(sl.trace_functional(m2))
 
 
 class TestVanishing:
