@@ -44,6 +44,13 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _node_count(text: str) -> int:
+    value = int(text)
+    if value < 4:
+        raise argparse.ArgumentTypeError(f"expected at least 4 nodes, got {value}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if value <= 0:
@@ -69,7 +76,7 @@ _OPTIONS = {
     "seed": dict(type=_nonnegative_int, default=0),
     "probes": dict(type=_positive_int, default=DEFAULT_PROBES),
     "trials": dict(type=_positive_int, default=100),
-    "nodes": dict(type=_positive_int, default=DEFAULT_NODES),
+    "nodes": dict(type=_node_count, default=DEFAULT_NODES),
     "tol-cluster": dict(type=_positive_float, default=CLUSTER_TOL),
     "output": dict(default="-", help="report path, or - for stdout"),
 }

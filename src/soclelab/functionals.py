@@ -28,6 +28,7 @@ from .algebra import (
     AlgebraSpec,
     Element,
     matrix_unit,
+    operator_norm,
     zero,
 )
 from .errors import (
@@ -78,9 +79,8 @@ class Functional:
         return f"Functional(block_sizes={self.spec.block_sizes})"
 
     def weight_scale(self) -> float:
-        return max(
-            1.0, max(float(np.linalg.norm(w, 2)) for w in self.weights)
-        )
+        # the trace pairing makes the weights an element of the same algebra
+        return max(1.0, operator_norm(Element(self.spec, self.weights, _checked=True)))
 
 
 def trace_functional(spec: AlgebraSpec, alpha: complex = 1.0) -> Functional:
@@ -127,10 +127,9 @@ def _scalar_deviations(f: Functional) -> tuple[np.ndarray, float]:
         [np.trace(w) / n for w, n in zip(f.weights, f.spec.block_sizes)],
         dtype=complex,
     )
-    dev = 0.0
-    for w, al, n in zip(f.weights, alphas, f.spec.block_sizes):
-        dev = max(dev, float(np.linalg.norm(w - al * np.eye(n), 2)))
-    return alphas, dev
+    sizes = f.spec.block_sizes
+    devs = tuple(w - al * np.eye(n) for w, al, n in zip(f.weights, alphas, sizes))
+    return alphas, operator_norm(Element(f.spec, devs, _checked=True))
 
 
 def is_tracial(f: Functional, tol: float = TRACIAL_TOL) -> bool:
@@ -141,14 +140,15 @@ def is_tracial(f: Functional, tol: float = TRACIAL_TOL) -> bool:
     broken, so it raises rather than returning.
     """
     _, dev = _scalar_deviations(f)
-    verdict = dev <= tol * f.weight_scale()
+    scale = f.weight_scale()
+    verdict = dev <= tol * scale
     if verdict:
         rng = rng_for(0)
         for _ in range(4):
             a = random_element(f.spec, rng)
             b = random_element(f.spec, rng)
             gap = abs(evaluate(f, a @ b) - evaluate(f, b @ a))
-            if gap > 1e3 * tol * f.weight_scale():
+            if gap > 1e3 * tol * scale:
                 raise TheoremViolationError(
                     "scalar-weight criterion contradicted by direct evaluation",
                     witness=(a, b),
@@ -307,8 +307,7 @@ def _first_nonvanishing(f: Functional, elements, tol: float) -> VanishingVerdict
         return VanishingVerdict(False, w, complex(values[first]))
     for w in elements:
         v = evaluate(f, w)
-        wscale = max(1.0, max(float(np.linalg.norm(b, 2)) for b in w.blocks))
-        if abs(v) > tol * scale * wscale:
+        if abs(v) > tol * scale * max(1.0, operator_norm(w)):
             return VanishingVerdict(False, w, v)
     return VanishingVerdict(True, None, None)
 

@@ -5,8 +5,10 @@ the resolvent around it, computed here by the trapezoid rule on a
 circle: for analytic periodic integrands that rule converges
 geometrically in the node count. Multiplicities come by two independent
 routes (perturbation counting near the identity, and the rank of the
-projection) which must agree; the trace is the multiplicity-weighted
-sum of spectral values, certified against the diagonal-sum oracle.
+projection) which must agree; one element's perturbation probes are
+drawn once and shared by all its spectral values. The trace is the
+multiplicity-weighted sum of spectral values, certified against the
+diagonal-sum oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .algebra import (
     classical_rank,
     classical_trace,
     identity,
-    nonzero_spectrum_count,
     operator_norm,
     spectrum,
 )
@@ -108,18 +109,30 @@ def _match_target(rep: SpectrumReport, target: complex) -> complex:
     return v
 
 
-def _contour_projection_blocks(a: Element, center: complex, radius: float, nodes: int):
-    """Trapezoid-rule contour integral of the resolvent, per block."""
-    theta = 2 * np.pi * np.arange(nodes) / nodes
-    phases = np.exp(1j * theta)
-    zs = center + radius * phases
-    out = []
-    for b, n in zip(a.blocks, a.spec.block_sizes):
-        eye = np.eye(n, dtype=complex)
-        shifted = zs[:, None, None] * eye - b
-        solved = np.linalg.solve(shifted, np.broadcast_to(eye, (nodes, n, n)))
-        out.append((radius / nodes) * np.einsum("j,jkl->kl", phases, solved))
-    return out
+def _projection(a: Element, rep: SpectrumReport, centers, nodes: int):
+    """The trapezoid-rule contour projection summed over ``centers`` (circles of
+    radius ``RADIUS_FACTOR`` times each gap in ``rep``), and the radii used."""
+    if nodes < 4:
+        raise ValueError("need at least 4 quadrature nodes")
+    scale = max(rep.radius, 1.0)
+    phases = np.exp(1j * (2 * np.pi * np.arange(nodes) / nodes))
+    radii = []
+    blocks = [np.zeros((n, n), dtype=complex) for n in a.spec.block_sizes]
+    for c in centers:
+        r = RADIUS_FACTOR * rep.gap(c)
+        if r < RESOLVENT_FLOOR * scale:
+            raise ContourCollapseError(
+                f"contour radius {r:.3e} around {c} is below the "
+                f"singularity floor {RESOLVENT_FLOOR * scale:.3e}"
+            )
+        radii.append(float(r))
+        zs = c + r * phases
+        for acc, b, n in zip(blocks, a.blocks, a.spec.block_sizes):
+            eye = np.eye(n, dtype=complex)
+            shifted = zs[:, None, None] * eye - b
+            solved = np.linalg.solve(shifted, np.broadcast_to(eye, (nodes, n, n)))
+            acc += (r / nodes) * np.einsum("j,jkl->kl", phases, solved)
+    return Element(a.spec, tuple(blocks), _checked=True), tuple(radii)
 
 
 def riesz_projection(
@@ -142,7 +155,6 @@ def riesz_projection(
     if not targets:
         raise ValueError("need at least one target")
     rep = spectrum(a, tol)
-    scale = max(rep.radius, 1.0)
 
     centers = []
     for t in targets:
@@ -153,20 +165,7 @@ def riesz_projection(
             )
         centers.append(c)
 
-    radii = []
-    blocks = [np.zeros((n, n), dtype=complex) for n in a.spec.block_sizes]
-    for c in centers:
-        r = RADIUS_FACTOR * rep.gap(c)
-        if r < RESOLVENT_FLOOR * scale:
-            raise ContourCollapseError(
-                f"contour radius {r:.3e} around {c} is below the "
-                f"singularity floor {RESOLVENT_FLOOR * scale:.3e}"
-            )
-        radii.append(float(r))
-        for acc, term in zip(blocks, _contour_projection_blocks(a, c, r, nodes)):
-            acc += term
-
-    p = Element(a.spec, tuple(blocks), _checked=True)
+    p, radii = _projection(a, rep, centers, nodes)
     defect = operator_norm(p @ p - p)
     mult = classical_rank(p)
 
@@ -183,12 +182,61 @@ def riesz_projection(
     return RieszReport(
         projection=p,
         centers=tuple(centers),
-        radii=tuple(radii),
+        radii=radii,
         nodes=nodes,
         idempotency_defect=float(defect),
         multiplicity=mult,
         range_residual=residual,
     )
+
+
+def _multiplicities(a: Element, rep: SpectrumReport, centers, probes, seed, tol, nodes):
+    """Multiplicity at each of ``centers``, certified by two routes.
+
+    Route A perturbs the identity by ``DEFAULT_EPS`` times a normalized
+    Gaussian element, keeps the probes that preserve the nonzero-spectrum
+    count (rank), and counts the distinct spectral values of each product
+    within one third of the local gap of the center; all counts must
+    agree. The probes do not depend on the center, so they are drawn
+    once, after the first gap check passes. For nonzero centers, Route B
+    is the rank of the Riesz projection; the routes share only ``rep``.
+    """
+    if centers and probes < 1:
+        raise ValueError("need at least one probe")
+    floor = GAP_FLOOR_FACTOR * rep.cluster_tolerance
+    admitted = None
+    out = []
+    for center in centers:
+        gap = rep.gap(center)
+        if gap < floor:
+            raise SpectralGapError(center, gap, floor)
+        if admitted is None:
+            rank_a = classical_rank(a)
+            one = identity(a.spec)
+            admitted = []
+            for i in range(probes):
+                g = random_element(a.spec, rng_for(seed, i))
+                g = (1.0 / operator_norm(g)) * g
+                srep = spectrum((one + DEFAULT_EPS * g) @ a, tol)
+                if srep.num_nonzero == rank_a:  # else outside the rank-attaining set
+                    admitted.append(srep)
+            if not admitted:
+                raise ProbeExhaustionError(
+                    f"no perturbation probe preserved the rank after {probes} attempts"
+                )
+        ball = gap / 3.0
+        near = [sum(abs(v - center) < ball for v, _ in s.points) for s in admitted]
+        counts = sorted(set(near))
+        if len(counts) != 1:
+            msg = f"perturbation counts at {center} were not constant: {counts}"
+            raise MultiplicityInconsistencyError(center, counts, None, message=msg)
+        route_a = counts[0]
+        if center != 0:
+            route_b = classical_rank(_projection(a, rep, [center], nodes)[0])
+            if route_a != route_b:
+                raise MultiplicityInconsistencyError(center, route_a, route_b)
+        out.append(route_a)
+    return out
 
 
 def multiplicity(
@@ -199,55 +247,13 @@ def multiplicity(
     tol: float = CLUSTER_TOL,
     nodes: int = DEFAULT_NODES,
 ) -> int:
-    """Spectral multiplicity of ``a`` at one of its spectral values.
-
-    Route A perturbs the identity by ``DEFAULT_EPS`` times a normalized
-    Gaussian element, requires the perturbation to preserve the
-    nonzero-spectrum count (rank), and counts the distinct spectral
-    values of the product that land in the disk of one third the local
-    gap around the target; the count must be the same for every
-    admissible probe. For nonzero targets, Route B takes the rank of
-    the Riesz projection, and the two must agree exactly.
-    """
+    """Spectral multiplicity of ``a`` at one of its spectral values,
+    certified by the two routes of :func:`_multiplicities`."""
     if probes < 1:
         raise ValueError("need at least one probe")
     rep = spectrum(a, tol)
     center = _match_target(rep, target)
-    gap = rep.gap(center)
-    if gap < GAP_FLOOR_FACTOR * rep.cluster_tolerance:
-        raise SpectralGapError(center, gap, GAP_FLOOR_FACTOR * rep.cluster_tolerance)
-    ball = gap / 3.0
-    rank_a = classical_rank(a)
-    one = identity(a.spec)
-
-    counts = []
-    for i in range(probes):
-        g = random_element(a.spec, rng_for(seed, i))
-        g = (1.0 / operator_norm(g)) * g
-        x = one + DEFAULT_EPS * g
-        srep = spectrum(x @ a, tol)
-        if srep.num_nonzero != rank_a:
-            continue  # probe fell outside the rank-attaining set
-        counts.append(int(sum(1 for v, _ in srep.points if abs(v - center) < ball)))
-    if not counts:
-        raise ProbeExhaustionError(
-            f"no perturbation probe preserved the rank after {probes} attempts"
-        )
-    if len(set(counts)) != 1:
-        raise MultiplicityInconsistencyError(
-            center,
-            sorted(set(counts)),
-            None,
-            message=f"perturbation counts at {center} were not constant: "
-            f"{sorted(set(counts))}",
-        )
-    route_a = counts[0]
-
-    if center != 0:
-        route_b = riesz_projection(a, [center], nodes=nodes, tol=tol).multiplicity
-        if route_a != route_b:
-            raise MultiplicityInconsistencyError(center, route_a, route_b)
-    return route_a
+    return _multiplicities(a, rep, [center], probes, seed, tol, nodes)[0]
 
 
 def spectral_trace(
@@ -260,15 +266,14 @@ def spectral_trace(
     """Multiplicity-weighted sum of spectral values.
 
     The spectral value 0 contributes nothing, so only nonzero values
-    need their multiplicities. The result is certified against the
+    need their multiplicities; they share one spectrum and one set of
+    perturbation probes. The result is certified against the
     diagonal-sum oracle to relative tolerance ``TRACE_CERT_TOL``.
     """
     rep = spectrum(a, tol)
+    values = [v for v, _ in rep.points if v != 0]
     total = 0j
-    for v, _ in rep.points:
-        if v == 0:
-            continue
-        m = multiplicity(a, v, probes=probes, seed=seed, tol=tol, nodes=nodes)
+    for v, m in zip(values, _multiplicities(a, rep, values, probes, seed, tol, nodes)):
         total += v * m
     oracle = classical_trace(a)
     if abs(total - oracle) > TRACE_CERT_TOL * max(1.0, abs(oracle)):
@@ -307,19 +312,14 @@ def diagonalize_maximal(
     if count == 0 or rank_rep.rank != count:
         raise NotMaximalError(rank_rep.rank, count)
 
-    values = []
-    projections = []
+    values = tuple(v for v, _ in rep.points if v != 0)
+    projections = tuple(_projection(a, rep, [v], nodes)[0] for v in values)
     recon = [np.zeros((n, n), dtype=complex) for n in a.spec.block_sizes]
-    for v, _ in rep.points:
-        if v == 0:
-            continue
-        pr = riesz_projection(a, [v], nodes=nodes, tol=tol)
-        values.append(v)
-        projections.append(pr.projection)
-        for acc, pb in zip(recon, pr.projection.blocks):
+    for v, p in zip(values, projections):
+        for acc, pb in zip(recon, p.blocks):
             acc += v * pb
     residual = operator_norm(a - Element(a.spec, tuple(recon), _checked=True))
-    return Diagonalization(tuple(values), tuple(projections), float(residual))
+    return Diagonalization(values, projections, float(residual))
 
 
 @dataclass(frozen=True)

@@ -219,6 +219,11 @@ class TestCLIBehavior:
                     ]
                 },
             ),
+            # the mean diagonal weight overflows, so its deviation has no SVD
+            (
+                "check-functional",
+                {"weights": [[[[1e308, 0], [1e308, 0]], [[-1e308, 0], [1e308, 0]]]]},
+            ),
         ],
     )
     def test_bad_input_is_a_json_error(self, tmp_path, capsys, command, document):
@@ -254,6 +259,9 @@ class TestUsageErrors:
             ["trace", "--nodes", "5"],
             ["trace", "--probes", "5"],
             ["commutator", "--spec", '{"block_sizes": [2]}'],
+            # the contour quadrature needs at least 4 nodes
+            ["riesz", "--nodes", "2"],
+            ["diagonalize", "--nodes", "3"],
         ],
     )
     def test_usage_error_is_a_json_error(self, capsys, argv):

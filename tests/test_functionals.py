@@ -5,7 +5,11 @@ from hypothesis import strategies as st
 
 import soclelab as sl
 import soclelab.functionals as functionals
-from soclelab.errors import NoCounterexampleError, TheoremViolationError
+from soclelab.errors import (
+    NoCounterexampleError,
+    SVDConvergenceError,
+    TheoremViolationError,
+)
 from soclelab.functionals import Functional, _square_zero_values
 from soclelab.sampling import (
     random_element,
@@ -60,6 +64,30 @@ class TestTracial:
         f = sl.blockwise_scalar_functional(spec23, [2.0, 5.0])
         assert sl.is_tracial(f)
         assert sl.tracial_witness(f) is None
+
+    def test_weight_scale_once_per_call(self, spec23, monkeypatch):
+        calls = []
+        real = Functional.weight_scale
+
+        def counted(f):
+            calls.append(f)
+            return real(f)
+
+        monkeypatch.setattr(Functional, "weight_scale", counted)
+        for f in (sl.trace_functional(spec23), e12_functional(sl.AlgebraSpec((2,)))):
+            calls.clear()
+            sl.is_tracial(f)
+            assert len(calls) == 1
+
+    def test_svd_failure_is_typed(self, m2):
+        # the mean diagonal weight overflows to inf, so the deviation
+        # from it is NaN
+        f = Functional(m2, [[[1e308, 1e308], [-1e308, 1e308]]])
+        with np.errstate(all="ignore"), pytest.raises(SVDConvergenceError):
+            sl.is_tracial(f)
+        g = Functional(m2, (np.full((2, 2), np.nan, dtype=complex),), _checked=True)
+        with pytest.raises(SVDConvergenceError):
+            g.weight_scale()
 
 
 def test_tracial_contradiction_raises(m2, monkeypatch):

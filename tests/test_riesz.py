@@ -1,17 +1,31 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import soclelab as sl
 from soclelab.errors import (
+    MultiplicityInconsistencyError,
     NotIdempotentError,
     NotMaximalError,
+    ProbeExhaustionError,
     SpectralGapError,
     TargetNotInSpectrumError,
+    TraceCertificationError,
+)
+from soclelab.riesz import (
+    DEFAULT_EPS,
+    GAP_FLOOR_FACTOR,
+    MULTIPLICITY_PROBES,
+    TRACE_CERT_TOL,
+    _match_target,
 )
 from soclelab.sampling import (
+    complex_gaussian,
     random_element,
     random_low_rank_element,
     random_maximal_element,
+    random_nilpotent,
     rng_for,
 )
 
@@ -151,6 +165,149 @@ class TestMultiplicity:
         a = single(np.diag([1.0, 1.0 + 5e-6, 3.0]))
         with pytest.raises(SpectralGapError):
             sl.multiplicity(a, 1.0)
+
+
+def _reference_multiplicity(a, target, probes, seed, nodes):
+    """Multiplicity by the per-target loop: a fresh spectrum, SVD rank,
+    probe set and Riesz projection for every target."""
+    if probes < 1:
+        raise ValueError("need at least one probe")
+    rep = sl.spectrum(a)
+    center = _match_target(rep, target)
+    gap = rep.gap(center)
+    if gap < GAP_FLOOR_FACTOR * rep.cluster_tolerance:
+        raise SpectralGapError(center, gap, GAP_FLOOR_FACTOR * rep.cluster_tolerance)
+    ball = gap / 3.0
+    rank_a = sl.classical_rank(a)
+    one = sl.identity(a.spec)
+    counts = []
+    for i in range(probes):
+        g = random_element(a.spec, rng_for(seed, i))
+        g = (1.0 / sl.operator_norm(g)) * g
+        x = one + DEFAULT_EPS * g
+        srep = sl.spectrum(x @ a)
+        if srep.num_nonzero != rank_a:
+            continue
+        counts.append(int(sum(1 for v, _ in srep.points if abs(v - center) < ball)))
+    if not counts:
+        raise ProbeExhaustionError("no probe preserved the rank")
+    if len(set(counts)) != 1:
+        raise MultiplicityInconsistencyError(center, sorted(set(counts)), None)
+    route_a = counts[0]
+    if center != 0:
+        route_b = sl.riesz_projection(a, [center], nodes=nodes).multiplicity
+        if route_a != route_b:
+            raise MultiplicityInconsistencyError(center, route_a, route_b)
+    return route_a
+
+
+def _reference_spectral_trace(a, probes, seed, nodes):
+    total = 0j
+    for v, _ in sl.spectrum(a).points:
+        if v == 0:
+            continue
+        total += v * _reference_multiplicity(a, v, probes, seed, nodes)
+    oracle = sl.classical_trace(a)
+    if abs(total - oracle) > TRACE_CERT_TOL * max(1.0, abs(oracle)):
+        raise TraceCertificationError(total, oracle)
+    return total
+
+
+def _outcome(fn, *args, **kwargs):
+    """repr of the result (exact for floats, signed zeros included), or
+    the type of the exception raised."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except Exception as exc:
+        return type(exc)
+
+
+def _block(kind, n, rng):
+    if kind == "dense":
+        return complex_gaussian(rng, (n, n))
+    if kind == "maximal":
+        return random_maximal_element(sl.AlgebraSpec((n,)), rng).blocks[0]
+    if kind == "nilpotent":
+        return random_nilpotent(sl.AlgebraSpec((n,)), rng).blocks[0]
+    if kind == "low-rank":
+        return random_low_rank_element(sl.AlgebraSpec((n,)), rng).blocks[0]
+    if kind == "near-degenerate":
+        # two values closer than GAP_FLOOR_FACTOR cluster tolerances
+        d = rng.uniform(0.5, 2.0, n)
+        d[0] = d[-1] + rng.uniform(2e-6, 8e-6)
+        return np.diag(d).astype(complex)
+    # "tiny": a value under the cluster tolerance but above the SVD
+    # cutoff, so no probe keeps the SVD rank
+    d = rng.uniform(0.5, 2.0, n)
+    d[0] = 1e-7
+    return np.diag(d).astype(complex)
+
+
+class TestSharedSpectralPass:
+    """One spectrum, SVD rank and probe set per element, shared by all
+    of its spectral values, against the per-target loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        blocks=st.lists(
+            st.tuples(
+                st.integers(1, 4),
+                st.sampled_from(
+                    ["dense", "maximal", "nilpotent", "low-rank", "near-degenerate", "tiny"]
+                ),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        probes=st.integers(1, MULTIPLICITY_PROBES),
+        nodes=st.sampled_from([3, 4, 16, 64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_target_loop(self, blocks, probes, nodes, seed):
+        rng = rng_for(seed, 1 << 40)
+        spec = sl.AlgebraSpec(tuple(n for n, _ in blocks))
+        a = sl.Element(spec, tuple(_block(kind, n, rng) for n, kind in blocks))
+        rep = sl.spectrum(a)
+        targets = [v for v, _ in rep.points] + [rep.radius + 1.0]
+        for t in targets:
+            assert _outcome(
+                sl.multiplicity, a, t, probes=probes, seed=seed, nodes=nodes
+            ) == _outcome(_reference_multiplicity, a, t, probes, seed, nodes)
+        assert _outcome(
+            sl.spectral_trace, a, probes=probes, seed=seed, nodes=nodes
+        ) == _outcome(_reference_spectral_trace, a, probes, seed, nodes)
+
+    @pytest.mark.parametrize(
+        "matrix, error",
+        [
+            (np.diag([1.0, 1.0 + 5e-6, 3.0]), SpectralGapError),
+            (np.diag([1e-7, 1.0]), ProbeExhaustionError),
+            # the gap check comes before any probe is drawn
+            (np.diag([1e-7, 1.0, 1.0 + 5e-6]), SpectralGapError),
+        ],
+    )
+    def test_typed_failures_match_per_target_loop(self, matrix, error):
+        a = single(matrix)
+        with pytest.raises(error):
+            _reference_spectral_trace(a, MULTIPLICITY_PROBES, 0, 64)
+        with pytest.raises(error):
+            sl.spectral_trace(a)
+
+    def test_one_spectrum_and_no_range_check(self, monkeypatch):
+        a = random_maximal_element(sl.AlgebraSpec((16,)), rng_for(83))
+        calls = {"eigvals": 0, "lstsq": 0}
+        for name in calls:
+            real = getattr(np.linalg, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        sl.spectral_trace(a)
+        assert calls["eigvals"] == 1 + MULTIPLICITY_PROBES
+        sl.diagonalize_maximal(a)
+        assert calls["lstsq"] == 0
 
 
 class TestSpectralTrace:
