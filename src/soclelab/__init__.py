@@ -18,7 +18,6 @@ from .algebra import (
     classical_rank,
     classical_trace,
     eigenvalues,
-    frobenius_norm,
     identity,
     matrix_unit,
     multiply,
@@ -28,7 +27,6 @@ from .algebra import (
     scale,
     spectral_radius,
     spectrum,
-    subtract,
     zero,
 )
 from .classify import (

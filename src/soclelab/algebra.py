@@ -134,11 +134,6 @@ class Element:
             self.spec, tuple(b.copy() for b in self.blocks), _checked=True
         )
 
-    def conj_transpose(self) -> "Element":
-        return Element(
-            self.spec, tuple(b.conj().T for b in self.blocks), _checked=True
-        )
-
     def __repr__(self) -> str:
         return f"Element(block_sizes={self.spec.block_sizes})"
 
@@ -183,10 +178,6 @@ def add(a: Element, b: Element) -> Element:
     return a + b
 
 
-def subtract(a: Element, b: Element) -> Element:
-    return a - b
-
-
 def multiply(a: Element, b: Element) -> Element:
     return a @ b
 
@@ -210,10 +201,6 @@ def operator_norm(a: Element) -> float:
     """Largest operator 2-norm over the blocks."""
     norms = _blockwise(lambda b: np.linalg.norm(b, 2), a.blocks, SVDConvergenceError)
     return max(float(n) for n in norms)
-
-
-def frobenius_norm(a: Element) -> float:
-    return float(np.sqrt(sum(np.linalg.norm(b, "fro") ** 2 for b in a.blocks)))
 
 
 def eigenvalues(a: Element) -> np.ndarray:

@@ -183,8 +183,10 @@ def _run_commutator(args) -> dict:
     data = _read_input(args)
     if not isinstance(data, dict) or "matrix" not in data:
         raise ShapeMismatchError('commutator input needs {"matrix": [[...]]}')
-    m = jsonio.matrix_from_json(data["matrix"])
-    cert = commutator_decompose(m, block=int(data.get("block", 0)))
+    block = data.get("block", 0)
+    if not isinstance(block, int) or isinstance(block, bool) or block < 0:
+        raise ShapeMismatchError(f'"block" must be a nonnegative integer, got {block!r}')
+    cert = commutator_decompose(jsonio.matrix_from_json(data["matrix"]), block=block)
     return jsonio.certificate_to_json(cert)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraSpec, Element, matrix_unit
-from .errors import DegenerateProjectionError, NotTracelessError
+from .errors import DegenerateProjectionError, NotTracelessError, ShapeMismatchError
 
 TRACELESS_TOL = 1e-9
 CERTIFICATE_TOL = 1e-12
@@ -68,7 +68,7 @@ def commutator_decompose(
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        raise ShapeMismatchError(f"expected a square matrix, got shape {m.shape}")
     n = m.shape[0]
     trace = complex(np.trace(m))
     scale = max(1.0, float(np.linalg.norm(m, "fro")))
@@ -120,7 +120,7 @@ def verify_certificate(cert: CommutatorCertificate) -> float:
         rm = right.matrix(n)
         acc += c * (lm @ rm - rm @ lm)
     if cert.target.shape != (n, n):
-        raise ValueError("certificate target has the wrong shape")
+        raise ShapeMismatchError("certificate target has the wrong shape")
     return float(np.max(np.abs(acc - cert.target)))
 
 
@@ -156,7 +156,7 @@ def rank_one_commutator(x, f, y, g) -> RankOnePair:
     y = np.asarray(y, dtype=complex).reshape(-1)
     g = np.asarray(g, dtype=complex).reshape(-1)
     if not (len(x) == len(f) == len(y) == len(g)):
-        raise ValueError("vectors and covectors must share one dimension")
+        raise ShapeMismatchError("vectors and covectors must share one dimension")
 
     fx = complex(f @ x)
     gy = complex(g @ y)

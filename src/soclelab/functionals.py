@@ -132,15 +132,8 @@ def _scalar_deviations(f: Functional) -> tuple[np.ndarray, float]:
     return alphas, operator_norm(Element(f.spec, devs, _checked=True))
 
 
-def is_tracial(f: Functional, tol: float = TRACIAL_TOL) -> bool:
-    """f(ab) = f(ba) for all a, b iff every weight is scalar.
-
-    A positive verdict is spot-checked on seeded random pairs; a
-    contradiction there would mean the weight criterion itself is
-    broken, so it raises rather than returning.
-    """
-    _, dev = _scalar_deviations(f)
-    scale = f.weight_scale()
+def _tracial(f: Functional, dev: float, scale: float, tol: float) -> bool:
+    """The scalar-weight verdict, spot-checked on seeded random pairs."""
     verdict = dev <= tol * scale
     if verdict:
         rng = rng_for(0)
@@ -156,49 +149,60 @@ def is_tracial(f: Functional, tol: float = TRACIAL_TOL) -> bool:
     return verdict
 
 
-def tracial_witness(f: Functional) -> tuple[Element, Element] | None:
-    """A unit-matrix pair (a, b) with f(ab) != f(ba), if one exists.
+def is_tracial(f: Functional, tol: float = TRACIAL_TOL) -> bool:
+    """f(ab) = f(ba) for all a, b iff every weight is scalar.
 
-    Scans f(ab) - f(ba) over matrix-unit pairs: off-diagonal weight
-    entries show up against pairs e_(i,0), e_(0,l); unequal diagonal
-    entries against e_(i,j), e_(j,i).
+    A positive verdict is spot-checked on seeded random pairs; a
+    contradiction there would mean the weight criterion itself is
+    broken, so it raises rather than returning.
     """
-    best = None
-    best_gap = 0.0
+    return _tracial(f, _scalar_deviations(f)[1], f.weight_scale(), tol)
+
+
+def _tracial_witness(f: Functional) -> tuple[Element, Element] | None:
+    """The unit pair with the first strictly largest |f(ab) - f(ba)| > 0.
+
+    Candidates are pairs e_(x,y), e_(y,z) in one block. Block by block,
+    the off-diagonal entry W[l, i] shows against e_(i,0), e_(0,l) for
+    (i, l) in row-major order, then unequal diagonal entries against
+    e_(i,j), e_(j,i) for i < j. ``np.hypot`` rounds the magnitudes as
+    the scalar ``abs`` does; ``np.abs`` does not."""
+    gaps, pairs = [], []
     for k, (w, n) in enumerate(zip(f.weights, f.spec.block_sizes)):
-        for i in range(n):
-            for l in range(n):
-                if i == l:
-                    continue
-                gap = abs(w[l, i])
-                if gap > best_gap:
-                    best_gap = gap
-                    best = (k, i, 0, 0, l)
-        for i in range(n):
-            for j in range(i + 1, n):
-                gap = abs(w[i, i] - w[j, j])
-                if gap > best_gap:
-                    best_gap = gap
-                    best = (k, i, j, j, i)
-    if best is None or best_gap <= TRACIAL_TOL * f.weight_scale():
+        r, c = np.nonzero(~np.eye(n, dtype=bool))
+        i, j = np.triu_indices(n, 1)
+        gaps += [w[c, r], w[i, i] - w[j, j]]
+        y = np.r_[np.zeros_like(r), j]
+        pairs.append(np.column_stack([np.full(y.size, k), np.r_[r, i], y, np.r_[c, i]]))
+    g = np.concatenate(gaps)
+    magnitudes = np.hypot(g.real, g.imag)
+    if not np.any(magnitudes):
         return None
-    k, r1, c1, r2, c2 = best
-    return (
-        matrix_unit(f.spec, k, r1, c1),
-        matrix_unit(f.spec, k, r2, c2),
-    )
+    k, x, y, z = (int(v) for v in np.concatenate(pairs)[np.argmax(magnitudes)])
+    return matrix_unit(f.spec, k, x, y), matrix_unit(f.spec, k, y, z)
 
 
-def is_scalar_trace(f: Functional, tol: float = TRACIAL_TOL) -> complex | None:
-    """The alpha with f = alpha * Tr, or None if no single alpha works."""
-    alphas, dev = _scalar_deviations(f)
-    scale = f.weight_scale()
+def tracial_witness(f: Functional) -> tuple[Element, Element] | None:
+    """A unit-matrix pair (a, b) with f(ab) != f(ba), exactly when f is
+    not tracial at ``TRACIAL_TOL``."""
+    if _scalar_deviations(f)[1] <= TRACIAL_TOL * f.weight_scale():
+        return None
+    return _tracial_witness(f)
+
+
+def _scalar_trace(alphas, dev: float, scale: float, tol: float) -> complex | None:
     if dev > tol * scale:
         return None
     alpha = complex(np.mean(alphas))
     if max(abs(a - alpha) for a in alphas) > tol * scale:
         return None
     return alpha
+
+
+def is_scalar_trace(f: Functional, tol: float = TRACIAL_TOL) -> complex | None:
+    """The alpha with f = alpha * Tr, or None if no single alpha works."""
+    alphas, dev = _scalar_deviations(f)
+    return _scalar_trace(alphas, dev, f.weight_scale(), tol)
 
 
 @dataclass(frozen=True)
@@ -216,13 +220,13 @@ class SpectralBoundResult:
     witness_value: complex | None
 
 
-def spectral_bound_witness(f: Functional, tol: float = TRACIAL_TOL) -> SpectralBoundResult:
-    if is_tracial(f, tol):
-        alphas, _ = _scalar_deviations(f)
+def _bound(f: Functional, tracial: bool, alphas, values) -> SpectralBoundResult:
+    """The bound constant from the block scalars ``alphas`` of a tracial f,
+    else the square-zero element with the first largest |value|."""
+    if tracial:
         c = float(sum(abs(a) * n for a, n in zip(alphas, f.spec.block_sizes)))
         return SpectralBoundResult(constant=c, witness=None, witness_value=None)
-    values, _ = _square_zero_values(f)
-    magnitudes = np.abs(values)
+    magnitudes = np.hypot(values.real, values.imag)
     if not np.any(magnitudes):
         raise TheoremViolationError(
             "non-scalar weights vanish on the whole square-zero span"
@@ -233,6 +237,12 @@ def spectral_bound_witness(f: Functional, tol: float = TRACIAL_TOL) -> SpectralB
         witness=_square_zero_element(f.spec, _square_zero_keys(f.spec)[best]),
         witness_value=complex(values[best]),
     )
+
+
+def spectral_bound_witness(f: Functional, tol: float = TRACIAL_TOL) -> SpectralBoundResult:
+    if is_tracial(f, tol):
+        return _bound(f, True, _scalar_deviations(f)[0], None)
+    return _bound(f, False, None, _square_zero_values(f)[0])
 
 
 def _square_zero_keys(spec: AlgebraSpec) -> list[tuple[int, int, int, bool]]:
@@ -290,17 +300,14 @@ class VanishingVerdict:
     witness_value: complex | None
 
 
-def _first_nonvanishing(f: Functional, elements, tol: float) -> VanishingVerdict:
-    """Scan the square-zero basis, then ``elements``, for a value of f.
-
-    A value counts when it exceeds ``tol`` times the weight scale times
-    the element's operator norm (at least 1); the first such element is
-    the witness. ``elements`` is consumed lazily, so nothing past the
-    witness is drawn.
-    """
-    scale = f.weight_scale()
-    values, norms = _square_zero_values(f)
-    hits = np.flatnonzero(np.abs(values) > tol * scale * norms)
+def _first_nonvanishing(
+    f: Functional, scale: float, values, norms, elements, tol: float
+) -> VanishingVerdict:
+    """The first square-zero basis element (f on them is ``values``, their
+    norms ``norms``), then the first of ``elements``, on which |f| exceeds
+    ``tol`` times ``scale`` times the element's norm (at least 1).
+    ``elements`` is consumed lazily: nothing past the witness is drawn."""
+    hits = np.flatnonzero(np.hypot(values.real, values.imag) > tol * scale * norms)
     if hits.size:
         first = int(hits[0])
         w = _square_zero_element(f.spec, _square_zero_keys(f.spec)[first])
@@ -312,6 +319,25 @@ def _first_nonvanishing(f: Functional, elements, tol: float) -> VanishingVerdict
     return VanishingVerdict(True, None, None)
 
 
+def _conjugates(spec: AlgebraSpec, trials: int, seed: int):
+    """Random basis square-zero elements, each conjugated by a random invertible."""
+    keys = _square_zero_keys(spec)
+    rng = rng_for(seed)
+    for _ in range(trials if keys else 0):
+        w = _square_zero_element(spec, keys[int(rng.integers(0, len(keys)))])
+        u = random_invertible(spec, rng)
+        uinv = Element(spec, tuple(np.linalg.inv(b) for b in u.blocks), _checked=True)
+        yield u @ w @ uinv
+
+
+def _nilpotents(spec: AlgebraSpec, trials: int, seed: int):
+    """Strictly triangular elements conjugated by random invertibles."""
+    rng = rng_for(seed)
+    for _ in range(trials):
+        u = random_invertible(spec, rng)
+        yield random_nilpotent(spec, rng, conjugate_by=u)
+
+
 def vanishes_on_square_zero(
     f: Functional,
     trials: int = 8,
@@ -319,19 +345,9 @@ def vanishes_on_square_zero(
     tol: float = CONSTANCY_TOL,
 ) -> VanishingVerdict:
     """Evaluate f on the square-zero basis and random conjugates of it."""
-    keys = _square_zero_keys(f.spec)
-    rng = rng_for(seed)
-
-    def conjugates():
-        for _ in range(trials if keys else 0):
-            w = _square_zero_element(f.spec, keys[int(rng.integers(0, len(keys)))])
-            u = random_invertible(f.spec, rng)
-            uinv = Element(
-                f.spec, tuple(np.linalg.inv(b) for b in u.blocks), _checked=True
-            )
-            yield u @ w @ uinv
-
-    return _first_nonvanishing(f, conjugates(), tol)
+    values, norms = _square_zero_values(f)
+    conjugates = _conjugates(f.spec, trials, seed)
+    return _first_nonvanishing(f, f.weight_scale(), values, norms, conjugates, tol)
 
 
 def vanishes_on_nilpotents(
@@ -347,14 +363,9 @@ def vanishes_on_nilpotents(
     the full nilpotent cone. The square-zero basis rides along since
     those are nilpotent too.
     """
-    rng = rng_for(seed)
-
-    def nilpotents():
-        for _ in range(trials):
-            u = random_invertible(f.spec, rng)
-            yield random_nilpotent(f.spec, rng, conjugate_by=u)
-
-    return _first_nonvanishing(f, nilpotents(), tol)
+    values, norms = _square_zero_values(f)
+    nilpotents = _nilpotents(f.spec, trials, seed)
+    return _first_nonvanishing(f, f.weight_scale(), values, norms, nilpotents, tol)
 
 
 @dataclass(frozen=True)
@@ -362,6 +373,21 @@ class ConstancyVerdict:
     constant: bool
     value: complex | None
     witnesses: tuple[tuple[Element, complex], tuple[Element, complex]] | None
+
+
+def _constancy(f: Functional, scale, samples, seed, tol) -> ConstancyVerdict:
+    rng = rng_for(seed)
+    k = f.spec.num_blocks
+    samples = max(samples, 2 * k)
+    found: list[tuple[Element, complex]] = []
+    for i in range(samples):
+        p = random_rank_one_projection(f.spec, rng, block=i % k)
+        found.append((p, evaluate(f, p)))
+    for p, v in found:
+        if abs(v - found[0][1]) > tol * scale:
+            return ConstancyVerdict(False, None, (found[0], (p, v)))
+    mean = complex(np.mean([v for _, v in found]))
+    return ConstancyVerdict(True, mean, None)
 
 
 def constant_on_rank_one_projections(
@@ -377,19 +403,7 @@ def constant_on_rank_one_projections(
     are rejected inside the sampler. A failure returns two projections
     with different values.
     """
-    rng = rng_for(seed)
-    k = f.spec.num_blocks
-    samples = max(samples, 2 * k)
-    found: list[tuple[Element, complex]] = []
-    for i in range(samples):
-        p = random_rank_one_projection(f.spec, rng, block=i % k)
-        found.append((p, evaluate(f, p)))
-    scale = f.weight_scale()
-    for p, v in found:
-        if abs(v - found[0][1]) > tol * scale:
-            return ConstancyVerdict(False, None, (found[0], (p, v)))
-    mean = complex(np.mean([v for _, v in found]))
-    return ConstancyVerdict(True, mean, None)
+    return _constancy(f, f.weight_scale(), samples, seed, tol)
 
 
 def counterexample_functional(spec: AlgebraSpec) -> Functional:
@@ -433,17 +447,24 @@ def characterize(
     seed: int = 0,
     tol: float = CONSTANCY_TOL,
 ) -> CharacterizationReport:
-    """Run every characterization on one functional."""
-    tracial = is_tracial(f)
+    """Run every characterization on one functional. The block scalars, the
+    weight scale, the square-zero values and the tracial verdict are
+    computed once and shared by every verdict."""
+    alphas, dev = _scalar_deviations(f)
+    scale = f.weight_scale()
+    values, norms = _square_zero_values(f)
+    tracial = _tracial(f, dev, scale, TRACIAL_TOL)
     return CharacterizationReport(
         functional=f,
-        scalar_trace_coefficient=is_scalar_trace(f),
+        scalar_trace_coefficient=_scalar_trace(alphas, dev, scale, TRACIAL_TOL),
         tracial=tracial,
-        tracial_pair=None if tracial else tracial_witness(f),
-        bound=spectral_bound_witness(f),
-        nilpotent=vanishes_on_nilpotents(f, trials=trials, seed=seed, tol=tol),
-        square_zero=vanishes_on_square_zero(f, trials=trials, seed=seed, tol=tol),
-        rank_one_constancy=constant_on_rank_one_projections(
-            f, samples=samples, seed=seed, tol=tol
+        tracial_pair=None if tracial else _tracial_witness(f),
+        bound=_bound(f, tracial, alphas, values),
+        nilpotent=_first_nonvanishing(
+            f, scale, values, norms, _nilpotents(f.spec, trials, seed), tol
         ),
+        square_zero=_first_nonvanishing(
+            f, scale, values, norms, _conjugates(f.spec, trials, seed), tol
+        ),
+        rank_one_constancy=_constancy(f, scale, samples, seed, tol),
     )

@@ -37,6 +37,7 @@ from .errors import (
     NotIdempotentError,
     NotMaximalError,
     ProbeExhaustionError,
+    ShapeMismatchError,
     SpectralGapError,
     TargetNotInSpectrumError,
     TraceCertificationError,
@@ -75,19 +76,6 @@ class RieszReport:
     idempotency_defect: float
     multiplicity: int
     range_residual: float | None
-
-    @property
-    def center(self) -> complex:
-        """The single contour center (for one-target reports)."""
-        if len(self.centers) != 1:
-            raise ValueError("report covers several contours")
-        return self.centers[0]
-
-    @property
-    def radius(self) -> float:
-        if len(self.radii) != 1:
-            raise ValueError("report covers several contours")
-        return self.radii[0]
 
 
 @dataclass(frozen=True)
@@ -153,14 +141,14 @@ def riesz_projection(
         raise ValueError("need at least 4 quadrature nodes")
     targets = [complex(t) for t in np.atleast_1d(targets)]
     if not targets:
-        raise ValueError("need at least one target")
+        raise ShapeMismatchError("need at least one target")
     rep = spectrum(a, tol)
 
     centers = []
     for t in targets:
         c = _match_target(rep, t)
         if any(c == c0 for c0 in centers):
-            raise ValueError(
+            raise ShapeMismatchError(
                 f"targets collapse onto the same clustered spectral value {c}"
             )
         centers.append(c)

@@ -22,6 +22,9 @@ def write_input(tmp_path, payload, name="input.json"):
     return str(path)
 
 
+DIAG_1_2 = [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]
+
+
 class TestCommands:
     def test_trace_command(self, tmp_path, capsys):
         a = sl.Element(sl.AlgebraSpec((3,)), [np.diag([1.0, 2.0, 3.0])])
@@ -224,6 +227,12 @@ class TestCLIBehavior:
                 "check-functional",
                 {"weights": [[[[1e308, 0], [1e308, 0]], [[-1e308, 0], [1e308, 0]]]]},
             ),
+            ("riesz", {"element": {"blocks": [DIAG_1_2]}, "targets": []}),
+            # both targets snap to the spectral value 1
+            ("riesz", {"element": {"blocks": [DIAG_1_2]}, "targets": [[1, 0], [1, 0]]}),
+            ("commutator", {"matrix": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]], "block": "x"}),
+            ("commutator", {"matrix": [[[1, 0], [0, 0]]]}),
+            ("rank-one-commutator", {"x": [[1, 0]], "f": [[1, 0], [0, 0]], "y": [[1, 0]], "g": [[1, 0]]}),
         ],
     )
     def test_bad_input_is_a_json_error(self, tmp_path, capsys, command, document):

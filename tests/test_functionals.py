@@ -1,16 +1,19 @@
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import soclelab as sl
 import soclelab.functionals as functionals
+from soclelab import jsonio
 from soclelab.errors import (
     NoCounterexampleError,
     SVDConvergenceError,
     TheoremViolationError,
 )
-from soclelab.functionals import Functional, _square_zero_values
+from soclelab.functionals import CharacterizationReport, Functional, _square_zero_values
 from soclelab.sampling import (
     random_element,
     random_rank_one_projection,
@@ -208,6 +211,13 @@ def awkward_functionals(draw):
     return Functional(sl.AlgebraSpec(tuple(sizes)), weights)
 
 
+# |W[1,0]| is one ulp below |W[0,1]| under the scalar abs, while np.abs
+# rounds the two equal.
+ULP_TIE_2 = Functional(
+    sl.AlgebraSpec((2,)), [[[0, (5 + 5j) * 1e23], [(7 - 1j) * 1e23, 0]]]
+)
+
+
 class TestSquareZeroClosedForm:
     @settings(max_examples=200, deadline=None)
     @given(f=awkward_functionals())
@@ -219,6 +229,7 @@ class TestSquareZeroClosedForm:
 
     @settings(max_examples=200, deadline=None)
     @given(f=awkward_functionals())
+    @example(f=ULP_TIE_2)
     def test_witnesses_match_elementwise_scans(self, f):
         expected = basis_witness_reference(f)
         for check in (sl.vanishes_on_square_zero, sl.vanishes_on_nilpotents):
@@ -371,3 +382,134 @@ class TestEngineInvariants:
             assert sl.operator_norm(lhs - rhs) <= 1e-8 * max(
                 1.0, sl.operator_norm(p) ** 2 * sl.operator_norm(x)
             )
+
+
+def tracial_scan_reference(f):
+    """The element-by-element gap scan tracial_witness ran, without its
+    threshold: (block, r1, c1, r2, c2) of the first strict maximum."""
+    best, best_gap = None, 0.0
+    for k, (w, n) in enumerate(zip(f.weights, f.spec.block_sizes)):
+        for i in range(n):
+            for l in range(n):
+                if i != l and abs(w[l, i]) > best_gap:
+                    best_gap, best = abs(w[l, i]), (k, i, 0, 0, l)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if abs(w[i, i] - w[j, j]) > best_gap:
+                    best_gap, best = abs(w[i, i] - w[j, j]), (k, i, j, j, i)
+    return best
+
+
+# I + 0.5e-8 (J - I) on (4,): every entry gap, 5e-9, is under the 1e-8
+# threshold, while the deviation from the mean scalar, 1.5e-8, is not.
+NEAR_TRACIAL_4 = Functional(
+    sl.AlgebraSpec((4,)), [np.eye(4) + 0.5e-8 * (np.ones((4, 4)) - np.eye(4))]
+)
+
+
+class TestTracialWitness:
+    @settings(max_examples=200, deadline=None)
+    @given(f=awkward_functionals())
+    @example(f=ULP_TIE_2)
+    def test_vectorized_scan_matches_loop(self, f):
+        expected = tracial_scan_reference(f)
+        got = functionals._tracial_witness(f)
+        if expected is None:
+            assert got is None
+            return
+        k, r1, c1, r2, c2 = expected
+        assert got == (
+            sl.matrix_unit(f.spec, k, r1, c1),
+            sl.matrix_unit(f.spec, k, r2, c2),
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(f=awkward_functionals())
+    @example(f=NEAR_TRACIAL_4)
+    def test_witness_exactly_when_not_tracial(self, f):
+        pair = sl.tracial_witness(f)
+        assert sl.is_tracial(f) == (pair is None)
+        if pair is not None:
+            a, b = pair
+            assert sl.evaluate(f, a @ b) != sl.evaluate(f, b @ a)
+
+
+def characterize_reference(f, trials, samples, seed):
+    """The report assembled from the public verdicts, each of which
+    computes its own inputs."""
+    tracial = sl.is_tracial(f)
+    return CharacterizationReport(
+        functional=f,
+        scalar_trace_coefficient=sl.is_scalar_trace(f),
+        tracial=tracial,
+        tracial_pair=None if tracial else sl.tracial_witness(f),
+        bound=sl.spectral_bound_witness(f),
+        nilpotent=sl.vanishes_on_nilpotents(f, trials=trials, seed=seed),
+        square_zero=sl.vanishes_on_square_zero(f, trials=trials, seed=seed),
+        rank_one_constancy=sl.constant_on_rank_one_projections(
+            f, samples=samples, seed=seed
+        ),
+    )
+
+
+@st.composite
+def planted_functionals(draw):
+    """The scalar, blockwise, dense and counterexample functionals that
+    verify_theorems characterizes."""
+    spec = sl.AlgebraSpec(tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))))
+    rng = rng_for(draw(st.integers(0, 2**16)))
+    kinds = ["scalar", "blockwise", "dense"] + ["counterexample"] * (spec.num_blocks > 1)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "scalar":
+        return sl.trace_functional(spec, complex(rng.standard_normal(), rng.standard_normal()))
+    if kind == "blockwise":
+        return sl.blockwise_scalar_functional(
+            spec, rng.standard_normal(spec.num_blocks) + 1j * rng.standard_normal(spec.num_blocks)
+        )
+    if kind == "dense":
+        return sl.random_functional(spec, rng)
+    return sl.counterexample_functional(spec)
+
+
+class TestCharacterizeOnePass:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        f=st.one_of(awkward_functionals(), planted_functionals()),
+        trials=st.integers(1, 12),
+        samples=st.integers(1, 24),
+        seed=st.integers(0, 2**16),
+    )
+    @example(f=NEAR_TRACIAL_4, trials=12, samples=24, seed=0)
+    def test_report_equals_public_verdicts_bytewise(self, f, trials, samples, seed):
+        got = jsonio.characterization_to_json(sl.characterize(f, trials, samples, seed))
+        want = jsonio.characterization_to_json(characterize_reference(f, trials, samples, seed))
+        assert json.dumps(got) == json.dumps(want)
+
+    @pytest.mark.parametrize("kind", ["dense", "trace"])
+    def test_shared_inputs_computed_once(self, kind, monkeypatch):
+        spec = sl.AlgebraSpec((3, 4))
+        f = (
+            sl.random_functional(spec, rng_for(173))
+            if kind == "dense"
+            else sl.trace_functional(spec)
+        )
+        calls = []
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(Functional, "weight_scale")
+        for name in ("_scalar_deviations", "_square_zero_values", "random_element"):
+            counted(functionals, name)
+        sl.characterize(f)
+        assert calls.count("weight_scale") == 1
+        assert calls.count("_scalar_deviations") == 1
+        assert calls.count("_square_zero_values") == 1
+        # the tracial spot check draws 4 pairs, once
+        assert calls.count("random_element") == (8 if kind == "trace" else 0)
