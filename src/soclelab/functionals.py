@@ -11,11 +11,35 @@ characterizations decidable:
   and otherwise some square-zero element with spectral radius 0 and
   f != 0 refutes every such bound;
 * vanishing on square-zero elements, vanishing on nilpotents, and being
-  constant on rank-one projections are all decided by direct evaluation
-  on explicit witness families.
+  constant on rank-one projections are linear conditions, each decided
+  on a fixed finite family that spans its set. Per block of size n, the
+  square-zero basis (e_ij, i != j, and e_ii - e_ij + e_ji - e_jj, i < j)
+  spans the traceless part, which holds every nilpotent. The nilpotent
+  verdict also reads the conjugated units U e_ij U*, i != j, for the
+  unitary DFT U = F = exp(-2 pi i jk/n)/sqrt(n) and U = C F with the
+  chirp C = diag(exp(i pi k^2/n)); these square to zero, have norm 1
+  and alone span the traceless part too. Constancy compares f on the
+  idempotents e_jj and e_jj + e_jl, l != j, with f on the first.
 
-Negative verdicts always carry a concrete witness that can be
-re-verified independently.
+Thresholds: let W_i = alpha_i I + D_i with alpha_i the mean diagonal,
+dev = max ||D_i||, t = tol * (operator norm of the weights) and n the
+largest block size. f is tracial iff dev <= t; x refutes vanishing if
+|f(x)| > t ||x||; constancy fails if a value lies over t from the first.
+
+* Tracial implies that both vanish: each x is traceless and of rank
+  one, so |f(x)| = |tr(D x)| <= ||D|| ||x||.
+* If no value of either family crosses, dev <= 4 n t: the units bound
+  off-diagonal entries by t, so the rank-one basis elements bound
+  |W_ii - W_jj| by 4t, and ||D_i|| <= (n - 1) t + 4t.
+* Let m = max(dev, max |alpha_i - mean alpha|). If m <= t/5, every
+  value lies within 3m of mean alpha and the first, a diagonal entry,
+  within 2m, so f is constant. If f is constant, its diagonal lies
+  within t of the first value and its off-diagonal entries within 2t
+  of 0, so m <= 2 n t.
+
+So tracial = square-zero = nilpotent = bounded outside t < dev <= 4 n t,
+and constancy = scalar trace outside t/5 < m <= 2 n t. Negative verdicts
+always carry a concrete witness that can be re-verified independently.
 """
 
 from __future__ import annotations
@@ -37,14 +61,7 @@ from .errors import (
     ShapeMismatchError,
     TheoremViolationError,
 )
-from .sampling import (
-    complex_gaussian,
-    random_element,
-    random_invertible,
-    random_nilpotent,
-    random_rank_one_projection,
-    rng_for,
-)
+from .sampling import complex_gaussian, random_element, rng_for
 
 CONSTANCY_TOL = 1e-8
 TRACIAL_TOL = 1e-8
@@ -79,8 +96,9 @@ class Functional:
         return f"Functional(block_sizes={self.spec.block_sizes})"
 
     def weight_scale(self) -> float:
-        # the trace pairing makes the weights an element of the same algebra
-        return max(1.0, operator_norm(Element(self.spec, self.weights, _checked=True)))
+        # the trace pairing makes the weights an element of the same algebra;
+        # the scale is 0 only for the zero functional
+        return operator_norm(Element(self.spec, self.weights, _checked=True))
 
 
 def trace_functional(spec: AlgebraSpec, alpha: complex = 1.0) -> Functional:
@@ -132,11 +150,11 @@ def _scalar_deviations(f: Functional) -> tuple[np.ndarray, float]:
     return alphas, operator_norm(Element(f.spec, devs, _checked=True))
 
 
-def _tracial(f: Functional, dev: float, scale: float, tol: float) -> bool:
-    """The scalar-weight verdict, spot-checked on seeded random pairs."""
+def _tracial(f: Functional, dev: float, scale: float, tol: float, seed: int) -> bool:
+    """The scalar-weight verdict, spot-checked on random pairs from ``seed``."""
     verdict = dev <= tol * scale
     if verdict:
-        rng = rng_for(0)
+        rng = rng_for(seed)
         for _ in range(4):
             a = random_element(f.spec, rng)
             b = random_element(f.spec, rng)
@@ -156,7 +174,7 @@ def is_tracial(f: Functional, tol: float = TRACIAL_TOL) -> bool:
     contradiction there would mean the weight criterion itself is
     broken, so it raises rather than returning.
     """
-    return _tracial(f, _scalar_deviations(f)[1], f.weight_scale(), tol)
+    return _tracial(f, _scalar_deviations(f)[1], f.weight_scale(), tol, 0)
 
 
 def _tracial_witness(f: Functional) -> tuple[Element, Element] | None:
@@ -234,7 +252,7 @@ def _bound(f: Functional, tracial: bool, alphas, values) -> SpectralBoundResult:
     best = int(np.argmax(magnitudes))
     return SpectralBoundResult(
         constant=None,
-        witness=_square_zero_element(f.spec, _square_zero_keys(f.spec)[best]),
+        witness=_element(f.spec, _square_zero_keys(f.spec)[best]),
         witness_value=complex(values[best]),
     )
 
@@ -245,22 +263,40 @@ def spectral_bound_witness(f: Functional, tol: float = TRACIAL_TOL) -> SpectralB
     return _bound(f, False, None, _square_zero_values(f)[0])
 
 
-def _square_zero_keys(spec: AlgebraSpec) -> list[tuple[int, int, int, bool]]:
-    """(block, i, j, rank_one) for each element of the square-zero basis."""
+def _square_zero_keys(spec: AlgebraSpec) -> list[tuple[int, int, int, int]]:
+    """(block, i, j, kind) for each element of the square-zero basis, in
+    the key format of :func:`_element`."""
     keys = []
     for k, n in enumerate(spec.block_sizes):
-        keys += [(k, i, j, False) for i in range(n) for j in range(n) if i != j]
-        keys += [(k, i, j, True) for i in range(n) for j in range(i + 1, n)]
+        keys += [(k, i, j, 0) for i in range(n) for j in range(n) if i != j]
+        keys += [(k, i, j, 1) for i in range(n) for j in range(i + 1, n)]
     return keys
 
 
-def _square_zero_element(spec: AlgebraSpec, key) -> Element:
-    k, i, j, rank_one = key
-    if not rank_one:
-        return matrix_unit(spec, k, i, j)
+def _element(spec: AlgebraSpec, key) -> Element:
+    """The witness (block, i, j, kind): kind 0 is e_ij, 1 the rank-one
+    e_ii - e_ij + e_ji - e_jj, 2 and 3 the conjugated units F e_ij F* and
+    (C F) e_ij (C F)*, 4 the idempotent e_ii + e_ij (e_ii when i = j)."""
+    k, i, j, kind = (int(v) for v in key)
     w = zero(spec)
-    w.blocks[k][[i, i, j, j], [i, j, i, j]] = (1.0, -1.0, 1.0, -1.0)
+    if kind == 0:
+        w.blocks[k][i, j] = 1.0
+    elif kind == 1:
+        w.blocks[k][[i, i, j, j], [i, j, i, j]] = (1.0, -1.0, 1.0, -1.0)
+    elif kind == 4:
+        w.blocks[k][i, [i, j]] = 1.0
+    else:
+        u = _unitaries(spec.block_sizes[k])[kind - 2]
+        w.blocks[k][:] = np.outer(u[:, i], u[:, j].conj())
     return w
+
+
+def _unitaries(n: int) -> np.ndarray:
+    """F and C F stacked, with phases reduced in integers before ``exp``."""
+    k = np.arange(n)
+    dft = np.exp(-2j * np.pi * (np.outer(k, k) % n) / n) / np.sqrt(n)
+    chirp = np.exp(1j * np.pi * (k * k % (2 * n)) / n)
+    return np.stack([dft, chirp[:, None] * dft])
 
 
 def square_zero_basis(spec: AlgebraSpec) -> list[Element]:
@@ -271,7 +307,7 @@ def square_zero_basis(spec: AlgebraSpec) -> list[Element]:
     as (e_i + e_j)(e_i - e_j)^T with orthogonal factors and therefore
     squares to zero. Size-1 blocks contribute nothing.
     """
-    return [_square_zero_element(spec, key) for key in _square_zero_keys(spec)]
+    return [_element(spec, key) for key in _square_zero_keys(spec)]
 
 
 def _square_zero_values(f: Functional) -> tuple[np.ndarray, np.ndarray]:
@@ -300,72 +336,48 @@ class VanishingVerdict:
     witness_value: complex | None
 
 
+def _nilpotent_values(f: Functional, values, norms) -> tuple[np.ndarray, np.ndarray]:
+    """The square-zero basis ``values`` and ``norms``, followed by f on
+    the conjugated units, (U* W U)[j, i], and their norms, 1: first all
+    the F e_ij F*, then all the (C F) e_ij (C F)*, each in basis order."""
+    extra = []
+    for w, n in zip(f.weights, f.spec.block_sizes):
+        us = _unitaries(n)
+        i, j = np.nonzero(~np.eye(n, dtype=bool))
+        extra.append((us.conj().transpose(0, 2, 1) @ w @ us)[:, j, i])
+    extra = np.concatenate(extra, axis=1).ravel()
+    return np.concatenate([values, extra]), np.concatenate([norms, np.ones(extra.size)])
+
+
 def _first_nonvanishing(
-    f: Functional, scale: float, values, norms, elements, tol: float
+    f: Functional, scale: float, values, norms, tol: float
 ) -> VanishingVerdict:
-    """The first square-zero basis element (f on them is ``values``, their
-    norms ``norms``), then the first of ``elements``, on which |f| exceeds
-    ``tol`` times ``scale`` times the element's norm (at least 1).
-    ``elements`` is consumed lazily: nothing past the witness is drawn."""
+    """The first element on which |f| exceeds ``tol`` times ``scale``
+    times its norm. ``values`` and ``norms`` follow the square-zero basis
+    and then, when longer, the conjugated units."""
     hits = np.flatnonzero(np.hypot(values.real, values.imag) > tol * scale * norms)
-    if hits.size:
-        first = int(hits[0])
-        w = _square_zero_element(f.spec, _square_zero_keys(f.spec)[first])
-        return VanishingVerdict(False, w, complex(values[first]))
-    for w in elements:
-        v = evaluate(f, w)
-        if abs(v) > tol * scale * max(1.0, operator_norm(w)):
-            return VanishingVerdict(False, w, v)
-    return VanishingVerdict(True, None, None)
+    if not hits.size:
+        return VanishingVerdict(True, None, None)
+    first = int(hits[0])
+    keys = _square_zero_keys(f.spec)
+    keys += [(k, i, j, u) for u in (2, 3) for k, i, j, kind in keys if kind == 0]
+    w = _element(f.spec, keys[first])
+    return VanishingVerdict(False, w, complex(values[first]))
 
 
-def _conjugates(spec: AlgebraSpec, trials: int, seed: int):
-    """Random basis square-zero elements, each conjugated by a random invertible."""
-    keys = _square_zero_keys(spec)
-    rng = rng_for(seed)
-    for _ in range(trials if keys else 0):
-        w = _square_zero_element(spec, keys[int(rng.integers(0, len(keys)))])
-        u = random_invertible(spec, rng)
-        uinv = Element(spec, tuple(np.linalg.inv(b) for b in u.blocks), _checked=True)
-        yield u @ w @ uinv
-
-
-def _nilpotents(spec: AlgebraSpec, trials: int, seed: int):
-    """Strictly triangular elements conjugated by random invertibles."""
-    rng = rng_for(seed)
-    for _ in range(trials):
-        u = random_invertible(spec, rng)
-        yield random_nilpotent(spec, rng, conjugate_by=u)
-
-
-def vanishes_on_square_zero(
-    f: Functional,
-    trials: int = 8,
-    seed: int = 0,
-    tol: float = CONSTANCY_TOL,
-) -> VanishingVerdict:
-    """Evaluate f on the square-zero basis and random conjugates of it."""
+def vanishes_on_square_zero(f: Functional, tol: float = CONSTANCY_TOL) -> VanishingVerdict:
+    """Evaluate f on the square-zero basis, which spans every square-zero
+    element."""
     values, norms = _square_zero_values(f)
-    conjugates = _conjugates(f.spec, trials, seed)
-    return _first_nonvanishing(f, f.weight_scale(), values, norms, conjugates, tol)
+    return _first_nonvanishing(f, f.weight_scale(), values, norms, tol)
 
 
-def vanishes_on_nilpotents(
-    f: Functional,
-    trials: int = 12,
-    seed: int = 0,
-    tol: float = CONSTANCY_TOL,
-) -> VanishingVerdict:
-    """Test f on random conjugated strictly-triangular elements.
-
-    Strict triangularity guarantees nilpotency exactly, independent of
-    numerics; conjugation by random invertibles spreads the family over
-    the full nilpotent cone. The square-zero basis rides along since
-    those are nilpotent too.
-    """
-    values, norms = _square_zero_values(f)
-    nilpotents = _nilpotents(f.spec, trials, seed)
-    return _first_nonvanishing(f, f.weight_scale(), values, norms, nilpotents, tol)
+def vanishes_on_nilpotents(f: Functional, tol: float = CONSTANCY_TOL) -> VanishingVerdict:
+    """Evaluate f on the square-zero basis, then on the conjugated units.
+    Each family spans the traceless part, which holds every nilpotent.
+    The basis goes first, so f gets the square-zero verdict's witness."""
+    values, norms = _nilpotent_values(f, *_square_zero_values(f))
+    return _first_nonvanishing(f, f.weight_scale(), values, norms, tol)
 
 
 @dataclass(frozen=True)
@@ -375,35 +387,39 @@ class ConstancyVerdict:
     witnesses: tuple[tuple[Element, complex], tuple[Element, complex]] | None
 
 
-def _constancy(f: Functional, scale, samples, seed, tol) -> ConstancyVerdict:
-    rng = rng_for(seed)
-    k = f.spec.num_blocks
-    samples = max(samples, 2 * k)
-    found: list[tuple[Element, complex]] = []
-    for i in range(samples):
-        p = random_rank_one_projection(f.spec, rng, block=i % k)
-        found.append((p, evaluate(f, p)))
-    for p, v in found:
-        if abs(v - found[0][1]) > tol * scale:
-            return ConstancyVerdict(False, None, (found[0], (p, v)))
-    mean = complex(np.mean([v for _, v in found]))
-    return ConstancyVerdict(True, mean, None)
+def _projection_values(f: Functional) -> tuple[np.ndarray, list[tuple[int, int, int, int]]]:
+    """f on the rank-one idempotents, W[j, j] for each e_jj and then
+    W[j, j] + W[l, j] for each e_jj + e_jl, with the :func:`_element` key
+    of each. Adding 0 turns -0.0 into +0.0 as :func:`evaluate` does, so
+    the values equal evaluate's bit for bit."""
+    values, keys = [], []
+    for k, (w, n) in enumerate(zip(f.weights, f.spec.block_sizes)):
+        j, l = np.nonzero(~np.eye(n, dtype=bool))
+        values += [np.diagonal(w), w[j, j] + w[l, j]]
+        keys += [(k, i, i, 4) for i in range(n)] + [(k, a, b, 4) for a, b in zip(j, l)]
+    return 0 + np.concatenate(values), keys
+
+
+def _constancy(f: Functional, scale: float, tol: float) -> ConstancyVerdict:
+    values, keys = _projection_values(f)
+    gaps = values - values[0]
+    off = np.flatnonzero(np.hypot(gaps.real, gaps.imag) > tol * scale)
+    if not off.size:
+        return ConstancyVerdict(True, complex(values[0]), None)
+    first, other = ((_element(f.spec, keys[i]), complex(values[i])) for i in (0, off[0]))
+    return ConstancyVerdict(False, None, (first, other))
 
 
 def constant_on_rank_one_projections(
-    f: Functional,
-    samples: int = 24,
-    seed: int = 0,
-    tol: float = CONSTANCY_TOL,
+    f: Functional, tol: float = CONSTANCY_TOL
 ) -> ConstancyVerdict:
-    """Sample rank-one projections and compare the values of f.
+    """Compare f on the rank-one idempotents e_jj and e_jj + e_jl, whose
+    values fix every weight entry, with its value on the first.
 
-    Rank-one projections live inside a single block (rank adds across
-    blocks), so sampling walks the blocks round-robin; degenerate draws
-    are rejected inside the sampler. A failure returns two projections
-    with different values.
+    A constant verdict reports the first value. A failure returns the
+    first projection and the first one whose value differs.
     """
-    return _constancy(f, f.weight_scale(), samples, seed, tol)
+    return _constancy(f, f.weight_scale(), tol)
 
 
 def counterexample_functional(spec: AlgebraSpec) -> Functional:
@@ -441,30 +457,23 @@ class CharacterizationReport:
 
 
 def characterize(
-    f: Functional,
-    trials: int = 12,
-    samples: int = 24,
-    seed: int = 0,
-    tol: float = CONSTANCY_TOL,
+    f: Functional, seed: int = 0, tol: float = CONSTANCY_TOL
 ) -> CharacterizationReport:
     """Run every characterization on one functional. The block scalars, the
     weight scale, the square-zero values and the tracial verdict are
-    computed once and shared by every verdict."""
+    computed once and shared by every verdict; ``seed`` seeds the
+    tracial spot check."""
     alphas, dev = _scalar_deviations(f)
     scale = f.weight_scale()
     values, norms = _square_zero_values(f)
-    tracial = _tracial(f, dev, scale, TRACIAL_TOL)
+    tracial = _tracial(f, dev, scale, TRACIAL_TOL, seed)
     return CharacterizationReport(
         functional=f,
         scalar_trace_coefficient=_scalar_trace(alphas, dev, scale, TRACIAL_TOL),
         tracial=tracial,
         tracial_pair=None if tracial else _tracial_witness(f),
         bound=_bound(f, tracial, alphas, values),
-        nilpotent=_first_nonvanishing(
-            f, scale, values, norms, _nilpotents(f.spec, trials, seed), tol
-        ),
-        square_zero=_first_nonvanishing(
-            f, scale, values, norms, _conjugates(f.spec, trials, seed), tol
-        ),
-        rank_one_constancy=_constancy(f, scale, samples, seed, tol),
+        nilpotent=_first_nonvanishing(f, scale, *_nilpotent_values(f, values, norms), tol),
+        square_zero=_first_nonvanishing(f, scale, values, norms, tol),
+        rank_one_constancy=_constancy(f, scale, tol),
     )

@@ -99,27 +99,14 @@ def random_traceless_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
     return g - (np.trace(g) / n) * np.eye(n, dtype=complex)
 
 
-def random_nilpotent(
-    spec: AlgebraSpec, rng: np.random.Generator, conjugate_by: Element | None = None
-) -> Element:
-    """Strictly upper-triangular blocks, optionally conjugated.
-
-    Strict triangularity makes nilpotency exact regardless of numerics;
-    a conjugated copy u w u^-1 stays exactly nilpotent in theory though
-    its stored entries are dense.
-    """
+def random_nilpotent(spec: AlgebraSpec, rng: np.random.Generator) -> Element:
+    """Strictly upper-triangular blocks, which make nilpotency exact
+    regardless of numerics."""
     blocks = []
     for n in spec.block_sizes:
         b = complex_gaussian(rng, (n, n))
         blocks.append(np.triu(b, k=1))
-    w = Element(spec, tuple(blocks), _checked=True)
-    if conjugate_by is not None:
-        u = conjugate_by
-        inv = Element(
-            spec, tuple(np.linalg.inv(b) for b in u.blocks), _checked=True
-        )
-        w = u @ w @ inv
-    return w
+    return Element(spec, tuple(blocks), _checked=True)
 
 
 def _separated_values(

@@ -295,8 +295,8 @@ def test_criterion_9_equivalence_engine():
             else:
                 f = sl.trace_functional(spec, complex(rng.standard_normal()))
             tracial = sl.is_tracial(f)
-            sq = sl.vanishes_on_square_zero(f, seed=i)
-            nil = sl.vanishes_on_nilpotents(f, seed=i)
+            sq = sl.vanishes_on_square_zero(f)
+            nil = sl.vanishes_on_nilpotents(f)
             if not (tracial == sq.vanishes == nil.vanishes):
                 disagreements += 1
             bound = sl.spectral_bound_witness(f)

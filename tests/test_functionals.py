@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import soclelab as sl
 import soclelab.functionals as functionals
+import soclelab.sampling as sampling
 from soclelab import jsonio
 from soclelab.errors import (
     NoCounterexampleError,
@@ -359,8 +360,8 @@ class TestEngineInvariants:
             else:
                 f = sl.counterexample_functional(spec23)
             tr = sl.is_tracial(f)
-            assert tr == sl.vanishes_on_square_zero(f, seed=i).vanishes
-            assert tr == sl.vanishes_on_nilpotents(f, seed=i).vanishes
+            assert tr == sl.vanishes_on_square_zero(f).vanishes
+            assert tr == sl.vanishes_on_nilpotents(f).vanishes
             assert tr == (sl.spectral_bound_witness(f).constant is not None)
 
     def test_scalar_implies_tracial_and_constant(self, spec23):
@@ -434,7 +435,7 @@ class TestTracialWitness:
             assert sl.evaluate(f, a @ b) != sl.evaluate(f, b @ a)
 
 
-def characterize_reference(f, trials, samples, seed):
+def characterize_reference(f):
     """The report assembled from the public verdicts, each of which
     computes its own inputs."""
     tracial = sl.is_tracial(f)
@@ -444,11 +445,9 @@ def characterize_reference(f, trials, samples, seed):
         tracial=tracial,
         tracial_pair=None if tracial else sl.tracial_witness(f),
         bound=sl.spectral_bound_witness(f),
-        nilpotent=sl.vanishes_on_nilpotents(f, trials=trials, seed=seed),
-        square_zero=sl.vanishes_on_square_zero(f, trials=trials, seed=seed),
-        rank_one_constancy=sl.constant_on_rank_one_projections(
-            f, samples=samples, seed=seed
-        ),
+        nilpotent=sl.vanishes_on_nilpotents(f),
+        square_zero=sl.vanishes_on_square_zero(f),
+        rank_one_constancy=sl.constant_on_rank_one_projections(f),
     )
 
 
@@ -475,14 +474,12 @@ class TestCharacterizeOnePass:
     @settings(max_examples=150, deadline=None)
     @given(
         f=st.one_of(awkward_functionals(), planted_functionals()),
-        trials=st.integers(1, 12),
-        samples=st.integers(1, 24),
         seed=st.integers(0, 2**16),
     )
-    @example(f=NEAR_TRACIAL_4, trials=12, samples=24, seed=0)
-    def test_report_equals_public_verdicts_bytewise(self, f, trials, samples, seed):
-        got = jsonio.characterization_to_json(sl.characterize(f, trials, samples, seed))
-        want = jsonio.characterization_to_json(characterize_reference(f, trials, samples, seed))
+    @example(f=NEAR_TRACIAL_4, seed=0)
+    def test_report_equals_public_verdicts_bytewise(self, f, seed):
+        got = jsonio.characterization_to_json(sl.characterize(f, seed=seed))
+        want = jsonio.characterization_to_json(characterize_reference(f))
         assert json.dumps(got) == json.dumps(want)
 
     @pytest.mark.parametrize("kind", ["dense", "trace"])
@@ -513,3 +510,205 @@ class TestCharacterizeOnePass:
         assert calls.count("_square_zero_values") == 1
         # the tracial spot check draws 4 pairs, once
         assert calls.count("random_element") == (8 if kind == "trace" else 0)
+
+    def test_spot_check_reads_the_seed(self, spec23, monkeypatch):
+        seeds = []
+        real = functionals.rng_for
+        monkeypatch.setattr(functionals, "rng_for", lambda s: seeds.append(s) or real(s))
+        f = sl.trace_functional(spec23)
+        sl.characterize(f, seed=29)
+        sl.is_tracial(f)
+        assert seeds == [29, 0]
+
+
+def reference_unitaries(n):
+    """F and C F entry by entry, from the closed forms."""
+    f = np.array(
+        [[np.exp(-2j * np.pi * j * k / n) / np.sqrt(n) for k in range(n)] for j in range(n)]
+    )
+    chirp = np.diag([np.exp(1j * np.pi * k * k / n) for k in range(n)])
+    return f, chirp @ f
+
+
+def reference_conjugated_units(spec):
+    """U e_ij U* for U = F over every block, then for U = C F, with (i, j)
+    off the diagonal in row-major order."""
+    out = []
+    for u in range(2):
+        for k, n in enumerate(spec.block_sizes):
+            U = reference_unitaries(n)[u]
+            for i in range(n):
+                for j in range(n):
+                    if i != j:
+                        x = sl.zero(spec)
+                        x.blocks[k][:] = np.outer(U[:, i], U[:, j].conj())
+                        out.append(x)
+    return out
+
+
+class TestWitnessFamilies:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_conjugated_units_square_to_zero_with_norm_one(self, n):
+        spec = sl.AlgebraSpec((n,))
+        keys = [(0, i, j, u) for u in (2, 3) for i in range(n) for j in range(n) if i != j]
+        for key in keys:
+            (b,) = functionals._element(spec, key).blocks
+            assert np.abs(b @ b).max() <= 1e-15
+            assert abs(np.linalg.norm(b, 2) - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_conjugated_units_span_the_traceless_part(self, n):
+        rows = [x.blocks[0].ravel() for x in reference_conjugated_units(sl.AlgebraSpec((n,)))]
+        svals = np.linalg.svd(np.array(rows), compute_uv=False)
+        rank = int(np.sum(svals > 1e-9 * svals[0]))
+        assert rank == n * n - 1
+        assert svals[rank - 1] >= 0.5
+
+    @settings(max_examples=150, deadline=None)
+    @given(f=awkward_functionals())
+    def test_nilpotent_values_match_evaluate(self, f):
+        basis, norms = _square_zero_values(f)
+        values, all_norms = functionals._nilpotent_values(f, basis, norms)
+        units = reference_conjugated_units(f.spec)
+        assert bits(values[: basis.size]) == bits(basis)
+        assert all_norms.tolist() == norms.tolist() + [1.0] * len(units)
+        scale = f.weight_scale()
+        for v, x in zip(values[basis.size :], units, strict=True):
+            assert abs(v - sl.evaluate(f, x)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("sizes", [(3,), (1, 2, 4)])
+    def test_each_index_names_its_witness(self, sizes):
+        # a single value over the threshold at position p must come back
+        # with the p-th element of the basis-then-conjugated-units order
+        spec = sl.AlgebraSpec(sizes)
+        f = sl.trace_functional(spec)
+        elements = sl.square_zero_basis(spec) + reference_conjugated_units(spec)
+        for p, x in enumerate(elements):
+            values = np.zeros(len(elements), dtype=complex)
+            values[p] = 1.0
+            got = functionals._first_nonvanishing(f, 1.0, values, np.ones(len(elements)), 0.5)
+            assert not got.vanishes
+            for a, b in zip(got.witness.blocks, x.blocks):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-15)
+
+    @settings(max_examples=150, deadline=None)
+    @given(f=awkward_functionals())
+    def test_projection_values_equal_evaluate_bitwise(self, f):
+        values, keys = functionals._projection_values(f)
+        assert len(keys) == sum(n * n for n in f.spec.block_sizes)
+        for v, key in zip(values, keys, strict=True):
+            p = functionals._element(f.spec, key)
+            assert sl.operator_norm(p @ p - p) == 0.0
+            assert sl.classical_rank(p) == 1
+            assert bits(v) == bits(sl.evaluate(f, p))
+
+    @pytest.mark.parametrize("kind", ["dense", "trace"])
+    def test_characterize_draws_no_random_witnesses(self, kind, monkeypatch):
+        spec = sl.AlgebraSpec((3, 4))
+        f = (
+            sl.random_functional(spec, rng_for(173))
+            if kind == "dense"
+            else sl.trace_functional(spec)
+        )
+        calls = []
+
+        def counted(owner, name):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(np.linalg, "inv")
+        counted(np.linalg, "cond")
+        counted(sampling, "random_invertible")
+        counted(sampling, "random_rank_one_projection")
+        sl.characterize(f)
+        assert calls == []
+
+
+def report_parts(rep):
+    """The verdict booleans, the witness elements and the reported
+    values of one characterization report."""
+    c = rep.rank_one_constancy
+    flags = [
+        rep.tracial,
+        rep.is_scalar_trace,
+        rep.bound.constant is not None,
+        rep.nilpotent.vanishes,
+        rep.square_zero.vanishes,
+        c.constant,
+    ]
+    elements = [*(rep.tracial_pair or (None, None)), rep.bound.witness]
+    elements += [rep.nilpotent.witness, rep.square_zero.witness]
+    values = [rep.scalar_trace_coefficient, rep.bound.constant, rep.bound.witness_value]
+    values += [rep.nilpotent.witness_value, rep.square_zero.witness_value, c.value]
+    for p, v in c.witnesses or ((None, None), (None, None)):
+        elements.append(p)
+        values.append(v)
+    return flags, elements, values
+
+
+class TestScaleInvariance:
+    def test_tiny_weights_are_not_tracial(self):
+        f = Functional(sl.AlgebraSpec((2,)), [np.array([[1, 2], [3, 4]]) * 1e-100])
+        rep = sl.characterize(f)
+        assert not rep.tracial
+        assert rep.scalar_trace_coefficient is None
+        assert rep.bound.constant is None
+        assert not rep.nilpotent.vanishes
+        assert not rep.square_zero.vanishes
+        assert not rep.rank_one_constancy.constant
+
+    def test_zero_functional_keeps_every_verdict(self, spec23):
+        f = sl.blockwise_scalar_functional(spec23, [0.0, 0.0])
+        assert f.weight_scale() == 0.0
+        rep = sl.characterize(f)
+        assert rep.tracial and rep.scalar_trace_coefficient == 0
+        assert rep.bound.constant == 0.0
+        assert rep.nilpotent.vanishes and rep.square_zero.vanishes
+        assert rep.rank_one_constancy.constant and rep.rank_one_constancy.value == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(f=awkward_functionals(), k=st.integers(-26, 26))
+    @example(f=NEAR_TRACIAL_4, k=-26)
+    def test_power_of_two_scaling(self, f, k):
+        t = 2.0**k
+        g = Functional(f.spec, [t * w for w in f.weights])
+        flags, elements, values = report_parts(sl.characterize(f))
+        gflags, gelements, gvalues = report_parts(sl.characterize(g))
+        assert gflags == flags
+        for x, y in zip(gelements, elements, strict=True):
+            assert (x is None) == (y is None)
+            if x is not None:
+                assert all(bits(a) == bits(b) for a, b in zip(x.blocks, y.blocks))
+        for x, y in zip(gvalues, values, strict=True):
+            assert (x is None) == (y is None)
+            if x is not None:
+                assert x == t * y
+
+
+class TestThresholdBands:
+    @settings(max_examples=300, deadline=None)
+    @given(f=st.one_of(awkward_functionals(), planted_functionals()))
+    @example(f=NEAR_TRACIAL_4)
+    def test_verdicts_agree_outside_the_bands(self, f):
+        rep = sl.characterize(f)
+        alphas, dev = functionals._scalar_deviations(f)
+        t = functionals.TRACIAL_TOL * f.weight_scale()
+        n = max(f.spec.block_sizes)
+        if not t < dev <= 4 * n * t:
+            bounded = rep.bound.constant is not None
+            assert rep.tracial == rep.square_zero.vanishes == rep.nilpotent.vanishes == bounded
+        m = max(dev, max(abs(a - np.mean(alphas)) for a in alphas))
+        if not t / 5 < m <= 2 * n * t:
+            assert rep.rank_one_constancy.constant == rep.is_scalar_trace
+
+    def test_near_tracial_4_splits_inside_the_band(self):
+        rep = sl.characterize(NEAR_TRACIAL_4)
+        _, dev = functionals._scalar_deviations(NEAR_TRACIAL_4)
+        t = functionals.TRACIAL_TOL * NEAR_TRACIAL_4.weight_scale()
+        assert t < dev <= 16 * t
+        assert not rep.tracial
+        assert rep.square_zero.vanishes and rep.nilpotent.vanishes
