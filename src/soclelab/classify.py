@@ -47,7 +47,8 @@ from .functionals import (
     random_functional,
     trace_functional,
 )
-from .sampling import derive_seed, random_projection, rng_for
+from .sampling import FUNCTIONALS, IDEAL, PROJECTIONS, rng_for
+from .sampling import complex_gaussian, random_projection
 
 
 @dataclass(frozen=True)
@@ -106,16 +107,12 @@ def is_socle_minimal_ideal(spec: AlgebraSpec, seed: int = 0) -> bool:
     Cross-checked against the block count: the answer must be k = 1,
     and any mismatch raises.
     """
-    rng = rng_for(seed)
+    rng = rng_for(seed, IDEAL)
     verdict = True
-    for i in range(spec.num_blocks):
+    for i, n in enumerate(spec.block_sizes):
         g = zero(spec)
-        n = spec.block_sizes[i]
-        g.blocks[i][:] = (
-            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        )
-        if not generated_ideal(spec, g).is_whole_algebra:
-            verdict = False
+        g.blocks[i][:] = complex_gaussian(rng, (n, n))
+        verdict &= generated_ideal(spec, g).is_whole_algebra
     if verdict != (spec.num_blocks == 1):
         raise TheoremViolationError(
             "ideal-span verdict disagrees with the block count"
@@ -237,13 +234,16 @@ def verify_theorems(
     every predicted implication. Raises TheoremViolationError on any
     mismatch. The structural booleans (single block, minimal ideal,
     all corners full blocks) are computed by independent routes and
-    must agree with the block count.
+    must agree with the block count. Trial t samples its functionals from
+    ``rng_for(seed, FUNCTIONALS, t)`` and its projection from
+    ``rng_for(seed, PROJECTIONS, t)``, so no rejection loop of one family
+    shifts the draws of another.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     k = spec.num_blocks
     single_block = k == 1
-    minimal = is_socle_minimal_ideal(spec, seed=derive_seed(seed, 1))
+    minimal = is_socle_minimal_ideal(spec, seed=seed)
 
     constancy_failures: list[str] = []
     equivalence_failures: list[str] = []
@@ -253,10 +253,9 @@ def verify_theorems(
     n_funcs = 0
 
     for t in range(trials):
-        rng = rng_for(seed, t)
-        for kind, f, planted in _sample_functionals(spec, rng):
+        for kind, f, planted in _sample_functionals(spec, rng_for(seed, FUNCTIONALS, t)):
             n_funcs += 1
-            rep = characterize(f, seed=derive_seed(seed, t))
+            rep = characterize(f, seed=seed)
             conditions = [
                 rep.is_scalar_trace,
                 rep.tracial,
@@ -301,17 +300,14 @@ def verify_theorems(
                     if value is not None:
                         alpha_errors.append(abs(value - planted))
 
-        # Corner checks on sampled projections (plus, for several
-        # blocks, one deliberate cross-block projection).
-        psamples = [random_projection(spec, rng)]
-        if k >= 2:
-            cross = matrix_unit(spec, 0, 0, 0) + matrix_unit(spec, 1, 0, 0)
-            psamples.append(cross)
-        for p in psamples:
-            if not pAp_block_check(spec, p):
-                corner_all_single = False
+        # Corner check on a sampled projection per trial
+        p = random_projection(spec, rng_for(seed, PROJECTIONS, t))
+        corner_all_single &= pAp_block_check(spec, p)
 
     if k >= 2:
+        # and, for several blocks, on one deliberate cross-block projection
+        cross = matrix_unit(spec, 0, 0, 0) + matrix_unit(spec, 1, 0, 0)
+        corner_all_single &= pAp_block_check(spec, cross)
         f = counterexample_functional(spec)
         counterexample_report = characterize(f, seed=seed)
         rep = counterexample_report

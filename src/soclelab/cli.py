@@ -17,6 +17,7 @@ before ``--output`` is known, go to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -24,7 +25,8 @@ from . import jsonio
 from .algebra import CLUSTER_TOL, classical_trace, spectrum
 from .classify import is_socle_minimal_ideal, orthogonal_decomposition, verify_theorems
 from .commutators import commutator_decompose, rank_one_commutator
-from .errors import CertificationError, ShapeMismatchError, SocleLabError, UsageError
+from .errors import CertificationError, NumericOverflowError, ShapeMismatchError
+from .errors import SocleLabError, UsageError
 from .functionals import characterize
 from .rank import DEFAULT_PROBES, spectral_rank
 from .riesz import DEFAULT_NODES, diagonalize_maximal, riesz_projection, spectral_trace
@@ -82,7 +84,9 @@ _OPTIONS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on first use and reused: parsing never changes the parser."""
     parser = _Parser(
         prog="soclelab",
         description="Spectral rank/trace laboratory for block matrix algebras.",
@@ -256,8 +260,14 @@ _COMMANDS = {
 }
 
 
-def _emit(output: str, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _dumps(payload: dict) -> str:
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise NumericOverflowError("a report value overflows the double range") from None
+
+
+def _emit(output: str, text: str) -> None:
     if output == "-":
         sys.stdout.write(text)
     else:
@@ -270,20 +280,12 @@ def run(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         output = args.output
-        payload = _COMMANDS[args.command][0](args)
+        text = _dumps(_COMMANDS[args.command][0](args))
     except SocleLabError as exc:
-        _emit(
-            output,
-            {
-                "error": {
-                    "type": type(exc).__name__,
-                    "message": str(exc),
-                    "details": exc.details(),
-                }
-            },
-        )
+        error = {"type": type(exc).__name__, "message": str(exc), "details": exc.details()}
+        _emit(output, json.dumps({"error": error}, sort_keys=True, indent=2) + "\n")
         return 2 if isinstance(exc, CertificationError) else 1
-    _emit(output, payload)
+    _emit(output, text)
     return 0
 
 

@@ -28,6 +28,10 @@ class NonFiniteEntryError(SocleLabError):
     """An element or functional contains NaN or infinite entries."""
 
 
+class NumericOverflowError(SocleLabError):
+    """A computed value overflows the double range; the message names it."""
+
+
 class EigensolverError(SocleLabError):
     """The dense eigensolver failed to converge on a block."""
 

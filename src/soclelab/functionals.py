@@ -58,10 +58,11 @@ from .algebra import (
 from .errors import (
     NoCounterexampleError,
     NonFiniteEntryError,
+    NumericOverflowError,
     ShapeMismatchError,
     TheoremViolationError,
 )
-from .sampling import complex_gaussian, random_element, rng_for
+from .sampling import SPOT_CHECK, complex_gaussian, random_element_stack, rng_for
 
 CONSTANCY_TOL = 1e-8
 TRACIAL_TOL = 1e-8
@@ -98,7 +99,14 @@ class Functional:
     def weight_scale(self) -> float:
         # the trace pairing makes the weights an element of the same algebra;
         # the scale is 0 only for the zero functional
-        return operator_norm(Element(self.spec, self.weights, _checked=True))
+        norm = operator_norm(Element(self.spec, self.weights, _checked=True))
+        return _finite(norm, "weight operator norm")
+
+
+def _finite(value, name: str):
+    if not np.all(np.isfinite(value)):
+        raise NumericOverflowError(f"{name} overflows the double range")
+    return value
 
 
 def trace_functional(spec: AlgebraSpec, alpha: complex = 1.0) -> Functional:
@@ -140,30 +148,36 @@ def evaluate(f: Functional, a: Element) -> complex:
 
 
 def _scalar_deviations(f: Functional) -> tuple[np.ndarray, float]:
-    """Per-block mean-diagonal scalars and the worst deviation from them."""
-    alphas = np.array(
-        [np.trace(w) / n for w, n in zip(f.weights, f.spec.block_sizes)],
-        dtype=complex,
-    )
+    """Per-block mean-diagonal scalars and the worst deviation from them.
+    The mean sums the diagonal divided by n, which cannot overflow."""
     sizes = f.spec.block_sizes
+    alphas = np.array(
+        [np.sum(np.diagonal(w) / n) for w, n in zip(f.weights, sizes)], dtype=complex
+    )
     devs = tuple(w - al * np.eye(n) for w, al, n in zip(f.weights, alphas, sizes))
+    for d in devs:
+        _finite(d, "deviation from the block scalars")
     return alphas, operator_norm(Element(f.spec, devs, _checked=True))
 
 
 def _tracial(f: Functional, dev: float, scale: float, tol: float, seed: int) -> bool:
-    """The scalar-weight verdict, spot-checked on random pairs from ``seed``."""
+    """The scalar-weight verdict, spot-checked on 4 random pairs (a, b),
+    one stack from ``rng_for(seed, SPOT_CHECK)``: f(ab) - f(ba) is taken
+    on the weights divided by ``scale``, so every product stays finite."""
     verdict = dev <= tol * scale
     if verdict:
-        rng = rng_for(seed)
-        for _ in range(4):
-            a = random_element(f.spec, rng)
-            b = random_element(f.spec, rng)
-            gap = abs(evaluate(f, a @ b) - evaluate(f, b @ a))
-            if gap > 1e3 * tol * scale:
-                raise TheoremViolationError(
-                    "scalar-weight criterion contradicted by direct evaluation",
-                    witness=(a, b),
-                )
+        xs = random_element_stack(f.spec, rng_for(seed, SPOT_CHECK), 8)
+        gaps = sum(
+            np.einsum("ij,pji->p", w / (scale or 1.0), x[::2] @ x[1::2] - x[1::2] @ x[::2])
+            for w, x in zip(f.weights, xs)
+        )
+        bad = np.flatnonzero(np.abs(gaps) > 1e3 * tol)
+        if bad.size:
+            pair = (Element(f.spec, tuple(x[2 * bad[0] + q] for x in xs)) for q in (0, 1))
+            raise TheoremViolationError(
+                "scalar-weight criterion contradicted by direct evaluation",
+                witness=tuple(pair),
+            )
     return verdict
 
 
@@ -243,6 +257,7 @@ def _bound(f: Functional, tracial: bool, alphas, values) -> SpectralBoundResult:
     else the square-zero element with the first largest |value|."""
     if tracial:
         c = float(sum(abs(a) * n for a, n in zip(alphas, f.spec.block_sizes)))
+        _finite(c, "spectral bound constant sum |alpha_i| n_i")
         return SpectralBoundResult(constant=c, witness=None, witness_value=None)
     magnitudes = np.hypot(values.real, values.imag)
     if not np.any(magnitudes):
@@ -326,7 +341,7 @@ def _square_zero_values(f: Functional) -> tuple[np.ndarray, np.ndarray]:
         i, j = np.triu_indices(n, 1)
         values += [w[c, r], (w[i, i] + w[i, j]) + (-w[j, i] - w[j, j])]
         norms += [np.ones(r.size), np.full(i.size, 2.0)]
-    return 0 + np.concatenate(values), np.concatenate(norms)
+    return _finite(0 + np.concatenate(values), "square-zero value"), np.concatenate(norms)
 
 
 @dataclass(frozen=True)
@@ -345,7 +360,7 @@ def _nilpotent_values(f: Functional, values, norms) -> tuple[np.ndarray, np.ndar
         us = _unitaries(n)
         i, j = np.nonzero(~np.eye(n, dtype=bool))
         extra.append((us.conj().transpose(0, 2, 1) @ w @ us)[:, j, i])
-    extra = np.concatenate(extra, axis=1).ravel()
+    extra = _finite(np.concatenate(extra, axis=1).ravel(), "conjugated unit value")
     return np.concatenate([values, extra]), np.concatenate([norms, np.ones(extra.size)])
 
 
@@ -397,7 +412,7 @@ def _projection_values(f: Functional) -> tuple[np.ndarray, list[tuple[int, int, 
         j, l = np.nonzero(~np.eye(n, dtype=bool))
         values += [np.diagonal(w), w[j, j] + w[l, j]]
         keys += [(k, i, i, 4) for i in range(n)] + [(k, a, b, 4) for a, b in zip(j, l)]
-    return 0 + np.concatenate(values), keys
+    return _finite(0 + np.concatenate(values), "rank-one projection value"), keys
 
 
 def _constancy(f: Functional, scale: float, tol: float) -> ConstancyVerdict:

@@ -8,12 +8,12 @@ eigenvalue clustering near the merge tolerance. Every result is
 certified against the classical SVD rank, and a disagreement raises
 instead of returning.
 
-The probes run as one batch: they are drawn as one stack per block,
-multiplied by a's block in one batched product, and solved by one
-stacked eigensolve per block, after which one vectorized pass counts
-the distinct nonzero values of every probe. Probe i still comes from
-its own generator, so the probes, the counts and the report are those
-of drawing and counting the probes one at a time.
+The probes run as one batch: they are one draw from the seed's
+``PROBE`` stream, multiplied by a's block in one batched product and
+solved by one stacked eigensolve per block, after which one vectorized
+pass counts the distinct nonzero values of every probe. The stream is
+sequential, so probe i does not depend on the probe count, and the
+report is that of drawing and counting the probes one at a time.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .algebra import (
     nonzero_spectrum_counts,
 )
 from .errors import RankCertificationError
-from .sampling import random_element_stack, rng_for
+from .sampling import PROBE, random_element_stack, rng_for
 
 # One generic probe suffices almost surely; the extras absorb unlucky
 # clustering near the merge tolerance.
@@ -63,13 +63,12 @@ def spectral_rank(
 ) -> RankReport:
     """Probe the rank of ``a`` and certify it against the SVD oracle.
 
-    Probe i draws a standard complex Gaussian element from a generator
-    seeded with ``seed ^ i``, so any execution order gives identical
-    results.
+    Probe i is the i-th standard complex Gaussian element of the stream
+    ``rng_for(seed, PROBE)``; a negative seed raises ValueError.
     """
     if probes < 1:
         raise ValueError("need at least one probe")
-    xs = random_element_stack(a.spec, [rng_for(seed, i) for i in range(probes)])
+    xs = random_element_stack(a.spec, rng_for(seed, PROBE), probes)
     products = [x @ b for x, b in zip(xs, a.blocks)]
     counts = nonzero_spectrum_counts(block_eigenvalues(products), tol)
     best = int(np.argmax(counts))

@@ -43,7 +43,7 @@ from .errors import (
     TraceCertificationError,
 )
 from .rank import DEFAULT_PROBES, spectral_rank
-from .sampling import random_element, rng_for
+from .sampling import MULTIPLICITY_PROBE, random_element_stack, rng_for
 
 DEFAULT_NODES = 64
 # Fraction of the local spectral gap used as contour radius. Large
@@ -186,7 +186,8 @@ def _multiplicities(a: Element, rep: SpectrumReport, centers, probes, seed, tol,
     count (rank), and counts the distinct spectral values of each product
     within one third of the local gap of the center; all counts must
     agree. The probes do not depend on the center, so they are drawn
-    once, after the first gap check passes. For nonzero centers, Route B
+    once, as one stack from ``rng_for(seed, MULTIPLICITY_PROBE)``, after
+    the first gap check passes. For nonzero centers, Route B
     is the rank of the Riesz projection; the routes share only ``rep``.
     """
     if centers and probes < 1:
@@ -202,8 +203,9 @@ def _multiplicities(a: Element, rep: SpectrumReport, centers, probes, seed, tol,
             rank_a = classical_rank(a)
             one = identity(a.spec)
             admitted = []
+            gs = random_element_stack(a.spec, rng_for(seed, MULTIPLICITY_PROBE), probes)
             for i in range(probes):
-                g = random_element(a.spec, rng_for(seed, i))
+                g = Element(a.spec, tuple(x[i] for x in gs), _checked=True)
                 g = (1.0 / operator_norm(g)) * g
                 srep = spectrum((one + DEFAULT_EPS * g) @ a, tol)
                 if srep.num_nonzero == rank_a:  # else outside the rank-attaining set

@@ -1,15 +1,15 @@
 """Seeded random generators for elements, projections, and test corpora.
 
-All randomness in the package flows through these helpers so results
-are reproducible: a run is determined by an integer seed, and probe i
-of a batch uses ``seed ^ i``, which makes per-probe results independent
-of evaluation order.
+All randomness flows through :func:`rng_for`. Each random family of the
+library reads its own stream ``rng_for(seed, TAG[, index])`` under one
+of the tags below. The key is a ``SeedSequence`` spawn key, appended to
+the seed padded to four 32-bit words, so distinct (seed, key) pairs
+never share a stream for seeds below 2**128 and key entries below 2**32.
+``rng_for(seed)`` is ``np.random.default_rng(seed)``.
 
-A batch of probes is drawn by :func:`random_element_stack`: each
-probe's generator makes one flat draw of all its Gaussian entries, and
-the draws are stacked per block. Generator output is sequential, so
-probe i of the stack is bit for bit the element
-``random_element(spec, rng_for(seed, i))``; batching changes no stream.
+A batch of probes is one draw: generator output is sequential, so
+element i of :func:`random_element_stack` does not depend on the count,
+and it is the i-th of successive :func:`random_element` calls.
 """
 
 from __future__ import annotations
@@ -17,18 +17,20 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import AlgebraSpec, Element, zero
-from .errors import DegenerateProjectionError, ProbeExhaustionError
+from .errors import ProbeExhaustionError
 
-_SEED_MASK = (1 << 63) - 1
+# Stream tags, one per random family of the library.
+PROBE = 1  # rank.spectral_rank
+MULTIPLICITY_PROBE = 2  # riesz._multiplicities
+SPOT_CHECK = 3  # functionals._tracial
+IDEAL = 4  # classify.is_socle_minimal_ideal
+FUNCTIONALS = 5  # classify.verify_theorems, per trial
+PROJECTIONS = 6  # classify.verify_theorems, per trial
 
 
-def derive_seed(seed: int, index: int) -> int:
-    """Per-probe seed: XOR of the base seed with the probe index."""
-    return (int(seed) ^ int(index)) & _SEED_MASK
-
-
-def rng_for(seed: int, index: int = 0) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(seed, index))
+def rng_for(seed: int, *key: int) -> np.random.Generator:
+    """The stream of ``seed`` under ``key``; a negative seed raises ValueError."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
@@ -38,22 +40,21 @@ def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
 
 def random_element(spec: AlgebraSpec, rng: np.random.Generator) -> Element:
     """Element with independent standard complex Gaussian entries."""
-    return Element(
-        spec,
-        tuple(x[0] for x in random_element_stack(spec, [rng])),
-        _checked=True,
-    )
+    blocks = random_element_stack(spec, rng, 1)
+    return Element(spec, tuple(x[0] for x in blocks), _checked=True)
 
 
-def random_element_stack(spec: AlgebraSpec, rngs) -> tuple[np.ndarray, ...]:
-    """One Gaussian element per generator, stacked per block.
+def random_element_stack(
+    spec: AlgebraSpec, rng: np.random.Generator, count: int
+) -> tuple[np.ndarray, ...]:
+    """``count`` Gaussian elements from one draw, stacked per block.
 
-    Block i of the result has shape ``(len(rngs), n_i, n_i)``. Each
-    generator draws ``2 * spec.dimension`` normals in one call, laid out
+    Block i of the result has shape ``(count, n_i, n_i)``. Row k of the
+    draw holds element k's ``2 * spec.dimension`` normals, laid out
     block by block as the real then the imaginary parts, the order in
     which per-block :func:`complex_gaussian` draws would consume them.
     """
-    draws = np.stack([rng.standard_normal(2 * spec.dimension) for rng in rngs])
+    draws = rng.standard_normal((count, 2 * spec.dimension))
     blocks = []
     pos = 0
     for n in spec.block_sizes:
@@ -183,31 +184,11 @@ def random_maximal_element(
     return Element(spec, tuple(blocks), _checked=True)
 
 
-def random_rank_one_projection_block(
-    n: int, rng: np.random.Generator, floor: float = 1e-3
-) -> np.ndarray:
-    """Rank-one idempotent u v* / (v* u) of size n, redrawn when the
-    pairing |v* u| falls below ``floor`` times the vector norms."""
-    for _ in range(200):
-        u = complex_gaussian(rng, n)
-        v = complex_gaussian(rng, n)
-        pairing = complex(np.vdot(v, u))
-        if abs(pairing) >= floor * np.linalg.norm(u) * np.linalg.norm(v):
-            return np.outer(u, v.conj()) / pairing
-    raise DegenerateProjectionError("rank-one projection sampling kept degenerating")
-
-
 def random_rank_one_projection(
     spec: AlgebraSpec, rng: np.random.Generator, block: int | None = None
 ) -> Element:
-    """Rank-one projection of the algebra, living inside a single block."""
-    if block is None:
-        block = int(rng.integers(0, spec.num_blocks))
-    p = zero(spec)
-    p.blocks[block][:] = random_rank_one_projection_block(
-        spec.block_sizes[block], rng
-    )
-    return p
+    """Rank-one projection u v* / (v* u) inside one (random or given) block."""
+    return random_projection(spec, rng, 1, None if block is None else [block])
 
 
 def random_projection(

@@ -1,11 +1,19 @@
 import argparse
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import soclelab as sl
-from soclelab import jsonio
+from soclelab import cli, jsonio
 from soclelab.cli import run
 from soclelab.sampling import random_element, rng_for
 
@@ -222,7 +230,7 @@ class TestCLIBehavior:
                     ]
                 },
             ),
-            # the mean diagonal weight overflows, so its deviation has no SVD
+            # a square-zero basis value overflows the double range
             (
                 "check-functional",
                 {"weights": [[[[1e308, 0], [1e308, 0]], [[-1e308, 0], [1e308, 0]]]]},
@@ -241,13 +249,97 @@ class TestCLIBehavior:
             code, out = invoke(capsys, command, "--input", path)
         assert code == 1
         assert set(out) == {"error"}
-        assert out["error"]["type"] in {"ShapeMismatchError", "SVDConvergenceError"}
+        assert out["error"]["type"] in {
+            "ShapeMismatchError",
+            "SVDConvergenceError",
+            "NumericOverflowError",
+        }
 
     def test_bad_spec_is_a_json_error(self, capsys):
         code, out = invoke(capsys, "classify", "--spec", '{"block_sizes": 3}')
         assert code == 1
         assert out["error"]["type"] == "ShapeMismatchError"
         assert "block_sizes" in out["error"]["message"]
+
+
+def scalar_weights(alpha, n):
+    """Check-functional document of alpha * Tr on one n x n block."""
+    rows = [[[alpha if i == j else 0, 0] for j in range(n)] for i in range(n)]
+    return {"weights": [rows]}
+
+
+class TestOverflow:
+    @pytest.mark.parametrize(
+        "document, quantity",
+        [
+            # sum |alpha_i| n_i = 3e308
+            (scalar_weights(1e308, 3), "spectral bound constant"),
+            (
+                {"weights": [[[[1e308, 0], [1e308, 0]], [[-1e308, 0], [1e308, 0]]]]},
+                "square-zero value",
+            ),
+            # finite entries whose operator norm is 3.4e308
+            ({"weights": [[[[1.7e308, 0]] * 2] * 2]}, "weight operator norm"),
+        ],
+    )
+    def test_overflow_is_a_named_json_error(self, tmp_path, capsys, document, quantity):
+        path = write_input(tmp_path, document)
+        with np.errstate(all="ignore"):
+            code = run(["check-functional", "--input", path])
+        text = capsys.readouterr().out
+        assert code == 1
+        assert "Infinity" not in text and "NaN" not in text
+        error = json.loads(text)["error"]
+        assert error["type"] == "NumericOverflowError"
+        assert quantity in error["message"] and "overflows" in error["message"]
+
+    def test_overflowed_spectrum_is_a_json_error(self, tmp_path, capsys):
+        # clustering diag(1e308, 1e308) overflows its centroid to inf
+        diag = [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]
+        path = write_input(tmp_path, {"blocks": [diag]})
+        with np.errstate(all="ignore"):
+            code = run(["spectrum", "--input", path])
+        text = capsys.readouterr().out
+        assert code == 1
+        assert "Infinity" not in text and "NaN" not in text
+        assert json.loads(text)["error"]["type"] == "NumericOverflowError"
+
+    def test_large_scalar_trace_is_recognized(self, tmp_path, capsys):
+        # the mean diagonal is summed as diagonal / n, so it cannot overflow
+        path = write_input(tmp_path, scalar_weights(1e307, 3))
+        code, out = invoke(capsys, "check-functional", "--input", path)
+        assert code == 0
+        assert out["scalar_trace_coefficient"][0] == pytest.approx(1e307, rel=1e-15)
+        assert out["spectral_bound"]["constant"] == pytest.approx(3e307, rel=1e-15)
+        f = sl.Functional(sl.AlgebraSpec((3,)), [1e308 * np.eye(3)])
+        assert sl.is_scalar_trace(f) == pytest.approx(1e308, rel=1e-15)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        exponent=st.integers(1000, 1023),
+        sizes=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+        seed=st.integers(0, 2**32),
+    )
+    def test_reports_never_carry_non_finite_tokens(self, exponent, sizes, seed):
+        rng = rng_for(seed, 1 << 40)
+        weights = [
+            (2.0**exponent * rng.uniform(-1, 1, (n, n, 2))).tolist() for n in sizes
+        ]
+        stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps({"weights": weights}))
+        try:
+            with np.errstate(all="ignore"):
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    code = run(["check-functional"])
+        finally:
+            sys.stdin = stdin
+        text = out.getvalue()
+        assert "Infinity" not in text and "NaN" not in text
+        if code:
+            assert (code, json.loads(text)["error"]["type"]) == (1, "NumericOverflowError")
+
+    def test_non_finite_report_value_is_a_typed_error(self):
+        with pytest.raises(sl.errors.NumericOverflowError):
+            cli._dumps({"value": float("inf")})
 
 
 class TestUsageErrors:
@@ -319,3 +411,30 @@ class TestUsageErrors:
             "verify": ["--output", "--seed", "--spec", "--trials"],
         }
         assert sum(map(len, flags.values())) == 42
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_reused_parser_gives_the_bytes_of_fresh_processes(self, capsys):
+        sequence = [
+            ["rank", "--seed", "-1"],
+            ["classify", "--spec", '{"block_sizes": [2, 1]}'],
+            ["no-such-command"],
+            ["verify", "--spec", '{"block_sizes": [2]}', "--trials", "2"],
+        ]
+        reused = []
+        for argv in sequence:
+            code = run(argv)
+            reused.append((code, capsys.readouterr().out))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        ))
+        fresh = []
+        for argv in sequence:
+            proc = subprocess.run(
+                [sys.executable, "-m", "soclelab.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            fresh.append((proc.returncode, proc.stdout))
+        assert reused == fresh

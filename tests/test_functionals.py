@@ -11,6 +11,7 @@ import soclelab.sampling as sampling
 from soclelab import jsonio
 from soclelab.errors import (
     NoCounterexampleError,
+    NumericOverflowError,
     SVDConvergenceError,
     TheoremViolationError,
 )
@@ -84,11 +85,10 @@ class TestTracial:
             assert len(calls) == 1
 
     def test_svd_failure_is_typed(self, m2):
-        # the mean diagonal weight overflows to inf, so the deviation
-        # from it is NaN
+        # the mean diagonal weight is summed as diagonal / n, so it no
+        # longer overflows into a NaN deviation
         f = Functional(m2, [[[1e308, 1e308], [-1e308, 1e308]]])
-        with np.errstate(all="ignore"), pytest.raises(SVDConvergenceError):
-            sl.is_tracial(f)
+        assert not sl.is_tracial(f)
         g = Functional(m2, (np.full((2, 2), np.nan, dtype=complex),), _checked=True)
         with pytest.raises(SVDConvergenceError):
             g.weight_scale()
@@ -102,6 +102,29 @@ def test_tracial_contradiction_raises(m2, monkeypatch):
         functionals, "_scalar_deviations", lambda f: (np.zeros(1, dtype=complex), 0.0)
     )
     with pytest.raises(TheoremViolationError):
+        sl.is_tracial(f)
+
+
+@pytest.mark.parametrize("size", [1.0, 1e308])
+def test_tracial_contradiction_is_found_at_any_scale(m2, monkeypatch, size):
+    # the spot check reads the weights divided by their scale, so products
+    # of huge weights cannot overflow into a NaN gap that passes
+    shape = np.array([[1.0, 1.0], [1.0, -1.0]])
+    f = Functional(m2, [size * shape])
+    monkeypatch.setattr(
+        functionals, "_scalar_deviations", lambda f: (np.zeros(1, dtype=complex), 0.0)
+    )
+    with np.errstate(all="ignore"), pytest.raises(TheoremViolationError) as info:
+        sl.is_tracial(f)
+    a, b = info.value.witness
+    g = Functional(m2, [shape])
+    assert abs(sl.evaluate(g, a @ b) - sl.evaluate(g, b @ a)) > 1e-5
+
+
+def test_weight_norm_overflow_is_typed(m2):
+    # every entry is finite, the operator norm 3.4e308 is not
+    f = Functional(m2, [np.full((2, 2), 1.7e308)])
+    with pytest.raises(NumericOverflowError, match="weight operator norm"):
         sl.is_tracial(f)
 
 
@@ -502,23 +525,23 @@ class TestCharacterizeOnePass:
             monkeypatch.setattr(owner, name, wrapper)
 
         counted(Functional, "weight_scale")
-        for name in ("_scalar_deviations", "_square_zero_values", "random_element"):
+        for name in ("_scalar_deviations", "_square_zero_values", "random_element_stack"):
             counted(functionals, name)
         sl.characterize(f)
         assert calls.count("weight_scale") == 1
         assert calls.count("_scalar_deviations") == 1
         assert calls.count("_square_zero_values") == 1
-        # the tracial spot check draws 4 pairs, once
-        assert calls.count("random_element") == (8 if kind == "trace" else 0)
+        # the tracial spot check draws its 4 pairs as one stack, once
+        assert calls.count("random_element_stack") == (1 if kind == "trace" else 0)
 
     def test_spot_check_reads_the_seed(self, spec23, monkeypatch):
-        seeds = []
+        keys = []
         real = functionals.rng_for
-        monkeypatch.setattr(functionals, "rng_for", lambda s: seeds.append(s) or real(s))
+        monkeypatch.setattr(functionals, "rng_for", lambda *k: keys.append(k) or real(*k))
         f = sl.trace_functional(spec23)
         sl.characterize(f, seed=29)
         sl.is_tracial(f)
-        assert seeds == [29, 0]
+        assert keys == [(29, sampling.SPOT_CHECK), (0, sampling.SPOT_CHECK)]
 
 
 def reference_unitaries(n):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import soclelab as sl
 from soclelab.errors import RankCertificationError
 from soclelab.sampling import (
+    PROBE,
     complex_gaussian,
     random_element,
     random_invertible,
@@ -118,8 +119,9 @@ def reference_probe_counts(a, probes, seed):
     """Probe counts and first best probe, drawing and counting one probe at a time."""
     counts = []
     best = None
+    rng = rng_for(seed, PROBE)
     for i in range(probes):
-        x = random_element(a.spec, rng_for(seed, i))
+        x = random_element(a.spec, rng)
         counts.append(sl.nonzero_spectrum_count(x @ a))
         if counts[-1] > max(counts[:-1], default=-1):
             best = x

@@ -21,6 +21,7 @@ from soclelab.riesz import (
     _match_target,
 )
 from soclelab.sampling import (
+    MULTIPLICITY_PROBE,
     complex_gaussian,
     random_element,
     random_low_rank_element,
@@ -181,8 +182,9 @@ def _reference_multiplicity(a, target, probes, seed, nodes):
     rank_a = sl.classical_rank(a)
     one = sl.identity(a.spec)
     counts = []
+    rng = rng_for(seed, MULTIPLICITY_PROBE)
     for i in range(probes):
-        g = random_element(a.spec, rng_for(seed, i))
+        g = random_element(a.spec, rng)
         g = (1.0 / sl.operator_norm(g)) * g
         x = one + DEFAULT_EPS * g
         srep = sl.spectrum(x @ a)
