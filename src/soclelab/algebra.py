@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     EigensolverError,
     NonFiniteEntryError,
+    NotIdempotentError,
     ShapeMismatchError,
     SVDConvergenceError,
     SingularResolventError,
@@ -239,10 +240,6 @@ class SpectrumReport:
         return np.array([v for v, _ in self.points], dtype=complex)
 
     @property
-    def multiplicities(self) -> np.ndarray:
-        return np.array([m for _, m in self.points], dtype=int)
-
-    @property
     def total_multiplicity(self) -> int:
         return int(sum(m for _, m in self.points))
 
@@ -382,10 +379,6 @@ def resolvent(a: Element, z: complex, floor: float = RESOLVENT_FLOOR) -> Element
     k = int(np.argmin(dist))
     if dist[k] < floor * scale_:
         raise SingularResolventError(z, complex(vals[k]), float(dist[k]))
-    return _resolvent_unchecked(a, z)
-
-
-def _resolvent_unchecked(a: Element, z: complex) -> Element:
     blocks = tuple(
         np.linalg.solve(z * np.eye(n, dtype=complex) - b, np.eye(n, dtype=complex))
         for b, n in zip(a.blocks, a.spec.block_sizes)
@@ -393,27 +386,45 @@ def _resolvent_unchecked(a: Element, z: complex) -> Element:
     return Element(a.spec, blocks, _checked=True)
 
 
-def classical_rank(a: Element, tol: float = RANK_TOL) -> int:
-    """SVD rank oracle, relative cutoff per block.
+def block_ranks(a: Element, tol: float = RANK_TOL) -> list[int]:
+    """The rank rule: the SVD rank of each block, relative cutoff per block.
 
-    Counts singular values above ``tol`` times the block's largest
-    singular value. A block whose largest singular value sits below
-    ``tol`` times the element-wide scale is a zero block (reference 1,
-    so nothing counts); without that, roundoff residue in an otherwise
-    zero block would be scored against its own noise level.
+    A block counts its singular values above ``tol`` times its own
+    largest one. A block whose largest singular value sits at or below
+    ``tol`` times the element-wide scale max(largest top, 1) is a zero
+    block, of rank 0; without that, roundoff residue in an otherwise
+    zero block would be scored against its own noise level. Every rank
+    and block-support decision in the package reads this rule.
     """
     if tol <= 0:
         raise ValueError("rank tolerance must be positive")
     svals = _blockwise(
         lambda b: np.linalg.svd(b, compute_uv=False), a.blocks, SVDConvergenceError
     )
-    tops = [s[0] if len(s) else 0.0 for s in svals]
+    tops = [s[0] for s in svals]
     floor = tol * max(max(tops), 1.0)
-    total = 0
-    for s, top in zip(svals, tops):
-        if top > floor:
-            total += int(np.sum(s > tol * top))
-    return total
+    return [
+        int(np.sum(s > tol * top)) if top > floor else 0
+        for s, top in zip(svals, tops)
+    ]
+
+
+def classical_rank(a: Element, tol: float = RANK_TOL) -> int:
+    """SVD rank oracle: the sum of the :func:`block_ranks`."""
+    return sum(block_ranks(a, tol))
+
+
+def corner_ranks(p: Element) -> list[int]:
+    """The :func:`block_ranks` of an idempotent p.
+
+    The corner p*A*p is the block algebra of M_{r_i} over the blocks
+    with rank r_i > 0. Raises when ||p^2 - p|| exceeds
+    ``IDEMPOTENCY_TOL``.
+    """
+    defect = operator_norm(p @ p - p)
+    if defect > IDEMPOTENCY_TOL:
+        raise NotIdempotentError(float(defect), IDEMPOTENCY_TOL)
+    return block_ranks(p)
 
 
 def classical_trace(a: Element) -> complex:

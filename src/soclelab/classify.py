@@ -25,19 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (
-    IDEMPOTENCY_TOL,
-    AlgebraSpec,
-    Element,
-    matrix_unit,
-    operator_norm,
-    zero,
-)
-from .errors import (
-    NoCounterexampleError,
-    NotIdempotentError,
-    TheoremViolationError,
-)
+from .algebra import AlgebraSpec, Element, block_ranks, corner_ranks, matrix_unit, zero
+from .errors import NoCounterexampleError, TheoremViolationError
 from .functionals import (
     CharacterizationReport,
     Functional,
@@ -121,28 +110,22 @@ def is_socle_minimal_ideal(spec: AlgebraSpec, seed: int = 0) -> bool:
 
 
 def block_support(p: Element) -> frozenset[int]:
-    """Indices of blocks where the element is (numerically) nonzero."""
-    out = set()
-    scale = max(1.0, operator_norm(p))
-    for i, b in enumerate(p.blocks):
-        if np.max(np.abs(b)) > 1e-12 * scale:
-            out.add(i)
-    return frozenset(out)
+    """Indices of the blocks of nonzero rank under the one rank rule
+    (:func:`~soclelab.algebra.block_ranks`), so a block of roundoff
+    residue is not in the support."""
+    return frozenset(i for i, r in enumerate(block_ranks(p)) if r)
 
 
 def pAp_block_check(spec: AlgebraSpec, p: Element) -> bool:
     """Whether the corner p A p is a single full matrix block.
 
-    Equivalent to the projection being supported on exactly one block;
-    a corner split across blocks contains rank-one subprojections p',
-    q' with p' x q' = 0 for every x (see
-    :func:`annihilating_pair_witness`). The zero projection gives the
-    zero corner and counts as a (trivial) single block.
+    Equivalent to the projection having nonzero rank on at most one
+    block (:func:`~soclelab.algebra.corner_ranks`); a corner split across
+    blocks contains rank-one subprojections p', q' with p' x q' = 0 for
+    every x (see :func:`annihilating_pair_witness`). The zero projection
+    gives the zero corner and counts as a (trivial) single block.
     """
-    defect = operator_norm(p @ p - p)
-    if defect > IDEMPOTENCY_TOL:
-        raise NotIdempotentError(float(defect), IDEMPOTENCY_TOL)
-    return len(block_support(p)) <= 1
+    return sum(r > 0 for r in corner_ranks(p)) <= 1
 
 
 def rank_one_subprojections(p: Element, tol: float = 0.5) -> list[Element]:
@@ -169,20 +152,21 @@ def annihilating_pair_witness(
 ) -> tuple[Element, Element] | None:
     """Rank-one subprojections p', q' of p with p' x q' = 0 for all x.
 
-    Exists exactly when p is supported on at least two blocks; the
-    witness pair is re-verifiable by scanning x over the matrix units.
+    Exists exactly when p is supported on at least two blocks
+    (:func:`block_support`). Each rank-one subprojection lies in one
+    block, so the pair is the first subprojection of each of the first
+    two supported blocks; it is re-verifiable by scanning x over the
+    matrix units. None also when a supported block has no eigenvalue
+    near 1, that is, when p is not an idempotent there.
     """
+    blocks = sorted(block_support(p))[:2]
+    if len(blocks) < 2:
+        return None
     subs = rank_one_subprojections(p)
-    for ii in range(len(subs)):
-        for jj in range(len(subs)):
-            if ii == jj:
-                continue
-            a, b = subs[ii], subs[jj]
-            sup_a = block_support(a)
-            sup_b = block_support(b)
-            if sup_a and sup_b and not (sup_a & sup_b):
-                return a, b
-    return None
+    pair = [next((q for q in subs if np.any(q.blocks[i])), None) for i in blocks]
+    if pair[0] is None or pair[1] is None:
+        return None
+    return pair[0], pair[1]
 
 
 @dataclass(frozen=True)

@@ -256,7 +256,8 @@ def _bound(f: Functional, tracial: bool, alphas, values) -> SpectralBoundResult:
     """The bound constant from the block scalars ``alphas`` of a tracial f,
     else the square-zero element with the first largest |value|."""
     if tracial:
-        c = float(sum(abs(a) * n for a, n in zip(alphas, f.spec.block_sizes)))
+        with np.errstate(over="ignore"):  # an infinite c raises just below
+            c = float(sum(abs(a) * n for a, n in zip(alphas, f.spec.block_sizes)))
         _finite(c, "spectral bound constant sum |alpha_i| n_i")
         return SpectralBoundResult(constant=c, witness=None, witness_value=None)
     magnitudes = np.hypot(values.real, values.imag)

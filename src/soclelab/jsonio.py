@@ -30,8 +30,9 @@ def complex_from_json(data) -> complex:
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    # a complex entry is an (re, im) pair of doubles: view it, copy nothing
+    m = np.ascontiguousarray(m, dtype=complex)
+    return m.view(float).reshape(*m.shape, 2).tolist()
 
 
 def matrix_from_json(data) -> np.ndarray:
@@ -46,7 +47,7 @@ def matrix_from_json(data) -> np.ndarray:
 
 
 def vector_to_json(v: np.ndarray) -> list:
-    return [complex_to_json(z) for z in np.asarray(v, dtype=complex)]
+    return matrix_to_json(v)
 
 
 def vector_from_json(data) -> np.ndarray:
@@ -264,7 +265,7 @@ def verification_report_to_json(rep) -> dict:
         "socle_is_minimal_ideal": rep.socle_is_minimal_ideal,
         "functional_count": rep.functional_count,
         "verdicts": {
-            name: {"claim": v.claim, "holds": v.holds, "details": _plain(v.details)}
+            name: {"claim": v.claim, "holds": v.holds, "details": v.details}
             for name, v in rep.verdicts.items()
         },
         "counterexample": (
@@ -276,18 +277,3 @@ def verification_report_to_json(rep) -> dict:
             }
         ),
     }
-
-
-def _plain(value):
-    """Recursively convert numpy scalars/containers to JSON-safe types."""
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, (np.complexfloating, complex)):
-        return complex_to_json(complex(value))
-    if isinstance(value, np.bool_):
-        return bool(value)
-    return value

@@ -19,14 +19,13 @@ import numpy as np
 
 from .algebra import (
     CLUSTER_TOL,
-    IDEMPOTENCY_TOL,
-    RANK_TOL,
     RESOLVENT_FLOOR,
     AlgebraSpec,
     Element,
     SpectrumReport,
     classical_rank,
     classical_trace,
+    corner_ranks,
     identity,
     operator_norm,
     spectrum,
@@ -34,7 +33,6 @@ from .algebra import (
 from .errors import (
     ContourCollapseError,
     MultiplicityInconsistencyError,
-    NotIdempotentError,
     NotMaximalError,
     ProbeExhaustionError,
     ShapeMismatchError,
@@ -178,17 +176,20 @@ def riesz_projection(
     )
 
 
-def _multiplicities(a: Element, rep: SpectrumReport, centers, probes, seed, tol, nodes):
+def _multiplicities(
+    a: Element, rep: SpectrumReport, rank: int, centers, probes, seed, tol, nodes
+):
     """Multiplicity at each of ``centers``, certified by two routes.
 
     Route A perturbs the identity by ``DEFAULT_EPS`` times a normalized
-    Gaussian element, keeps the probes that preserve the nonzero-spectrum
-    count (rank), and counts the distinct spectral values of each product
-    within one third of the local gap of the center; all counts must
-    agree. The probes do not depend on the center, so they are drawn
+    Gaussian element, keeps the probes whose nonzero-spectrum count is
+    the oracle ``rank`` of ``a``, and counts the distinct spectral values
+    of each product within one third of the local gap of the center; all
+    counts must agree. The probes do not depend on the center, so they are drawn
     once, as one stack from ``rng_for(seed, MULTIPLICITY_PROBE)``, after
     the first gap check passes. For nonzero centers, Route B
-    is the rank of the Riesz projection; the routes share only ``rep``.
+    is the rank of the Riesz projection; the routes share only ``rep``
+    and ``rank``.
     """
     if centers and probes < 1:
         raise ValueError("need at least one probe")
@@ -200,7 +201,6 @@ def _multiplicities(a: Element, rep: SpectrumReport, centers, probes, seed, tol,
         if gap < floor:
             raise SpectralGapError(center, gap, floor)
         if admitted is None:
-            rank_a = classical_rank(a)
             one = identity(a.spec)
             admitted = []
             gs = random_element_stack(a.spec, rng_for(seed, MULTIPLICITY_PROBE), probes)
@@ -208,7 +208,7 @@ def _multiplicities(a: Element, rep: SpectrumReport, centers, probes, seed, tol,
                 g = Element(a.spec, tuple(x[i] for x in gs), _checked=True)
                 g = (1.0 / operator_norm(g)) * g
                 srep = spectrum((one + DEFAULT_EPS * g) @ a, tol)
-                if srep.num_nonzero == rank_a:  # else outside the rank-attaining set
+                if srep.num_nonzero == rank:  # else outside the rank-attaining set
                     admitted.append(srep)
             if not admitted:
                 raise ProbeExhaustionError(
@@ -243,7 +243,8 @@ def multiplicity(
         raise ValueError("need at least one probe")
     rep = spectrum(a, tol)
     center = _match_target(rep, target)
-    return _multiplicities(a, rep, [center], probes, seed, tol, nodes)[0]
+    rank = classical_rank(a)
+    return _multiplicities(a, rep, rank, [center], probes, seed, tol, nodes)[0]
 
 
 def spectral_trace(
@@ -261,25 +262,48 @@ def spectral_trace(
     diagonal-sum oracle to relative tolerance ``TRACE_CERT_TOL``.
     """
     rep = spectrum(a, tol)
+    return _spectral_trace(
+        a, rep, classical_rank(a), classical_trace(a), probes, seed, tol, nodes
+    )
+
+
+def _spectral_trace(a, rep, rank, oracle, probes, seed, tol, nodes) -> complex:
+    """:func:`spectral_trace` on the clustered spectrum ``rep``, the oracle
+    rank and the diagonal-sum ``oracle`` of ``a``, computed once by the
+    caller."""
     values = [v for v, _ in rep.points if v != 0]
     total = 0j
-    for v, m in zip(values, _multiplicities(a, rep, values, probes, seed, tol, nodes)):
+    mults = _multiplicities(a, rep, rank, values, probes, seed, tol, nodes)
+    for v, m in zip(values, mults):
         total += v * m
-    oracle = classical_trace(a)
     if abs(total - oracle) > TRACE_CERT_TOL * max(1.0, abs(oracle)):
         raise TraceCertificationError(total, oracle)
     return total
+
+
+def _spectral_pass(x: Element | None, tol: float, seed: int):
+    """Spectrum, oracle rank, diagonal trace and certified spectral trace
+    of x, each computed once; x = None is the empty corner."""
+    if x is None:
+        return SpectrumReport((), 0.0, False), 0, 0j, 0j
+    rep = spectrum(x, tol)
+    rank = classical_rank(x)
+    oracle = classical_trace(x)
+    trace = _spectral_trace(
+        x, rep, rank, oracle, MULTIPLICITY_PROBES, seed, tol, DEFAULT_NODES
+    )
+    return rep, rank, oracle, trace
 
 
 def trace_bound_check(a: Element, seed: int = 0, tol: float = CLUSTER_TOL) -> bool:
     """|trace| <= rank * spectral radius, within ``TRACE_CERT_TOL``.
 
     The spectral trace is only certified to that relative tolerance, so
-    the bound cannot be checked more tightly.
+    the bound cannot be checked more tightly. One spectrum and one
+    oracle rank serve both the trace and the bound.
     """
-    rep = spectrum(a, tol)
-    tr = spectral_trace(a, seed=seed, tol=tol)
-    bound = classical_rank(a) * rep.radius
+    rep, rank, _, tr = _spectral_pass(a, tol, seed)
+    bound = rank * rep.radius
     return abs(tr) <= bound + TRACE_CERT_TOL * max(1.0, bound)
 
 
@@ -318,7 +342,9 @@ class CompressionReport:
 
     The corner p*A*p of a projection p is itself a block algebra on the
     ranges of the blocks of p; its nonzero spectra, ranks, and traces
-    must match the ambient computations applied to p*a*p.
+    must match the ambient computations applied to p*a*p. The empty
+    corner (p = 0) has ``subalgebra`` and ``compressed`` None, rank 0,
+    trace 0 and no spectral values.
     """
 
     subalgebra: AlgebraSpec | None
@@ -344,27 +370,26 @@ class CompressionReport:
 def compress_to_corner(a: Element, p: Element):
     """Matrix of p*a*p on orthonormal bases of the block ranges of p.
 
-    Returns (subalgebra spec, compressed element); both are None when
-    p = 0. Raises when p is not idempotent within tolerance.
+    Block i of p contributes its first r_i left singular vectors, r_i
+    its rank under the one rank rule (:func:`~soclelab.algebra.corner_ranks`),
+    so the subalgebra is the sum of M_{r_i} over r_i > 0 and a roundoff
+    block of p adds nothing. Returns (subalgebra spec, compressed
+    element); both are None when every r_i is 0. Raises when p is not
+    idempotent within tolerance.
     """
-    defect = operator_norm(p @ p - p)
-    if defect > IDEMPOTENCY_TOL:
-        raise NotIdempotentError(float(defect), IDEMPOTENCY_TOL)
-    pap = p @ a @ p
-    sizes = []
+    return _compress(p, p @ a @ p)
+
+
+def _compress(p: Element, pap: Element):
+    """:func:`compress_to_corner` with p*a*p given."""
     mats = []
-    for pb, mb in zip(p.blocks, pap.blocks):
-        u, s, _ = np.linalg.svd(pb)
-        top = s[0] if len(s) and s[0] > 0 else 1.0
-        r = int(np.sum(s > RANK_TOL * top))
-        if r == 0:
-            continue
-        q = u[:, :r]
-        sizes.append(r)
-        mats.append(q.conj().T @ mb @ q)
-    if not sizes:
+    for pb, mb, r in zip(p.blocks, pap.blocks, corner_ranks(p)):
+        if r:
+            q = np.linalg.svd(pb)[0][:, :r]
+            mats.append(q.conj().T @ mb @ q)
+    if not mats:
         return None, None
-    sub = AlgebraSpec(tuple(sizes))
+    sub = AlgebraSpec(tuple(m.shape[0] for m in mats))
     return sub, Element(sub, tuple(mats), _checked=True)
 
 
@@ -394,32 +419,19 @@ def pAp_consistency(
     tol: float = CLUSTER_TOL,
     seed: int = 0,
 ) -> CompressionReport:
-    """Certify that corner and ambient computations agree on p*a*p."""
-    sub, compressed = compress_to_corner(a, p)
+    """Certify that corner and ambient computations agree on p*a*p.
+
+    p*a*p is formed once. It and its corner matrix
+    (:func:`compress_to_corner`) each get one spectrum, one oracle rank
+    and one diagonal trace, which their spectral traces reuse. Traces
+    must agree to ``TRACE_CERT_TOL`` relative to max(1, |ambient
+    trace|), also for the empty corner.
+    """
     pap = p @ a @ p
-    rank_ambient = classical_rank(pap)
-    tr_ambient = classical_trace(pap)
-    s_ambient = spectral_trace(pap, seed=seed, tol=tol)
-    if compressed is None:
-        zero_like = 0j
-        return CompressionReport(
-            subalgebra=None,
-            compressed=None,
-            nonzero_spectra_match=True,
-            rank_ambient=rank_ambient,
-            rank_compressed=0,
-            classical_trace_ambient=tr_ambient,
-            classical_trace_compressed=zero_like,
-            spectral_trace_ambient=s_ambient,
-            spectral_trace_compressed=zero_like,
-            trace_match=abs(tr_ambient) <= TRACE_CERT_TOL,
-        )
-    rep_ambient = spectrum(pap, tol)
-    rep_corner = spectrum(compressed, tol)
+    sub, compressed = _compress(p, pap)
+    rep_ambient, rank_ambient, tr_ambient, s_ambient = _spectral_pass(pap, tol, seed)
+    rep_corner, rank_corner, tr_corner, s_corner = _spectral_pass(compressed, tol, seed)
     match_tol = max(rep_ambient.cluster_tolerance, rep_corner.cluster_tolerance)
-    rank_compressed = classical_rank(compressed)
-    tr_corner = classical_trace(compressed)
-    s_corner = spectral_trace(compressed, seed=seed, tol=tol)
     scale = max(1.0, abs(tr_ambient))
     trace_match = (
         abs(tr_ambient - tr_corner) <= TRACE_CERT_TOL * scale
@@ -432,7 +444,7 @@ def pAp_consistency(
             rep_ambient, rep_corner, match_tol
         ),
         rank_ambient=rank_ambient,
-        rank_compressed=rank_compressed,
+        rank_compressed=rank_corner,
         classical_trace_ambient=tr_ambient,
         classical_trace_compressed=tr_corner,
         spectral_trace_ambient=s_ambient,

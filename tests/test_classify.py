@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 import soclelab as sl
 from soclelab.classify import block_support
 from soclelab.errors import NotIdempotentError, TheoremViolationError
-from soclelab.sampling import random_element, random_projection, rng_for
+from soclelab.sampling import (
+    random_element,
+    random_maximal_element,
+    random_projection,
+    rng_for,
+)
 
 
 class TestGeneratedIdeal:
@@ -179,6 +184,32 @@ class TestCornerBlockCheck:
         p = sl.matrix_unit(spec, 0, 0, 0) + sl.matrix_unit(spec, 0, 1, 1)
         assert sl.annihilating_pair_witness(spec, p) is None
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+        mask=st.integers(1, 2**12 - 1),
+    )
+    def test_riesz_corners_read_the_rank_rule(self, sizes, seed, mask):
+        # Riesz projections of a maximal element onto a subset of its
+        # spectral values: block i of the corner is M_r, r the number of
+        # eigenvalues of block i in the subset, whatever roundoff the
+        # contour leaves in the other blocks
+        spec = sl.AlgebraSpec(tuple(sizes))
+        a = random_maximal_element(spec, rng_for(seed))
+        values = sl.spectrum(a).values
+        targets = [v for j, v in enumerate(values) if mask >> j & 1] or [values[0]]
+        p = sl.riesz_projection(a, targets).projection
+        expected = [
+            sum(min(abs(e - t) for t in targets) < 0.05 for e in np.linalg.eigvals(b))
+            for b in a.blocks
+        ]
+        sub, _ = sl.compress_to_corner(a, p)
+        assert sub.block_sizes == tuple(r for r in expected if r)
+        assert sum(sub.block_sizes) == sl.classical_rank(p)
+        assert block_support(p) == {i for i, r in enumerate(expected) if r}
+        assert sl.pAp_block_check(spec, p) == (len(sub.block_sizes) <= 1)
+
     def test_sampled_projections_agree_with_support(self, spec22):
         for i in range(10):
             p = random_projection(spec22, rng_for(179, i))
@@ -206,6 +237,12 @@ class TestVerifyTheorems:
     def test_scalar_block_recovers_alpha(self):
         rep = sl.verify_theorems(sl.AlgebraSpec((1,)), trials=10, seed=3)
         assert rep.verdicts["nilpotent_vanishing"].details["alpha_max_error"] <= 1e-8
+
+    @pytest.mark.parametrize("sizes", [(1,), (2, 3)])
+    def test_details_are_plain_json_values(self, sizes):
+        rep = sl.verify_theorems(sl.AlgebraSpec(sizes), trials=5, seed=17)
+        for verdict in rep.verdicts.values():
+            assert all(type(v) in (bool, int, float) for v in verdict.details.values())
 
     def test_structural_triple_agreement(self):
         for sizes in [(1,), (3,), (2, 2), (2, 3), (1, 1, 4)]:

@@ -30,6 +30,18 @@ def write_input(tmp_path, payload, name="input.json"):
     return str(path)
 
 
+def run_fresh(argv):
+    """The CLI run in a fresh interpreter, on this checkout's sources."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    ))
+    return subprocess.run(
+        [sys.executable, "-m", "soclelab.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 DIAG_1_2 = [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]
 
 
@@ -293,6 +305,13 @@ class TestOverflow:
         assert error["type"] == "NumericOverflowError"
         assert quantity in error["message"] and "overflows" in error["message"]
 
+    def test_overflowed_bound_constant_writes_no_warning(self, tmp_path):
+        path = write_input(tmp_path, scalar_weights(1e308, 3))
+        proc = run_fresh(["check-functional", "--input", path])
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["error"]["type"] == "NumericOverflowError"
+
     def test_overflowed_spectrum_is_a_json_error(self, tmp_path, capsys):
         # clustering diag(1e308, 1e308) overflows its centroid to inf
         diag = [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]
@@ -426,15 +445,8 @@ class TestUsageErrors:
         for argv in sequence:
             code = run(argv)
             reused.append((code, capsys.readouterr().out))
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-        ))
         fresh = []
         for argv in sequence:
-            proc = subprocess.run(
-                [sys.executable, "-m", "soclelab.cli", *argv],
-                env=env, capture_output=True, text=True, timeout=120,
-            )
+            proc = run_fresh(argv)
             fresh.append((proc.returncode, proc.stdout))
         assert reused == fresh

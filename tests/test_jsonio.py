@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import soclelab as sl
 from soclelab import jsonio
@@ -74,3 +77,36 @@ class TestReportSerialization:
         payload = jsonio.riesz_report_to_json(rep)
         json.dumps(payload)
         assert payload["multiplicity"] == 1
+
+
+def _reference_matrix_to_json(m):
+    """The per-entry encoder that ``matrix_to_json`` must reproduce."""
+    m = np.asarray(m, dtype=complex)
+    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+
+
+def _reference_vector_to_json(v):
+    return [jsonio.complex_to_json(z) for z in np.asarray(v, dtype=complex)]
+
+
+_SHAPES = st.tuples(st.integers(0, 5), st.integers(0, 5))
+_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308])
+
+
+class TestMatrixEncoder:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        re=arrays(float, _SHAPES, elements=_FLOATS),
+        data=st.data(),
+    )
+    def test_bytes_equal_the_per_entry_encoder(self, re, data):
+        im = data.draw(arrays(float, re.shape, elements=_FLOATS))
+        m = np.empty(re.shape, dtype=complex)
+        m.real, m.imag = re, im
+        for new, ref in [
+            (jsonio.matrix_to_json(m), _reference_matrix_to_json(m)),
+            (jsonio.matrix_to_json(m.T), _reference_matrix_to_json(m.T)),
+            (jsonio.vector_to_json(m.ravel()), _reference_vector_to_json(m.ravel())),
+        ]:
+            assert repr(new) == repr(ref)
+            assert json.dumps(new) == json.dumps(ref)

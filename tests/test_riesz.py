@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import soclelab as sl
+from soclelab import riesz
 from soclelab.errors import (
     MultiplicityInconsistencyError,
     NotIdempotentError,
@@ -27,6 +28,7 @@ from soclelab.sampling import (
     random_low_rank_element,
     random_maximal_element,
     random_nilpotent,
+    random_projection,
     rng_for,
 )
 
@@ -426,6 +428,35 @@ class TestCornerConsistency:
         rep = sl.pAp_consistency(a, sl.zero(spec23))
         assert rep.subalgebra is None
         assert rep.consistent
+
+    def test_roundoff_block_is_no_corner_block(self, spec23):
+        # the projection onto 1 carries ~1e-17 roundoff in its second
+        # block, which must not compress into a 3x3 corner block
+        a = sl.Element(spec23, [np.diag([1.0, 2.0]), np.diag([3.0, 4.0, 5.0])])
+        p = sl.riesz_projection(a, 1.0).projection
+        assert sl.compress_to_corner(a, p)[0].block_sizes == (1,)
+        rep = sl.pAp_consistency(a, p)
+        assert rep.subalgebra.block_sizes == (1,)
+        assert rep.consistent
+        assert rep.rank_ambient == rep.rank_compressed == 1
+
+    def test_one_spectrum_per_element(self, spec23, monkeypatch):
+        calls = []
+        real = riesz.spectrum
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(riesz, "spectrum", counted)
+        a = random_element(spec23, rng_for(73))
+        assert sl.trace_bound_check(a)
+        assert len(calls) == 1 + MULTIPLICITY_PROBES
+        for p in [sl.identity(spec23), random_projection(spec23, rng_for(107))]:
+            calls.clear()
+            assert sl.pAp_consistency(a, p).consistent
+            # p*a*p and its corner: one spectrum each, plus their probes
+            assert len(calls) == 2 + 2 * MULTIPLICITY_PROBES
 
     def test_non_idempotent_rejected(self, spec23):
         a = random_element(spec23, rng_for(103))
