@@ -262,7 +262,7 @@ _COMMANDS = {
 
 def _dumps(payload: dict) -> str:
     try:
-        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return jsonio.dumps(payload) + "\n"
     except ValueError:
         raise NumericOverflowError("a report value overflows the double range") from None
 

@@ -10,12 +10,14 @@ two rank-one operators, built from the defining vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import cmath
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .algebra import AlgebraSpec, Element, matrix_unit
-from .errors import DegenerateProjectionError, NotTracelessError, ShapeMismatchError
+from .errors import DegenerateProjectionError, NonFiniteEntryError, NotTracelessError
+from .errors import ShapeMismatchError
 
 TRACELESS_TOL = 1e-9
 CERTIFICATE_TOL = 1e-12
@@ -23,16 +25,11 @@ CERTIFICATE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class MatrixUnit:
-    """Symbolic e_(row,col) inside one block; materialized on demand."""
+    """Symbolic e_(row,col) inside one block; ``element`` embeds it."""
 
     block: int
     row: int
     col: int
-
-    def matrix(self, size: int) -> np.ndarray:
-        m = np.zeros((size, size), dtype=complex)
-        m[self.row, self.col] = 1.0
-        return m
 
     def element(self, spec: AlgebraSpec) -> Element:
         return matrix_unit(spec, self.block, self.row, self.col)
@@ -67,8 +64,10 @@ def commutator_decompose(
     and yields the empty certificate.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeMismatchError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+        raise ShapeMismatchError(f"expected a nonempty square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise NonFiniteEntryError("matrix has non-finite entries")
     n = m.shape[0]
     trace = complex(np.trace(m))
     scale = max(1.0, float(np.linalg.norm(m, "fro")))
@@ -76,12 +75,11 @@ def commutator_decompose(
         raise NotTracelessError(trace)
 
     terms: list[tuple[complex, MatrixUnit, MatrixUnit]] = []
-    for i in range(n):
-        for j in range(n):
-            if i != j and m[i, j] != 0:
-                terms.append(
-                    (complex(m[i, j]), MatrixUnit(block, i, i), MatrixUnit(block, i, j))
-                )
+    for i, row in enumerate(m.tolist()):
+        diagonal = MatrixUnit(block, i, i)
+        for j, entry in enumerate(row):
+            if i != j and entry != 0:
+                terms.append((entry, diagonal, MatrixUnit(block, i, j)))
     partial = 0j
     for i in range(n - 1):
         partial += m[i, i]
@@ -97,31 +95,48 @@ def commutator_decompose(
         target=m.copy(),
         reconstruction_defect=0.0,
     )
-    defect = verify_certificate(cert)
-    return CommutatorCertificate(
-        block=block,
-        block_size=n,
-        terms=cert.terms,
-        target=m.copy(),
-        reconstruction_defect=defect,
-    )
+    return replace(cert, reconstruction_defect=verify_certificate(cert))
 
 
 def verify_certificate(cert: CommutatorCertificate) -> float:
     """Largest entrywise deviation of the rebuilt sum from the target.
 
-    Rebuilds every commutator from the stored unit indices rather than
-    trusting anything recorded in the certificate.
+    Rebuilds the sum from the stored unit indices rather than trusting
+    anything recorded in the certificate, by the identity
+    [e_ab, e_cd] = δ_bc e_ad - δ_da e_cb: each term adds c at (a, d)
+    when b = c and subtracts it at (c, b) when d = a, in the stored
+    order. The zero commutator [e_aa, e_aa] adds nothing. Every entry
+    receives the same ±c in the same order as in a rebuild by matrix
+    products, so the defect is bit-identical to that rebuild's.
+
+    Raises ``NonFiniteEntryError`` for a non-finite coefficient or
+    target entry, and ``ShapeMismatchError`` for a target of the wrong
+    shape or a unit outside the certificate's block.
     """
     n = cert.block_size
-    acc = np.zeros((n, n), dtype=complex)
-    for c, left, right in cert.terms:
-        lm = left.matrix(n)
-        rm = right.matrix(n)
-        acc += c * (lm @ rm - rm @ lm)
-    if cert.target.shape != (n, n):
+    target = np.asarray(cert.target)
+    if n < 1 or target.shape != (n, n):
         raise ShapeMismatchError("certificate target has the wrong shape")
-    return float(np.max(np.abs(acc - cert.target)))
+    if not np.isfinite(target).all():
+        raise NonFiniteEntryError("certificate target has non-finite entries")
+    acc = [0j] * (n * n)
+    for coefficient, left, right in cert.terms:
+        for unit in (left, right):
+            if unit.block != cert.block or not (0 <= unit.row < n and 0 <= unit.col < n):
+                raise ShapeMismatchError(
+                    f"{unit} lies outside block {cert.block} of size {n}"
+                )
+        if not cmath.isfinite(coefficient):
+            raise NonFiniteEntryError(f"certificate coefficient {coefficient} is not finite")
+        a, b, c, d = left.row, left.col, right.row, right.col
+        if a == b == c == d:
+            continue
+        if b == c:
+            acc[a * n + d] += coefficient
+        if d == a:
+            acc[c * n + b] -= coefficient
+    rebuilt = np.array(acc, dtype=complex).reshape(n, n)
+    return float(np.max(np.abs(rebuilt - target)))
 
 
 @dataclass(frozen=True)
@@ -157,6 +172,8 @@ def rank_one_commutator(x, f, y, g) -> RankOnePair:
     g = np.asarray(g, dtype=complex).reshape(-1)
     if not (len(x) == len(f) == len(y) == len(g)):
         raise ShapeMismatchError("vectors and covectors must share one dimension")
+    if not all(np.isfinite(v).all() for v in (x, f, y, g)):
+        raise NonFiniteEntryError("vectors and covectors must have finite entries")
 
     fx = complex(f @ x)
     gy = complex(g @ y)

@@ -4,10 +4,14 @@ Complex numbers are always two-element ``[re, im]`` arrays, matrices
 are row-major nested lists of those pairs, never strings. Every
 encoder/decoder pair round-trips exactly (floats survive via repr).
 Report serializers for every dataclass the CLI can emit live at the
-bottom of the module.
+bottom of the module, after ``dumps``, which writes a report's text.
 """
 
 from __future__ import annotations
+
+import math
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -102,6 +106,110 @@ def functional_from_json(data, spec: AlgebraSpec | None = None):
     if spec is None:
         spec = AlgebraSpec(tuple(w.shape[0] for w in weights))
     return Functional(spec, weights)
+
+
+_INDENT = "  "
+
+
+def dumps(payload) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)``.
+
+    The same bytes, and the same exception where that call raises one,
+    for any payload without reference cycles. With an ``indent`` the
+    standard library falls back to its pure-Python encoder; here a
+    regular nested list of floats (a ``[re, im]`` pair, a matrix, a list
+    of matrices) is written by one ``%``-template built from its shape
+    and filled with ``float.__repr__``, and everything else by a walk
+    that follows ``json.encoder``'s rules.
+    """
+    return _encode(payload, 0)
+
+
+def _encode(o, level: int) -> str:
+    """The text of ``o`` with its opening line at indent ``level``."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        text = _float_block(o, level)
+        if text is None:
+            text = _join("[", [_encode(x, level + 1) for x in o], "]", level)
+        return text
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = [
+            encode_basestring_ascii(_key(k)) + ": " + _encode(v, level + 1)
+            for k, v in sorted(o.items())
+        ]
+        return _join("{", items, "}", level)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _join(opening: str, items: list[str], closing: str, level: int) -> str:
+    inner = "\n" + _INDENT * (level + 1)
+    return opening + inner + ("," + inner).join(items) + "\n" + _INDENT * level + closing
+
+
+def _float(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    raise ValueError("Out of range float values are not JSON compliant: " + repr(x))
+
+
+def _key(k) -> str:
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        return _float(k)
+    if k is True:
+        return "true"
+    if k is False:
+        return "false"
+    if k is None:
+        return "null"
+    if isinstance(k, int):
+        return int.__repr__(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _float_block(lst, level: int) -> str | None:
+    """The text of a regular nested list of floats, or None for any other list.
+
+    Regular: every list at one depth is a nonempty ``list`` of the same
+    length, and every leaf is a ``float`` (an int, a bool or a float
+    subclass among them sends the list down the generic walk).
+    """
+    if type(lst) is not list:
+        return None
+    shape = [len(lst)]
+    flat = lst
+    while type(flat[0]) is list:
+        size = len(flat[0])
+        if not size or set(map(type, flat)) != {list} or set(map(len, flat)) != {size}:
+            return None
+        shape.append(size)
+        flat = list(chain.from_iterable(flat))
+    if set(map(type, flat)) != {float}:
+        return None
+    if not math.isfinite(sum(flat)):
+        for x in flat:
+            _float(x)  # raises at the first non-finite leaf, as json.dumps does
+    text = "%s"
+    for depth in reversed(range(len(shape))):
+        text = _join("[", [text] * shape[depth], "]", level + depth)
+    return text % tuple(map(float.__repr__, flat))
 
 
 def spectrum_report_to_json(rep: SpectrumReport) -> dict:

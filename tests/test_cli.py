@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 import soclelab as sl
 from soclelab import cli, jsonio
 from soclelab.cli import run
-from soclelab.sampling import random_element, rng_for
+from soclelab.sampling import random_element, random_traceless_matrix, rng_for
+
+from conftest import single
 
 
 def invoke(capsys, *argv):
@@ -30,7 +32,7 @@ def write_input(tmp_path, payload, name="input.json"):
     return str(path)
 
 
-def run_fresh(argv):
+def run_fresh(argv, stdin=None):
     """The CLI run in a fresh interpreter, on this checkout's sources."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -38,7 +40,7 @@ def run_fresh(argv):
     ))
     return subprocess.run(
         [sys.executable, "-m", "soclelab.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=env, input=stdin, capture_output=True, text=True, timeout=120,
     )
 
 
@@ -280,6 +282,53 @@ def scalar_weights(alpha, n):
     return {"weights": [rows]}
 
 
+def _report_cases():
+    """(argv, input document or None) for each of the ten commands."""
+    rng = rng_for(229)
+    a = random_element(sl.AlgebraSpec((2, 3)), rng)
+    element = jsonio.element_to_json(a)
+    vectors = {k: jsonio.vector_to_json(rng.standard_normal(3) + 1j) for k in "xfyg"}
+    return {
+        "spectrum": (["spectrum"], element),
+        "rank": (["rank", "--probes", "8", "--seed", "3"], element),
+        "trace": (["trace", "--seed", "2"], element),
+        "riesz": (
+            ["riesz", "--nodes", "16"],
+            {"element": jsonio.element_to_json(single(np.diag([3.0, 1.0, 1.0]))),
+             "targets": [[1.0, 0.0]]},
+        ),
+        "diagonalize": (["diagonalize", "--probes", "8", "--nodes", "16"], element),
+        "commutator": (
+            ["commutator"],
+            {"matrix": jsonio.matrix_to_json(random_traceless_matrix(4, rng)), "block": 1},
+        ),
+        "rank-one-commutator": (["rank-one-commutator"], vectors),
+        "check-functional": (
+            ["check-functional", "--seed", "5"],
+            jsonio.functional_to_json(sl.random_functional(sl.AlgebraSpec((2, 2)), rng)),
+        ),
+        "classify": (["classify", "--spec", '{"block_sizes": [2, 1]}', "--seed", "4"], None),
+        "verify": (["verify", "--spec", '{"block_sizes": [2, 2]}', "--trials", "3"], None),
+    }
+
+
+class TestReportBytes:
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_report_is_the_json_dumps_reference(self, tmp_path, capsys, monkeypatch, command):
+        argv, document = _report_cases()[command]
+        if document is not None:
+            argv = argv + ["--input", write_input(tmp_path, document)]
+        payload = cli._COMMANDS[command][0](cli.build_parser().parse_args(argv))
+        expected = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a success report went through json.dumps")
+
+        monkeypatch.setattr(json, "dumps", refuse)
+        code = run(argv)
+        assert (code, capsys.readouterr().out) == (0, expected)
+
+
 class TestOverflow:
     @pytest.mark.parametrize(
         "document, quantity",
@@ -355,6 +404,23 @@ class TestOverflow:
         assert "Infinity" not in text and "NaN" not in text
         if code:
             assert (code, json.loads(text)["error"]["type"]) == (1, "NumericOverflowError")
+
+    @pytest.mark.parametrize(
+        "command, document",
+        [
+            ("commutator", '{"matrix": [[[NaN,0],[1,0]],[[0,0],[0,0]]]}'),
+            ("commutator", '{"matrix": [[[Infinity,0],[0,0]],[[0,0],[-Infinity,0]]]}'),
+            (
+                "rank-one-commutator",
+                '{"x": [[1,0]], "f": [[NaN,0]], "y": [[1,0]], "g": [[1,0]]}',
+            ),
+        ],
+    )
+    def test_non_finite_commutator_input_is_a_typed_error(self, command, document):
+        proc = run_fresh([command], stdin=document)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["error"]["type"] == "NonFiniteEntryError"
 
     def test_non_finite_report_value_is_a_typed_error(self):
         with pytest.raises(sl.errors.NumericOverflowError):

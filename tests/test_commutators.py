@@ -1,9 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import soclelab as sl
 from soclelab.commutators import CommutatorCertificate, MatrixUnit
-from soclelab.errors import DegenerateProjectionError, NotTracelessError
+from soclelab.errors import DegenerateProjectionError, NonFiniteEntryError
+from soclelab.errors import NotTracelessError, ShapeMismatchError
 from soclelab.sampling import random_element, random_traceless_matrix, rng_for
 
 from conftest import single
@@ -42,6 +47,19 @@ class TestDecomposition:
         with pytest.raises(NotTracelessError) as err:
             sl.commutator_decompose(np.eye(2))
         assert err.value.trace == pytest.approx(2.0)
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            [[np.nan]],
+            [[np.nan, 0.0], [1.0, 0.0]],
+            [[np.inf, 0.0], [0.0, -np.inf]],
+        ],
+    )
+    def test_non_finite_matrix_rejected(self, m):
+        # NaN and inf - inf slip through the traceless check unless refused first
+        with pytest.raises(NonFiniteEntryError):
+            sl.commutator_decompose(np.array(m))
 
     def test_zero_entries_skipped(self):
         m = np.zeros((3, 3), dtype=complex)
@@ -99,6 +117,49 @@ class TestVerification:
             comm = a @ b - b @ a
             assert abs(sl.spectral_trace(comm, seed=i)) <= 1e-8
 
+    def test_negative_index_is_rejected(self):
+        # e_(-1,-1) would wrap to e_11 and verify [[0,0],[1,0]] with defect 0
+        cert = CommutatorCertificate(
+            block=0,
+            block_size=2,
+            terms=((1.0, MatrixUnit(0, -1, -1), MatrixUnit(0, -1, 0)),),
+            target=np.array([[0, 0], [1, 0]], dtype=complex),
+            reconstruction_defect=0.0,
+        )
+        with pytest.raises(ShapeMismatchError):
+            sl.verify_certificate(cert)
+
+    def test_index_past_the_block_is_rejected(self):
+        cert = CommutatorCertificate(
+            block=0,
+            block_size=2,
+            terms=((1.0, MatrixUnit(0, 5, 0), MatrixUnit(0, 0, 1)),),
+            target=np.zeros((2, 2), dtype=complex),
+            reconstruction_defect=0.0,
+        )
+        with pytest.raises(ShapeMismatchError):
+            sl.verify_certificate(cert)
+
+    def test_unit_of_another_block_is_rejected(self):
+        cert = sl.commutator_decompose(np.diag([1.0, -1.0]), block=1)
+        c, left, right = cert.terms[0]
+        foreign = dataclasses.replace(cert, terms=((c, MatrixUnit(0, left.row, left.col), right),))
+        with pytest.raises(ShapeMismatchError):
+            sl.verify_certificate(foreign)
+
+    def test_non_finite_coefficient_is_rejected(self):
+        # a NaN defect would pass every "defect > tol" check
+        cert = sl.commutator_decompose(np.diag([1.0, -1.0]))
+        _, left, right = cert.terms[0]
+        bad = dataclasses.replace(cert, terms=((complex(np.nan, 0.0), left, right),))
+        with pytest.raises(NonFiniteEntryError):
+            sl.verify_certificate(bad)
+
+    def test_non_finite_target_is_rejected(self):
+        cert = sl.commutator_decompose(np.diag([1.0, -1.0]))
+        with pytest.raises(NonFiniteEntryError):
+            sl.verify_certificate(dataclasses.replace(cert, target=np.diag([np.inf, -1.0])))
+
     def test_unit_embedding(self, spec23):
         u = MatrixUnit(1, 0, 2)
         e = u.element(spec23)
@@ -140,3 +201,88 @@ class TestRankOnePair:
     def test_degenerate_pairing_rejected(self):
         with pytest.raises(DegenerateProjectionError):
             sl.rank_one_commutator([1, 0], [0, 1], [1, 0], [1, 0])
+
+    @pytest.mark.parametrize("which", range(4))
+    def test_non_finite_vector_rejected(self, which):
+        vectors = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]
+        vectors[which] = [np.nan, 1.0] if which % 2 else [np.inf, 0.0]
+        with pytest.raises(NonFiniteEntryError):
+            sl.rank_one_commutator(*vectors)
+
+
+def matmul_defect(cert):
+    """The defect rebuilt by unit-matrix products, the reference for
+    ``verify_certificate``'s rebuild by index."""
+    n = cert.block_size
+
+    def unit_matrix(unit):
+        m = np.zeros((n, n), dtype=complex)
+        m[unit.row, unit.col] = 1.0
+        return m
+
+    acc = np.zeros((n, n), dtype=complex)
+    for c, left, right in cert.terms:
+        lm = unit_matrix(left)
+        rm = unit_matrix(right)
+        acc += c * (lm @ rm - rm @ lm)
+    return float(np.max(np.abs(acc - cert.target)))
+
+
+_ENTRIES = st.sampled_from([0.0, -0.0]) | st.floats(-1e6, 1e6)
+_COEFFICIENTS = st.complex_numbers(max_magnitude=1e300) | st.sampled_from(
+    [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 5e-324 + 0j]
+)
+
+
+@st.composite
+def decomposed_certificates(draw):
+    """Certificates of traceless matrices rich in 0.0 and -0.0 entries."""
+    n = draw(st.integers(1, 6))
+    m = np.array(
+        draw(st.lists(_ENTRIES, min_size=2 * n * n, max_size=2 * n * n)), dtype=float
+    ).view(complex).reshape(n, n)
+    m[-1, -1] = -np.trace(m[:-1, :-1])
+    return sl.commutator_decompose(m, block=draw(st.integers(0, 3)))
+
+
+@st.composite
+def hand_built_certificates(draw):
+    """Arbitrary in-range unit pairs, with [e_ab, e_ba] and [e_aa, e_aa] among them."""
+    n = draw(st.integers(1, 5))
+    index = st.integers(0, n - 1)
+    terms = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["any", "swap", "same"]))
+        a, b = draw(index), draw(index)
+        c, d = {"any": (draw(index), draw(index)), "swap": (b, a), "same": (a, a)}[kind]
+        if kind == "same":
+            b = a
+        terms.append((draw(_COEFFICIENTS), MatrixUnit(2, a, b), MatrixUnit(2, c, d)))
+    target = np.array(
+        draw(st.lists(_ENTRIES, min_size=2 * n * n, max_size=2 * n * n)), dtype=float
+    ).view(complex).reshape(n, n)
+    return CommutatorCertificate(
+        block=2, block_size=n, terms=tuple(terms), target=target, reconstruction_defect=0.0
+    )
+
+
+@st.composite
+def perturbed_certificates(draw):
+    """Decomposed certificates whose coefficients are then moved."""
+    cert = draw(decomposed_certificates())
+    terms = tuple(
+        (c + draw(_COEFFICIENTS) if draw(st.booleans()) else c, left, right)
+        for c, left, right in cert.terms
+    )
+    return dataclasses.replace(cert, terms=terms)
+
+
+class TestRebuildByIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cert=decomposed_certificates() | hand_built_certificates() | perturbed_certificates()
+    )
+    def test_defect_equals_the_matmul_rebuild(self, cert):
+        with np.errstate(all="ignore"):
+            expected = matmul_defect(cert)
+        assert repr(sl.verify_certificate(cert)) == repr(expected)

@@ -110,3 +110,108 @@ class TestMatrixEncoder:
         ]:
             assert repr(new) == repr(ref)
             assert json.dumps(new) == json.dumps(ref)
+
+
+def reference_dumps(payload):
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+
+
+def outcome(encode, payload):
+    """The text, or the type and message of the exception raised."""
+    try:
+        return encode(payload)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_LEAF_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, 1e308, -1e308, float("nan"), float("inf"), float("-inf")]
+)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.sampled_from([2**70, -(2**70)])
+    | _LEAF_FLOATS
+    | st.text()
+)
+
+
+def _nest(flat, shape):
+    """The row-major nested list of the given shape holding ``flat``."""
+    for size in reversed(shape[1:]):
+        flat = [flat[i : i + size] for i in range(0, len(flat), size)]
+    return flat
+
+
+@st.composite
+def float_arrays(draw):
+    """Regular nested float lists up to depth 5, some with one int or bool leaf."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    count = int(np.prod(shape))
+    flat = draw(st.lists(_LEAF_FLOATS, min_size=count, max_size=count))
+    if draw(st.booleans()):
+        flat[draw(st.integers(0, count - 1))] = draw(
+            st.sampled_from([0, 1, -(2**70), True, False])
+        )
+    return _nest(flat, shape)
+
+
+_TREES = st.recursive(
+    _SCALARS | float_arrays(),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=24,
+)
+
+
+class _Real(float):
+    def __repr__(self):
+        return "not used by json"
+
+
+class _Count(int):
+    def __repr__(self):
+        return "not used by json"
+
+
+class TestDumps:
+    @settings(max_examples=400, deadline=None)
+    @given(payload=_TREES)
+    def test_equals_json_dumps(self, payload):
+        assert outcome(jsonio.dumps, payload) == outcome(reference_dumps, payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [],
+            {},
+            [[]],
+            [[], [1.0]],
+            [[1.0, 2.0], [3.0]],
+            [[1.0], [2]],
+            [1.0, 1],
+            [True, 1.0],
+            [[1.0, 2.0], (3.0, 4.0)],
+            ([1.0, 2.0], [3.0, 4.0]),
+            [[1e308, 1e308], [1e308, 1e308]],
+            [[1.0, float("nan")], [float("inf"), 2.0]],
+            {"a": [1.0, float("-inf")], "b": object()},
+            {"b": object(), "a": [1.0, float("-inf")]},
+            [_Real(1.5), 2.5],
+            [_Count(3), np.float64(0.1)],
+            [np.int64(3)],
+            {"é\u0000 ": "\ud800\x7f"},
+            {1: "int", 2.5: "float"},
+            {True: 1, None: 2},
+            {float("nan"): 1},
+            {1: 1, "a": 2},
+            {(1, 2): 1},
+            "top",
+            -0.0,
+            None,
+        ],
+    )
+    def test_edge_cases_equal_json_dumps(self, payload):
+        assert outcome(jsonio.dumps, payload) == outcome(reference_dumps, payload)
