@@ -7,6 +7,11 @@ nonsymmetric eigensolver and then clustered, so multiple eigenvalues
 are reported once with a summed algebraic multiplicity; the full
 assembled matrix is never formed.
 
+Many elements at once (rank probes, perturbation probes) are solved as
+stacks, one ``eigvals`` call per block, and their spectra are clustered
+together: :func:`cluster_eigenvalues` is the one clustering loop, and it
+runs every row of a stack in lockstep.
+
 Classical linear-algebra quantities (SVD rank, diagonal-sum trace) are
 exposed as oracles against which the purely spectral computations in
 the rest of the package are certified.
@@ -204,6 +209,20 @@ def operator_norm(a: Element) -> float:
     return max(float(n) for n in norms)
 
 
+def stacked_operator_norms(stacks) -> np.ndarray:
+    """:func:`operator_norm` of each of p elements given as stacks.
+
+    Block i is a stack ``(p, n_i, n_i)``, solved by one stacked 2-norm
+    call; entry k of the result is the norm of the k-th element. A
+    solver failure names the block. (One element takes
+    :func:`operator_norm`, which is cheaper per call.)
+    """
+    norms = _blockwise(
+        lambda b: np.linalg.norm(b, 2, axis=(1, 2)), stacks, SVDConvergenceError
+    )
+    return np.max(norms, axis=0)
+
+
 def eigenvalues(a: Element) -> np.ndarray:
     """All eigenvalues with multiplicity, concatenated across blocks."""
     return block_eigenvalues(a.blocks)
@@ -267,58 +286,77 @@ class SpectrumReport:
 
 
 def cluster_eigenvalues(
-    values: np.ndarray, tol_abs: float
+    values: np.ndarray, tol_abs: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Agglomerate eigenvalues until all centers are > tol_abs apart.
+    """Agglomerate each row of eigenvalues until its centers are more
+    than the row's merge radius apart.
 
-    Repeatedly merges the closest pair of clusters (multiplicity-weighted
-    centroid) while any pair sits within ``tol_abs``. Deterministic:
-    inputs are sorted lexicographically first, and ties merge the
-    lexicographically first pair. The pairwise distance matrix is built
-    once; a merge recomputes only the surviving center's row and column
-    and retires the absorbed one to infinity, so the argmin sees the
-    same values, in the same order, as on the matrix of the surviving
-    centers alone.
+    ``values`` is a ``(p, N)`` stack with ``tol_abs`` one merge radius
+    per row (a scalar serves every row), or an ``(N,)`` vector, which is
+    one row. Within a row, the closest pair of clusters is merged into
+    its multiplicity-weighted centroid while that pair sits within the
+    row's radius. Deterministic: each row is sorted lexicographically
+    first, and ties merge the lexicographically first pair.
+
+    All rows run in one loop. The ``(p, N, N)`` distance tensor is built
+    once. Each iteration takes one row-major argmin per row and merges
+    in every row whose closest pair is within its radius; a merge
+    recomputes only the surviving center's row and column and retires
+    the absorbed one to infinity, so the argmin sees the same values,
+    in the same order, as on the matrix of the surviving centers alone.
+    A row whose closest pair is beyond its radius is done: nothing in it
+    changes again, so it gets the same result whichever rows share its
+    stack. The argmin runs over the whole tensor in place, with no copy
+    of the rows still merging.
+
+    An ``(N,)`` input returns the surviving centers and their counts. A
+    ``(p, N)`` input returns two ``(p, N)`` arrays, sorted centers and
+    counts, in which a center merged away has count 0.
     """
-    order = np.lexsort((values.imag, values.real))
-    centers = values[order].astype(complex)
-    n = len(centers)
-    counts = np.ones(n, dtype=int)
-    dead = np.zeros(n, dtype=bool)
-    diff = np.abs(centers[:, None] - centers[None, :])
-    diff.flat[:: n + 1] = np.inf
+    values = np.asarray(values)
+    rows = np.atleast_2d(values)
+    p, n = rows.shape
+    order = np.lexsort((rows.imag, rows.real))
+    centers = np.take_along_axis(rows, order, axis=1).astype(complex)
+    counts = np.ones((p, n), dtype=int)
+    diff = np.abs(centers[:, :, None] - centers[:, None, :])
+    diag = np.arange(n)
+    diff[:, diag, diag] = np.inf
+    flat = diff.reshape(p, n * n)
+    every = np.arange(p)
+    radii = np.broadcast_to(np.asarray(tol_abs, dtype=float), (p,))
     for _ in range(n - 1):
-        # diff is symmetric, so its first minimum in row-major order has i < j
-        i, j = divmod(int(diff.argmin()), n)
-        if diff[i, j] > tol_abs:
+        # each row of diff is symmetric, so its first minimum in
+        # row-major order has i < j
+        k = flat.argmin(axis=1)
+        # not-greater, so a NaN distance merges; a row with nothing to
+        # merge is left unchanged and stays out
+        live = np.flatnonzero(~(flat[every, k] > radii))
+        if not live.size:
             break
-        w = counts[i] + counts[j]
-        centers[i] = (counts[i] * centers[i] + counts[j] * centers[j]) / w
-        counts[i] = w
-        dead[j] = True
-        row = np.abs(centers[i] - centers)
-        row[dead] = np.inf
-        row[i] = np.inf
-        diff[i] = diff[:, i] = row
-        diff[j] = diff[:, j] = np.inf
-    return centers[~dead], counts[~dead]
+        k = k[live]
+        i, j = np.divmod(k, n)
+        ci, cj = counts[live, i], counts[live, j]
+        w = ci + cj
+        merged = (ci * centers[live, i] + cj * centers[live, j]) / w
+        centers[live, i] = merged
+        counts[live, i] = w
+        counts[live, j] = 0
+        row = np.abs(merged[:, None] - centers[live])
+        row[counts[live] == 0] = np.inf
+        diff[live, i] = diff[live, :, i] = row
+        diff[live, j] = diff[live, :, j] = diff[live, i, i] = np.inf
+    if values.ndim == 1:
+        keep = counts[0] > 0
+        return centers[0, keep], counts[0, keep]
+    return centers, counts
 
 
-def spectrum(a: Element, tol: float = CLUSTER_TOL) -> SpectrumReport:
-    """Clustered spectrum of an element.
-
-    Eigenvalues are computed per block and merged whenever two values
-    are within ``tol * max(spectral radius, 1)`` of each other. Any
-    cluster centered within that radius of 0 is reported as the exact
-    spectral value 0.
-    """
-    if tol <= 0:
-        raise ValueError("cluster tolerance must be positive")
-    vals = eigenvalues(a)
-    scale_ = max(float(np.max(np.abs(vals))), 1.0)
-    tol_abs = tol * scale_
-    centers, counts = cluster_eigenvalues(vals, tol_abs)
-
+def _spectrum_report(centers, counts, tol_abs: float) -> SpectrumReport:
+    """The report of one clustered row: ``tol_abs`` is its merge radius,
+    and slots of count 0 (centers merged away) are skipped."""
+    live = counts > 0
+    centers, counts = centers[live], counts[live]
     zero_mask = np.abs(centers) <= tol_abs
     points = []
     zero_count = int(counts[zero_mask].sum())
@@ -329,6 +367,34 @@ def spectrum(a: Element, tol: float = CLUSTER_TOL) -> SpectrumReport:
         points.append((0j, zero_count))
     points.sort(key=lambda p: (-abs(p[0]), p[0].real, p[0].imag))
     return SpectrumReport(tuple(points), tol_abs, contains_zero)
+
+
+def _merge_radii(vals: np.ndarray, tol: float) -> np.ndarray:
+    """Merge radius ``tol * max(spectral radius, 1)`` of each row."""
+    if tol <= 0:
+        raise ValueError("cluster tolerance must be positive")
+    return tol * np.maximum(np.abs(vals).max(axis=-1), 1.0)
+
+
+def spectrum(a: Element, tol: float = CLUSTER_TOL) -> SpectrumReport:
+    """Clustered spectrum of an element.
+
+    Eigenvalues are computed per block and merged whenever two values
+    are within ``tol * max(spectral radius, 1)`` of each other. Any
+    cluster centered within that radius of 0 is reported as the exact
+    spectral value 0.
+    """
+    return stacked_spectra(eigenvalues(a)[None, :], tol)[0]
+
+
+def stacked_spectra(vals: np.ndarray, tol: float = CLUSTER_TOL) -> list[SpectrumReport]:
+    """The :func:`spectrum` report of each row of a ``(p, N)`` eigenvalue
+    stack, all rows clustered by one :func:`cluster_eigenvalues` call."""
+    tol_abs = _merge_radii(vals, tol)
+    centers, counts = cluster_eigenvalues(vals, tol_abs)
+    return [
+        _spectrum_report(c, m, t) for c, m, t in zip(centers, counts, tol_abs.tolist())
+    ]
 
 
 def nonzero_spectrum_count(a: Element, tol: float = CLUSTER_TOL) -> int:
@@ -342,22 +408,23 @@ def nonzero_spectrum_counts(vals: np.ndarray, tol: float = CLUSTER_TOL) -> np.nd
     ``vals`` is ``(p, N)``: row k holds all eigenvalues, with
     multiplicity, of the k-th element. Each row is clustered by the
     rule of :func:`spectrum` (merge radius ``tol * max(spectral radius,
-    1)``), skipping the report. The scales and the test for a pair
-    within the merge radius are computed for all rows at once; only
-    rows that have such a pair run :func:`cluster_eigenvalues`.
+    1)``), skipping the report. The radii and the screen for a pair
+    within the merge radius are computed for all rows at once; the rows
+    that have such a pair go to one :func:`cluster_eigenvalues` call.
+    The others need no merge, so their count is read off directly.
     """
-    if tol <= 0:
-        raise ValueError("cluster tolerance must be positive")
-    mods = np.abs(vals)
-    tol_abs = tol * np.maximum(mods.max(axis=1), 1.0)
-    counts = np.sum(mods > tol_abs[:, None], axis=1)
+    tol_abs = _merge_radii(vals, tol)
+    counts = np.sum(np.abs(vals) > tol_abs[:, None], axis=1)
     if vals.shape[1] > 1:
         diff = np.abs(vals[:, :, None] - vals[:, None, :])
         diag = np.arange(vals.shape[1])
         diff[:, diag, diag] = np.inf
-        for k in np.flatnonzero(diff.min(axis=(1, 2)) <= tol_abs):
-            centers, _ = cluster_eigenvalues(vals[k], tol_abs[k])
-            counts[k] = np.sum(np.abs(centers) > tol_abs[k])
+        flagged = np.flatnonzero(diff.min(axis=(1, 2)) <= tol_abs)
+        if flagged.size:
+            radii = tol_abs[flagged]
+            centers, mult = cluster_eigenvalues(vals[flagged], radii)
+            nonzero = (mult > 0) & (np.abs(centers) > radii[:, None])
+            counts[flagged] = np.sum(nonzero, axis=1)
     return counts
 
 

@@ -11,13 +11,14 @@ two rank-one operators, built from the defining vectors.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .algebra import AlgebraSpec, Element, matrix_unit
 from .errors import DegenerateProjectionError, NonFiniteEntryError, NotTracelessError
-from .errors import ShapeMismatchError
+from .errors import NumericOverflowError, ShapeMismatchError
 
 TRACELESS_TOL = 1e-9
 CERTIFICATE_TOL = 1e-12
@@ -62,6 +63,11 @@ def commutator_decompose(
     per nonzero diagonal partial sum. Zero coefficients are skipped, so
     certificates are minimal term-by-term. A 1 x 1 input must be zero
     and yields the empty certificate.
+
+    Raises ``NotTracelessError`` when |trace| exceeds ``tol`` times
+    max(1, Frobenius norm), and ``NumericOverflowError`` when the trace
+    or a diagonal partial sum leaves the double range; either is decided
+    without an overflowing operation.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
@@ -69,20 +75,34 @@ def commutator_decompose(
     if not np.isfinite(m).all():
         raise NonFiniteEntryError("matrix has non-finite entries")
     n = m.shape[0]
-    trace = complex(np.trace(m))
-    scale = max(1.0, float(np.linalg.norm(m, "fro")))
-    if abs(trace) > tol * scale:
+    # The test |trace| > tol * max(1, ||m||_F), made on m / 2^e: 2^e is the
+    # least power of two above every real and imaginary part, and at least
+    # 1, so the scaling is exact and neither sum can overflow.
+    largest = max(float(np.max(np.abs(m.real))), float(np.max(np.abs(m.imag))))
+    e = max(math.frexp(largest)[1], 0)
+    unit = m * math.ldexp(1.0, -e)
+    t = complex(np.trace(unit))
+    if abs(t) > tol * max(math.ldexp(1.0, -e), float(np.linalg.norm(unit, "fro"))):
+        try:
+            trace = complex(math.ldexp(t.real, e), math.ldexp(t.imag, e))
+        except OverflowError:
+            raise NumericOverflowError("the trace overflows the double range") from None
         raise NotTracelessError(trace)
 
     terms: list[tuple[complex, MatrixUnit, MatrixUnit]] = []
-    for i, row in enumerate(m.tolist()):
+    rows = m.tolist()
+    for i, row in enumerate(rows):
         diagonal = MatrixUnit(block, i, i)
         for j, entry in enumerate(row):
             if i != j and entry != 0:
                 terms.append((entry, diagonal, MatrixUnit(block, i, j)))
     partial = 0j
     for i in range(n - 1):
-        partial += m[i, i]
+        partial += rows[i][i]  # Python arithmetic: an overflow is inf, not a warning
+        if not cmath.isfinite(partial):
+            raise NumericOverflowError(
+                f"diagonal partial sum {i} overflows the double range"
+            )
         if partial != 0:
             terms.append(
                 (partial, MatrixUnit(block, i, i + 1), MatrixUnit(block, i + 1, i))

@@ -269,23 +269,36 @@ def certificate_to_json(cert) -> dict:
     }
 
 
+def _field(data, key: str, kind: str):
+    if not isinstance(data, dict) or key not in data:
+        raise ShapeMismatchError(f'{kind} JSON needs a "{key}" field')
+    return data[key]
+
+
 def certificate_from_json(data):
     from .commutators import CommutatorCertificate, MatrixUnit
 
+    def unit(term, side: str) -> MatrixUnit:
+        u = _field(term, side, "certificate term")
+        return MatrixUnit(*(_field(u, k, "matrix unit") for k in ("block", "row", "col")))
+
+    raw_terms = _field(data, "terms", "certificate")
+    if not isinstance(raw_terms, list):
+        raise ShapeMismatchError('certificate "terms" must be a list')
     terms = tuple(
         (
-            complex_from_json(t["c"]),
-            MatrixUnit(t["left"]["block"], t["left"]["row"], t["left"]["col"]),
-            MatrixUnit(t["right"]["block"], t["right"]["row"], t["right"]["col"]),
+            complex_from_json(_field(t, "c", "certificate term")),
+            unit(t, "left"),
+            unit(t, "right"),
         )
-        for t in data["terms"]
+        for t in raw_terms
     )
     return CommutatorCertificate(
-        block=int(data["block"]),
-        block_size=int(data["block_size"]),
+        block=int(_field(data, "block", "certificate")),
+        block_size=int(_field(data, "block_size", "certificate")),
         terms=terms,
-        target=matrix_from_json(data["target"]),
-        reconstruction_defect=float(data["reconstruction_defect"]),
+        target=matrix_from_json(_field(data, "target", "certificate")),
+        reconstruction_defect=float(_field(data, "reconstruction_defect", "certificate")),
     )
 
 

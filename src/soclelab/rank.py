@@ -10,10 +10,12 @@ instead of returning.
 
 The probes run as one batch: they are one draw from the seed's
 ``PROBE`` stream, multiplied by a's block in one batched product and
-solved by one stacked eigensolve per block, after which one vectorized
-pass counts the distinct nonzero values of every probe. The stream is
-sequential, so probe i does not depend on the probe count, and the
-report is that of drawing and counting the probes one at a time.
+solved by one stacked eigensolve per block. A vectorized screen then
+finds the probes with two eigenvalues within the merge radius; only
+those are clustered, all in one call, and every other probe's count is
+read off directly. The stream is sequential, so probe i does not depend
+on the probe count, and the report is that of drawing and counting the
+probes one at a time.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ circle: for analytic periodic integrands that rule converges
 geometrically in the node count. Multiplicities come by two independent
 routes (perturbation counting near the identity, and the rank of the
 projection) which must agree; one element's perturbation probes are
-drawn once and shared by all its spectral values. The trace is the
+drawn once, solved and clustered as one stack, and shared by all its
+spectral values. The trace is the
 multiplicity-weighted sum of spectral values, certified against the
 diagonal-sum oracle.
 """
@@ -23,12 +24,14 @@ from .algebra import (
     AlgebraSpec,
     Element,
     SpectrumReport,
+    block_eigenvalues,
     classical_rank,
     classical_trace,
     corner_ranks,
-    identity,
     operator_norm,
     spectrum,
+    stacked_operator_norms,
+    stacked_spectra,
 )
 from .errors import (
     ContourCollapseError,
@@ -185,11 +188,12 @@ def _multiplicities(
     Gaussian element, keeps the probes whose nonzero-spectrum count is
     the oracle ``rank`` of ``a``, and counts the distinct spectral values
     of each product within one third of the local gap of the center; all
-    counts must agree. The probes do not depend on the center, so they are drawn
-    once, as one stack from ``rng_for(seed, MULTIPLICITY_PROBE)``, after
-    the first gap check passes. For nonzero centers, Route B
-    is the rank of the Riesz projection; the routes share only ``rep``
-    and ``rank``.
+    counts must agree. The probes do not depend on the center, so their
+    spectra are computed once, after the first gap check passes, by
+    :func:`_perturbed_spectra`: one stack of probes, one eigensolve per
+    block and one clustering call for all of them. For nonzero centers,
+    Route B is the rank of the Riesz projection; the routes share only
+    ``rep`` and ``rank``.
     """
     if centers and probes < 1:
         raise ValueError("need at least one probe")
@@ -201,15 +205,10 @@ def _multiplicities(
         if gap < floor:
             raise SpectralGapError(center, gap, floor)
         if admitted is None:
-            one = identity(a.spec)
-            admitted = []
-            gs = random_element_stack(a.spec, rng_for(seed, MULTIPLICITY_PROBE), probes)
-            for i in range(probes):
-                g = Element(a.spec, tuple(x[i] for x in gs), _checked=True)
-                g = (1.0 / operator_norm(g)) * g
-                srep = spectrum((one + DEFAULT_EPS * g) @ a, tol)
-                if srep.num_nonzero == rank:  # else outside the rank-attaining set
-                    admitted.append(srep)
+            admitted = [
+                s for s in _perturbed_spectra(a, probes, seed, tol)
+                if s.num_nonzero == rank  # else outside the rank-attaining set
+            ]
             if not admitted:
                 raise ProbeExhaustionError(
                     f"no perturbation probe preserved the rank after {probes} attempts"
@@ -227,6 +226,25 @@ def _multiplicities(
                 raise MultiplicityInconsistencyError(center, route_a, route_b)
         out.append(route_a)
     return out
+
+
+def _perturbed_spectra(a: Element, probes: int, seed: int, tol: float):
+    """Clustered spectra of (1 + eps*g_k)*a for the ``probes`` perturbations g_k.
+
+    g_k is the k-th Gaussian element of ``rng_for(seed, MULTIPLICITY_PROBE)``
+    divided by its operator norm, and eps is ``DEFAULT_EPS``. The norms
+    come from one stacked 2-norm per block, the products from one stacked
+    product and one ``eigvals`` per block, and the spectra from one
+    clustering pass over all rows.
+    """
+    gs = random_element_stack(a.spec, rng_for(seed, MULTIPLICITY_PROBE), probes)
+    inv_norms = (1.0 / stacked_operator_norms(gs)).astype(complex)[:, None, None]
+    eps = complex(DEFAULT_EPS)
+    products = [
+        (np.eye(n, dtype=complex) + eps * (inv_norms * g)) @ b
+        for g, b, n in zip(gs, a.blocks, a.spec.block_sizes)
+    ]
+    return stacked_spectra(block_eigenvalues(products), tol)
 
 
 def multiplicity(

@@ -148,6 +148,73 @@ def assert_same_clusters(values, tol_abs):
     assert counts.tobytes() == ref_counts.tobytes()
 
 
+def per_row_cluster(values, tol_abs):
+    """The one-row loop that the batched loop replaced: the distance matrix
+    is built once, and a merge rewrites the survivor's row and column."""
+    order = np.lexsort((values.imag, values.real))
+    centers = values[order].astype(complex)
+    n = len(centers)
+    counts = np.ones(n, dtype=int)
+    dead = np.zeros(n, dtype=bool)
+    diff = np.abs(centers[:, None] - centers[None, :])
+    diff.flat[:: n + 1] = np.inf
+    for _ in range(n - 1):
+        i, j = divmod(int(diff.argmin()), n)
+        if diff[i, j] > tol_abs:
+            break
+        w = counts[i] + counts[j]
+        centers[i] = (counts[i] * centers[i] + counts[j] * centers[j]) / w
+        counts[i] = w
+        dead[j] = True
+        row = np.abs(centers[i] - centers)
+        row[dead] = np.inf
+        row[i] = np.inf
+        diff[i] = diff[:, i] = row
+        diff[j] = diff[:, j] = np.inf
+    return centers[~dead], counts[~dead]
+
+
+def _grid(pairs):
+    # one decimal makes exact ties between pairwise distances common
+    return [complex(re, im) / 10 for re, im in pairs]
+
+
+def _pairs(size, bound):
+    return st.lists(
+        st.tuples(st.integers(-bound, bound), st.integers(-bound, bound)),
+        min_size=size,
+        max_size=size,
+    )
+
+
+@st.composite
+def cluster_row(draw, n):
+    """n eigenvalues: a tie grid, a zero cluster beside one, or Gaussian."""
+    kind = draw(st.sampled_from(["grid", "zero", "gauss"]))
+    if kind == "grid":
+        return _grid(draw(_pairs(n, 15)))
+    if kind == "zero":
+        m = draw(st.integers(0, n))
+        noise = [1e-9 * complex(re, im) for re, im in draw(_pairs(m, 9))]
+        return noise + _grid(draw(_pairs(n - m, 15)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return list(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+RADII = [1e-6, 1e-3, 0.1, 0.15, 0.3, 0.75, 2.0]
+
+
+@st.composite
+def cluster_stack(draw, n=None, max_rows=6):
+    """A (p, n) eigenvalue stack and one merge radius per row."""
+    if n is None:
+        n = draw(st.integers(1, 12))
+    p = draw(st.integers(1, max_rows))
+    rows = np.array([draw(cluster_row(n)) for _ in range(p)], dtype=complex)
+    radii = np.array(draw(st.lists(st.sampled_from(RADII), min_size=p, max_size=p)))
+    return rows.reshape(p, n), radii
+
+
 class TestClustering:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -160,6 +227,37 @@ class TestClustering:
     def test_matches_rebuilding_reference(self, points, tol_abs):
         values = np.array([complex(re, im) for re, im in points]) / 10
         assert_same_clusters(values, tol_abs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(stack=cluster_stack())
+    def test_stack_matches_per_row_loop(self, stack):
+        rows, radii = stack
+        centers, counts = cluster_eigenvalues(rows, radii)
+        assert centers.shape == counts.shape == rows.shape
+        for k, (row, radius) in enumerate(zip(rows, radii)):
+            ref_centers, ref_counts = per_row_cluster(row, radius)
+            live = counts[k] > 0
+            assert centers[k][live].tobytes() == ref_centers.tobytes()
+            assert counts[k][live].tobytes() == ref_counts.tobytes()
+            one_centers, one_counts = cluster_eigenvalues(row, radius)
+            assert one_centers.tobytes() == ref_centers.tobytes()
+            assert one_counts.tobytes() == ref_counts.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_row_result_ignores_its_stack_mates(self, data):
+        rows, radii = data.draw(cluster_stack())
+        mates, mate_radii = data.draw(cluster_stack(n=rows.shape[1]))
+        p = len(rows)
+        order = data.draw(st.permutations(range(p + len(mates))))
+        mixed = cluster_eigenvalues(
+            np.concatenate([rows, mates])[order], np.concatenate([radii, mate_radii])[order]
+        )
+        alone = cluster_eigenvalues(rows, radii)
+        for pos, k in enumerate(order):
+            if k < p:
+                for got, want in zip(mixed, alone):
+                    assert got[pos].tobytes() == want[k].tobytes()
 
     def test_sixty_fold_zero_cluster(self):
         rng = rng_for(7)

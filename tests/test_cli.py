@@ -255,6 +255,8 @@ class TestCLIBehavior:
             ("commutator", {"matrix": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]], "block": "x"}),
             ("commutator", {"matrix": [[[1, 0], [0, 0]]]}),
             ("rank-one-commutator", {"x": [[1, 0]], "f": [[1, 0], [0, 0]], "y": [[1, 0]], "g": [[1, 0]]}),
+            # the trace, 3.4e308, overflows the double range
+            ("commutator", {"matrix": [[[1.7e308, 0], [0, 0]], [[0, 0], [1.7e308, 0]]]}),
         ],
     )
     def test_bad_input_is_a_json_error(self, tmp_path, capsys, command, document):
@@ -421,6 +423,15 @@ class TestOverflow:
         assert proc.returncode == 1
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["error"]["type"] == "NonFiniteEntryError"
+
+    def test_overflowing_commutator_trace_writes_no_warning(self):
+        document = '{"matrix": [[[1.7e308,0],[0,0]],[[0,0],[1.7e308,0]]]}'
+        proc = run_fresh(["commutator"], stdin=document)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        error = json.loads(proc.stdout)["error"]
+        assert error["type"] == "NumericOverflowError"
+        assert "trace" in error["message"]
 
     def test_non_finite_report_value_is_a_typed_error(self):
         with pytest.raises(sl.errors.NumericOverflowError):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import soclelab as sl
 from soclelab.commutators import CommutatorCertificate, MatrixUnit
 from soclelab.errors import DegenerateProjectionError, NonFiniteEntryError
-from soclelab.errors import NotTracelessError, ShapeMismatchError
+from soclelab.errors import NotTracelessError, NumericOverflowError, ShapeMismatchError
 from soclelab.sampling import random_element, random_traceless_matrix, rng_for
 
 from conftest import single
@@ -47,6 +47,36 @@ class TestDecomposition:
         with pytest.raises(NotTracelessError) as err:
             sl.commutator_decompose(np.eye(2))
         assert err.value.trace == pytest.approx(2.0)
+
+    @pytest.mark.parametrize(
+        "diagonal, error",
+        [
+            # trace 3.4e308: past the double range
+            ([1.7e308, 1.7e308], NumericOverflowError),
+            ([1.7e308j, 1.7e308j], NumericOverflowError),
+            # trace 1.1e308 is finite, the Frobenius norm 2.3e308 is not
+            ([1.5e308, 1e308, -1.4e308], NotTracelessError),
+        ],
+    )
+    def test_huge_trace_refused_before_overflow(self, diagonal, error):
+        with np.errstate(all="raise"), pytest.raises(error) as err:
+            sl.commutator_decompose(np.diag(diagonal))
+        if error is NumericOverflowError:
+            assert "trace" in str(err.value)
+        else:
+            assert err.value.trace == pytest.approx(1.1e308, rel=1e-15)
+
+    def test_overflowing_partial_sum_is_refused(self):
+        # traceless, but the certificate coefficient 2.4e308 is not a double
+        with np.errstate(all="raise"), pytest.raises(NumericOverflowError) as err:
+            sl.commutator_decompose(np.diag([1.2e308, 1.2e308, -1.2e308, -1.2e308]))
+        assert "partial sum 1" in str(err.value)
+
+    def test_huge_traceless_matrix_decomposes(self):
+        with np.errstate(all="raise"):
+            cert = sl.commutator_decompose(np.diag([1e308, -1e308]))
+        assert units(cert) == [(1e308, (0, 1), (1, 0))]
+        assert cert.reconstruction_defect == 0.0
 
     @pytest.mark.parametrize(
         "m",

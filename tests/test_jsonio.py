@@ -56,6 +56,23 @@ class TestRoundTrips:
         with pytest.raises(ShapeMismatchError):
             jsonio.spec_from_json({})
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {},
+            {
+                "block": 0,
+                "block_size": 2,
+                "terms": [{"c": [1, 0]}],
+                "target": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]],
+                "reconstruction_defect": 0.0,
+            },
+        ],
+    )
+    def test_certificate_missing_fields(self, data):
+        with pytest.raises(ShapeMismatchError):
+            jsonio.certificate_from_json(data)
+
 
 class TestReportSerialization:
     def test_spectrum_report(self, spec23):

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import soclelab as sl
+from soclelab import algebra
 from soclelab.errors import RankCertificationError
+from soclelab.rank import DEFAULT_PROBES
 from soclelab.sampling import (
     PROBE,
     complex_gaussian,
@@ -186,3 +188,21 @@ class TestBatchedProbing:
                 sl.nonzero_spectrum_count(a, tol)
             with pytest.raises(ValueError):
                 sl.spectral_rank(a, probes=2, tol=tol)
+
+    def test_one_clustering_call(self, spec23, monkeypatch):
+        calls = []
+        real = algebra.cluster_eigenvalues
+
+        def counted(*args, **kwargs):
+            calls.append(len(np.atleast_2d(args[0])))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(algebra, "cluster_eigenvalues", counted)
+        # every probe of a rank-deficient element has a zero cluster to merge
+        low = sl.Element(spec23, [np.eye(2), np.zeros((3, 3))])
+        sl.spectral_rank(low)
+        assert calls == [DEFAULT_PROBES]
+        for i in range(5):
+            calls.clear()
+            sl.spectral_rank(random_element(spec23, rng_for(67, i)), seed=i)
+            assert len(calls) <= 1

@@ -281,6 +281,33 @@ class TestSharedSpectralPass:
             sl.spectral_trace, a, probes=probes, seed=seed, nodes=nodes
         ) == _outcome(_reference_spectral_trace, a, probes, seed, nodes)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        blocks=st.lists(
+            st.tuples(
+                st.integers(1, 5),
+                st.sampled_from(["dense", "maximal", "nilpotent", "low-rank", "tiny"]),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        probes=st.integers(1, MULTIPLICITY_PROBES),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_probe_spectra_match_one_at_a_time(self, blocks, probes, seed):
+        rng = rng_for(seed, 1 << 40)
+        spec = sl.AlgebraSpec(tuple(n for n, _ in blocks))
+        a = sl.Element(spec, tuple(_block(kind, n, rng) for n, kind in blocks))
+        stacked = riesz._perturbed_spectra(a, probes, seed, sl.CLUSTER_TOL)
+        assert len(stacked) == probes
+        one = sl.identity(spec)
+        rng = rng_for(seed, MULTIPLICITY_PROBE)
+        for rep in stacked:
+            g = random_element(spec, rng)
+            g = (1.0 / sl.operator_norm(g)) * g
+            # repr tells signed zeros apart
+            assert repr(rep) == repr(sl.spectrum((one + DEFAULT_EPS * g) @ a))
+
     @pytest.mark.parametrize(
         "matrix, error",
         [
@@ -309,7 +336,8 @@ class TestSharedSpectralPass:
 
             monkeypatch.setattr(np.linalg, name, counted)
         sl.spectral_trace(a)
-        assert calls["eigvals"] == 1 + MULTIPLICITY_PROBES
+        # one for the spectrum, one stacked over all perturbation probes
+        assert calls["eigvals"] == 2
         sl.diagonalize_maximal(a)
         assert calls["lstsq"] == 0
 
@@ -451,12 +479,13 @@ class TestCornerConsistency:
         monkeypatch.setattr(riesz, "spectrum", counted)
         a = random_element(spec23, rng_for(73))
         assert sl.trace_bound_check(a)
-        assert len(calls) == 1 + MULTIPLICITY_PROBES
+        # the perturbation probes are clustered as one stack, not spectrum by spectrum
+        assert len(calls) == 1
         for p in [sl.identity(spec23), random_projection(spec23, rng_for(107))]:
             calls.clear()
             assert sl.pAp_consistency(a, p).consistent
-            # p*a*p and its corner: one spectrum each, plus their probes
-            assert len(calls) == 2 + 2 * MULTIPLICITY_PROBES
+            # p*a*p and its corner: one spectrum each
+            assert len(calls) == 2
 
     def test_non_idempotent_rejected(self, spec23):
         a = random_element(spec23, rng_for(103))
