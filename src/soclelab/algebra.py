@@ -205,20 +205,19 @@ def _blockwise(solver, blocks, error) -> list:
 
 def operator_norm(a: Element) -> float:
     """Largest operator 2-norm over the blocks."""
-    norms = _blockwise(lambda b: np.linalg.norm(b, 2), a.blocks, SVDConvergenceError)
-    return max(float(n) for n in norms)
+    return float(block_operator_norm(a.blocks))
 
 
-def stacked_operator_norms(stacks) -> np.ndarray:
-    """:func:`operator_norm` of each of p elements given as stacks.
+def block_operator_norm(blocks) -> np.ndarray:
+    """Largest operator 2-norm over a sequence of blocks.
 
-    Block i is a stack ``(p, n_i, n_i)``, solved by one stacked 2-norm
-    call; entry k of the result is the norm of the k-th element. A
-    solver failure names the block. (One element takes
-    :func:`operator_norm`, which is cheaper per call.)
+    Block i is one ``(n_i, n_i)`` matrix or a stack ``(p, n_i, n_i)`` of
+    them; a stack is solved by one 2-norm call, and the result is then
+    ``(p,)``, entry k the norm of the k-th element. A solver failure
+    names the block.
     """
     norms = _blockwise(
-        lambda b: np.linalg.norm(b, 2, axis=(1, 2)), stacks, SVDConvergenceError
+        lambda b: np.linalg.norm(b, 2, axis=(-2, -1)), blocks, SVDConvergenceError
     )
     return np.max(norms, axis=0)
 
@@ -292,8 +291,8 @@ def cluster_eigenvalues(
     than the row's merge radius apart.
 
     ``values`` is a ``(p, N)`` stack with ``tol_abs`` one merge radius
-    per row (a scalar serves every row), or an ``(N,)`` vector, which is
-    one row. Within a row, the closest pair of clusters is merged into
+    per row (a scalar serves every row); one spectrum is a stack of one
+    row. Within a row, the closest pair of clusters is merged into
     its multiplicity-weighted centroid while that pair sits within the
     row's radius. Deterministic: each row is sorted lexicographically
     first, and ties merge the lexicographically first pair.
@@ -309,15 +308,13 @@ def cluster_eigenvalues(
     stack. The argmin runs over the whole tensor in place, with no copy
     of the rows still merging.
 
-    An ``(N,)`` input returns the surviving centers and their counts. A
-    ``(p, N)`` input returns two ``(p, N)`` arrays, sorted centers and
-    counts, in which a center merged away has count 0.
+    Returns two ``(p, N)`` arrays, sorted centers and counts, in which a
+    center merged away has count 0.
     """
     values = np.asarray(values)
-    rows = np.atleast_2d(values)
-    p, n = rows.shape
-    order = np.lexsort((rows.imag, rows.real))
-    centers = np.take_along_axis(rows, order, axis=1).astype(complex)
+    p, n = values.shape
+    order = np.lexsort((values.imag, values.real))
+    centers = np.take_along_axis(values, order, axis=1).astype(complex)
     counts = np.ones((p, n), dtype=int)
     diff = np.abs(centers[:, :, None] - centers[:, None, :])
     diag = np.arange(n)
@@ -346,9 +343,6 @@ def cluster_eigenvalues(
         row[counts[live] == 0] = np.inf
         diff[live, i] = diff[live, :, i] = row
         diff[live, j] = diff[live, :, j] = diff[live, i, i] = np.inf
-    if values.ndim == 1:
-        keep = counts[0] > 0
-        return centers[0, keep], counts[0, keep]
     return centers, counts
 
 

@@ -25,12 +25,12 @@ from .algebra import (
     Element,
     SpectrumReport,
     block_eigenvalues,
+    block_operator_norm,
     classical_rank,
     classical_trace,
     corner_ranks,
     operator_norm,
     spectrum,
-    stacked_operator_norms,
     stacked_spectra,
 )
 from .errors import (
@@ -238,7 +238,7 @@ def _perturbed_spectra(a: Element, probes: int, seed: int, tol: float):
     clustering pass over all rows.
     """
     gs = random_element_stack(a.spec, rng_for(seed, MULTIPLICITY_PROBE), probes)
-    inv_norms = (1.0 / stacked_operator_norms(gs)).astype(complex)[:, None, None]
+    inv_norms = (1.0 / block_operator_norm(gs)).astype(complex)[:, None, None]
     eps = complex(DEFAULT_EPS)
     products = [
         (np.eye(n, dtype=complex) + eps * (inv_norms * g)) @ b

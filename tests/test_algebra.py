@@ -141,37 +141,18 @@ def reference_cluster(values, tol_abs):
     return centers, counts
 
 
+def one_row(values, tol_abs):
+    """The surviving centers and counts of one row, clustered as a stack of one."""
+    centers, counts = cluster_eigenvalues(np.asarray(values)[None], tol_abs)
+    live = counts[0] > 0
+    return centers[0, live], counts[0, live]
+
+
 def assert_same_clusters(values, tol_abs):
-    centers, counts = cluster_eigenvalues(values, tol_abs)
+    centers, counts = one_row(values, tol_abs)
     ref_centers, ref_counts = reference_cluster(values, tol_abs)
     assert centers.tobytes() == ref_centers.tobytes()
     assert counts.tobytes() == ref_counts.tobytes()
-
-
-def per_row_cluster(values, tol_abs):
-    """The one-row loop that the batched loop replaced: the distance matrix
-    is built once, and a merge rewrites the survivor's row and column."""
-    order = np.lexsort((values.imag, values.real))
-    centers = values[order].astype(complex)
-    n = len(centers)
-    counts = np.ones(n, dtype=int)
-    dead = np.zeros(n, dtype=bool)
-    diff = np.abs(centers[:, None] - centers[None, :])
-    diff.flat[:: n + 1] = np.inf
-    for _ in range(n - 1):
-        i, j = divmod(int(diff.argmin()), n)
-        if diff[i, j] > tol_abs:
-            break
-        w = counts[i] + counts[j]
-        centers[i] = (counts[i] * centers[i] + counts[j] * centers[j]) / w
-        counts[i] = w
-        dead[j] = True
-        row = np.abs(centers[i] - centers)
-        row[dead] = np.inf
-        row[i] = np.inf
-        diff[i] = diff[:, i] = row
-        diff[j] = diff[:, j] = np.inf
-    return centers[~dead], counts[~dead]
 
 
 def _grid(pairs):
@@ -235,13 +216,11 @@ class TestClustering:
         centers, counts = cluster_eigenvalues(rows, radii)
         assert centers.shape == counts.shape == rows.shape
         for k, (row, radius) in enumerate(zip(rows, radii)):
-            ref_centers, ref_counts = per_row_cluster(row, radius)
+            ref_centers, ref_counts = reference_cluster(row, radius)
             live = counts[k] > 0
             assert centers[k][live].tobytes() == ref_centers.tobytes()
             assert counts[k][live].tobytes() == ref_counts.tobytes()
-            one_centers, one_counts = cluster_eigenvalues(row, radius)
-            assert one_centers.tobytes() == ref_centers.tobytes()
-            assert one_counts.tobytes() == ref_counts.tobytes()
+            assert_same_clusters(row, radius)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -264,8 +243,7 @@ class TestClustering:
         noise = 1e-9 * (rng.standard_normal(60) + 1j * rng.standard_normal(60))
         values = np.concatenate([noise, [1.0, 1.0 + 2e-7, 2.0j]])
         assert_same_clusters(values, 1e-6)
-        centers, counts = cluster_eigenvalues(values, 1e-6)
-        assert sorted(counts.tolist()) == [1, 2, 60]
+        assert sorted(one_row(values, 1e-6)[1].tolist()) == [1, 2, 60]
 
     def test_rows_merge_at_their_own_radius(self):
         # radius 1e-6 keeps the pair in row 0 apart; 1e-4 merges the one in row 1
