@@ -32,9 +32,9 @@ from .errors import (
     SingularResolventError,
 )
 
-# Shared numerical defaults. Tolerances that are relative are scaled by
-# max(spectral radius, 1) or by the largest singular value, as noted at
-# each use site.
+# Shared numerical thresholds, read directly by the functions that apply
+# them. Tolerances that are relative are scaled by max(spectral radius, 1)
+# or by the largest singular value, as noted at each use site.
 CLUSTER_TOL = 1e-6
 RANK_TOL = 1e-9
 RESOLVENT_FLOOR = 1e-10
@@ -244,7 +244,7 @@ class SpectrumReport:
     """Distinct spectral values with algebraic multiplicities.
 
     ``cluster_tolerance`` is the absolute merge radius that was applied
-    (the relative tolerance times max(spectral radius, 1)). A cluster
+    (``CLUSTER_TOL`` times max(spectral radius, 1)). A cluster
     whose center lands within that radius of the origin is snapped to
     exactly 0 and flagged by ``contains_zero``.
     """
@@ -363,51 +363,49 @@ def _spectrum_report(centers, counts, tol_abs: float) -> SpectrumReport:
     return SpectrumReport(tuple(points), tol_abs, contains_zero)
 
 
-def _merge_radii(vals: np.ndarray, tol: float) -> np.ndarray:
-    """Merge radius ``tol * max(spectral radius, 1)`` of each row."""
-    if tol <= 0:
-        raise ValueError("cluster tolerance must be positive")
-    return tol * np.maximum(np.abs(vals).max(axis=-1), 1.0)
+def _merge_radii(vals: np.ndarray) -> np.ndarray:
+    """Merge radius ``CLUSTER_TOL * max(spectral radius, 1)`` of each row."""
+    return CLUSTER_TOL * np.maximum(np.abs(vals).max(axis=-1), 1.0)
 
 
-def spectrum(a: Element, tol: float = CLUSTER_TOL) -> SpectrumReport:
+def spectrum(a: Element) -> SpectrumReport:
     """Clustered spectrum of an element.
 
     Eigenvalues are computed per block and merged whenever two values
-    are within ``tol * max(spectral radius, 1)`` of each other. Any
-    cluster centered within that radius of 0 is reported as the exact
-    spectral value 0.
+    are within ``CLUSTER_TOL * max(spectral radius, 1)`` of each other.
+    Any cluster centered within that radius of 0 is reported as the
+    exact spectral value 0.
     """
-    return stacked_spectra(eigenvalues(a)[None, :], tol)[0]
+    return stacked_spectra(eigenvalues(a)[None, :])[0]
 
 
-def stacked_spectra(vals: np.ndarray, tol: float = CLUSTER_TOL) -> list[SpectrumReport]:
+def stacked_spectra(vals: np.ndarray) -> list[SpectrumReport]:
     """The :func:`spectrum` report of each row of a ``(p, N)`` eigenvalue
     stack, all rows clustered by one :func:`cluster_eigenvalues` call."""
-    tol_abs = _merge_radii(vals, tol)
+    tol_abs = _merge_radii(vals)
     centers, counts = cluster_eigenvalues(vals, tol_abs)
     return [
         _spectrum_report(c, m, t) for c, m, t in zip(centers, counts, tol_abs.tolist())
     ]
 
 
-def nonzero_spectrum_count(a: Element, tol: float = CLUSTER_TOL) -> int:
+def nonzero_spectrum_count(a: Element) -> int:
     """#(distinct nonzero spectral values) of one element."""
-    return int(nonzero_spectrum_counts(eigenvalues(a)[None, :], tol)[0])
+    return int(nonzero_spectrum_counts(eigenvalues(a)[None, :])[0])
 
 
-def nonzero_spectrum_counts(vals: np.ndarray, tol: float = CLUSTER_TOL) -> np.ndarray:
+def nonzero_spectrum_counts(vals: np.ndarray) -> np.ndarray:
     """#(distinct nonzero spectral values) for each row of ``vals``.
 
     ``vals`` is ``(p, N)``: row k holds all eigenvalues, with
     multiplicity, of the k-th element. Each row is clustered by the
-    rule of :func:`spectrum` (merge radius ``tol * max(spectral radius,
-    1)``), skipping the report. The radii and the screen for a pair
+    rule of :func:`spectrum` (merge radius ``CLUSTER_TOL * max(spectral
+    radius, 1)``), skipping the report. The radii and the screen for a pair
     within the merge radius are computed for all rows at once; the rows
     that have such a pair go to one :func:`cluster_eigenvalues` call.
     The others need no merge, so their count is read off directly.
     """
-    tol_abs = _merge_radii(vals, tol)
+    tol_abs = _merge_radii(vals)
     counts = np.sum(np.abs(vals) > tol_abs[:, None], axis=1)
     if vals.shape[1] > 1:
         diff = np.abs(vals[:, :, None] - vals[:, None, :])
@@ -422,23 +420,23 @@ def nonzero_spectrum_counts(vals: np.ndarray, tol: float = CLUSTER_TOL) -> np.nd
     return counts
 
 
-def spectral_radius(a: Element, tol: float = CLUSTER_TOL) -> float:
+def spectral_radius(a: Element) -> float:
     """Largest modulus of a spectral value (0 for nilpotents)."""
-    return spectrum(a, tol).radius
+    return spectrum(a).radius
 
 
-def resolvent(a: Element, z: complex, floor: float = RESOLVENT_FLOOR) -> Element:
+def resolvent(a: Element, z: complex) -> Element:
     """Blockwise solve of (z*1 - a) r = 1.
 
-    Rejects z closer to the spectrum than ``floor * max(radius, 1)``,
-    reporting the offending eigenvalue.
+    Rejects z closer to the spectrum than ``RESOLVENT_FLOOR * max(radius,
+    1)``, reporting the offending eigenvalue.
     """
     z = complex(z)
     vals = eigenvalues(a)
     scale_ = max(float(np.max(np.abs(vals))), 1.0)
     dist = np.abs(vals - z)
     k = int(np.argmin(dist))
-    if dist[k] < floor * scale_:
+    if dist[k] < RESOLVENT_FLOOR * scale_:
         raise SingularResolventError(z, complex(vals[k]), float(dist[k]))
     blocks = tuple(
         np.linalg.solve(z * np.eye(n, dtype=complex) - b, np.eye(n, dtype=complex))
@@ -447,32 +445,30 @@ def resolvent(a: Element, z: complex, floor: float = RESOLVENT_FLOOR) -> Element
     return Element(a.spec, blocks, _checked=True)
 
 
-def block_ranks(a: Element, tol: float = RANK_TOL) -> list[int]:
+def block_ranks(a: Element) -> list[int]:
     """The rank rule: the SVD rank of each block, relative cutoff per block.
 
-    A block counts its singular values above ``tol`` times its own
+    A block counts its singular values above ``RANK_TOL`` times its own
     largest one. A block whose largest singular value sits at or below
-    ``tol`` times the element-wide scale max(largest top, 1) is a zero
-    block, of rank 0; without that, roundoff residue in an otherwise
+    ``RANK_TOL`` times the element-wide scale max(largest top, 1) is a
+    zero block, of rank 0; without that, roundoff residue in an otherwise
     zero block would be scored against its own noise level. Every rank
     and block-support decision in the package reads this rule.
     """
-    if tol <= 0:
-        raise ValueError("rank tolerance must be positive")
     svals = _blockwise(
         lambda b: np.linalg.svd(b, compute_uv=False), a.blocks, SVDConvergenceError
     )
     tops = [s[0] for s in svals]
-    floor = tol * max(max(tops), 1.0)
+    floor = RANK_TOL * max(max(tops), 1.0)
     return [
-        int(np.sum(s > tol * top)) if top > floor else 0
+        int(np.sum(s > RANK_TOL * top)) if top > floor else 0
         for s, top in zip(svals, tops)
     ]
 
 
-def classical_rank(a: Element, tol: float = RANK_TOL) -> int:
+def classical_rank(a: Element) -> int:
     """SVD rank oracle: the sum of the :func:`block_ranks`."""
-    return sum(block_ranks(a, tol))
+    return sum(block_ranks(a))
 
 
 def corner_ranks(p: Element) -> list[int]:

@@ -39,6 +39,10 @@ from .functionals import (
 from .sampling import FUNCTIONALS, IDEAL, PROJECTIONS, rng_for
 from .sampling import complex_gaussian, random_projection
 
+# An idempotent's eigenvalues are 0 and 1; those within this distance of
+# 1 count as 1.
+_EIGENVALUE_SPLIT = 0.5
+
 
 @dataclass(frozen=True)
 class IdealReport:
@@ -128,7 +132,7 @@ def pAp_block_check(spec: AlgebraSpec, p: Element) -> bool:
     return sum(r > 0 for r in corner_ranks(p)) <= 1
 
 
-def rank_one_subprojections(p: Element, tol: float = 0.5) -> list[Element]:
+def rank_one_subprojections(p: Element) -> list[Element]:
     """Split an idempotent into rank-one subprojections via eigenvectors.
 
     An idempotent is diagonalizable, so pairing its right eigenvectors
@@ -140,7 +144,7 @@ def rank_one_subprojections(p: Element, tol: float = 0.5) -> list[Element]:
         vals, vecs = np.linalg.eig(b)
         winv = np.linalg.inv(vecs)
         for j, v in enumerate(vals):
-            if abs(v - 1.0) < tol:
+            if abs(v - 1.0) < _EIGENVALUE_SPLIT:
                 q = zero(p.spec)
                 q.blocks[i][:] = np.outer(vecs[:, j], winv[j, :])
                 out.append(q)

@@ -7,11 +7,12 @@ one JSON report. Identical invocations produce byte-identical output.
 Each command accepts only the flags it reads (see ``_COMMANDS``).
 
 Exit status: 0 on success, 1 on a usage error (unknown command or
-flag, bad flag value) or a domain error (bad input, violated
-precondition), 2 when a certification cross-check or a verified
-implication pattern fails. Errors are reported as a machine-readable
-JSON object on the chosen output stream; usage errors, which come
-before ``--output`` is known, go to stdout.
+flag, bad flag value, a path that cannot be read or written) or a
+domain error (bad input, violated precondition), 2 when a certification
+cross-check or a verified implication pattern fails. Errors are
+reported as a machine-readable JSON object on the chosen output stream;
+usage errors that come before ``--output`` is known, and any error when
+``--output`` cannot be written, go to stdout.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import json
 import sys
 
 from . import jsonio
-from .algebra import CLUSTER_TOL, classical_trace, spectrum
+from .algebra import classical_trace, spectrum
 from .classify import is_socle_minimal_ideal, orthogonal_decomposition, verify_theorems
 from .commutators import commutator_decompose, rank_one_commutator
 from .errors import CertificationError, NumericOverflowError, ShapeMismatchError
@@ -53,13 +54,6 @@ def _node_count(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {value}")
-    return value
-
-
 class _Parser(argparse.ArgumentParser):
     """Argument parser that raises ``UsageError`` instead of exiting 2.
 
@@ -79,7 +73,6 @@ _OPTIONS = {
     "probes": dict(type=_positive_int, default=DEFAULT_PROBES),
     "trials": dict(type=_positive_int, default=100),
     "nodes": dict(type=_node_count, default=DEFAULT_NODES),
-    "tol-cluster": dict(type=_positive_float, default=CLUSTER_TOL),
     "output": dict(default="-", help="report path, or - for stdout"),
 }
 
@@ -107,13 +100,29 @@ def _load_json(text: str, origin: str):
             f"malformed JSON in {origin} at line {exc.lineno}, column "
             f"{exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise ShapeMismatchError(f"JSON in {origin} nests too deeply") from None
+
+
+def _read_text(path: str | None, flag: str) -> str:
+    """The UTF-8 text of the file at ``path``, or of stdin when ``path`` is
+    None; ``flag`` names the file in errors."""
+    try:
+        if path is None:
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ShapeMismatchError(
+            f"{path or 'stdin'} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
+    except OSError as exc:
+        raise UsageError(f"cannot read {flag} {path}: {exc.strerror or exc}") from None
 
 
 def _read_input(args):
-    if args.input == "-":
-        return _load_json(sys.stdin.read(), "stdin")
-    with open(args.input, "r", encoding="utf-8") as fh:
-        return _load_json(fh.read(), args.input)
+    path = None if args.input == "-" else args.input
+    return _load_json(_read_text(path, "--input"), path or "stdin")
 
 
 def _read_spec(args):
@@ -121,9 +130,7 @@ def _read_spec(args):
         return None
     text = args.spec
     if not text.lstrip().startswith("{"):
-        with open(text, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        return jsonio.spec_from_json(_load_json(text, args.spec))
+        return jsonio.spec_from_json(_load_json(_read_text(text, "--spec"), text))
     return jsonio.spec_from_json(_load_json(text, "--spec"))
 
 
@@ -136,23 +143,18 @@ def _element_input(args):
 
 def _run_spectrum(args) -> dict:
     a = _element_input(args)
-    return jsonio.spectrum_report_to_json(spectrum(a, args.tol_cluster))
+    return jsonio.spectrum_report_to_json(spectrum(a))
 
 
 def _run_rank(args) -> dict:
     a = _element_input(args)
-    rep = spectral_rank(
-        a,
-        probes=args.probes,
-        seed=args.seed,
-        tol=args.tol_cluster,
-    )
+    rep = spectral_rank(a, probes=args.probes, seed=args.seed)
     return jsonio.rank_report_to_json(rep)
 
 
 def _run_trace(args) -> dict:
     a = _element_input(args)
-    s = spectral_trace(a, seed=args.seed, tol=args.tol_cluster)
+    s = spectral_trace(a, seed=args.seed)
     return {
         "spectral_trace": jsonio.complex_to_json(s),
         "classical_trace": jsonio.complex_to_json(classical_trace(a)),
@@ -167,19 +169,13 @@ def _run_riesz(args) -> dict:
         )
     a = jsonio.element_from_json(data["element"], _read_spec(args))
     targets = [jsonio.complex_from_json(t) for t in data["targets"]]
-    rep = riesz_projection(a, targets, nodes=args.nodes, tol=args.tol_cluster)
+    rep = riesz_projection(a, targets, nodes=args.nodes)
     return jsonio.riesz_report_to_json(rep)
 
 
 def _run_diagonalize(args) -> dict:
     a = _element_input(args)
-    d = diagonalize_maximal(
-        a,
-        probes=args.probes,
-        seed=args.seed,
-        tol=args.tol_cluster,
-        nodes=args.nodes,
-    )
+    d = diagonalize_maximal(a, probes=args.probes, seed=args.seed, nodes=args.nodes)
     return jsonio.diagonalization_to_json(d)
 
 
@@ -244,14 +240,11 @@ def _run_verify(args) -> dict:
 # Each command with its runner and the flags it reads; every command
 # also takes --output.
 _COMMANDS = {
-    "spectrum": (_run_spectrum, ("input", "spec", "tol-cluster")),
-    "rank": (_run_rank, ("input", "spec", "seed", "probes", "tol-cluster")),
-    "trace": (_run_trace, ("input", "spec", "seed", "tol-cluster")),
-    "riesz": (_run_riesz, ("input", "spec", "nodes", "tol-cluster")),
-    "diagonalize": (
-        _run_diagonalize,
-        ("input", "spec", "seed", "probes", "nodes", "tol-cluster"),
-    ),
+    "spectrum": (_run_spectrum, ("input", "spec")),
+    "rank": (_run_rank, ("input", "spec", "seed", "probes")),
+    "trace": (_run_trace, ("input", "spec", "seed")),
+    "riesz": (_run_riesz, ("input", "spec", "nodes")),
+    "diagonalize": (_run_diagonalize, ("input", "spec", "seed", "probes", "nodes")),
     "commutator": (_run_commutator, ("input",)),
     "rank-one-commutator": (_run_rank_one_commutator, ("input",)),
     "check-functional": (_run_check_functional, ("input", "spec", "seed")),
@@ -267,12 +260,20 @@ def _dumps(payload: dict) -> str:
         raise NumericOverflowError("a report value overflows the double range") from None
 
 
+def _error_text(exc: SocleLabError) -> str:
+    error = {"type": type(exc).__name__, "message": str(exc), "details": exc.details()}
+    return json.dumps({"error": error}, sort_keys=True, indent=2) + "\n"
+
+
 def _emit(output: str, text: str) -> None:
     if output == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --output {output}: {exc.strerror or exc}") from None
 
 
 def run(argv=None) -> int:
@@ -280,13 +281,15 @@ def run(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         output = args.output
-        text = _dumps(_COMMANDS[args.command][0](args))
+        text, code = _dumps(_COMMANDS[args.command][0](args)), 0
     except SocleLabError as exc:
-        error = {"type": type(exc).__name__, "message": str(exc), "details": exc.details()}
-        _emit(output, json.dumps({"error": error}, sort_keys=True, indent=2) + "\n")
-        return 2 if isinstance(exc, CertificationError) else 1
-    _emit(output, text)
-    return 0
+        text, code = _error_text(exc), 2 if isinstance(exc, CertificationError) else 1
+    try:
+        _emit(output, text)
+    except UsageError as exc:  # the report or error has nowhere else to go
+        sys.stdout.write(_error_text(exc))
+        return 1
+    return code
 
 
 def main() -> None:

@@ -54,9 +54,7 @@ class CommutatorCertificate:
     reconstruction_defect: float
 
 
-def commutator_decompose(
-    m: np.ndarray, block: int = 0, tol: float = TRACELESS_TOL
-) -> CommutatorCertificate:
+def commutator_decompose(m: np.ndarray, block: int = 0) -> CommutatorCertificate:
     """Write a traceless matrix as a combination of unit commutators.
 
     At most n^2 - 1 terms: one per nonzero off-diagonal entry plus one
@@ -64,8 +62,8 @@ def commutator_decompose(
     certificates are minimal term-by-term. A 1 x 1 input must be zero
     and yields the empty certificate.
 
-    Raises ``NotTracelessError`` when |trace| exceeds ``tol`` times
-    max(1, Frobenius norm), and ``NumericOverflowError`` when the trace
+    Raises ``NotTracelessError`` when |trace| exceeds ``TRACELESS_TOL``
+    times max(1, Frobenius norm), and ``NumericOverflowError`` when the trace
     or a diagonal partial sum leaves the double range; either is decided
     without an overflowing operation.
     """
@@ -75,14 +73,14 @@ def commutator_decompose(
     if not np.isfinite(m).all():
         raise NonFiniteEntryError("matrix has non-finite entries")
     n = m.shape[0]
-    # The test |trace| > tol * max(1, ||m||_F), made on m / 2^e: 2^e is the
-    # least power of two above every real and imaginary part, and at least
-    # 1, so the scaling is exact and neither sum can overflow.
+    # The test |trace| > TRACELESS_TOL * max(1, ||m||_F), made on m / 2^e:
+    # 2^e is the least power of two above every real and imaginary part,
+    # and at least 1, so the scaling is exact and neither sum can overflow.
     largest = max(float(np.max(np.abs(m.real))), float(np.max(np.abs(m.imag))))
     e = max(math.frexp(largest)[1], 0)
     unit = m * math.ldexp(1.0, -e)
     t = complex(np.trace(unit))
-    if abs(t) > tol * max(math.ldexp(1.0, -e), float(np.linalg.norm(unit, "fro"))):
+    if abs(t) > TRACELESS_TOL * max(math.ldexp(1.0, -e), float(np.linalg.norm(unit, "fro"))):
         try:
             trace = complex(math.ldexp(t.real, e), math.ldexp(t.imag, e))
         except OverflowError:

@@ -17,7 +17,8 @@ class SocleLabError(Exception):
 
 
 class UsageError(SocleLabError):
-    """The command line names an unknown command or flag, or a bad value."""
+    """The command line names an unknown command or flag, a bad value, or
+    a path that cannot be read or written."""
 
 
 class ShapeMismatchError(SocleLabError):

@@ -22,9 +22,10 @@ characterizations decidable:
   idempotents e_jj and e_jj + e_jl, l != j, with f on the first.
 
 Thresholds: let W_i = alpha_i I + D_i with alpha_i the mean diagonal,
-dev = max ||D_i||, t = tol * (operator norm of the weights) and n the
-largest block size. f is tracial iff dev <= t; x refutes vanishing if
-|f(x)| > t ||x||; constancy fails if a value lies over t from the first.
+dev = max ||D_i||, t = TRACIAL_TOL * (operator norm of the weights),
+the one threshold that every verdict reads, and n the largest block
+size. f is tracial iff dev <= t; x refutes vanishing if |f(x)| > t ||x||;
+constancy fails if a value lies over t from the first.
 
 * Tracial implies that both vanish: each x is traceless and of rank
   one, so |f(x)| = |tr(D x)| <= ||D|| ||x||.
@@ -64,7 +65,6 @@ from .errors import (
 )
 from .sampling import SPOT_CHECK, complex_gaussian, random_element_stack, rng_for
 
-CONSTANCY_TOL = 1e-8
 TRACIAL_TOL = 1e-8
 
 
@@ -160,18 +160,18 @@ def _scalar_deviations(f: Functional) -> tuple[np.ndarray, float]:
     return alphas, operator_norm(Element(f.spec, devs, _checked=True))
 
 
-def _tracial(f: Functional, dev: float, scale: float, tol: float, seed: int) -> bool:
+def _tracial(f: Functional, dev: float, scale: float, seed: int) -> bool:
     """The scalar-weight verdict, spot-checked on 4 random pairs (a, b),
     one stack from ``rng_for(seed, SPOT_CHECK)``: f(ab) - f(ba) is taken
     on the weights divided by ``scale``, so every product stays finite."""
-    verdict = dev <= tol * scale
+    verdict = dev <= TRACIAL_TOL * scale
     if verdict:
         xs = random_element_stack(f.spec, rng_for(seed, SPOT_CHECK), 8)
         gaps = sum(
             np.einsum("ij,pji->p", w / (scale or 1.0), x[::2] @ x[1::2] - x[1::2] @ x[::2])
             for w, x in zip(f.weights, xs)
         )
-        bad = np.flatnonzero(np.abs(gaps) > 1e3 * tol)
+        bad = np.flatnonzero(np.abs(gaps) > 1e3 * TRACIAL_TOL)
         if bad.size:
             pair = (Element(f.spec, tuple(x[2 * bad[0] + q] for x in xs)) for q in (0, 1))
             raise TheoremViolationError(
@@ -181,14 +181,14 @@ def _tracial(f: Functional, dev: float, scale: float, tol: float, seed: int) -> 
     return verdict
 
 
-def is_tracial(f: Functional, tol: float = TRACIAL_TOL) -> bool:
+def is_tracial(f: Functional) -> bool:
     """f(ab) = f(ba) for all a, b iff every weight is scalar.
 
     A positive verdict is spot-checked on seeded random pairs; a
     contradiction there would mean the weight criterion itself is
     broken, so it raises rather than returning.
     """
-    return _tracial(f, _scalar_deviations(f)[1], f.weight_scale(), tol, 0)
+    return _tracial(f, _scalar_deviations(f)[1], f.weight_scale(), 0)
 
 
 def _tracial_witness(f: Functional) -> tuple[Element, Element] | None:
@@ -222,19 +222,19 @@ def tracial_witness(f: Functional) -> tuple[Element, Element] | None:
     return _tracial_witness(f)
 
 
-def _scalar_trace(alphas, dev: float, scale: float, tol: float) -> complex | None:
-    if dev > tol * scale:
+def _scalar_trace(alphas, dev: float, scale: float) -> complex | None:
+    if dev > TRACIAL_TOL * scale:
         return None
     alpha = complex(np.mean(alphas))
-    if max(abs(a - alpha) for a in alphas) > tol * scale:
+    if max(abs(a - alpha) for a in alphas) > TRACIAL_TOL * scale:
         return None
     return alpha
 
 
-def is_scalar_trace(f: Functional, tol: float = TRACIAL_TOL) -> complex | None:
+def is_scalar_trace(f: Functional) -> complex | None:
     """The alpha with f = alpha * Tr, or None if no single alpha works."""
     alphas, dev = _scalar_deviations(f)
-    return _scalar_trace(alphas, dev, f.weight_scale(), tol)
+    return _scalar_trace(alphas, dev, f.weight_scale())
 
 
 @dataclass(frozen=True)
@@ -273,8 +273,8 @@ def _bound(f: Functional, tracial: bool, alphas, values) -> SpectralBoundResult:
     )
 
 
-def spectral_bound_witness(f: Functional, tol: float = TRACIAL_TOL) -> SpectralBoundResult:
-    if is_tracial(f, tol):
+def spectral_bound_witness(f: Functional) -> SpectralBoundResult:
+    if is_tracial(f):
         return _bound(f, True, _scalar_deviations(f)[0], None)
     return _bound(f, False, None, _square_zero_values(f)[0])
 
@@ -340,7 +340,8 @@ def _square_zero_values(f: Functional) -> tuple[np.ndarray, np.ndarray]:
     for w, n in zip(f.weights, f.spec.block_sizes):
         r, c = np.nonzero(~np.eye(n, dtype=bool))
         i, j = np.triu_indices(n, 1)
-        values += [w[c, r], (w[i, i] + w[i, j]) + (-w[j, i] - w[j, j])]
+        with np.errstate(over="ignore"):  # an infinite value raises just below
+            values += [w[c, r], (w[i, i] + w[i, j]) + (-w[j, i] - w[j, j])]
         norms += [np.ones(r.size), np.full(i.size, 2.0)]
     return _finite(0 + np.concatenate(values), "square-zero value"), np.concatenate(norms)
 
@@ -365,13 +366,11 @@ def _nilpotent_values(f: Functional, values, norms) -> tuple[np.ndarray, np.ndar
     return np.concatenate([values, extra]), np.concatenate([norms, np.ones(extra.size)])
 
 
-def _first_nonvanishing(
-    f: Functional, scale: float, values, norms, tol: float
-) -> VanishingVerdict:
-    """The first element on which |f| exceeds ``tol`` times ``scale``
-    times its norm. ``values`` and ``norms`` follow the square-zero basis
-    and then, when longer, the conjugated units."""
-    hits = np.flatnonzero(np.hypot(values.real, values.imag) > tol * scale * norms)
+def _first_nonvanishing(f: Functional, scale: float, values, norms) -> VanishingVerdict:
+    """The first element on which |f| exceeds ``TRACIAL_TOL`` times
+    ``scale`` times its norm. ``values`` and ``norms`` follow the
+    square-zero basis and then, when longer, the conjugated units."""
+    hits = np.flatnonzero(np.hypot(values.real, values.imag) > TRACIAL_TOL * scale * norms)
     if not hits.size:
         return VanishingVerdict(True, None, None)
     first = int(hits[0])
@@ -381,19 +380,19 @@ def _first_nonvanishing(
     return VanishingVerdict(False, w, complex(values[first]))
 
 
-def vanishes_on_square_zero(f: Functional, tol: float = CONSTANCY_TOL) -> VanishingVerdict:
+def vanishes_on_square_zero(f: Functional) -> VanishingVerdict:
     """Evaluate f on the square-zero basis, which spans every square-zero
     element."""
     values, norms = _square_zero_values(f)
-    return _first_nonvanishing(f, f.weight_scale(), values, norms, tol)
+    return _first_nonvanishing(f, f.weight_scale(), values, norms)
 
 
-def vanishes_on_nilpotents(f: Functional, tol: float = CONSTANCY_TOL) -> VanishingVerdict:
+def vanishes_on_nilpotents(f: Functional) -> VanishingVerdict:
     """Evaluate f on the square-zero basis, then on the conjugated units.
     Each family spans the traceless part, which holds every nilpotent.
     The basis goes first, so f gets the square-zero verdict's witness."""
     values, norms = _nilpotent_values(f, *_square_zero_values(f))
-    return _first_nonvanishing(f, f.weight_scale(), values, norms, tol)
+    return _first_nonvanishing(f, f.weight_scale(), values, norms)
 
 
 @dataclass(frozen=True)
@@ -411,31 +410,30 @@ def _projection_values(f: Functional) -> tuple[np.ndarray, list[tuple[int, int, 
     values, keys = [], []
     for k, (w, n) in enumerate(zip(f.weights, f.spec.block_sizes)):
         j, l = np.nonzero(~np.eye(n, dtype=bool))
-        values += [np.diagonal(w), w[j, j] + w[l, j]]
+        with np.errstate(over="ignore"):  # an infinite value raises just below
+            values += [np.diagonal(w), w[j, j] + w[l, j]]
         keys += [(k, i, i, 4) for i in range(n)] + [(k, a, b, 4) for a, b in zip(j, l)]
     return _finite(0 + np.concatenate(values), "rank-one projection value"), keys
 
 
-def _constancy(f: Functional, scale: float, tol: float) -> ConstancyVerdict:
+def _constancy(f: Functional, scale: float) -> ConstancyVerdict:
     values, keys = _projection_values(f)
     gaps = values - values[0]
-    off = np.flatnonzero(np.hypot(gaps.real, gaps.imag) > tol * scale)
+    off = np.flatnonzero(np.hypot(gaps.real, gaps.imag) > TRACIAL_TOL * scale)
     if not off.size:
         return ConstancyVerdict(True, complex(values[0]), None)
     first, other = ((_element(f.spec, keys[i]), complex(values[i])) for i in (0, off[0]))
     return ConstancyVerdict(False, None, (first, other))
 
 
-def constant_on_rank_one_projections(
-    f: Functional, tol: float = CONSTANCY_TOL
-) -> ConstancyVerdict:
+def constant_on_rank_one_projections(f: Functional) -> ConstancyVerdict:
     """Compare f on the rank-one idempotents e_jj and e_jj + e_jl, whose
     values fix every weight entry, with its value on the first.
 
     A constant verdict reports the first value. A failure returns the
     first projection and the first one whose value differs.
     """
-    return _constancy(f, f.weight_scale(), tol)
+    return _constancy(f, f.weight_scale())
 
 
 def counterexample_functional(spec: AlgebraSpec) -> Functional:
@@ -472,9 +470,7 @@ class CharacterizationReport:
         return self.scalar_trace_coefficient is not None
 
 
-def characterize(
-    f: Functional, seed: int = 0, tol: float = CONSTANCY_TOL
-) -> CharacterizationReport:
+def characterize(f: Functional, seed: int = 0) -> CharacterizationReport:
     """Run every characterization on one functional. The block scalars, the
     weight scale, the square-zero values and the tracial verdict are
     computed once and shared by every verdict; ``seed`` seeds the
@@ -482,14 +478,14 @@ def characterize(
     alphas, dev = _scalar_deviations(f)
     scale = f.weight_scale()
     values, norms = _square_zero_values(f)
-    tracial = _tracial(f, dev, scale, TRACIAL_TOL, seed)
+    tracial = _tracial(f, dev, scale, seed)
     return CharacterizationReport(
         functional=f,
-        scalar_trace_coefficient=_scalar_trace(alphas, dev, scale, TRACIAL_TOL),
+        scalar_trace_coefficient=_scalar_trace(alphas, dev, scale),
         tracial=tracial,
         tracial_pair=None if tracial else _tracial_witness(f),
         bound=_bound(f, tracial, alphas, values),
-        nilpotent=_first_nonvanishing(f, scale, *_nilpotent_values(f, values, norms), tol),
-        square_zero=_first_nonvanishing(f, scale, values, norms, tol),
-        rank_one_constancy=_constancy(f, scale, tol),
+        nilpotent=_first_nonvanishing(f, scale, *_nilpotent_values(f, values, norms)),
+        square_zero=_first_nonvanishing(f, scale, values, norms),
+        rank_one_constancy=_constancy(f, scale),
     )

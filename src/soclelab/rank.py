@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    CLUSTER_TOL,
     Element,
     block_eigenvalues,
     classical_rank,
@@ -57,12 +56,7 @@ class RankReport:
     oracle_rank: int
 
 
-def spectral_rank(
-    a: Element,
-    probes: int = DEFAULT_PROBES,
-    seed: int = 0,
-    tol: float = CLUSTER_TOL,
-) -> RankReport:
+def spectral_rank(a: Element, probes: int = DEFAULT_PROBES, seed: int = 0) -> RankReport:
     """Probe the rank of ``a`` and certify it against the SVD oracle.
 
     Probe i is the i-th standard complex Gaussian element of the stream
@@ -72,7 +66,7 @@ def spectral_rank(
         raise ValueError("need at least one probe")
     xs = random_element_stack(a.spec, rng_for(seed, PROBE), probes)
     products = [x @ b for x, b in zip(xs, a.blocks)]
-    counts = nonzero_spectrum_counts(block_eigenvalues(products), tol)
+    counts = nonzero_spectrum_counts(block_eigenvalues(products))
     best = int(np.argmax(counts))
     best_count = int(counts[best])
     oracle = classical_rank(a)
@@ -87,16 +81,11 @@ def spectral_rank(
     )
 
 
-def is_maximal_finite_rank(
-    a: Element,
-    probes: int = DEFAULT_PROBES,
-    seed: int = 0,
-    tol: float = CLUSTER_TOL,
-) -> bool:
+def is_maximal_finite_rank(a: Element, probes: int = DEFAULT_PROBES, seed: int = 0) -> bool:
     """True iff the distinct nonzero spectral values already exhaust the rank.
 
     Such elements split as a sum of rank times (value * minimal
     projection) terms; see the diagonalization routine.
     """
-    report = spectral_rank(a, probes=probes, seed=seed, tol=tol)
-    return nonzero_spectrum_count(a, tol) == report.rank
+    report = spectral_rank(a, probes=probes, seed=seed)
+    return nonzero_spectrum_count(a) == report.rank

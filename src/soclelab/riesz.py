@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    CLUSTER_TOL,
     RESOLVENT_FLOOR,
     AlgebraSpec,
     Element,
@@ -124,12 +123,7 @@ def _projection(a: Element, rep: SpectrumReport, centers, nodes: int):
     return Element(a.spec, tuple(blocks), _checked=True), tuple(radii)
 
 
-def riesz_projection(
-    a: Element,
-    targets,
-    nodes: int = DEFAULT_NODES,
-    tol: float = CLUSTER_TOL,
-) -> RieszReport:
+def riesz_projection(a: Element, targets, nodes: int = DEFAULT_NODES) -> RieszReport:
     """Spectral projection of ``a`` onto one or more spectral values.
 
     Each target must match a clustered spectral value; its contour is
@@ -143,7 +137,7 @@ def riesz_projection(
     targets = [complex(t) for t in np.atleast_1d(targets)]
     if not targets:
         raise ShapeMismatchError("need at least one target")
-    rep = spectrum(a, tol)
+    rep = spectrum(a)
 
     centers = []
     for t in targets:
@@ -179,9 +173,7 @@ def riesz_projection(
     )
 
 
-def _multiplicities(
-    a: Element, rep: SpectrumReport, rank: int, centers, probes, seed, tol, nodes
-):
+def _multiplicities(a: Element, rep: SpectrumReport, rank: int, centers, probes, seed, nodes):
     """Multiplicity at each of ``centers``, certified by two routes.
 
     Route A perturbs the identity by ``DEFAULT_EPS`` times a normalized
@@ -206,7 +198,7 @@ def _multiplicities(
             raise SpectralGapError(center, gap, floor)
         if admitted is None:
             admitted = [
-                s for s in _perturbed_spectra(a, probes, seed, tol)
+                s for s in _perturbed_spectra(a, probes, seed)
                 if s.num_nonzero == rank  # else outside the rank-attaining set
             ]
             if not admitted:
@@ -228,7 +220,7 @@ def _multiplicities(
     return out
 
 
-def _perturbed_spectra(a: Element, probes: int, seed: int, tol: float):
+def _perturbed_spectra(a: Element, probes: int, seed: int):
     """Clustered spectra of (1 + eps*g_k)*a for the ``probes`` perturbations g_k.
 
     g_k is the k-th Gaussian element of ``rng_for(seed, MULTIPLICITY_PROBE)``
@@ -244,7 +236,7 @@ def _perturbed_spectra(a: Element, probes: int, seed: int, tol: float):
         (np.eye(n, dtype=complex) + eps * (inv_norms * g)) @ b
         for g, b, n in zip(gs, a.blocks, a.spec.block_sizes)
     ]
-    return stacked_spectra(block_eigenvalues(products), tol)
+    return stacked_spectra(block_eigenvalues(products))
 
 
 def multiplicity(
@@ -252,24 +244,22 @@ def multiplicity(
     target: complex,
     probes: int = MULTIPLICITY_PROBES,
     seed: int = 0,
-    tol: float = CLUSTER_TOL,
     nodes: int = DEFAULT_NODES,
 ) -> int:
     """Spectral multiplicity of ``a`` at one of its spectral values,
     certified by the two routes of :func:`_multiplicities`."""
     if probes < 1:
         raise ValueError("need at least one probe")
-    rep = spectrum(a, tol)
+    rep = spectrum(a)
     center = _match_target(rep, target)
     rank = classical_rank(a)
-    return _multiplicities(a, rep, rank, [center], probes, seed, tol, nodes)[0]
+    return _multiplicities(a, rep, rank, [center], probes, seed, nodes)[0]
 
 
 def spectral_trace(
     a: Element,
     probes: int = MULTIPLICITY_PROBES,
     seed: int = 0,
-    tol: float = CLUSTER_TOL,
     nodes: int = DEFAULT_NODES,
 ) -> complex:
     """Multiplicity-weighted sum of spectral values.
@@ -279,19 +269,17 @@ def spectral_trace(
     perturbation probes. The result is certified against the
     diagonal-sum oracle to relative tolerance ``TRACE_CERT_TOL``.
     """
-    rep = spectrum(a, tol)
-    return _spectral_trace(
-        a, rep, classical_rank(a), classical_trace(a), probes, seed, tol, nodes
-    )
+    rep = spectrum(a)
+    return _spectral_trace(a, rep, classical_rank(a), classical_trace(a), probes, seed, nodes)
 
 
-def _spectral_trace(a, rep, rank, oracle, probes, seed, tol, nodes) -> complex:
+def _spectral_trace(a, rep, rank, oracle, probes, seed, nodes) -> complex:
     """:func:`spectral_trace` on the clustered spectrum ``rep``, the oracle
     rank and the diagonal-sum ``oracle`` of ``a``, computed once by the
     caller."""
     values = [v for v, _ in rep.points if v != 0]
     total = 0j
-    mults = _multiplicities(a, rep, rank, values, probes, seed, tol, nodes)
+    mults = _multiplicities(a, rep, rank, values, probes, seed, nodes)
     for v, m in zip(values, mults):
         total += v * m
     if abs(total - oracle) > TRACE_CERT_TOL * max(1.0, abs(oracle)):
@@ -299,28 +287,26 @@ def _spectral_trace(a, rep, rank, oracle, probes, seed, tol, nodes) -> complex:
     return total
 
 
-def _spectral_pass(x: Element | None, tol: float, seed: int):
+def _spectral_pass(x: Element | None, seed: int):
     """Spectrum, oracle rank, diagonal trace and certified spectral trace
     of x, each computed once; x = None is the empty corner."""
     if x is None:
         return SpectrumReport((), 0.0, False), 0, 0j, 0j
-    rep = spectrum(x, tol)
+    rep = spectrum(x)
     rank = classical_rank(x)
     oracle = classical_trace(x)
-    trace = _spectral_trace(
-        x, rep, rank, oracle, MULTIPLICITY_PROBES, seed, tol, DEFAULT_NODES
-    )
+    trace = _spectral_trace(x, rep, rank, oracle, MULTIPLICITY_PROBES, seed, DEFAULT_NODES)
     return rep, rank, oracle, trace
 
 
-def trace_bound_check(a: Element, seed: int = 0, tol: float = CLUSTER_TOL) -> bool:
+def trace_bound_check(a: Element, seed: int = 0) -> bool:
     """|trace| <= rank * spectral radius, within ``TRACE_CERT_TOL``.
 
     The spectral trace is only certified to that relative tolerance, so
     the bound cannot be checked more tightly. One spectrum and one
     oracle rank serve both the trace and the bound.
     """
-    rep, rank, _, tr = _spectral_pass(a, tol, seed)
+    rep, rank, _, tr = _spectral_pass(a, seed)
     bound = rank * rep.radius
     return abs(tr) <= bound + TRACE_CERT_TOL * max(1.0, bound)
 
@@ -329,7 +315,6 @@ def diagonalize_maximal(
     a: Element,
     probes: int = DEFAULT_PROBES,
     seed: int = 0,
-    tol: float = CLUSTER_TOL,
     nodes: int = DEFAULT_NODES,
 ) -> Diagonalization:
     """Split a maximal element into value * minimal-projection terms.
@@ -338,9 +323,9 @@ def diagonalize_maximal(
     element; each spectral value then carries a rank-one projection and
     the weighted projections reconstruct the element.
     """
-    rep = spectrum(a, tol)
+    rep = spectrum(a)
     count = rep.num_nonzero
-    rank_rep = spectral_rank(a, probes=probes, seed=seed, tol=tol)
+    rank_rep = spectral_rank(a, probes=probes, seed=seed)
     if count == 0 or rank_rep.rank != count:
         raise NotMaximalError(rank_rep.rank, count)
 
@@ -431,12 +416,7 @@ def _nonzero_spectra_match(
     return True
 
 
-def pAp_consistency(
-    a: Element,
-    p: Element,
-    tol: float = CLUSTER_TOL,
-    seed: int = 0,
-) -> CompressionReport:
+def pAp_consistency(a: Element, p: Element, seed: int = 0) -> CompressionReport:
     """Certify that corner and ambient computations agree on p*a*p.
 
     p*a*p is formed once. It and its corner matrix
@@ -447,8 +427,8 @@ def pAp_consistency(
     """
     pap = p @ a @ p
     sub, compressed = _compress(p, pap)
-    rep_ambient, rank_ambient, tr_ambient, s_ambient = _spectral_pass(pap, tol, seed)
-    rep_corner, rank_corner, tr_corner, s_corner = _spectral_pass(compressed, tol, seed)
+    rep_ambient, rank_ambient, tr_ambient, s_ambient = _spectral_pass(pap, seed)
+    rep_corner, rank_corner, tr_corner, s_corner = _spectral_pass(compressed, seed)
     match_tol = max(rep_ambient.cluster_tolerance, rep_corner.cluster_tolerance)
     scale = max(1.0, abs(tr_ambient))
     trace_match = (

@@ -1,3 +1,7 @@
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -329,3 +333,28 @@ class TestClassicalOracles:
             assert sl.classical_rank(x @ a) <= sl.classical_rank(a)
             u = random_invertible(spec23, rng)
             assert sl.classical_rank(u @ a) == sl.classical_rank(a)
+
+
+def test_no_public_function_takes_a_tolerance():
+    """Thresholds are module constants, read where they are applied, never
+    per-call parameters: no public function or method of any soclelab
+    module takes ``tol``, ``floor`` or ``*_tol``."""
+    checked, knobs = set(), []
+    for info in pkgutil.iter_modules(sl.__path__):
+        module = importlib.import_module(f"soclelab.{info.name}")
+        owners = [module] + [
+            cls for _, cls in inspect.getmembers(module, inspect.isclass)
+            if cls.__module__ == module.__name__
+        ]
+        for owner in owners:
+            for name, fn in inspect.getmembers(owner, inspect.isfunction):
+                if name.startswith("_") or fn.__module__ != module.__name__:
+                    continue
+                checked.add(f"{fn.__module__}.{fn.__qualname__}")
+                knobs += [
+                    f"{fn.__module__}.{fn.__qualname__}({p})"
+                    for p in inspect.signature(fn).parameters
+                    if p in ("tol", "floor") or p.endswith("_tol")
+                ]
+    assert {"soclelab.algebra.spectrum", "soclelab.algebra.SpectrumReport.gap"} <= checked
+    assert knobs == []

@@ -45,6 +45,10 @@ def run_fresh(argv, stdin=None):
 
 
 DIAG_1_2 = [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]
+# check-functional documents whose values overflow: a square-zero basis
+# value, 1e308 + 1e308, and a rank-one projection value, W[0,0] + W[1,0]
+SQUARE_ZERO_OVERFLOW = {"weights": [[[[1e308, 0], [1e308, 0]], [[-1e308, 0], [1e308, 0]]]]}
+PROJECTION_OVERFLOW = {"weights": [[[[1e308, 0], [0, 0]], [[1e308, 0], [0, 0]]]]}
 
 
 class TestCommands:
@@ -245,10 +249,7 @@ class TestCLIBehavior:
                 },
             ),
             # a square-zero basis value overflows the double range
-            (
-                "check-functional",
-                {"weights": [[[[1e308, 0], [1e308, 0]], [[-1e308, 0], [1e308, 0]]]]},
-            ),
+            ("check-functional", SQUARE_ZERO_OVERFLOW),
             ("riesz", {"element": {"blocks": [DIAG_1_2]}, "targets": []}),
             # both targets snap to the spectral value 1
             ("riesz", {"element": {"blocks": [DIAG_1_2]}, "targets": [[1, 0], [1, 0]]}),
@@ -257,11 +258,17 @@ class TestCLIBehavior:
             ("rank-one-commutator", {"x": [[1, 0]], "f": [[1, 0], [0, 0]], "y": [[1, 0]], "g": [[1, 0]]}),
             # the trace, 3.4e308, overflows the double range
             ("commutator", {"matrix": [[[1.7e308, 0], [0, 0]], [[0, 0], [1.7e308, 0]]]}),
+            # a rank-one projection value overflows the double range
+            ("check-functional", PROJECTION_OVERFLOW),
         ],
     )
     def test_bad_input_is_a_json_error(self, tmp_path, capsys, command, document):
         path = write_input(tmp_path, document)
-        with np.errstate(all="ignore"):
+        # The overflowing trace still warns from clustering and from the
+        # contour solves until every threshold scales with the element
+        # (ROADMAP item 1); any other case that warns fails.
+        quiet = np.errstate(all="ignore") if command == "trace" else contextlib.nullcontext()
+        with quiet:
             code, out = invoke(capsys, command, "--input", path)
         assert code == 1
         assert set(out) == {"error"}
@@ -270,6 +277,40 @@ class TestCLIBehavior:
             "SVDConvergenceError",
             "NumericOverflowError",
         }
+
+    @pytest.mark.parametrize(
+        "case, error",
+        [
+            ("missing input", "UsageError"),
+            ("directory input", "UsageError"),
+            ("missing spec", "UsageError"),
+            ("undecodable input", "ShapeMismatchError"),
+            ("deeply nested stdin", "ShapeMismatchError"),
+            ("unwritable output", "UsageError"),
+        ],
+    )
+    def test_file_error_is_a_json_error(self, tmp_path, case, error):
+        good = write_input(tmp_path, {"blocks": [DIAG_1_2]})
+        missing = str(tmp_path / "missing.json")
+        undecodable = str(tmp_path / "undecodable.json")
+        Path(undecodable).write_bytes(b"\xff\xfe")
+        unwritable = str(tmp_path / "missing" / "out.json")
+        # the arguments after the command, stdin, and the path the message names
+        argv, stdin, path = {
+            "missing input": (["--input", missing], None, missing),
+            "directory input": (["--input", str(tmp_path)], None, str(tmp_path)),
+            "missing spec": (["--input", good, "--spec", missing], None, missing),
+            "undecodable input": (["--input", undecodable], None, undecodable),
+            "deeply nested stdin": ([], "[" * 200000 + "]" * 200000, "stdin"),
+            "unwritable output": (["--input", good, "--output", unwritable], None, unwritable),
+        }[case]
+        proc = run_fresh(["spectrum", *argv], stdin=stdin)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        out = json.loads(proc.stdout)
+        assert set(out) == {"error"}
+        assert out["error"]["type"] == error
+        assert path in out["error"]["message"]
 
     def test_bad_spec_is_a_json_error(self, capsys):
         code, out = invoke(capsys, "classify", "--spec", '{"block_sizes": 3}')
@@ -337,10 +378,7 @@ class TestOverflow:
         [
             # sum |alpha_i| n_i = 3e308
             (scalar_weights(1e308, 3), "spectral bound constant"),
-            (
-                {"weights": [[[[1e308, 0], [1e308, 0]], [[-1e308, 0], [1e308, 0]]]]},
-                "square-zero value",
-            ),
+            (SQUARE_ZERO_OVERFLOW, "square-zero value"),
             # finite entries whose operator norm is 3.4e308
             ({"weights": [[[[1.7e308, 0]] * 2] * 2]}, "weight operator norm"),
         ],
@@ -362,6 +400,21 @@ class TestOverflow:
         assert proc.returncode == 1
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["error"]["type"] == "NumericOverflowError"
+
+    @pytest.mark.parametrize(
+        "document, quantity",
+        [
+            (SQUARE_ZERO_OVERFLOW, "square-zero value"),
+            (PROJECTION_OVERFLOW, "rank-one projection value"),
+        ],
+    )
+    def test_overflowed_value_writes_no_warning(self, tmp_path, document, quantity):
+        proc = run_fresh(["check-functional", "--input", write_input(tmp_path, document)])
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        error = json.loads(proc.stdout)["error"]
+        assert error["type"] == "NumericOverflowError"
+        assert quantity in error["message"]
 
     def test_overflowed_spectrum_is_a_json_error(self, tmp_path, capsys):
         # clustering diag(1e308, 1e308) overflows its centroid to inf
@@ -492,21 +545,18 @@ class TestUsageErrors:
         }
         flags = {name: [f for f in fs if f != "--help"] for name, fs in flags.items()}
         assert flags == {
-            "spectrum": ["--input", "--output", "--spec", "--tol-cluster"],
-            "rank": ["--input", "--output", "--probes", "--seed", "--spec", "--tol-cluster"],
-            "trace": ["--input", "--output", "--seed", "--spec", "--tol-cluster"],
-            "riesz": ["--input", "--nodes", "--output", "--spec", "--tol-cluster"],
-            "diagonalize": [
-                "--input", "--nodes", "--output", "--probes", "--seed", "--spec",
-                "--tol-cluster",
-            ],
+            "spectrum": ["--input", "--output", "--spec"],
+            "rank": ["--input", "--output", "--probes", "--seed", "--spec"],
+            "trace": ["--input", "--output", "--seed", "--spec"],
+            "riesz": ["--input", "--nodes", "--output", "--spec"],
+            "diagonalize": ["--input", "--nodes", "--output", "--probes", "--seed", "--spec"],
             "commutator": ["--input", "--output"],
             "rank-one-commutator": ["--input", "--output"],
             "check-functional": ["--input", "--output", "--seed", "--spec"],
             "classify": ["--output", "--seed", "--spec"],
             "verify": ["--output", "--seed", "--spec", "--trials"],
         }
-        assert sum(map(len, flags.values())) == 42
+        assert sum(map(len, flags.values())) == 37
 
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()

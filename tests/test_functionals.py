@@ -197,7 +197,7 @@ def bound_witness_reference(f):
     return best
 
 
-def basis_witness_reference(f, tol=functionals.CONSTANCY_TOL):
+def basis_witness_reference(f, tol=functionals.TRACIAL_TOL):
     """The basis scan both vanishing checks ran element by element."""
     scale = f.weight_scale()
     for w in sl.square_zero_basis(f.spec):
@@ -279,7 +279,7 @@ class TestSquareZeroClosedForm:
         np.testing.assert_array_equal(res.witness.blocks[0], sl.matrix_unit(m3, 0, 0, 2).blocks[0])
 
     def test_bound_witness_raises_when_scan_finds_nothing(self, m2, monkeypatch):
-        monkeypatch.setattr(functionals, "is_tracial", lambda f, tol: False)
+        monkeypatch.setattr(functionals, "is_tracial", lambda f: False)
         with pytest.raises(TheoremViolationError):
             sl.spectral_bound_witness(sl.trace_functional(m2))
 
@@ -609,7 +609,9 @@ class TestWitnessFamilies:
         for p, x in enumerate(elements):
             values = np.zeros(len(elements), dtype=complex)
             values[p] = 1.0
-            got = functionals._first_nonvanishing(f, 1.0, values, np.ones(len(elements)), 0.5)
+            # a scale that puts the threshold at 0.5
+            scale = 0.5 / functionals.TRACIAL_TOL
+            got = functionals._first_nonvanishing(f, scale, values, np.ones(len(elements)))
             assert not got.vanishes
             for a, b in zip(got.witness.blocks, x.blocks):
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-15)

@@ -298,7 +298,7 @@ class TestSharedSpectralPass:
         rng = rng_for(seed, 1 << 40)
         spec = sl.AlgebraSpec(tuple(n for n, _ in blocks))
         a = sl.Element(spec, tuple(_block(kind, n, rng) for n, kind in blocks))
-        stacked = riesz._perturbed_spectra(a, probes, seed, sl.CLUSTER_TOL)
+        stacked = riesz._perturbed_spectra(a, probes, seed)
         assert len(stacked) == probes
         one = sl.identity(spec)
         rng = rng_for(seed, MULTIPLICITY_PROBE)
