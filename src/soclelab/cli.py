@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import reprlib
 import sys
 
 from . import jsonio
@@ -175,7 +176,7 @@ def _run_riesz(args) -> dict:
 
 def _run_diagonalize(args) -> dict:
     a = _element_input(args)
-    d = diagonalize_maximal(a, probes=args.probes, seed=args.seed, nodes=args.nodes)
+    d = diagonalize_maximal(a, probes=args.probes, seed=args.seed)
     return jsonio.diagonalization_to_json(d)
 
 
@@ -185,7 +186,9 @@ def _run_commutator(args) -> dict:
         raise ShapeMismatchError('commutator input needs {"matrix": [[...]]}')
     block = data.get("block", 0)
     if not isinstance(block, int) or isinstance(block, bool) or block < 0:
-        raise ShapeMismatchError(f'"block" must be a nonnegative integer, got {block!r}')
+        raise ShapeMismatchError(
+            f'"block" must be a nonnegative integer, got {reprlib.repr(block)}'
+        )
     cert = commutator_decompose(jsonio.matrix_from_json(data["matrix"]), block=block)
     return jsonio.certificate_to_json(cert)
 
@@ -244,7 +247,7 @@ _COMMANDS = {
     "rank": (_run_rank, ("input", "spec", "seed", "probes")),
     "trace": (_run_trace, ("input", "spec", "seed")),
     "riesz": (_run_riesz, ("input", "spec", "nodes")),
-    "diagonalize": (_run_diagonalize, ("input", "spec", "seed", "probes", "nodes")),
+    "diagonalize": (_run_diagonalize, ("input", "spec", "seed", "probes")),
     "commutator": (_run_commutator, ("input",)),
     "rank-one-commutator": (_run_rank_one_commutator, ("input",)),
     "check-functional": (_run_check_functional, ("input", "spec", "seed")),

@@ -10,6 +10,7 @@ bottom of the module, after ``dumps``, which writes a report's text.
 from __future__ import annotations
 
 import math
+import reprlib
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -26,11 +27,13 @@ def complex_to_json(z: complex) -> list[float]:
 
 def complex_from_json(data) -> complex:
     if not isinstance(data, (list, tuple)) or len(data) != 2:
-        raise ShapeMismatchError(f"expected [re, im] pair, got {data!r}")
+        raise ShapeMismatchError(f"expected [re, im] pair, got {reprlib.repr(data)}")
     try:
         return complex(float(data[0]), float(data[1]))
     except (TypeError, ValueError) as exc:
-        raise ShapeMismatchError(f"expected numeric [re, im] pair, got {data!r}") from exc
+        raise ShapeMismatchError(
+            f"expected numeric [re, im] pair, got {reprlib.repr(data)}"
+        ) from exc
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -56,7 +59,9 @@ def vector_to_json(v: np.ndarray) -> list:
 
 def vector_from_json(data) -> np.ndarray:
     if not isinstance(data, (list, tuple)):
-        raise ShapeMismatchError(f"expected a vector of [re, im] pairs, got {data!r}")
+        raise ShapeMismatchError(
+            f"expected a vector of [re, im] pairs, got {reprlib.repr(data)}"
+        )
     return np.array([complex_from_json(z) for z in data], dtype=complex)
 
 

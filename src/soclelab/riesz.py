@@ -10,6 +10,15 @@ drawn once, solved and clustered as one stack, and shared by all its
 spectral values. The trace is the
 multiplicity-weighted sum of spectral values, certified against the
 diagonal-sum oracle.
+
+A maximal element (as many distinct nonzero spectral values as its
+rank) needs no contour. Its nonzero values are simple and it vanishes
+on its generalized kernel, so it is diagonalizable, and the projection
+at a nonzero value is exactly P = v w^T with v its eigenvector and w^T
+the matching row of the inverse eigenvector matrix, so that w^T v = 1.
+:func:`diagonalize_maximal` reads every such P from one
+eigendecomposition per block; the residual of a - sum(value * P)
+certifies the splitting.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from .algebra import (
     AlgebraSpec,
     Element,
     SpectrumReport,
+    _blockwise,
     block_eigenvalues,
     block_operator_norm,
     classical_rank,
@@ -34,6 +44,7 @@ from .algebra import (
 )
 from .errors import (
     ContourCollapseError,
+    EigensolverError,
     MultiplicityInconsistencyError,
     NotMaximalError,
     ProbeExhaustionError,
@@ -315,13 +326,21 @@ def diagonalize_maximal(
     a: Element,
     probes: int = DEFAULT_PROBES,
     seed: int = 0,
-    nodes: int = DEFAULT_NODES,
 ) -> Diagonalization:
     """Split a maximal element into value * minimal-projection terms.
 
     Requires #(distinct nonzero spectral values) = rank and a nonzero
-    element; each spectral value then carries a rank-one projection and
-    the weighted projections reconstruct the element.
+    element. Such an element is diagonalizable with simple nonzero
+    values: their algebraic multiplicities sum to at least their count
+    and at most the rank, so each is 1 and their eigenvectors span a
+    subspace of dimension rank, and the element is 0 on the
+    complementary generalized kernel. The Riesz projection at a nonzero
+    value v is then exactly P = x y^T, x the eigenvector of v and y^T
+    the matching row of the inverse eigenvector matrix (y^T x = 1), read
+    from one eigendecomposition per block. The eigenvalue taken for v is
+    the one inside the disk that the contour of :func:`riesz_projection`
+    encloses. The reconstruction residual ||a - sum v P_v|| certifies
+    the result.
     """
     rep = spectrum(a)
     count = rep.num_nonzero
@@ -330,13 +349,35 @@ def diagonalize_maximal(
         raise NotMaximalError(rank_rep.rank, count)
 
     values = tuple(v for v, _ in rep.points if v != 0)
-    projections = tuple(_projection(a, rep, [v], nodes)[0] for v in values)
+    eigs = _blockwise(np.linalg.eig, a.blocks, EigensolverError)
+    inverses = _blockwise(np.linalg.inv, [vecs for _, vecs in eigs], EigensolverError)
+    projections = tuple(_eigenprojection(a, rep, v, eigs, inverses) for v in values)
     recon = [np.zeros((n, n), dtype=complex) for n in a.spec.block_sizes]
     for v, p in zip(values, projections):
         for acc, pb in zip(recon, p.blocks):
             acc += v * pb
     residual = operator_norm(a - Element(a.spec, tuple(recon), _checked=True))
     return Diagonalization(values, projections, float(residual))
+
+
+def _eigenprojection(a: Element, rep: SpectrumReport, v: complex, eigs, inverses):
+    """The rank-one spectral projection of a diagonalizable ``a`` at its
+    simple value ``v``, from the per-block eigendecompositions ``eigs``
+    ((eigenvalues, eigenvectors) pairs) and the ``inverses`` of their
+    eigenvector matrices."""
+    r = RADIUS_FACTOR * rep.gap(v)
+    picks = [np.flatnonzero(np.abs(lam - v) < r) for lam, _ in eigs]
+    found = sum(len(ks) for ks in picks)
+    if found != 1:
+        msg = (
+            f"{found} eigenvalues lie within {r:.3e} of the spectral value {v} "
+            "of a maximal element; a simple value has exactly one"
+        )
+        raise MultiplicityInconsistencyError(v, 1, found, message=msg)
+    blocks = tuple(
+        vecs[:, ks] @ inv[ks, :] for (_, vecs), inv, ks in zip(eigs, inverses, picks)
+    )
+    return Element(a.spec, blocks, _checked=True)
 
 
 @dataclass(frozen=True)

@@ -312,6 +312,24 @@ class TestCLIBehavior:
         assert out["error"]["type"] == error
         assert path in out["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "command, document",
+        [
+            # a 589 KB entry where an [re, im] pair belongs
+            ("spectrum", {"blocks": [[[list(range(100000))]]]}),
+            # a 589 KB "block" where an index belongs
+            ("commutator", {"matrix": [[[0, 0]]], "block": list(range(100000))}),
+        ],
+    )
+    def test_shape_error_echoes_a_bounded_value(self, tmp_path, command, document):
+        path = write_input(tmp_path, document)
+        proc = run_fresh([command, "--input", path])
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        assert len(proc.stdout.encode()) < 1024
+        out = json.loads(proc.stdout)
+        assert out["error"]["type"] == "ShapeMismatchError"
+
     def test_bad_spec_is_a_json_error(self, capsys):
         code, out = invoke(capsys, "classify", "--spec", '{"block_sizes": 3}')
         assert code == 1
@@ -340,7 +358,7 @@ def _report_cases():
             {"element": jsonio.element_to_json(single(np.diag([3.0, 1.0, 1.0]))),
              "targets": [[1.0, 0.0]]},
         ),
-        "diagonalize": (["diagonalize", "--probes", "8", "--nodes", "16"], element),
+        "diagonalize": (["diagonalize", "--probes", "8"], element),
         "commutator": (
             ["commutator"],
             {"matrix": jsonio.matrix_to_json(random_traceless_matrix(4, rng)), "block": 1},
@@ -511,6 +529,7 @@ class TestUsageErrors:
             ["commutator", "--spec", '{"block_sizes": [2]}'],
             # the contour quadrature needs at least 4 nodes
             ["riesz", "--nodes", "2"],
+            # diagonalize reads no quadrature: its projections are closed forms
             ["diagonalize", "--nodes", "3"],
         ],
     )
@@ -549,14 +568,14 @@ class TestUsageErrors:
             "rank": ["--input", "--output", "--probes", "--seed", "--spec"],
             "trace": ["--input", "--output", "--seed", "--spec"],
             "riesz": ["--input", "--nodes", "--output", "--spec"],
-            "diagonalize": ["--input", "--nodes", "--output", "--probes", "--seed", "--spec"],
+            "diagonalize": ["--input", "--output", "--probes", "--seed", "--spec"],
             "commutator": ["--input", "--output"],
             "rank-one-commutator": ["--input", "--output"],
             "check-functional": ["--input", "--output", "--seed", "--spec"],
             "classify": ["--output", "--seed", "--spec"],
             "verify": ["--output", "--seed", "--spec", "--trials"],
         }
-        assert sum(map(len, flags.values())) == 37
+        assert sum(map(len, flags.values())) == 36
 
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()

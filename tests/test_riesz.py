@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import soclelab as sl
 from soclelab import riesz
 from soclelab.errors import (
+    EigensolverError,
     MultiplicityInconsistencyError,
     NotIdempotentError,
     NotMaximalError,
@@ -424,6 +425,125 @@ class TestDiagonalization:
             assert d.residual < 1e-8
             for p in d.projections:
                 assert sl.classical_rank(p) == 1
+
+
+def _unitary(n, rng):
+    q, r = np.linalg.qr(complex_gaussian(rng, (n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@st.composite
+def similar_maximal(draw):
+    """(blocks, nonzero values) of an element built as S D S^-1 per block.
+
+    D holds the block's nonzero values, then its kernel of zeros; S is
+    U diag(s) W with U, W unitary and s in [1, kappa], so cond(S) <= 1e2.
+    The nonzero values are distinct points of the lattice 0.15 * Z[i], so
+    any two are at least 0.15 apart and at least 0.15 from 0."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    kernels = [draw(st.integers(0, n)) for n in sizes]
+    if sum(sizes) == sum(kernels):
+        kernels[0] -= 1
+    count = sum(sizes) - sum(kernels)
+    lattice = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(any)
+    points = draw(st.lists(lattice, min_size=count, max_size=count, unique=True))
+    values = [0.15 * complex(re, im) for re, im in points]
+    kappa = draw(st.floats(1.0, 1e2))
+    rng = rng_for(draw(st.integers(0, 2**32 - 1)))
+    blocks, pos = [], 0
+    for n, k in zip(sizes, kernels):
+        d = np.zeros(n, dtype=complex)
+        d[: n - k] = values[pos : pos + n - k]
+        pos += n - k
+        s = _unitary(n, rng) @ np.diag(rng.uniform(1.0, kappa, n)) @ _unitary(n, rng)
+        blocks.append(s @ np.diag(d) @ np.linalg.inv(s))
+    return blocks, values
+
+
+class TestDiagonalizationClosedForm:
+    """The eigendecomposition projections of :func:`diagonalize_maximal`
+    against the contour projections of :func:`riesz_projection`, on
+    elements whose values and ranks are known by construction."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(built=similar_maximal(), data=st.data())
+    def test_matches_contour_and_construction(self, built, data):
+        blocks, values = built
+        a = sl.Element(sl.AlgebraSpec(tuple(len(b) for b in blocks)), blocks)
+        d = sl.diagonalize_maximal(a)
+        assert len(d.values) == len(values)
+        for v in values:
+            assert min(abs(v - w) for w in d.values) < 1e-9
+        assert d.residual <= 1e-8
+        for i, (v, p) in enumerate(zip(d.values, d.projections)):
+            contour = sl.riesz_projection(a, [v]).projection
+            scale = max(1.0, sl.operator_norm(p))
+            assert sl.operator_norm(p - contour) <= 1e-10 * scale
+            assert sl.classical_rank(p) == 1
+            for j, q in enumerate(d.projections):
+                if i != j:
+                    assert sl.operator_norm(p @ q) <= 1e-8
+
+        order = data.draw(st.permutations(range(len(blocks))))
+        moved = sl.Element(
+            sl.AlgebraSpec(tuple(len(blocks[k]) for k in order)),
+            [blocks[k] for k in order],
+        )
+        e = sl.diagonalize_maximal(moved)
+        assert len(e.values) == len(d.values)
+        for v, p in zip(d.values, d.projections):
+            w = min(range(len(e.values)), key=lambda k: abs(e.values[k] - v))
+            assert abs(e.values[w] - v) < 1e-12
+            for pos, k in enumerate(order):
+                np.testing.assert_allclose(
+                    e.projections[w].blocks[pos], p.blocks[k], rtol=0, atol=1e-12
+                )
+
+    def test_no_linear_solve(self, monkeypatch):
+        a = random_maximal_element(sl.AlgebraSpec((6, 10)), rng_for(89))
+        calls = []
+        real = np.linalg.solve
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        d = sl.diagonalize_maximal(a)
+        assert len(d.values) > 1 and calls == []
+        # the counter does see the contour's solves
+        sl.riesz_projection(a, [d.values[0]])
+        assert calls
+
+    def test_failed_eigenvector_inverse_names_the_block(self, monkeypatch):
+        a = random_maximal_element(sl.AlgebraSpec((2, 3)), rng_for(97))
+        real = np.linalg.inv
+
+        def inv(m):
+            if len(m) == 3:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real(m)
+
+        monkeypatch.setattr(np.linalg, "inv", inv)
+        with pytest.raises(EigensolverError) as err:
+            sl.diagonalize_maximal(a)
+        assert err.value.block_index == 1
+
+    def test_value_without_exactly_one_eigenvalue_is_typed(self, monkeypatch):
+        a = single(np.diag([1.0, 2.0, 0.0]))
+        real = np.linalg.eig
+
+        def eig(m):
+            # eigenvalue 2 reported as a second 1: the disk around 1 holds
+            # two eigenvalues and the disk around 2 none
+            vals, vecs = real(m)
+            return np.where(np.abs(vals - 2) < 0.5, 1.0, vals), vecs
+
+        monkeypatch.setattr(np.linalg, "eig", eig)
+        with pytest.raises(MultiplicityInconsistencyError) as err:
+            sl.diagonalize_maximal(a)
+        assert err.value.target in (1, 2)
+        assert str(err.value.target) in str(err.value)
 
 
 class TestCornerConsistency:
