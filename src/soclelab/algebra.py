@@ -398,26 +398,14 @@ def nonzero_spectrum_counts(vals: np.ndarray) -> np.ndarray:
     """#(distinct nonzero spectral values) for each row of ``vals``.
 
     ``vals`` is ``(p, N)``: row k holds all eigenvalues, with
-    multiplicity, of the k-th element. Each row is clustered by the
-    rule of :func:`spectrum` (merge radius ``CLUSTER_TOL * max(spectral
-    radius, 1)``), skipping the report. The radii and the screen for a pair
-    within the merge radius are computed for all rows at once; the rows
-    that have such a pair go to one :func:`cluster_eigenvalues` call.
-    The others need no merge, so their count is read off directly.
+    multiplicity, of the k-th element. All rows are clustered by the
+    rule of :func:`spectrum` in one :func:`cluster_eigenvalues` call,
+    and each row counts its live centers beyond its merge radius,
+    skipping the report.
     """
     tol_abs = _merge_radii(vals)
-    counts = np.sum(np.abs(vals) > tol_abs[:, None], axis=1)
-    if vals.shape[1] > 1:
-        diff = np.abs(vals[:, :, None] - vals[:, None, :])
-        diag = np.arange(vals.shape[1])
-        diff[:, diag, diag] = np.inf
-        flagged = np.flatnonzero(diff.min(axis=(1, 2)) <= tol_abs)
-        if flagged.size:
-            radii = tol_abs[flagged]
-            centers, mult = cluster_eigenvalues(vals[flagged], radii)
-            nonzero = (mult > 0) & (np.abs(centers) > radii[:, None])
-            counts[flagged] = np.sum(nonzero, axis=1)
-    return counts
+    centers, counts = cluster_eigenvalues(vals, tol_abs)
+    return np.sum((counts > 0) & (np.abs(centers) > tol_abs[:, None]), axis=1)
 
 
 def spectral_radius(a: Element) -> float:

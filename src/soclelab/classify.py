@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import AlgebraSpec, Element, block_ranks, corner_ranks, matrix_unit, zero
-from .errors import NoCounterexampleError, TheoremViolationError
+from .errors import NoCounterexampleError, ShapeMismatchError, TheoremViolationError
 from .functionals import (
     CharacterizationReport,
     Functional,
@@ -63,7 +63,10 @@ def generated_ideal(spec: AlgebraSpec, a: Element) -> IdealReport:
     n^2. The test is exact: no tolerance, and no overflow at any scale.
     """
     if a.spec != spec:
-        raise ValueError("generator does not live on the given algebra")
+        raise ShapeMismatchError(
+            f"generator lives on layout {a.spec.block_sizes}, "
+            f"not on the given layout {spec.block_sizes}"
+        )
     supported = frozenset(i for i, b in enumerate(a.blocks) if np.any(b))
     dim = sum(spec.block_sizes[i] ** 2 for i in supported)
     return IdealReport(

@@ -176,7 +176,7 @@ def _run_riesz(args) -> dict:
 
 def _run_diagonalize(args) -> dict:
     a = _element_input(args)
-    d = diagonalize_maximal(a, probes=args.probes, seed=args.seed)
+    d = diagonalize_maximal(a, seed=args.seed)
     return jsonio.diagonalization_to_json(d)
 
 
@@ -247,7 +247,7 @@ _COMMANDS = {
     "rank": (_run_rank, ("input", "spec", "seed", "probes")),
     "trace": (_run_trace, ("input", "spec", "seed")),
     "riesz": (_run_riesz, ("input", "spec", "nodes")),
-    "diagonalize": (_run_diagonalize, ("input", "spec", "seed", "probes")),
+    "diagonalize": (_run_diagonalize, ("input", "spec", "seed")),
     "commutator": (_run_commutator, ("input",)),
     "rank-one-commutator": (_run_rank_one_commutator, ("input",)),
     "check-functional": (_run_check_functional, ("input", "spec", "seed")),

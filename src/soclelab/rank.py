@@ -10,12 +10,10 @@ instead of returning.
 
 The probes run as one batch: they are one draw from the seed's
 ``PROBE`` stream, multiplied by a's block in one batched product and
-solved by one stacked eigensolve per block. A vectorized screen then
-finds the probes with two eigenvalues within the merge radius; only
-those are clustered, all in one call, and every other probe's count is
-read off directly. The stream is sequential, so probe i does not depend
-on the probe count, and the report is that of drawing and counting the
-probes one at a time.
+solved by one stacked eigensolve per block, and their spectra are
+clustered in one call. The stream is sequential, so probe i does not
+depend on the probe count, and the report is that of drawing and
+counting the probes one at a time.
 """
 
 from __future__ import annotations
@@ -81,11 +79,10 @@ def spectral_rank(a: Element, probes: int = DEFAULT_PROBES, seed: int = 0) -> Ra
     )
 
 
-def is_maximal_finite_rank(a: Element, probes: int = DEFAULT_PROBES, seed: int = 0) -> bool:
+def is_maximal_finite_rank(a: Element) -> bool:
     """True iff the distinct nonzero spectral values already exhaust the rank.
 
     Such elements split as a sum of rank times (value * minimal
     projection) terms; see the diagonalization routine.
     """
-    report = spectral_rank(a, probes=probes, seed=seed)
-    return nonzero_spectrum_count(a) == report.rank
+    return spectral_rank(a).rank == nonzero_spectrum_count(a)

@@ -53,7 +53,7 @@ from .errors import (
     TargetNotInSpectrumError,
     TraceCertificationError,
 )
-from .rank import DEFAULT_PROBES, spectral_rank
+from .rank import spectral_rank
 from .sampling import MULTIPLICITY_PROBE, random_element_stack, rng_for
 
 DEFAULT_NODES = 64
@@ -111,8 +111,6 @@ def _match_target(rep: SpectrumReport, target: complex) -> complex:
 def _projection(a: Element, rep: SpectrumReport, centers, nodes: int):
     """The trapezoid-rule contour projection summed over ``centers`` (circles of
     radius ``RADIUS_FACTOR`` times each gap in ``rep``), and the radii used."""
-    if nodes < 4:
-        raise ValueError("need at least 4 quadrature nodes")
     scale = max(rep.radius, 1.0)
     phases = np.exp(1j * (2 * np.pi * np.arange(nodes) / nodes))
     radii = []
@@ -184,22 +182,20 @@ def riesz_projection(a: Element, targets, nodes: int = DEFAULT_NODES) -> RieszRe
     )
 
 
-def _multiplicities(a: Element, rep: SpectrumReport, rank: int, centers, probes, seed, nodes):
+def _multiplicities(a: Element, rep: SpectrumReport, rank: int, centers, seed):
     """Multiplicity at each of ``centers``, certified by two routes.
 
-    Route A perturbs the identity by ``DEFAULT_EPS`` times a normalized
-    Gaussian element, keeps the probes whose nonzero-spectrum count is
-    the oracle ``rank`` of ``a``, and counts the distinct spectral values
-    of each product within one third of the local gap of the center; all
-    counts must agree. The probes do not depend on the center, so their
-    spectra are computed once, after the first gap check passes, by
-    :func:`_perturbed_spectra`: one stack of probes, one eigensolve per
-    block and one clustering call for all of them. For nonzero centers,
-    Route B is the rank of the Riesz projection; the routes share only
-    ``rep`` and ``rank``.
+    Route A perturbs the identity by ``DEFAULT_EPS`` times each of
+    ``MULTIPLICITY_PROBES`` normalized Gaussian elements, keeps the
+    probes whose nonzero-spectrum count is the oracle ``rank`` of ``a``,
+    and counts the distinct spectral values of each product within one
+    third of the local gap of the center; all counts must agree. The
+    probes do not depend on the center, so their spectra are computed
+    once, after the first gap check passes, by
+    :func:`_perturbed_spectra`. For nonzero centers, Route B is the rank
+    of the Riesz projection at ``DEFAULT_NODES`` nodes; the routes share
+    only ``rep`` and ``rank``.
     """
-    if centers and probes < 1:
-        raise ValueError("need at least one probe")
     floor = GAP_FLOOR_FACTOR * rep.cluster_tolerance
     admitted = None
     out = []
@@ -209,12 +205,13 @@ def _multiplicities(a: Element, rep: SpectrumReport, rank: int, centers, probes,
             raise SpectralGapError(center, gap, floor)
         if admitted is None:
             admitted = [
-                s for s in _perturbed_spectra(a, probes, seed)
+                s for s in _perturbed_spectra(a, seed)
                 if s.num_nonzero == rank  # else outside the rank-attaining set
             ]
             if not admitted:
                 raise ProbeExhaustionError(
-                    f"no perturbation probe preserved the rank after {probes} attempts"
+                    "no perturbation probe preserved the rank after "
+                    f"{MULTIPLICITY_PROBES} attempts"
                 )
         ball = gap / 3.0
         near = [sum(abs(v - center) < ball for v, _ in s.points) for s in admitted]
@@ -224,15 +221,15 @@ def _multiplicities(a: Element, rep: SpectrumReport, rank: int, centers, probes,
             raise MultiplicityInconsistencyError(center, counts, None, message=msg)
         route_a = counts[0]
         if center != 0:
-            route_b = classical_rank(_projection(a, rep, [center], nodes)[0])
+            route_b = classical_rank(_projection(a, rep, [center], DEFAULT_NODES)[0])
             if route_a != route_b:
                 raise MultiplicityInconsistencyError(center, route_a, route_b)
         out.append(route_a)
     return out
 
 
-def _perturbed_spectra(a: Element, probes: int, seed: int):
-    """Clustered spectra of (1 + eps*g_k)*a for the ``probes`` perturbations g_k.
+def _perturbed_spectra(a: Element, seed: int):
+    """Clustered spectra of (1 + eps*g_k)*a, k < ``MULTIPLICITY_PROBES``.
 
     g_k is the k-th Gaussian element of ``rng_for(seed, MULTIPLICITY_PROBE)``
     divided by its operator norm, and eps is ``DEFAULT_EPS``. The norms
@@ -240,7 +237,8 @@ def _perturbed_spectra(a: Element, probes: int, seed: int):
     product and one ``eigvals`` per block, and the spectra from one
     clustering pass over all rows.
     """
-    gs = random_element_stack(a.spec, rng_for(seed, MULTIPLICITY_PROBE), probes)
+    rng = rng_for(seed, MULTIPLICITY_PROBE)
+    gs = random_element_stack(a.spec, rng, MULTIPLICITY_PROBES)
     inv_norms = (1.0 / block_operator_norm(gs)).astype(complex)[:, None, None]
     eps = complex(DEFAULT_EPS)
     products = [
@@ -250,29 +248,16 @@ def _perturbed_spectra(a: Element, probes: int, seed: int):
     return stacked_spectra(block_eigenvalues(products))
 
 
-def multiplicity(
-    a: Element,
-    target: complex,
-    probes: int = MULTIPLICITY_PROBES,
-    seed: int = 0,
-    nodes: int = DEFAULT_NODES,
-) -> int:
+def multiplicity(a: Element, target: complex, seed: int = 0) -> int:
     """Spectral multiplicity of ``a`` at one of its spectral values,
     certified by the two routes of :func:`_multiplicities`."""
-    if probes < 1:
-        raise ValueError("need at least one probe")
     rep = spectrum(a)
     center = _match_target(rep, target)
     rank = classical_rank(a)
-    return _multiplicities(a, rep, rank, [center], probes, seed, nodes)[0]
+    return _multiplicities(a, rep, rank, [center], seed)[0]
 
 
-def spectral_trace(
-    a: Element,
-    probes: int = MULTIPLICITY_PROBES,
-    seed: int = 0,
-    nodes: int = DEFAULT_NODES,
-) -> complex:
+def spectral_trace(a: Element, seed: int = 0) -> complex:
     """Multiplicity-weighted sum of spectral values.
 
     The spectral value 0 contributes nothing, so only nonzero values
@@ -281,16 +266,16 @@ def spectral_trace(
     diagonal-sum oracle to relative tolerance ``TRACE_CERT_TOL``.
     """
     rep = spectrum(a)
-    return _spectral_trace(a, rep, classical_rank(a), classical_trace(a), probes, seed, nodes)
+    return _spectral_trace(a, rep, classical_rank(a), classical_trace(a), seed)
 
 
-def _spectral_trace(a, rep, rank, oracle, probes, seed, nodes) -> complex:
+def _spectral_trace(a, rep, rank, oracle, seed) -> complex:
     """:func:`spectral_trace` on the clustered spectrum ``rep``, the oracle
     rank and the diagonal-sum ``oracle`` of ``a``, computed once by the
     caller."""
     values = [v for v, _ in rep.points if v != 0]
     total = 0j
-    mults = _multiplicities(a, rep, rank, values, probes, seed, nodes)
+    mults = _multiplicities(a, rep, rank, values, seed)
     for v, m in zip(values, mults):
         total += v * m
     if abs(total - oracle) > TRACE_CERT_TOL * max(1.0, abs(oracle)):
@@ -306,7 +291,7 @@ def _spectral_pass(x: Element | None, seed: int):
     rep = spectrum(x)
     rank = classical_rank(x)
     oracle = classical_trace(x)
-    trace = _spectral_trace(x, rep, rank, oracle, MULTIPLICITY_PROBES, seed, DEFAULT_NODES)
+    trace = _spectral_trace(x, rep, rank, oracle, seed)
     return rep, rank, oracle, trace
 
 
@@ -322,11 +307,7 @@ def trace_bound_check(a: Element, seed: int = 0) -> bool:
     return abs(tr) <= bound + TRACE_CERT_TOL * max(1.0, bound)
 
 
-def diagonalize_maximal(
-    a: Element,
-    probes: int = DEFAULT_PROBES,
-    seed: int = 0,
-) -> Diagonalization:
+def diagonalize_maximal(a: Element, seed: int = 0) -> Diagonalization:
     """Split a maximal element into value * minimal-projection terms.
 
     Requires #(distinct nonzero spectral values) = rank and a nonzero
@@ -344,7 +325,7 @@ def diagonalize_maximal(
     """
     rep = spectrum(a)
     count = rep.num_nonzero
-    rank_rep = spectral_rank(a, probes=probes, seed=seed)
+    rank_rep = spectral_rank(a, seed=seed)
     if count == 0 or rank_rep.rank != count:
         raise NotMaximalError(rank_rep.rank, count)
 

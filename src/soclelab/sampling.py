@@ -65,13 +65,12 @@ def random_element_stack(
     return tuple(blocks)
 
 
-def random_invertible(
-    spec: AlgebraSpec, rng: np.random.Generator, max_cond: float = 1e4
-) -> Element:
-    """Gaussian element redrawn until every block is well conditioned."""
+def random_invertible(spec: AlgebraSpec, rng: np.random.Generator) -> Element:
+    """Gaussian element redrawn until every block has condition number
+    at most 1e4."""
     for _ in range(64):
         x = random_element(spec, rng)
-        if all(np.linalg.cond(b) <= max_cond for b in x.blocks):
+        if all(np.linalg.cond(b) <= 1e4 for b in x.blocks):
             return x
     raise ProbeExhaustionError("could not draw a well-conditioned invertible")
 
@@ -110,26 +109,19 @@ def random_nilpotent(spec: AlgebraSpec, rng: np.random.Generator) -> Element:
     return Element(spec, tuple(blocks), _checked=True)
 
 
-def _separated_values(
-    rng: np.random.Generator,
-    count: int,
-    min_gap: float,
-    lo: float = 0.5,
-    hi: float = 2.5,
-) -> list[complex]:
-    """Nonzero complex values with pairwise distances >= min_gap."""
+def _separated_values(rng: np.random.Generator, count: int) -> list[complex]:
+    """Complex values in the annulus 0.5 <= |z| <= 2.5 with pairwise
+    distances >= 0.15."""
     vals: list[complex] = []
     attempts = 0
     while len(vals) < count:
         attempts += 1
         if attempts > 10000:
             raise ProbeExhaustionError("could not separate spectral values")
-        r = rng.uniform(lo, hi)
+        r = rng.uniform(0.5, 2.5)
         th = rng.uniform(0, 2 * np.pi)
         v = r * np.exp(1j * th)
-        if abs(v) < min_gap:
-            continue
-        if all(abs(v - w) >= min_gap for w in vals):
+        if all(abs(v - w) >= 0.15 for w in vals):
             vals.append(complex(v))
     return vals
 
@@ -151,13 +143,12 @@ def _tame_similarity(n: int, rng: np.random.Generator) -> np.ndarray:
 def random_maximal_element(
     spec: AlgebraSpec,
     rng: np.random.Generator,
-    min_gap: float = 0.15,
     zero_defect: bool = True,
 ) -> Element:
     """Diagonalizable element whose distinct nonzero values count = rank.
 
     Each block is S diag(values, 0...) S^-1 with distinct nonzero values
-    (distinct across the whole element, pairwise gaps >= min_gap) and an
+    (distinct across the whole element, pairwise gaps >= 0.15) and an
     optional semisimple kernel. Similarities are kept well conditioned
     so projection defects stay near the floating-point floor.
     """
@@ -171,7 +162,7 @@ def random_maximal_element(
     if n_vals == 0:
         kernel[0] -= 1
         n_vals = 1
-    values = _separated_values(rng, n_vals, min_gap)
+    values = _separated_values(rng, n_vals)
     blocks = []
     pos = 0
     for i, n in enumerate(spec.block_sizes):

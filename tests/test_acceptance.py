@@ -131,7 +131,7 @@ def test_criterion_3_riesz_calculus():
                     worst_orth = max(
                         worst_orth, sl.operator_norm(projs[i] @ projs[j])
                     )
-        d = sl.diagonalize_maximal(a, probes=16, seed=idx)
+        d = sl.diagonalize_maximal(a, seed=idx)
         worst_resid = max(worst_resid, d.residual)
         total = sum(sl.multiplicity(a, v, seed=idx) for v, _ in rep.points)
         if total != sl.classical_rank(a) + (1 if rep.contains_zero else 0):

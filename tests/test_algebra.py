@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import soclelab as sl
-from soclelab.algebra import cluster_eigenvalues, nonzero_spectrum_counts
+from soclelab.algebra import CLUSTER_TOL, cluster_eigenvalues, nonzero_spectrum_counts
 from soclelab.errors import (
     NonFiniteEntryError,
     ShapeMismatchError,
@@ -249,6 +249,17 @@ class TestClustering:
         assert_same_clusters(values, 1e-6)
         assert sorted(one_row(values, 1e-6)[1].tolist()) == [1, 2, 60]
 
+    @settings(max_examples=300, deadline=None)
+    @given(stack=cluster_stack())
+    def test_nonzero_counts_match_per_row_reference(self, stack):
+        rows, _ = stack
+        counts = nonzero_spectrum_counts(rows)
+        assert counts.shape == (len(rows),)
+        for row, count in zip(rows, counts.tolist()):
+            radius = CLUSTER_TOL * max(np.abs(row).max(), 1.0)
+            centers, _ = reference_cluster(row, radius)
+            assert count == int(np.sum(np.abs(centers) > radius))
+
     def test_rows_merge_at_their_own_radius(self):
         # radius 1e-6 keeps the pair in row 0 apart; 1e-4 merges the one in row 1
         vals = np.array([[0.5, 0.5 + 2e-6, 0], [100, 50, 50 + 1e-5]], dtype=complex)
@@ -335,11 +346,10 @@ class TestClassicalOracles:
             assert sl.classical_rank(u @ a) == sl.classical_rank(a)
 
 
-def test_no_public_function_takes_a_tolerance():
-    """Thresholds are module constants, read where they are applied, never
-    per-call parameters: no public function or method of any soclelab
-    module takes ``tol``, ``floor`` or ``*_tol``."""
-    checked, knobs = set(), []
+def public_functions():
+    """Qualified name -> function, for every public function and method
+    defined in a soclelab module."""
+    found = {}
     for info in pkgutil.iter_modules(sl.__path__):
         module = importlib.import_module(f"soclelab.{info.name}")
         owners = [module] + [
@@ -348,13 +358,38 @@ def test_no_public_function_takes_a_tolerance():
         ]
         for owner in owners:
             for name, fn in inspect.getmembers(owner, inspect.isfunction):
-                if name.startswith("_") or fn.__module__ != module.__name__:
-                    continue
-                checked.add(f"{fn.__module__}.{fn.__qualname__}")
-                knobs += [
-                    f"{fn.__module__}.{fn.__qualname__}({p})"
-                    for p in inspect.signature(fn).parameters
-                    if p in ("tol", "floor") or p.endswith("_tol")
-                ]
-    assert {"soclelab.algebra.spectrum", "soclelab.algebra.SpectrumReport.gap"} <= checked
+                if not name.startswith("_") and fn.__module__ == module.__name__:
+                    found[f"{fn.__module__}.{fn.__qualname__}"] = fn
+    return found
+
+
+def test_no_public_function_takes_a_tolerance():
+    """Thresholds are module constants, read where they are applied, never
+    per-call parameters: no public function or method of any soclelab
+    module takes ``tol``, ``floor`` or ``*_tol``."""
+    found = public_functions()
+    knobs = [
+        f"{name}({p})"
+        for name, fn in found.items()
+        for p in inspect.signature(fn).parameters
+        if p in ("tol", "floor") or p.endswith("_tol")
+    ]
+    assert {"soclelab.algebra.spectrum", "soclelab.algebra.SpectrumReport.gap"} <= set(found)
     assert knobs == []
+
+
+def test_only_rank_probing_and_the_contour_take_counts():
+    """Each certified route runs at one configuration: a probe count is a
+    parameter only of rank probing, and a node count only of the contour
+    projection."""
+    takers = {
+        knob: sorted(
+            name for name, fn in public_functions().items()
+            if knob in inspect.signature(fn).parameters
+        )
+        for knob in ("probes", "nodes")
+    }
+    assert takers == {
+        "probes": ["soclelab.rank.spectral_rank"],
+        "nodes": ["soclelab.riesz.riesz_projection"],
+    }

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import soclelab as sl
 from soclelab.classify import block_support
-from soclelab.errors import NotIdempotentError, TheoremViolationError
+from soclelab.errors import NotIdempotentError, ShapeMismatchError, TheoremViolationError
 from soclelab.sampling import (
     random_element,
     random_maximal_element,
@@ -30,6 +30,11 @@ class TestGeneratedIdeal:
         rep = sl.generated_ideal(spec23, sl.zero(spec23))
         assert rep.ideal_dimension == 0
         assert rep.supported_blocks == frozenset()
+
+    def test_generator_from_another_algebra_is_typed(self):
+        with pytest.raises(ShapeMismatchError) as info:
+            sl.generated_ideal(sl.AlgebraSpec((3,)), sl.identity(sl.AlgebraSpec((2,))))
+        assert "(2,)" in str(info.value) and "(3,)" in str(info.value)
 
     def test_distinct_block_ideals_meet_only_at_zero(self, spec23):
         # dim(J_i) + dim(J_j) = dim(J_i + J_j) forces zero intersection

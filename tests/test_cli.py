@@ -358,7 +358,7 @@ def _report_cases():
             {"element": jsonio.element_to_json(single(np.diag([3.0, 1.0, 1.0]))),
              "targets": [[1.0, 0.0]]},
         ),
-        "diagonalize": (["diagonalize", "--probes", "8"], element),
+        "diagonalize": (["diagonalize"], element),
         "commutator": (
             ["commutator"],
             {"matrix": jsonio.matrix_to_json(random_traceless_matrix(4, rng)), "block": 1},
@@ -531,6 +531,8 @@ class TestUsageErrors:
             ["riesz", "--nodes", "2"],
             # diagonalize reads no quadrature: its projections are closed forms
             ["diagonalize", "--nodes", "3"],
+            # nor a probe count: its rank check runs at the default
+            ["diagonalize", "--probes", "8"],
         ],
     )
     def test_usage_error_is_a_json_error(self, capsys, argv):
@@ -568,14 +570,14 @@ class TestUsageErrors:
             "rank": ["--input", "--output", "--probes", "--seed", "--spec"],
             "trace": ["--input", "--output", "--seed", "--spec"],
             "riesz": ["--input", "--nodes", "--output", "--spec"],
-            "diagonalize": ["--input", "--output", "--probes", "--seed", "--spec"],
+            "diagonalize": ["--input", "--output", "--seed", "--spec"],
             "commutator": ["--input", "--output"],
             "rank-one-commutator": ["--input", "--output"],
             "check-functional": ["--input", "--output", "--seed", "--spec"],
             "classify": ["--output", "--seed", "--spec"],
             "verify": ["--output", "--seed", "--spec", "--trials"],
         }
-        assert sum(map(len, flags.values())) == 36
+        assert sum(map(len, flags.values())) == 35
 
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()

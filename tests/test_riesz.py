@@ -17,6 +17,7 @@ from soclelab.errors import (
 )
 from soclelab.riesz import (
     DEFAULT_EPS,
+    DEFAULT_NODES,
     GAP_FLOOR_FACTOR,
     MULTIPLICITY_PROBES,
     TRACE_CERT_TOL,
@@ -174,8 +175,6 @@ class TestMultiplicity:
 def _reference_multiplicity(a, target, probes, seed, nodes):
     """Multiplicity by the per-target loop: a fresh spectrum, SVD rank,
     probe set and Riesz projection for every target."""
-    if probes < 1:
-        raise ValueError("need at least one probe")
     rep = sl.spectrum(a)
     center = _match_target(rep, target)
     gap = rep.gap(center)
@@ -264,23 +263,21 @@ class TestSharedSpectralPass:
             min_size=1,
             max_size=3,
         ),
-        probes=st.integers(1, MULTIPLICITY_PROBES),
-        nodes=st.sampled_from([3, 4, 16, 64]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_per_target_loop(self, blocks, probes, nodes, seed):
+    def test_matches_per_target_loop(self, blocks, seed):
         rng = rng_for(seed, 1 << 40)
         spec = sl.AlgebraSpec(tuple(n for n, _ in blocks))
         a = sl.Element(spec, tuple(_block(kind, n, rng) for n, kind in blocks))
         rep = sl.spectrum(a)
         targets = [v for v, _ in rep.points] + [rep.radius + 1.0]
         for t in targets:
-            assert _outcome(
-                sl.multiplicity, a, t, probes=probes, seed=seed, nodes=nodes
-            ) == _outcome(_reference_multiplicity, a, t, probes, seed, nodes)
-        assert _outcome(
-            sl.spectral_trace, a, probes=probes, seed=seed, nodes=nodes
-        ) == _outcome(_reference_spectral_trace, a, probes, seed, nodes)
+            assert _outcome(sl.multiplicity, a, t, seed=seed) == _outcome(
+                _reference_multiplicity, a, t, MULTIPLICITY_PROBES, seed, DEFAULT_NODES
+            )
+        assert _outcome(sl.spectral_trace, a, seed=seed) == _outcome(
+            _reference_spectral_trace, a, MULTIPLICITY_PROBES, seed, DEFAULT_NODES
+        )
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -292,15 +289,14 @@ class TestSharedSpectralPass:
             min_size=1,
             max_size=3,
         ),
-        probes=st.integers(1, MULTIPLICITY_PROBES),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_stacked_probe_spectra_match_one_at_a_time(self, blocks, probes, seed):
+    def test_stacked_probe_spectra_match_one_at_a_time(self, blocks, seed):
         rng = rng_for(seed, 1 << 40)
         spec = sl.AlgebraSpec(tuple(n for n, _ in blocks))
         a = sl.Element(spec, tuple(_block(kind, n, rng) for n, kind in blocks))
-        stacked = riesz._perturbed_spectra(a, probes, seed)
-        assert len(stacked) == probes
+        stacked = riesz._perturbed_spectra(a, seed)
+        assert len(stacked) == MULTIPLICITY_PROBES
         one = sl.identity(spec)
         rng = rng_for(seed, MULTIPLICITY_PROBE)
         for rep in stacked:
@@ -321,7 +317,7 @@ class TestSharedSpectralPass:
     def test_typed_failures_match_per_target_loop(self, matrix, error):
         a = single(matrix)
         with pytest.raises(error):
-            _reference_spectral_trace(a, MULTIPLICITY_PROBES, 0, 64)
+            _reference_spectral_trace(a, MULTIPLICITY_PROBES, 0, DEFAULT_NODES)
         with pytest.raises(error):
             sl.spectral_trace(a)
 
