@@ -33,7 +33,6 @@ from .classify import (
     IdealReport,
     VerificationReport,
     annihilating_pair_witness,
-    block_support,
     generated_ideal,
     is_socle_minimal_ideal,
     orthogonal_decomposition,

@@ -433,19 +433,24 @@ def resolvent(a: Element, z: complex) -> Element:
     return Element(a.spec, blocks, _checked=True)
 
 
+def _singular_values(a: Element) -> list[np.ndarray]:
+    """The singular values of each block; a solver failure names the block."""
+    return _blockwise(
+        lambda b: np.linalg.svd(b, compute_uv=False), a.blocks, SVDConvergenceError
+    )
+
+
 def block_ranks(a: Element) -> list[int]:
-    """The rank rule: the SVD rank of each block, relative cutoff per block.
+    """The rank rule for general elements: SVD rank, relative cutoff per block.
 
     A block counts its singular values above ``RANK_TOL`` times its own
     largest one. A block whose largest singular value sits at or below
     ``RANK_TOL`` times the element-wide scale max(largest top, 1) is a
     zero block, of rank 0; without that, roundoff residue in an otherwise
-    zero block would be scored against its own noise level. Every rank
-    and block-support decision in the package reads this rule.
+    zero block would be scored against its own noise level. Idempotents
+    have their own rule, :func:`idempotent_rank`.
     """
-    svals = _blockwise(
-        lambda b: np.linalg.svd(b, compute_uv=False), a.blocks, SVDConvergenceError
-    )
+    svals = _singular_values(a)
     tops = [s[0] for s in svals]
     floor = RANK_TOL * max(max(tops), 1.0)
     return [
@@ -459,8 +464,25 @@ def classical_rank(a: Element) -> int:
     return sum(block_ranks(a))
 
 
+def _idempotent_ranks(p: Element) -> list[int]:
+    """The :func:`idempotent_rank` of each block of p."""
+    return [int(np.sum(s > 0.5)) for s in _singular_values(p)]
+
+
+def idempotent_rank(p: Element) -> int:
+    """The rank rule for idempotents: the singular values above 1/2.
+
+    A nonzero singular value of an idempotent P is at least 1, so by
+    Weyl's inequality any p with ||p - P|| < 1/2 has exactly rank(P)
+    singular values above 1/2, however far its error lies above
+    ``RANK_TOL``: a contour projection is ranked right at any node count
+    whose quadrature error stays below 1/2.
+    """
+    return sum(_idempotent_ranks(p))
+
+
 def corner_ranks(p: Element) -> list[int]:
-    """The :func:`block_ranks` of an idempotent p.
+    """The :func:`idempotent_rank` of each block of an idempotent p.
 
     The corner p*A*p is the block algebra of M_{r_i} over the blocks
     with rank r_i > 0. Raises when ||p^2 - p|| exceeds
@@ -469,7 +491,7 @@ def corner_ranks(p: Element) -> list[int]:
     defect = operator_norm(p @ p - p)
     if defect > IDEMPOTENCY_TOL:
         raise NotIdempotentError(float(defect), IDEMPOTENCY_TOL)
-    return block_ranks(p)
+    return _idempotent_ranks(p)
 
 
 def classical_trace(a: Element) -> complex:

@@ -8,6 +8,9 @@ dimension is read off in closed form. The block ideals are checked to
 be exhaustive, and the structural verdicts — single matrix block,
 minimal two-sided ideal, every projection corner a full matrix algebra
 — are each computed by an independent route and required to coincide.
+A function of an element reads the layout from the element; only
+``orthogonal_decomposition``, ``is_socle_minimal_ideal`` and
+``verify_theorems`` take an ``AlgebraSpec``, which is their whole input.
 
 ``verify_theorems`` runs the functional characterizations over sampled
 functionals and asserts exactly the implication pattern the block count
@@ -25,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element, block_ranks, corner_ranks, matrix_unit, zero
-from .errors import NoCounterexampleError, ShapeMismatchError, TheoremViolationError
+from .algebra import AlgebraSpec, Element, _blockwise, corner_ranks, matrix_unit, zero
+from .errors import EigensolverError, NoCounterexampleError, TheoremViolationError
 from .functionals import (
     CharacterizationReport,
     Functional,
@@ -39,10 +42,6 @@ from .functionals import (
 from .sampling import FUNCTIONALS, IDEAL, PROJECTIONS, rng_for
 from .sampling import complex_gaussian, random_projection
 
-# An idempotent's eigenvalues are 0 and 1; those within this distance of
-# 1 count as 1.
-_EIGENVALUE_SPLIT = 0.5
-
 
 @dataclass(frozen=True)
 class IdealReport:
@@ -54,25 +53,21 @@ class IdealReport:
     supported_blocks: frozenset[int]
 
 
-def generated_ideal(spec: AlgebraSpec, a: Element) -> IdealReport:
-    """Span of {e a f} over matrix-unit pairs, in closed form.
+def generated_ideal(a: Element) -> IdealReport:
+    """Span of {e a f} over matrix-unit pairs in the algebra of a, in
+    closed form.
 
     Full matrix blocks are simple (e_rs a e_tu = a_st e_ru), so the
     ideal is the direct sum of every block where the generator has a
     nonzero entry, and each such block contributes its full dimension
     n^2. The test is exact: no tolerance, and no overflow at any scale.
     """
-    if a.spec != spec:
-        raise ShapeMismatchError(
-            f"generator lives on layout {a.spec.block_sizes}, "
-            f"not on the given layout {spec.block_sizes}"
-        )
     supported = frozenset(i for i, b in enumerate(a.blocks) if np.any(b))
-    dim = sum(spec.block_sizes[i] ** 2 for i in supported)
+    dim = sum(a.spec.block_sizes[i] ** 2 for i in supported)
     return IdealReport(
         generator=a,
         ideal_dimension=dim,
-        is_whole_algebra=(dim == spec.dimension),
+        is_whole_algebra=(dim == a.spec.dimension),
         supported_blocks=supported,
     )
 
@@ -86,7 +81,7 @@ def orthogonal_decomposition(spec: AlgebraSpec) -> list[IdealReport]:
     span the whole algebra.
     """
     reports = [
-        generated_ideal(spec, matrix_unit(spec, i, 0, 0))
+        generated_ideal(matrix_unit(spec, i, 0, 0))
         for i in range(spec.num_blocks)
     ]
     total = sum(r.ideal_dimension for r in reports)
@@ -108,7 +103,7 @@ def is_socle_minimal_ideal(spec: AlgebraSpec, seed: int = 0) -> bool:
     for i, n in enumerate(spec.block_sizes):
         g = zero(spec)
         g.blocks[i][:] = complex_gaussian(rng, (n, n))
-        verdict &= generated_ideal(spec, g).is_whole_algebra
+        verdict &= generated_ideal(g).is_whole_algebra
     if verdict != (spec.num_blocks == 1):
         raise TheoremViolationError(
             "ideal-span verdict disagrees with the block count"
@@ -116,14 +111,7 @@ def is_socle_minimal_ideal(spec: AlgebraSpec, seed: int = 0) -> bool:
     return verdict
 
 
-def block_support(p: Element) -> frozenset[int]:
-    """Indices of the blocks of nonzero rank under the one rank rule
-    (:func:`~soclelab.algebra.block_ranks`), so a block of roundoff
-    residue is not in the support."""
-    return frozenset(i for i, r in enumerate(block_ranks(p)) if r)
-
-
-def pAp_block_check(spec: AlgebraSpec, p: Element) -> bool:
+def pAp_block_check(p: Element) -> bool:
     """Whether the corner p A p is a single full matrix block.
 
     Equivalent to the projection having nonzero rank on at most one
@@ -135,45 +123,46 @@ def pAp_block_check(spec: AlgebraSpec, p: Element) -> bool:
     return sum(r > 0 for r in corner_ranks(p)) <= 1
 
 
-def rank_one_subprojections(p: Element) -> list[Element]:
-    """Split an idempotent into rank-one subprojections via eigenvectors.
-
-    An idempotent is diagonalizable, so pairing its right eigenvectors
-    for eigenvalue 1 with the matching rows of the inverse eigenvector
-    matrix yields rank-one idempotents q with p q = q p = q.
-    """
+def _subprojections(p: Element, ranks: list[int]) -> list[list[Element]]:
+    """Per block i, the ``ranks[i]`` rank-one idempotents q = v w^T with
+    p q = q p = q: v an eigenvector of one of the ``ranks[i]`` eigenvalues
+    nearest 1 and w^T the matching row of the inverse eigenvector matrix
+    (an idempotent is diagonalizable). A solver failure names the block."""
+    eigs = _blockwise(np.linalg.eig, p.blocks, EigensolverError)
+    inverses = _blockwise(np.linalg.inv, [vecs for _, vecs in eigs], EigensolverError)
     out = []
-    for i, b in enumerate(p.blocks):
-        vals, vecs = np.linalg.eig(b)
-        winv = np.linalg.inv(vecs)
-        for j, v in enumerate(vals):
-            if abs(v - 1.0) < _EIGENVALUE_SPLIT:
-                q = zero(p.spec)
-                q.blocks[i][:] = np.outer(vecs[:, j], winv[j, :])
-                out.append(q)
+    for i, ((vals, vecs), winv, r) in enumerate(zip(eigs, inverses, ranks)):
+        qs = []
+        for j in np.sort(np.argsort(np.abs(vals - 1.0), kind="stable")[:r]):
+            q = zero(p.spec)
+            q.blocks[i][:] = np.outer(vecs[:, j], winv[j, :])
+            qs.append(q)
+        out.append(qs)
     return out
 
 
-def annihilating_pair_witness(
-    spec: AlgebraSpec, p: Element
-) -> tuple[Element, Element] | None:
+def rank_one_subprojections(p: Element) -> list[Element]:
+    """Split an idempotent into rank-one subprojections via eigenvectors,
+    as many in each block as its :func:`~soclelab.algebra.corner_ranks`
+    entry; that call also checks that p is idempotent."""
+    return [q for qs in _subprojections(p, corner_ranks(p)) for q in qs]
+
+
+def annihilating_pair_witness(p: Element) -> tuple[Element, Element] | None:
     """Rank-one subprojections p', q' of p with p' x q' = 0 for all x.
 
-    Exists exactly when p is supported on at least two blocks
-    (:func:`block_support`). Each rank-one subprojection lies in one
-    block, so the pair is the first subprojection of each of the first
-    two supported blocks; it is re-verifiable by scanning x over the
-    matrix units. None also when a supported block has no eigenvalue
-    near 1, that is, when p is not an idempotent there.
+    Exists exactly when the idempotent p has nonzero rank on at least
+    two blocks (:func:`~soclelab.algebra.corner_ranks`, which also checks
+    that p is idempotent). Each rank-one subprojection lies in one block,
+    so the pair is the first subprojection of each of the first two
+    supported blocks; it is re-verifiable by scanning x over the matrix
+    units.
     """
-    blocks = sorted(block_support(p))[:2]
-    if len(blocks) < 2:
+    ranks = corner_ranks(p)
+    if sum(r > 0 for r in ranks) < 2:
         return None
-    subs = rank_one_subprojections(p)
-    pair = [next((q for q in subs if np.any(q.blocks[i])), None) for i in blocks]
-    if pair[0] is None or pair[1] is None:
-        return None
-    return pair[0], pair[1]
+    first, second = [qs[0] for qs in _subprojections(p, ranks) if qs][:2]
+    return first, second
 
 
 @dataclass(frozen=True)
@@ -293,12 +282,12 @@ def verify_theorems(
 
         # Corner check on a sampled projection per trial
         p = random_projection(spec, rng_for(seed, PROJECTIONS, t))
-        corner_all_single &= pAp_block_check(spec, p)
+        corner_all_single &= pAp_block_check(p)
 
     if k >= 2:
         # and, for several blocks, on one deliberate cross-block projection
         cross = matrix_unit(spec, 0, 0, 0) + matrix_unit(spec, 1, 0, 0)
-        corner_all_single &= pAp_block_check(spec, cross)
+        corner_all_single &= pAp_block_check(cross)
         f = counterexample_functional(spec)
         counterexample_report = characterize(f, seed=seed)
         rep = counterexample_report

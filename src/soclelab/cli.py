@@ -4,7 +4,10 @@ Every command reads one JSON document (file, inline, or stdin), runs
 the corresponding library operation with an explicit seed, and writes
 one JSON report. Identical invocations produce byte-identical output.
 
-Each command accepts only the flags it reads (see ``_COMMANDS``).
+Each command accepts only the flags it reads (see ``_COMMANDS``). An
+element or functional fixes its own layout by its blocks, so only
+``classify`` and ``verify``, whose whole input is a layout, take
+``--spec``, and there it is required.
 
 Exit status: 0 on success, 1 on a usage error (unknown command or
 flag, bad flag value, a path that cannot be read or written) or a
@@ -68,7 +71,7 @@ class _Parser(argparse.ArgumentParser):
 _OPTIONS = {
     "input": dict(default="-", help="path of the input JSON document, or - for stdin"),
     "spec": dict(
-        default=None, help="algebra layout as inline JSON or a path to a JSON file"
+        required=True, help="algebra layout as inline JSON or a path to a JSON file"
     ),
     "seed": dict(type=_nonnegative_int, default=0),
     "probes": dict(type=_positive_int, default=DEFAULT_PROBES),
@@ -127,8 +130,6 @@ def _read_input(args):
 
 
 def _read_spec(args):
-    if args.spec is None:
-        return None
     text = args.spec
     if not text.lstrip().startswith("{"):
         return jsonio.spec_from_json(_load_json(_read_text(text, "--spec"), text))
@@ -139,7 +140,7 @@ def _element_input(args):
     data = _read_input(args)
     if isinstance(data, dict) and "element" in data:
         data = data["element"]
-    return jsonio.element_from_json(data, _read_spec(args))
+    return jsonio.element_from_json(data)
 
 
 def _run_spectrum(args) -> dict:
@@ -168,7 +169,7 @@ def _run_riesz(args) -> dict:
         raise ShapeMismatchError(
             'riesz input needs {"element": {...}, "targets": [[re, im], ...]}'
         )
-    a = jsonio.element_from_json(data["element"], _read_spec(args))
+    a = jsonio.element_from_json(data["element"])
     targets = [jsonio.complex_from_json(t) for t in data["targets"]]
     rep = riesz_projection(a, targets, nodes=args.nodes)
     return jsonio.riesz_report_to_json(rep)
@@ -214,15 +215,13 @@ def _run_check_functional(args) -> dict:
     data = _read_input(args)
     if isinstance(data, dict) and "functional" in data:
         data = data["functional"]
-    f = jsonio.functional_from_json(data, _read_spec(args))
+    f = jsonio.functional_from_json(data)
     rep = characterize(f, seed=args.seed)
     return jsonio.characterization_to_json(rep)
 
 
 def _run_classify(args) -> dict:
     spec = _read_spec(args)
-    if spec is None:
-        raise ShapeMismatchError("classify needs --spec")
     ideals = orthogonal_decomposition(spec)
     return {
         "spec": jsonio.spec_to_json(spec),
@@ -234,8 +233,6 @@ def _run_classify(args) -> dict:
 
 def _run_verify(args) -> dict:
     spec = _read_spec(args)
-    if spec is None:
-        raise ShapeMismatchError("verify needs --spec")
     rep = verify_theorems(spec, trials=args.trials, seed=args.seed)
     return jsonio.verification_report_to_json(rep)
 
@@ -243,14 +240,14 @@ def _run_verify(args) -> dict:
 # Each command with its runner and the flags it reads; every command
 # also takes --output.
 _COMMANDS = {
-    "spectrum": (_run_spectrum, ("input", "spec")),
-    "rank": (_run_rank, ("input", "spec", "seed", "probes")),
-    "trace": (_run_trace, ("input", "spec", "seed")),
-    "riesz": (_run_riesz, ("input", "spec", "nodes")),
-    "diagonalize": (_run_diagonalize, ("input", "spec", "seed")),
+    "spectrum": (_run_spectrum, ("input",)),
+    "rank": (_run_rank, ("input", "seed", "probes")),
+    "trace": (_run_trace, ("input", "seed")),
+    "riesz": (_run_riesz, ("input", "nodes")),
+    "diagonalize": (_run_diagonalize, ("input", "seed")),
     "commutator": (_run_commutator, ("input",)),
     "rank-one-commutator": (_run_rank_one_commutator, ("input",)),
-    "check-functional": (_run_check_functional, ("input", "spec", "seed")),
+    "check-functional": (_run_check_functional, ("input", "seed")),
     "classify": (_run_classify, ("spec", "seed")),
     "verify": (_run_verify, ("spec", "seed", "trials")),
 }

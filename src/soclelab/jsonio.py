@@ -84,33 +84,29 @@ def element_to_json(a: Element) -> dict:
     return {"blocks": [matrix_to_json(b) for b in a.blocks]}
 
 
-def _matrices_from_json(data, field: str, kind: str) -> list[np.ndarray]:
-    """The list of matrices held in ``data[field]``."""
+def _blocks_from_json(data, field: str, kind: str):
+    """The layout and the list of matrices held in ``data[field]``: the
+    matrices fix the layout, one block per matrix."""
     if not isinstance(data, dict) or not isinstance(data.get(field), list):
         raise ShapeMismatchError(
             f'{kind} JSON needs a "{field}" field holding a list of matrices'
         )
-    return [matrix_from_json(m) for m in data[field]]
+    mats = [matrix_from_json(m) for m in data[field]]
+    return AlgebraSpec(tuple(m.shape[0] for m in mats)), mats
 
 
-def element_from_json(data, spec: AlgebraSpec | None = None) -> Element:
-    blocks = _matrices_from_json(data, "blocks", "element")
-    if spec is None:
-        spec = AlgebraSpec(tuple(b.shape[0] for b in blocks))
-    return Element(spec, blocks)
+def element_from_json(data) -> Element:
+    return Element(*_blocks_from_json(data, "blocks", "element"))
 
 
 def functional_to_json(f) -> dict:
     return {"weights": [matrix_to_json(w) for w in f.weights]}
 
 
-def functional_from_json(data, spec: AlgebraSpec | None = None):
+def functional_from_json(data):
     from .functionals import Functional
 
-    weights = _matrices_from_json(data, "weights", "functional")
-    if spec is None:
-        spec = AlgebraSpec(tuple(w.shape[0] for w in weights))
-    return Functional(spec, weights)
+    return Functional(*_blocks_from_json(data, "weights", "functional"))
 
 
 _INDENT = "  "

@@ -38,6 +38,7 @@ from .algebra import (
     classical_rank,
     classical_trace,
     corner_ranks,
+    idempotent_rank,
     operator_norm,
     spectrum,
     stacked_spectra,
@@ -139,7 +140,8 @@ def riesz_projection(a: Element, targets, nodes: int = DEFAULT_NODES) -> RieszRe
     the circle around that value with radius ``RADIUS_FACTOR`` times the
     distance to the nearest other value. For several targets the
     per-target projections are summed. The reported multiplicity is the
-    classical rank of the projection.
+    :func:`~soclelab.algebra.idempotent_rank` of the projection, which
+    holds at any node count whose quadrature error stays below 1/2.
     """
     if nodes < 4:
         raise ValueError("need at least 4 quadrature nodes")
@@ -159,7 +161,7 @@ def riesz_projection(a: Element, targets, nodes: int = DEFAULT_NODES) -> RieszRe
 
     p, radii = _projection(a, rep, centers, nodes)
     defect = operator_norm(p @ p - p)
-    mult = classical_rank(p)
+    mult = idempotent_rank(p)
 
     residual = None
     if all(c != 0 for c in centers):
@@ -192,9 +194,9 @@ def _multiplicities(a: Element, rep: SpectrumReport, rank: int, centers, seed):
     third of the local gap of the center; all counts must agree. The
     probes do not depend on the center, so their spectra are computed
     once, after the first gap check passes, by
-    :func:`_perturbed_spectra`. For nonzero centers, Route B is the rank
-    of the Riesz projection at ``DEFAULT_NODES`` nodes; the routes share
-    only ``rep`` and ``rank``.
+    :func:`_perturbed_spectra`. For nonzero centers, Route B is the
+    :func:`~soclelab.algebra.idempotent_rank` of the Riesz projection at
+    ``DEFAULT_NODES`` nodes; the routes share only ``rep`` and ``rank``.
     """
     floor = GAP_FLOOR_FACTOR * rep.cluster_tolerance
     admitted = None
@@ -221,7 +223,7 @@ def _multiplicities(a: Element, rep: SpectrumReport, rank: int, centers, seed):
             raise MultiplicityInconsistencyError(center, counts, None, message=msg)
         route_a = counts[0]
         if center != 0:
-            route_b = classical_rank(_projection(a, rep, [center], DEFAULT_NODES)[0])
+            route_b = idempotent_rank(_projection(a, rep, [center], DEFAULT_NODES)[0])
             if route_a != route_b:
                 raise MultiplicityInconsistencyError(center, route_a, route_b)
         out.append(route_a)
@@ -265,33 +267,23 @@ def spectral_trace(a: Element, seed: int = 0) -> complex:
     perturbation probes. The result is certified against the
     diagonal-sum oracle to relative tolerance ``TRACE_CERT_TOL``.
     """
-    rep = spectrum(a)
-    return _spectral_trace(a, rep, classical_rank(a), classical_trace(a), seed)
-
-
-def _spectral_trace(a, rep, rank, oracle, seed) -> complex:
-    """:func:`spectral_trace` on the clustered spectrum ``rep``, the oracle
-    rank and the diagonal-sum ``oracle`` of ``a``, computed once by the
-    caller."""
-    values = [v for v, _ in rep.points if v != 0]
-    total = 0j
-    mults = _multiplicities(a, rep, rank, values, seed)
-    for v, m in zip(values, mults):
-        total += v * m
-    if abs(total - oracle) > TRACE_CERT_TOL * max(1.0, abs(oracle)):
-        raise TraceCertificationError(total, oracle)
-    return total
+    return _spectral_pass(a, seed)[3]
 
 
 def _spectral_pass(x: Element | None, seed: int):
     """Spectrum, oracle rank, diagonal trace and certified spectral trace
-    of x, each computed once; x = None is the empty corner."""
+    (:func:`spectral_trace`) of x, each computed once; x = None is the
+    empty corner."""
     if x is None:
         return SpectrumReport((), 0.0, False), 0, 0j, 0j
     rep = spectrum(x)
     rank = classical_rank(x)
     oracle = classical_trace(x)
-    trace = _spectral_trace(x, rep, rank, oracle, seed)
+    values = [v for v, _ in rep.points if v != 0]
+    mults = _multiplicities(x, rep, rank, values, seed)
+    trace = sum((v * m for v, m in zip(values, mults)), 0j)
+    if abs(trace - oracle) > TRACE_CERT_TOL * max(1.0, abs(oracle)):
+        raise TraceCertificationError(trace, oracle)
     return rep, rank, oracle, trace
 
 
@@ -396,11 +388,11 @@ def compress_to_corner(a: Element, p: Element):
     """Matrix of p*a*p on orthonormal bases of the block ranges of p.
 
     Block i of p contributes its first r_i left singular vectors, r_i
-    its rank under the one rank rule (:func:`~soclelab.algebra.corner_ranks`),
-    so the subalgebra is the sum of M_{r_i} over r_i > 0 and a roundoff
-    block of p adds nothing. Returns (subalgebra spec, compressed
-    element); both are None when every r_i is 0. Raises when p is not
-    idempotent within tolerance.
+    its rank under the idempotent rank rule
+    (:func:`~soclelab.algebra.corner_ranks`), so the subalgebra is the
+    sum of M_{r_i} over r_i > 0 and a roundoff block of p adds nothing.
+    Returns (subalgebra spec, compressed element); both are None when
+    every r_i is 0. Raises when p is not idempotent within tolerance.
     """
     return _compress(p, p @ a @ p)
 

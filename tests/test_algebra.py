@@ -1,6 +1,8 @@
+import ast
 import importlib
 import inspect
 import pkgutil
+import textwrap
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import soclelab as sl
-from soclelab.algebra import CLUSTER_TOL, cluster_eigenvalues, nonzero_spectrum_counts
+from soclelab.algebra import CLUSTER_TOL, cluster_eigenvalues, idempotent_rank
+from soclelab.algebra import nonzero_spectrum_counts
 from soclelab.errors import (
     NonFiniteEntryError,
     ShapeMismatchError,
@@ -346,6 +349,24 @@ class TestClassicalOracles:
             assert sl.classical_rank(u @ a) == sl.classical_rank(a)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    exponent=st.integers(-2, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_idempotent_rank_survives_any_error_below_one_half(n, exponent, seed):
+    # Weyl: the nonzero singular values of an idempotent are at least 1
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(0, n + 1))
+    s = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * 10.0**exponent
+    s += 3 * np.sqrt(n) * 10.0**exponent * np.eye(n)
+    p = s @ np.diag([1.0] * r + [0.0] * (n - r)) @ np.linalg.inv(s)
+    e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    e *= 0.45 / np.linalg.norm(e, 2)
+    assert idempotent_rank(single(p + e)) == r
+
+
 def public_functions():
     """Qualified name -> function, for every public function and method
     defined in a soclelab module."""
@@ -376,6 +397,27 @@ def test_no_public_function_takes_a_tolerance():
     ]
     assert {"soclelab.algebra.spectrum", "soclelab.algebra.SpectrumReport.gap"} <= set(found)
     assert knobs == []
+
+
+def test_no_public_function_takes_a_parameter_it_never_reads():
+    """Every parameter of a public function or method (``self`` aside) is
+    read somewhere in its body: an input that nothing reads is deleted,
+    not accepted and ignored."""
+    unread = []
+    for name, fn in public_functions().items():
+        node = ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0]
+        read = {
+            n.id
+            for stmt in node.body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        unread += [
+            f"{name}({p})"
+            for p in inspect.signature(fn).parameters
+            if p != "self" and p not in read
+        ]
+    assert unread == []
 
 
 def test_only_rank_probing_and_the_contour_take_counts():

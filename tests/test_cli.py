@@ -295,16 +295,18 @@ class TestCLIBehavior:
         undecodable = str(tmp_path / "undecodable.json")
         Path(undecodable).write_bytes(b"\xff\xfe")
         unwritable = str(tmp_path / "missing" / "out.json")
-        # the arguments after the command, stdin, and the path the message names
+        # the arguments, stdin, and the path the message names
         argv, stdin, path = {
-            "missing input": (["--input", missing], None, missing),
-            "directory input": (["--input", str(tmp_path)], None, str(tmp_path)),
-            "missing spec": (["--input", good, "--spec", missing], None, missing),
-            "undecodable input": (["--input", undecodable], None, undecodable),
-            "deeply nested stdin": ([], "[" * 200000 + "]" * 200000, "stdin"),
-            "unwritable output": (["--input", good, "--output", unwritable], None, unwritable),
+            "missing input": (["spectrum", "--input", missing], None, missing),
+            "directory input": (["spectrum", "--input", str(tmp_path)], None, str(tmp_path)),
+            "missing spec": (["classify", "--spec", missing], None, missing),
+            "undecodable input": (["spectrum", "--input", undecodable], None, undecodable),
+            "deeply nested stdin": (["spectrum"], "[" * 200000 + "]" * 200000, "stdin"),
+            "unwritable output": (
+                ["spectrum", "--input", good, "--output", unwritable], None, unwritable
+            ),
         }[case]
-        proc = run_fresh(["spectrum", *argv], stdin=stdin)
+        proc = run_fresh(argv, stdin=stdin)
         assert proc.returncode == 1
         assert proc.stderr == ""
         out = json.loads(proc.stdout)
@@ -533,6 +535,16 @@ class TestUsageErrors:
             ["diagonalize", "--nodes", "3"],
             # nor a probe count: its rank check runs at the default
             ["diagonalize", "--probes", "8"],
+            # an element or functional fixes its own layout
+            ["spectrum", "--spec", '{"block_sizes": [2]}'],
+            ["rank", "--spec", '{"block_sizes": [2]}'],
+            ["trace", "--spec", '{"block_sizes": [2]}'],
+            ["riesz", "--spec", '{"block_sizes": [2]}'],
+            ["diagonalize", "--spec", '{"block_sizes": [2]}'],
+            ["check-functional", "--spec", '{"block_sizes": [2]}'],
+            # where the layout is the whole input, it is required
+            ["classify"],
+            ["verify", "--trials", "3"],
         ],
     )
     def test_usage_error_is_a_json_error(self, capsys, argv):
@@ -566,18 +578,18 @@ class TestUsageErrors:
         }
         flags = {name: [f for f in fs if f != "--help"] for name, fs in flags.items()}
         assert flags == {
-            "spectrum": ["--input", "--output", "--spec"],
-            "rank": ["--input", "--output", "--probes", "--seed", "--spec"],
-            "trace": ["--input", "--output", "--seed", "--spec"],
-            "riesz": ["--input", "--nodes", "--output", "--spec"],
-            "diagonalize": ["--input", "--output", "--seed", "--spec"],
+            "spectrum": ["--input", "--output"],
+            "rank": ["--input", "--output", "--probes", "--seed"],
+            "trace": ["--input", "--output", "--seed"],
+            "riesz": ["--input", "--nodes", "--output"],
+            "diagonalize": ["--input", "--output", "--seed"],
             "commutator": ["--input", "--output"],
             "rank-one-commutator": ["--input", "--output"],
-            "check-functional": ["--input", "--output", "--seed", "--spec"],
+            "check-functional": ["--input", "--output", "--seed"],
             "classify": ["--output", "--seed", "--spec"],
             "verify": ["--output", "--seed", "--spec", "--trials"],
         }
-        assert sum(map(len, flags.values())) == 35
+        assert sum(map(len, flags.values())) == 29
 
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()

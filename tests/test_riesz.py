@@ -113,6 +113,24 @@ class TestRieszProjection:
         assert d64 <= 1e-8
         assert d32 / max(d64, 1e-300) >= 1e2
 
+    def test_multiplicity_holds_at_sixteen_nodes(self):
+        # P_16 misses idempotency by about 3e-6, far above RANK_TOL: its
+        # SVD rank read 5 for this simple value
+        a = random_maximal_element(sl.AlgebraSpec((8,)), rng_for(0))
+        rep = sl.riesz_projection(a, [sl.spectrum(a).nonzero_values[0]], nodes=16)
+        assert rep.idempotency_defect > 1e-6
+        assert rep.multiplicity == 1
+
+    @pytest.mark.parametrize("sizes", [(8,), (3, 4), (2, 2, 2)])
+    def test_multiplicity_is_the_clustered_one_at_any_node_count(self, sizes):
+        for i in range(4):
+            a = random_maximal_element(sl.AlgebraSpec(sizes), rng_for(67, i))
+            for v, m in sl.spectrum(a).points:
+                assert sl.riesz_projection(a, [v], nodes=16).multiplicity == m
+                # at the default node count the SVD rank rule agrees
+                rep = sl.riesz_projection(a, [v])
+                assert rep.multiplicity == m == sl.classical_rank(rep.projection)
+
     def test_projections_at_distinct_values_are_orthogonal(self, spec23):
         for i in range(6):
             a = random_maximal_element(spec23, rng_for(59, i))
