@@ -14,13 +14,11 @@ from .algebra import (
     AlgebraSpec,
     Element,
     SpectrumReport,
-    add,
     classical_rank,
     classical_trace,
     eigenvalues,
     identity,
     matrix_unit,
-    multiply,
     nonzero_spectrum_count,
     operator_norm,
     resolvent,

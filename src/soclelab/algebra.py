@@ -180,14 +180,6 @@ def matrix_unit(spec: AlgebraSpec, block: int, row: int, col: int) -> Element:
     return e
 
 
-def add(a: Element, b: Element) -> Element:
-    return a + b
-
-
-def multiply(a: Element, b: Element) -> Element:
-    return a @ b
-
-
 def scale(alpha, a: Element) -> Element:
     return alpha * a
 

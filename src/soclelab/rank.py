@@ -83,6 +83,25 @@ def is_maximal_finite_rank(a: Element) -> bool:
     """True iff the distinct nonzero spectral values already exhaust the rank.
 
     Such elements split as a sum of rank times (value * minimal
-    projection) terms; see the diagonalization routine.
+    projection) terms; see the diagonalization routine. The rank is
+    :func:`_maximality_rank`'s: when the count already equals the SVD
+    rank, a witnesses its own maximality (x = 1 among the products x*a)
+    and no probe is drawn; otherwise ``spectral_rank(a)`` certifies it.
     """
-    return spectral_rank(a).rank == nonzero_spectrum_count(a)
+    count = nonzero_spectrum_count(a)
+    return _maximality_rank(a, count, seed=0) == count
+
+
+def _maximality_rank(a: Element, count: int, seed: int) -> int:
+    """The certified rank of ``a``, given its nonzero-spectrum ``count``.
+
+    The rank is the supremum of the count over the products x*a, and
+    x = 1 attains ``count``; the count never exceeds the rank. So when
+    ``count`` equals the SVD rank, the two routes already agree and that
+    rank is returned without a probe. Otherwise the rank is that of
+    ``spectral_rank(a, seed=seed)``, which certifies it or raises.
+    """
+    oracle = classical_rank(a)
+    if count == oracle:
+        return oracle
+    return spectral_rank(a, seed=seed).rank

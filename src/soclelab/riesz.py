@@ -7,9 +7,12 @@ geometrically in the node count. Multiplicities come by two independent
 routes (perturbation counting near the identity, and the rank of the
 projection) which must agree; one element's perturbation probes are
 drawn once, solved and clustered as one stack, and shared by all its
-spectral values. The trace is the
-multiplicity-weighted sum of spectral values, certified against the
-diagonal-sum oracle.
+spectral values. The second route needs only the rank of an
+idempotent, which holds at any quadrature error below 1/2, so it runs
+nested rules: 16 nodes, whose even nodes give the 8-node rule for free,
+accepted when the two are within 1/4; else 32 nodes the same way; else
+``DEFAULT_NODES``. The trace is the multiplicity-weighted sum of
+spectral values, certified against the diagonal-sum oracle.
 
 A maximal element (as many distinct nonzero spectral values as its
 rank) needs no contour. Its nonzero values are simple and it vanishes
@@ -18,7 +21,9 @@ at a nonzero value is exactly P = v w^T with v its eigenvector and w^T
 the matching row of the inverse eigenvector matrix, so that w^T v = 1.
 :func:`diagonalize_maximal` reads every such P from one
 eigendecomposition per block; the residual of a - sum(value * P)
-certifies the splitting.
+certifies the splitting. Its maximality needs no probe: x = 1 is among
+the products x*a whose counts the rank bounds, so a count equal to the
+SVD rank is its own witness.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from .errors import (
     TargetNotInSpectrumError,
     TraceCertificationError,
 )
-from .rank import spectral_rank
+from .rank import _maximality_rank
 from .sampling import MULTIPLICITY_PROBE, random_element_stack, rng_for
 
 DEFAULT_NODES = 64
@@ -70,6 +75,11 @@ MULTIPLICITY_PROBES = 8
 # cluster tolerances; the two routes may legitimately split there.
 GAP_FLOOR_FACTOR = 10.0
 TRACE_CERT_TOL = 1e-8
+# Route B's nested node counts, and the largest distance between a
+# projection and its nested half rule at which its rank is accepted:
+# half the 1/2 that idempotent_rank tolerates.
+_NESTED_NODES = (16, 32)
+_NESTED_ACCEPT = 0.25
 
 
 @dataclass(frozen=True)
@@ -111,11 +121,17 @@ def _match_target(rep: SpectrumReport, target: complex) -> complex:
 
 def _projection(a: Element, rep: SpectrumReport, centers, nodes: int):
     """The trapezoid-rule contour projection summed over ``centers`` (circles of
-    radius ``RADIUS_FACTOR`` times each gap in ``rep``), and the radii used."""
+    radius ``RADIUS_FACTOR`` times each gap in ``rep``), the same sum by the
+    nested rule on its even nodes, and the radii used.
+
+    For even ``nodes`` the even nodes are exactly those of the rule with
+    ``nodes // 2`` nodes, so the nested sum reuses the same solves; the
+    full sum does not depend on it."""
     scale = max(rep.radius, 1.0)
     phases = np.exp(1j * (2 * np.pi * np.arange(nodes) / nodes))
     radii = []
     blocks = [np.zeros((n, n), dtype=complex) for n in a.spec.block_sizes]
+    halves = [np.zeros((n, n), dtype=complex) for n in a.spec.block_sizes]
     for c in centers:
         r = RADIUS_FACTOR * rep.gap(c)
         if r < RESOLVENT_FLOOR * scale:
@@ -125,12 +141,17 @@ def _projection(a: Element, rep: SpectrumReport, centers, nodes: int):
             )
         radii.append(float(r))
         zs = c + r * phases
-        for acc, b, n in zip(blocks, a.blocks, a.spec.block_sizes):
+        for acc, half, b, n in zip(blocks, halves, a.blocks, a.spec.block_sizes):
             eye = np.eye(n, dtype=complex)
             shifted = zs[:, None, None] * eye - b
             solved = np.linalg.solve(shifted, np.broadcast_to(eye, (nodes, n, n)))
             acc += (r / nodes) * np.einsum("j,jkl->kl", phases, solved)
-    return Element(a.spec, tuple(blocks), _checked=True), tuple(radii)
+            half += (2 * r / nodes) * np.einsum("j,jkl->kl", phases[::2], solved[::2])
+    return (
+        Element(a.spec, tuple(blocks), _checked=True),
+        Element(a.spec, tuple(halves), _checked=True),
+        tuple(radii),
+    )
 
 
 def riesz_projection(a: Element, targets, nodes: int = DEFAULT_NODES) -> RieszReport:
@@ -159,7 +180,7 @@ def riesz_projection(a: Element, targets, nodes: int = DEFAULT_NODES) -> RieszRe
             )
         centers.append(c)
 
-    p, radii = _projection(a, rep, centers, nodes)
+    p, _, radii = _projection(a, rep, centers, nodes)
     defect = operator_norm(p @ p - p)
     mult = idempotent_rank(p)
 
@@ -195,8 +216,11 @@ def _multiplicities(a: Element, rep: SpectrumReport, rank: int, centers, seed):
     probes do not depend on the center, so their spectra are computed
     once, after the first gap check passes, by
     :func:`_perturbed_spectra`. For nonzero centers, Route B is the
-    :func:`~soclelab.algebra.idempotent_rank` of the Riesz projection at
-    ``DEFAULT_NODES`` nodes; the routes share only ``rep`` and ``rank``.
+    :func:`~soclelab.algebra.idempotent_rank` of the Riesz projection,
+    by :func:`_projection_rank`: at 16 nodes when that projection is
+    within 1/4 of its nested 8-node rule, else at 32 nodes on the same
+    test, else at ``DEFAULT_NODES``. The routes share only ``rep`` and
+    ``rank``.
     """
     floor = GAP_FLOOR_FACTOR * rep.cluster_tolerance
     admitted = None
@@ -223,11 +247,30 @@ def _multiplicities(a: Element, rep: SpectrumReport, rank: int, centers, seed):
             raise MultiplicityInconsistencyError(center, counts, None, message=msg)
         route_a = counts[0]
         if center != 0:
-            route_b = idempotent_rank(_projection(a, rep, [center], DEFAULT_NODES)[0])
+            route_b = _projection_rank(a, rep, center)
             if route_a != route_b:
                 raise MultiplicityInconsistencyError(center, route_a, route_b)
         out.append(route_a)
     return out
+
+
+def _projection_rank(a: Element, rep: SpectrumReport, center: complex) -> int:
+    """Route B: the :func:`~soclelab.algebra.idempotent_rank` of the
+    contour projection at ``center``, at the fewest nodes that certify it.
+
+    At each node count n of ``_NESTED_NODES``, the n-node projection P_n
+    is accepted when ||P_n - P_{n/2}|| <= ``_NESTED_ACCEPT``, P_{n/2}
+    being the nested rule on the even nodes of the same solves. The rule
+    converges geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014),
+    so that difference bounds the error of P_n with room to spare, and a
+    rank is right whenever the error stays below 1/2. If no count passes,
+    the rank is that of P at ``DEFAULT_NODES``.
+    """
+    for nodes in _NESTED_NODES:
+        p, half, _ = _projection(a, rep, [center], nodes)
+        if operator_norm(p - half) <= _NESTED_ACCEPT:
+            return idempotent_rank(p)
+    return idempotent_rank(_projection(a, rep, [center], DEFAULT_NODES)[0])
 
 
 def _perturbed_spectra(a: Element, seed: int):
@@ -314,12 +357,16 @@ def diagonalize_maximal(a: Element, seed: int = 0) -> Diagonalization:
     the one inside the disk that the contour of :func:`riesz_projection`
     encloses. The reconstruction residual ||a - sum v P_v|| certifies
     the result.
+
+    The rank is certified as in :func:`~soclelab.rank.is_maximal_finite_rank`:
+    a maximal element is its own witness, and ``seed`` seeds the
+    ``spectral_rank`` probes drawn only when it is not.
     """
     rep = spectrum(a)
     count = rep.num_nonzero
-    rank_rep = spectral_rank(a, seed=seed)
-    if count == 0 or rank_rep.rank != count:
-        raise NotMaximalError(rank_rep.rank, count)
+    rank = _maximality_rank(a, count, seed)
+    if count == 0 or rank != count:
+        raise NotMaximalError(rank, count)
 
     values = tuple(v for v, _ in rep.points if v != 0)
     eigs = _blockwise(np.linalg.eig, a.blocks, EigensolverError)

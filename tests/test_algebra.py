@@ -84,7 +84,7 @@ class TestArithmetic:
 
     def test_spec_mismatch_raises(self, m2, m3):
         with pytest.raises(ShapeMismatchError):
-            sl.multiply(sl.identity(m2), sl.identity(m3))
+            sl.identity(m2) @ sl.identity(m3)
 
 
 class TestSpectrum:

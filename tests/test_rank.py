@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import soclelab as sl
-from soclelab import algebra
+from soclelab import algebra, rank
 from soclelab.errors import RankCertificationError
 from soclelab.rank import DEFAULT_PROBES
 from soclelab.sampling import (
@@ -13,11 +13,12 @@ from soclelab.sampling import (
     random_element,
     random_invertible,
     random_low_rank_element,
+    random_maximal_element,
     random_rank_one_projection,
     rng_for,
 )
 
-from conftest import single
+from conftest import similar_elements, single
 
 
 class TestSpectralRank:
@@ -106,6 +107,12 @@ class TestRankProperties:
         assert int(np.sum(svals > 1e-9 * svals[0])) == 1
 
 
+def reference_is_maximal(a):
+    """The maximality rule that always probes: the probed rank against
+    the nonzero-spectrum count."""
+    return sl.spectral_rank(a).rank == sl.nonzero_spectrum_count(a)
+
+
 class TestMaximalElements:
     def test_two_distinct_values_is_maximal(self):
         assert sl.is_maximal_finite_rank(single(np.diag([1.0, 2.0])))
@@ -115,6 +122,46 @@ class TestMaximalElements:
 
     def test_nilpotent_not_maximal(self, m2):
         assert not sl.is_maximal_finite_rank(sl.matrix_unit(m2, 0, 0, 1))
+
+    @settings(max_examples=80, deadline=None)
+    @given(built=similar_elements())
+    def test_agrees_with_the_probing_rule(self, built):
+        kind, a = built
+        draws = []
+        real = rank.random_element_stack
+
+        def spy(*args, **kwargs):
+            draws.append(args[2])
+            return real(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rank, "random_element_stack", spy)
+            got = sl.is_maximal_finite_rank(a)
+        # a is its own witness exactly when its count is the SVD rank
+        witnessed = sl.nonzero_spectrum_count(a) == sl.classical_rank(a)
+        assert draws == ([] if witnessed else [DEFAULT_PROBES])
+        assert got == witnessed
+        if kind in ("maximal", "zero-block"):
+            assert got
+        if kind == "repeated":
+            assert not got
+        if kind == "identity":
+            assert got == (a.spec.matrix_dimension == 1)
+        try:
+            expected = reference_is_maximal(a)
+        except RankCertificationError:
+            return
+        assert got == expected
+
+    def test_maximal_element_draws_no_probe(self, spec23, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a maximal element needs no probe")
+
+        monkeypatch.setattr(rank, "random_element_stack", refuse)
+        for i in range(4):
+            a = random_maximal_element(spec23, rng_for(59, i))
+            assert sl.is_maximal_finite_rank(a)
+            assert sl.diagonalize_maximal(a, seed=i).residual < 1e-8
 
 
 def reference_probe_counts(a, probes, seed):

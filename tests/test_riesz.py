@@ -1,10 +1,16 @@
+import dataclasses
+import io
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import soclelab as sl
-from soclelab import riesz
+from soclelab import jsonio, riesz
+from soclelab.algebra import idempotent_rank
+from soclelab.cli import run
 from soclelab.errors import (
     EigensolverError,
     MultiplicityInconsistencyError,
@@ -20,6 +26,7 @@ from soclelab.riesz import (
     DEFAULT_NODES,
     GAP_FLOOR_FACTOR,
     MULTIPLICITY_PROBES,
+    RADIUS_FACTOR,
     TRACE_CERT_TOL,
     _match_target,
 )
@@ -34,7 +41,7 @@ from soclelab.sampling import (
     rng_for,
 )
 
-from conftest import single
+from conftest import similar_elements, similar_maximal, single
 
 
 def eigenprojection_oracle(matrix, target, radius=0.3):
@@ -357,6 +364,101 @@ class TestSharedSpectralPass:
         assert calls["lstsq"] == 0
 
 
+def trapezoid_projection(a, rep, center, nodes):
+    """The contour projection at ``center`` and its radius, by the
+    trapezoid rule with the floating-point operations of the 64-node
+    route: one stacked solve per block and one weighted sum over nodes."""
+    r = RADIUS_FACTOR * rep.gap(center)
+    phases = np.exp(1j * (2 * np.pi * np.arange(nodes) / nodes))
+    zs = center + r * phases
+    blocks = []
+    for b in a.blocks:
+        n = len(b)
+        eye = np.eye(n, dtype=complex)
+        solved = np.linalg.solve(
+            zs[:, None, None] * eye - b, np.broadcast_to(eye, (nodes, n, n))
+        )
+        acc = np.zeros((n, n), dtype=complex)
+        acc += (r / nodes) * np.einsum("j,jkl->kl", phases, solved)
+        blocks.append(acc)
+    return sl.Element(a.spec, blocks), r
+
+
+class TestRouteB:
+    """Route B's nested 16/32-node rule against the projection rank at
+    ``DEFAULT_NODES``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(built=similar_elements())
+    def test_rank_is_that_at_default_nodes(self, built):
+        _, a = built
+        rep = sl.spectrum(a)
+        for c in rep.nonzero_values:
+            assert _outcome(riesz._projection_rank, a, rep, c) == _outcome(
+                lambda: idempotent_rank(
+                    riesz._projection(a, rep, [c], DEFAULT_NODES)[0]
+                )
+            )
+
+    def test_escalates_to_thirty_two_then_default_nodes(self, monkeypatch):
+        a = random_maximal_element(sl.AlgebraSpec((8,)), rng_for(0))
+        rep = sl.spectrum(a)
+        c = rep.nonzero_values[0]
+        real = riesz._projection
+        expected = idempotent_rank(real(a, rep, [c], DEFAULT_NODES)[0])
+        p16, p8, _ = real(a, rep, [c], 16)
+        p32, p16_nested, _ = real(a, rep, [c], 32)
+        e16 = sl.operator_norm(p16 - p8)
+        e32 = sl.operator_norm(p32 - p16_nested)
+        assert e32 < e16 <= riesz._NESTED_ACCEPT
+        seen = []
+
+        def recorded(a, rep, centers, nodes):
+            seen.append(nodes)
+            return real(a, rep, centers, nodes)
+
+        monkeypatch.setattr(riesz, "_projection", recorded)
+        for accept, nodes in [(e16, [16]), (e32, [16, 32]), (0.0, [16, 32, 64])]:
+            monkeypatch.setattr(riesz, "_NESTED_ACCEPT", accept)
+            seen.clear()
+            assert riesz._projection_rank(a, rep, c) == expected == 1
+            assert seen == nodes
+        # the whole multiplicity at the last resort
+        seen.clear()
+        assert sl.multiplicity(a, c) == 1
+        assert seen == [16, 32, 64]
+
+    def test_nested_rule_is_the_half_node_rule(self):
+        a = random_maximal_element(sl.AlgebraSpec((3, 5)), rng_for(7))
+        rep = sl.spectrum(a)
+        for c in rep.nonzero_values:
+            _, half, _ = riesz._projection(a, rep, [c], 16)
+            p8, _, _ = riesz._projection(a, rep, [c], 8)
+            for hb, pb in zip(half.blocks, p8.blocks):
+                np.testing.assert_allclose(hb, pb, rtol=0, atol=1e-14)
+
+    @settings(max_examples=40, deadline=None)
+    @given(built=similar_maximal())
+    def test_riesz_projection_is_the_default_node_sum(self, built):
+        blocks, _ = built
+        a = sl.Element(sl.AlgebraSpec(tuple(len(b) for b in blocks)), blocks)
+        rep = sl.spectrum(a)
+        for c in rep.nonzero_values:
+            got = sl.riesz_projection(a, [c])
+            p, r = trapezoid_projection(a, rep, c, DEFAULT_NODES)
+            want = dataclasses.replace(
+                got,
+                projection=p,
+                radii=(r,),
+                nodes=DEFAULT_NODES,
+                idempotency_defect=sl.operator_norm(p @ p - p),
+                multiplicity=idempotent_rank(p),
+            )
+            assert jsonio.dumps(jsonio.riesz_report_to_json(got)) == jsonio.dumps(
+                jsonio.riesz_report_to_json(want)
+            )
+
+
 class TestSpectralTrace:
     def test_diagonal(self):
         assert sl.spectral_trace(single(np.diag([1.0, 2.0, 3.0]))) == pytest.approx(6.0)
@@ -432,6 +534,36 @@ class TestDiagonalization:
         with pytest.raises(NotMaximalError):
             sl.diagonalize_maximal(sl.zero(m2))
 
+    @pytest.mark.parametrize(
+        "a",
+        [
+            single(np.eye(3)),
+            single(np.diag([1.0, 1.0, 2.0])),
+            single(np.triu(np.ones((4, 4)), k=1)),
+            sl.Element(sl.AlgebraSpec((2, 2)), [np.diag([1.0, 2.0]), np.diag([2.0, 0.0])]),
+        ],
+        ids=["identity", "repeated", "nilpotent", "shared-value"],
+    )
+    def test_not_maximal_error_is_that_of_the_probed_rank(self, a, capsys):
+        # a non-maximal element still gets its rank from spectral_rank at
+        # the given seed, in the library and at the CLI
+        seed = 3
+        expected = {
+            "rank": sl.spectral_rank(a, seed=seed).rank,
+            "nonzero_count": sl.nonzero_spectrum_count(a),
+        }
+        with pytest.raises(NotMaximalError) as err:
+            sl.diagonalize_maximal(a, seed=seed)
+        assert err.value.details() == expected
+        payload = json.dumps(jsonio.element_to_json(a))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("sys.stdin", io.StringIO(payload))
+            code = run(["diagonalize", "--seed", str(seed)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert out["error"]["type"] == "NotMaximalError"
+        assert out["error"]["details"] == expected
+
     def test_random_maximal_reconstruction(self, spec23):
         for i in range(6):
             a = random_maximal_element(spec23, rng_for(79, i))
@@ -439,39 +571,6 @@ class TestDiagonalization:
             assert d.residual < 1e-8
             for p in d.projections:
                 assert sl.classical_rank(p) == 1
-
-
-def _unitary(n, rng):
-    q, r = np.linalg.qr(complex_gaussian(rng, (n, n)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-@st.composite
-def similar_maximal(draw):
-    """(blocks, nonzero values) of an element built as S D S^-1 per block.
-
-    D holds the block's nonzero values, then its kernel of zeros; S is
-    U diag(s) W with U, W unitary and s in [1, kappa], so cond(S) <= 1e2.
-    The nonzero values are distinct points of the lattice 0.15 * Z[i], so
-    any two are at least 0.15 apart and at least 0.15 from 0."""
-    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
-    kernels = [draw(st.integers(0, n)) for n in sizes]
-    if sum(sizes) == sum(kernels):
-        kernels[0] -= 1
-    count = sum(sizes) - sum(kernels)
-    lattice = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(any)
-    points = draw(st.lists(lattice, min_size=count, max_size=count, unique=True))
-    values = [0.15 * complex(re, im) for re, im in points]
-    kappa = draw(st.floats(1.0, 1e2))
-    rng = rng_for(draw(st.integers(0, 2**32 - 1)))
-    blocks, pos = [], 0
-    for n, k in zip(sizes, kernels):
-        d = np.zeros(n, dtype=complex)
-        d[: n - k] = values[pos : pos + n - k]
-        pos += n - k
-        s = _unitary(n, rng) @ np.diag(rng.uniform(1.0, kappa, n)) @ _unitary(n, rng)
-        blocks.append(s @ np.diag(d) @ np.linalg.inv(s))
-    return blocks, values
 
 
 class TestDiagonalizationClosedForm:
