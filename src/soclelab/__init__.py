@@ -30,12 +30,10 @@ from .algebra import (
 from .classify import (
     IdealReport,
     VerificationReport,
-    annihilating_pair_witness,
     generated_ideal,
     is_socle_minimal_ideal,
     orthogonal_decomposition,
     pAp_block_check,
-    rank_one_subprojections,
     verify_theorems,
 )
 from .commutators import (
@@ -54,18 +52,10 @@ from .functionals import (
     VanishingVerdict,
     blockwise_scalar_functional,
     characterize,
-    constant_on_rank_one_projections,
     counterexample_functional,
     evaluate,
-    is_scalar_trace,
-    is_tracial,
     random_functional,
-    spectral_bound_witness,
-    square_zero_basis,
     trace_functional,
-    tracial_witness,
-    vanishes_on_nilpotents,
-    vanishes_on_square_zero,
 )
 from .rank import DEFAULT_PROBES, RankReport, is_maximal_finite_rank, spectral_rank
 from .riesz import (
@@ -73,13 +63,11 @@ from .riesz import (
     CompressionReport,
     Diagonalization,
     RieszReport,
-    compress_to_corner,
     diagonalize_maximal,
     multiplicity,
     pAp_consistency,
     riesz_projection,
     spectral_trace,
-    trace_bound_check,
 )
 from . import errors, jsonio, sampling
 

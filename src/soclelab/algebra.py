@@ -250,10 +250,6 @@ class SpectrumReport:
         return np.array([v for v, _ in self.points], dtype=complex)
 
     @property
-    def total_multiplicity(self) -> int:
-        return int(sum(m for _, m in self.points))
-
-    @property
     def nonzero_values(self) -> np.ndarray:
         return np.array([v for v, _ in self.points if v != 0], dtype=complex)
 
@@ -308,7 +304,8 @@ def cluster_eigenvalues(
     order = np.lexsort((values.imag, values.real))
     centers = np.take_along_axis(values, order, axis=1).astype(complex)
     counts = np.ones((p, n), dtype=int)
-    diff = np.abs(centers[:, :, None] - centers[:, None, :])
+    with np.errstate(over="ignore"):  # an overflowed distance is inf: no merge
+        diff = np.abs(centers[:, :, None] - centers[:, None, :])
     diag = np.arange(n)
     diff[:, diag, diag] = np.inf
     flat = diff.reshape(p, n * n)

@@ -8,6 +8,8 @@ dimension is read off in closed form. The block ideals are checked to
 be exhaustive, and the structural verdicts — single matrix block,
 minimal two-sided ideal, every projection corner a full matrix algebra
 — are each computed by an independent route and required to coincide.
+A corner p A p split across two blocks is no full matrix algebra: its
+rank-one subprojections p', q', one in each, give p' x q' = 0 for all x.
 A function of an element reads the layout from the element; only
 ``orthogonal_decomposition``, ``is_socle_minimal_ideal`` and
 ``verify_theorems`` take an ``AlgebraSpec``, which is their whole input.
@@ -28,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element, _blockwise, corner_ranks, matrix_unit, zero
-from .errors import EigensolverError, NoCounterexampleError, TheoremViolationError
+from .algebra import AlgebraSpec, Element, corner_ranks, matrix_unit, zero
+from .errors import NoCounterexampleError, TheoremViolationError
 from .functionals import (
     CharacterizationReport,
     Functional,
@@ -112,57 +114,12 @@ def is_socle_minimal_ideal(spec: AlgebraSpec, seed: int = 0) -> bool:
 
 
 def pAp_block_check(p: Element) -> bool:
-    """Whether the corner p A p is a single full matrix block.
-
-    Equivalent to the projection having nonzero rank on at most one
-    block (:func:`~soclelab.algebra.corner_ranks`); a corner split across
-    blocks contains rank-one subprojections p', q' with p' x q' = 0 for
-    every x (see :func:`annihilating_pair_witness`). The zero projection
-    gives the zero corner and counts as a (trivial) single block.
-    """
+    """Whether the corner p A p is a single full matrix block: whether p
+    has nonzero rank (:func:`~soclelab.algebra.corner_ranks`) on at most
+    one block. Split across two, it has rank-one subprojections p', q'
+    with p' x q' = 0 for every x. The zero projection gives the zero
+    corner and counts as a (trivial) single block."""
     return sum(r > 0 for r in corner_ranks(p)) <= 1
-
-
-def _subprojections(p: Element, ranks: list[int]) -> list[list[Element]]:
-    """Per block i, the ``ranks[i]`` rank-one idempotents q = v w^T with
-    p q = q p = q: v an eigenvector of one of the ``ranks[i]`` eigenvalues
-    nearest 1 and w^T the matching row of the inverse eigenvector matrix
-    (an idempotent is diagonalizable). A solver failure names the block."""
-    eigs = _blockwise(np.linalg.eig, p.blocks, EigensolverError)
-    inverses = _blockwise(np.linalg.inv, [vecs for _, vecs in eigs], EigensolverError)
-    out = []
-    for i, ((vals, vecs), winv, r) in enumerate(zip(eigs, inverses, ranks)):
-        qs = []
-        for j in np.sort(np.argsort(np.abs(vals - 1.0), kind="stable")[:r]):
-            q = zero(p.spec)
-            q.blocks[i][:] = np.outer(vecs[:, j], winv[j, :])
-            qs.append(q)
-        out.append(qs)
-    return out
-
-
-def rank_one_subprojections(p: Element) -> list[Element]:
-    """Split an idempotent into rank-one subprojections via eigenvectors,
-    as many in each block as its :func:`~soclelab.algebra.corner_ranks`
-    entry; that call also checks that p is idempotent."""
-    return [q for qs in _subprojections(p, corner_ranks(p)) for q in qs]
-
-
-def annihilating_pair_witness(p: Element) -> tuple[Element, Element] | None:
-    """Rank-one subprojections p', q' of p with p' x q' = 0 for all x.
-
-    Exists exactly when the idempotent p has nonzero rank on at least
-    two blocks (:func:`~soclelab.algebra.corner_ranks`, which also checks
-    that p is idempotent). Each rank-one subprojection lies in one block,
-    so the pair is the first subprojection of each of the first two
-    supported blocks; it is re-verifiable by scanning x over the matrix
-    units.
-    """
-    ranks = corner_ranks(p)
-    if sum(r > 0 for r in ranks) < 2:
-        return None
-    first, second = [qs[0] for qs in _subprojections(p, ranks) if qs][:2]
-    return first, second
 
 
 @dataclass(frozen=True)

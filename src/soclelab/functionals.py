@@ -163,7 +163,8 @@ def _scalar_deviations(f: Functional) -> tuple[np.ndarray, float]:
 def _tracial(f: Functional, dev: float, scale: float, seed: int) -> bool:
     """The scalar-weight verdict, spot-checked on 4 random pairs (a, b),
     one stack from ``rng_for(seed, SPOT_CHECK)``: f(ab) - f(ba) is taken
-    on the weights divided by ``scale``, so every product stays finite."""
+    on the weights divided by ``scale``, so every product stays finite; a
+    contradiction there means the criterion is broken, and raises."""
     verdict = dev <= TRACIAL_TOL * scale
     if verdict:
         xs = random_element_stack(f.spec, rng_for(seed, SPOT_CHECK), 8)
@@ -179,16 +180,6 @@ def _tracial(f: Functional, dev: float, scale: float, seed: int) -> bool:
                 witness=tuple(pair),
             )
     return verdict
-
-
-def is_tracial(f: Functional) -> bool:
-    """f(ab) = f(ba) for all a, b iff every weight is scalar.
-
-    A positive verdict is spot-checked on seeded random pairs; a
-    contradiction there would mean the weight criterion itself is
-    broken, so it raises rather than returning.
-    """
-    return _tracial(f, _scalar_deviations(f)[1], f.weight_scale(), 0)
 
 
 def _tracial_witness(f: Functional) -> tuple[Element, Element] | None:
@@ -214,14 +205,6 @@ def _tracial_witness(f: Functional) -> tuple[Element, Element] | None:
     return matrix_unit(f.spec, k, x, y), matrix_unit(f.spec, k, y, z)
 
 
-def tracial_witness(f: Functional) -> tuple[Element, Element] | None:
-    """A unit-matrix pair (a, b) with f(ab) != f(ba), exactly when f is
-    not tracial at ``TRACIAL_TOL``."""
-    if _scalar_deviations(f)[1] <= TRACIAL_TOL * f.weight_scale():
-        return None
-    return _tracial_witness(f)
-
-
 def _scalar_trace(alphas, dev: float, scale: float) -> complex | None:
     if dev > TRACIAL_TOL * scale:
         return None
@@ -229,12 +212,6 @@ def _scalar_trace(alphas, dev: float, scale: float) -> complex | None:
     if max(abs(a - alpha) for a in alphas) > TRACIAL_TOL * scale:
         return None
     return alpha
-
-
-def is_scalar_trace(f: Functional) -> complex | None:
-    """The alpha with f = alpha * Tr, or None if no single alpha works."""
-    alphas, dev = _scalar_deviations(f)
-    return _scalar_trace(alphas, dev, f.weight_scale())
 
 
 @dataclass(frozen=True)
@@ -273,15 +250,11 @@ def _bound(f: Functional, tracial: bool, alphas, values) -> SpectralBoundResult:
     )
 
 
-def spectral_bound_witness(f: Functional) -> SpectralBoundResult:
-    if is_tracial(f):
-        return _bound(f, True, _scalar_deviations(f)[0], None)
-    return _bound(f, False, None, _square_zero_values(f)[0])
-
-
 def _square_zero_keys(spec: AlgebraSpec) -> list[tuple[int, int, int, int]]:
     """(block, i, j, kind) for each element of the square-zero basis, in
-    the key format of :func:`_element`."""
+    the key format of :func:`_element`: per block, e_ij for i != j, then
+    e_ii - e_ij + e_ji - e_jj = (e_i + e_j)(e_i - e_j)^T for i < j, whose
+    orthogonal factors make it square to zero."""
     keys = []
     for k, n in enumerate(spec.block_sizes):
         keys += [(k, i, j, 0) for i in range(n) for j in range(n) if i != j]
@@ -313,17 +286,6 @@ def _unitaries(n: int) -> np.ndarray:
     dft = np.exp(-2j * np.pi * (np.outer(k, k) % n) / n) / np.sqrt(n)
     chirp = np.exp(1j * np.pi * (k * k % (2 * n)) / n)
     return np.stack([dft, chirp[:, None] * dft])
-
-
-def square_zero_basis(spec: AlgebraSpec) -> list[Element]:
-    """Square-zero elements spanning the blockwise-traceless subspace.
-
-    Per block of size n: the off-diagonal units e_(i,j), plus for each
-    i < j the rank-one matrix e_ii - e_ij + e_ji - e_jj, which factors
-    as (e_i + e_j)(e_i - e_j)^T with orthogonal factors and therefore
-    squares to zero. Size-1 blocks contribute nothing.
-    """
-    return [_element(spec, key) for key in _square_zero_keys(spec)]
 
 
 def _square_zero_values(f: Functional) -> tuple[np.ndarray, np.ndarray]:
@@ -380,21 +342,6 @@ def _first_nonvanishing(f: Functional, scale: float, values, norms) -> Vanishing
     return VanishingVerdict(False, w, complex(values[first]))
 
 
-def vanishes_on_square_zero(f: Functional) -> VanishingVerdict:
-    """Evaluate f on the square-zero basis, which spans every square-zero
-    element."""
-    values, norms = _square_zero_values(f)
-    return _first_nonvanishing(f, f.weight_scale(), values, norms)
-
-
-def vanishes_on_nilpotents(f: Functional) -> VanishingVerdict:
-    """Evaluate f on the square-zero basis, then on the conjugated units.
-    Each family spans the traceless part, which holds every nilpotent.
-    The basis goes first, so f gets the square-zero verdict's witness."""
-    values, norms = _nilpotent_values(f, *_square_zero_values(f))
-    return _first_nonvanishing(f, f.weight_scale(), values, norms)
-
-
 @dataclass(frozen=True)
 class ConstancyVerdict:
     constant: bool
@@ -417,6 +364,8 @@ def _projection_values(f: Functional) -> tuple[np.ndarray, list[tuple[int, int, 
 
 
 def _constancy(f: Functional, scale: float) -> ConstancyVerdict:
+    """f on the rank-one idempotents, which fix every weight entry, against
+    its value on the first; a failure names the first that differs."""
     values, keys = _projection_values(f)
     gaps = values - values[0]
     off = np.flatnonzero(np.hypot(gaps.real, gaps.imag) > TRACIAL_TOL * scale)
@@ -424,16 +373,6 @@ def _constancy(f: Functional, scale: float) -> ConstancyVerdict:
         return ConstancyVerdict(True, complex(values[0]), None)
     first, other = ((_element(f.spec, keys[i]), complex(values[i])) for i in (0, off[0]))
     return ConstancyVerdict(False, None, (first, other))
-
-
-def constant_on_rank_one_projections(f: Functional) -> ConstancyVerdict:
-    """Compare f on the rank-one idempotents e_jj and e_jj + e_jl, whose
-    values fix every weight entry, with its value on the first.
-
-    A constant verdict reports the first value. A failure returns the
-    first projection and the first one whose value differs.
-    """
-    return _constancy(f, f.weight_scale())
 
 
 def counterexample_functional(spec: AlgebraSpec) -> Functional:
@@ -471,10 +410,10 @@ class CharacterizationReport:
 
 
 def characterize(f: Functional, seed: int = 0) -> CharacterizationReport:
-    """Run every characterization on one functional. The block scalars, the
-    weight scale, the square-zero values and the tracial verdict are
-    computed once and shared by every verdict; ``seed`` seeds the
-    tracial spot check."""
+    """Run every characterization on one functional: the one public way
+    to decide any of them. The block scalars, the weight scale, the
+    square-zero values and the tracial verdict are computed once and
+    shared by every verdict; ``seed`` seeds the tracial spot check."""
     alphas, dev = _scalar_deviations(f)
     scale = f.weight_scale()
     values, norms = _square_zero_values(f)

@@ -62,12 +62,16 @@ def spectral_rank(a: Element, probes: int = DEFAULT_PROBES, seed: int = 0) -> Ra
     """
     if probes < 1:
         raise ValueError("need at least one probe")
+    return _probed_rank(a, probes, seed, classical_rank(a))
+
+
+def _probed_rank(a: Element, probes: int, seed: int, oracle: int) -> RankReport:
+    """:func:`spectral_rank` with the SVD rank ``oracle`` of ``a`` given."""
     xs = random_element_stack(a.spec, rng_for(seed, PROBE), probes)
     products = [x @ b for x, b in zip(xs, a.blocks)]
     counts = nonzero_spectrum_counts(block_eigenvalues(products))
     best = int(np.argmax(counts))
     best_count = int(counts[best])
-    oracle = classical_rank(a)
     if best_count != oracle:
         raise RankCertificationError(best_count, oracle, probes)
     return RankReport(
@@ -98,10 +102,10 @@ def _maximality_rank(a: Element, count: int, seed: int) -> int:
     The rank is the supremum of the count over the products x*a, and
     x = 1 attains ``count``; the count never exceeds the rank. So when
     ``count`` equals the SVD rank, the two routes already agree and that
-    rank is returned without a probe. Otherwise the rank is that of
-    ``spectral_rank(a, seed=seed)``, which certifies it or raises.
+    rank is returned without a probe. Otherwise it is probed as by
+    :func:`spectral_rank` at ``seed`` and certified against that SVD rank.
     """
     oracle = classical_rank(a)
     if count == oracle:
         return oracle
-    return spectral_rank(a, seed=seed).rank
+    return _probed_rank(a, DEFAULT_PROBES, seed, oracle).rank

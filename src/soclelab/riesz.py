@@ -330,18 +330,6 @@ def _spectral_pass(x: Element | None, seed: int):
     return rep, rank, oracle, trace
 
 
-def trace_bound_check(a: Element, seed: int = 0) -> bool:
-    """|trace| <= rank * spectral radius, within ``TRACE_CERT_TOL``.
-
-    The spectral trace is only certified to that relative tolerance, so
-    the bound cannot be checked more tightly. One spectrum and one
-    oracle rank serve both the trace and the bound.
-    """
-    rep, rank, _, tr = _spectral_pass(a, seed)
-    bound = rank * rep.radius
-    return abs(tr) <= bound + TRACE_CERT_TOL * max(1.0, bound)
-
-
 def diagonalize_maximal(a: Element, seed: int = 0) -> Diagonalization:
     """Split a maximal element into value * minimal-projection terms.
 
@@ -386,7 +374,8 @@ def _eigenprojection(a: Element, rep: SpectrumReport, v: complex, eigs, inverses
     ((eigenvalues, eigenvectors) pairs) and the ``inverses`` of their
     eigenvector matrices."""
     r = RADIUS_FACTOR * rep.gap(v)
-    picks = [np.flatnonzero(np.abs(lam - v) < r) for lam, _ in eigs]
+    with np.errstate(over="ignore"):  # an overflowed distance is inf: outside r
+        picks = [np.flatnonzero(np.abs(lam - v) < r) for lam, _ in eigs]
     found = sum(len(ks) for ks in picks)
     if found != 1:
         msg = (
@@ -431,21 +420,13 @@ class CompressionReport:
         )
 
 
-def compress_to_corner(a: Element, p: Element):
-    """Matrix of p*a*p on orthonormal bases of the block ranges of p.
-
-    Block i of p contributes its first r_i left singular vectors, r_i
-    its rank under the idempotent rank rule
-    (:func:`~soclelab.algebra.corner_ranks`), so the subalgebra is the
-    sum of M_{r_i} over r_i > 0 and a roundoff block of p adds nothing.
-    Returns (subalgebra spec, compressed element); both are None when
-    every r_i is 0. Raises when p is not idempotent within tolerance.
-    """
-    return _compress(p, p @ a @ p)
-
-
 def _compress(p: Element, pap: Element):
-    """:func:`compress_to_corner` with p*a*p given."""
+    """Matrix of ``pap`` = p*a*p on orthonormal bases of the block ranges
+    of p: block i gives its first r_i left singular vectors, r_i its
+    :func:`~soclelab.algebra.corner_ranks` entry (which raises unless p is
+    idempotent), so the subalgebra is the sum of M_{r_i} over r_i > 0 and
+    a roundoff block of p adds nothing. Returns (subalgebra spec,
+    compressed element), both None when every r_i is 0."""
     mats = []
     for pb, mb, r in zip(p.blocks, pap.blocks, corner_ranks(p)):
         if r:
@@ -480,8 +461,8 @@ def _nonzero_spectra_match(
 def pAp_consistency(a: Element, p: Element, seed: int = 0) -> CompressionReport:
     """Certify that corner and ambient computations agree on p*a*p.
 
-    p*a*p is formed once. It and its corner matrix
-    (:func:`compress_to_corner`) each get one spectrum, one oracle rank
+    p*a*p is formed once. It and its corner matrix (:func:`_compress`)
+    each get one spectrum, one oracle rank
     and one diagonal trace, which their spectral traces reuse. Traces
     must agree to ``TRACE_CERT_TOL`` relative to max(1, |ambient
     trace|), also for the empty corner.

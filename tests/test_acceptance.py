@@ -294,12 +294,11 @@ def test_criterion_9_equivalence_engine():
                 )
             else:
                 f = sl.trace_functional(spec, complex(rng.standard_normal()))
-            tracial = sl.is_tracial(f)
-            sq = sl.vanishes_on_square_zero(f)
-            nil = sl.vanishes_on_nilpotents(f)
-            if not (tracial == sq.vanishes == nil.vanishes):
+            rep = sl.characterize(f)
+            tracial = rep.tracial
+            if not (tracial == rep.square_zero.vanishes == rep.nilpotent.vanishes):
                 disagreements += 1
-            bound = sl.spectral_bound_witness(f)
+            bound = rep.bound
             if tracial != (bound.constant is not None):
                 disagreements += 1
             if not tracial:

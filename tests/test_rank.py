@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import soclelab as sl
 from soclelab import algebra, rank
-from soclelab.errors import RankCertificationError
+from soclelab.errors import NotMaximalError, RankCertificationError
 from soclelab.rank import DEFAULT_PROBES
 from soclelab.sampling import (
     PROBE,
@@ -162,6 +162,26 @@ class TestMaximalElements:
             a = random_maximal_element(spec23, rng_for(59, i))
             assert sl.is_maximal_finite_rank(a)
             assert sl.diagonalize_maximal(a, seed=i).residual < 1e-8
+
+    def test_non_maximal_element_takes_one_svd_per_block(self, monkeypatch):
+        # the probed rank is certified against the SVD rank the maximality
+        # check already holds, not against a second one
+        calls = []
+        real = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        a = sl.identity(sl.AlgebraSpec((2, 3)))
+        with pytest.raises(NotMaximalError) as err:
+            sl.diagonalize_maximal(a)
+        assert err.value.details() == {"rank": 5, "nonzero_count": 1}
+        assert len(calls) == 2
+        calls.clear()
+        assert not sl.is_maximal_finite_rank(a)
+        assert len(calls) == 2
 
 
 def reference_probe_counts(a, probes, seed):

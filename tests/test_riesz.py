@@ -485,12 +485,20 @@ class TestSpectralTrace:
             assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
 
 
+def trace_bound_holds(a, seed=0):
+    """|tr a| <= rank(a) * spectral radius(a), within ``TRACE_CERT_TOL``:
+    the spectral trace is certified only to that relative tolerance."""
+    tr = sl.spectral_trace(a, seed=seed)
+    bound = sl.classical_rank(a) * sl.spectral_radius(a)
+    return abs(tr) <= bound + TRACE_CERT_TOL * max(1.0, bound)
+
+
 class TestTraceBound:
     def test_nilpotent_edge(self, m2):
-        assert sl.trace_bound_check(sl.matrix_unit(m2, 0, 0, 1))
+        assert trace_bound_holds(sl.matrix_unit(m2, 0, 0, 1))
 
     def test_identity_saturates(self, m3):
-        assert sl.trace_bound_check(sl.identity(m3))
+        assert trace_bound_holds(sl.identity(m3))
         one = sl.identity(m3)
         assert abs(sl.spectral_trace(one)) == pytest.approx(
             sl.classical_rank(one) * sl.spectral_radius(one)
@@ -498,7 +506,7 @@ class TestTraceBound:
 
     def test_random(self, spec23):
         for i in range(5):
-            assert sl.trace_bound_check(random_element(spec23, rng_for(73, i)), seed=i)
+            assert trace_bound_holds(random_element(spec23, rng_for(73, i)), seed=i)
 
 
 class TestDiagonalization:
@@ -695,7 +703,7 @@ class TestCornerConsistency:
         # block, which must not compress into a 3x3 corner block
         a = sl.Element(spec23, [np.diag([1.0, 2.0]), np.diag([3.0, 4.0, 5.0])])
         p = sl.riesz_projection(a, 1.0).projection
-        assert sl.compress_to_corner(a, p)[0].block_sizes == (1,)
+        assert riesz._compress(p, p @ a @ p)[0].block_sizes == (1,)
         rep = sl.pAp_consistency(a, p)
         assert rep.subalgebra.block_sizes == (1,)
         assert rep.consistent
@@ -711,7 +719,7 @@ class TestCornerConsistency:
 
         monkeypatch.setattr(riesz, "spectrum", counted)
         a = random_element(spec23, rng_for(73))
-        assert sl.trace_bound_check(a)
+        sl.spectral_trace(a)
         # the perturbation probes are clustered as one stack, not spectrum by spectrum
         assert len(calls) == 1
         for p in [sl.identity(spec23), random_projection(spec23, rng_for(107))]:
