@@ -328,7 +328,8 @@ def cluster_eigenvalues(
         centers[live, i] = merged
         counts[live, i] = w
         counts[live, j] = 0
-        row = np.abs(merged[:, None] - centers[live])
+        with np.errstate(over="ignore"):  # as above; the centroid still warns
+            row = np.abs(merged[:, None] - centers[live])
         row[counts[live] == 0] = np.inf
         diff[live, i] = diff[live, :, i] = row
         diff[live, j] = diff[live, :, j] = diff[live, i, i] = np.inf

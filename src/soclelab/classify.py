@@ -14,14 +14,14 @@ A function of an element reads the layout from the element; only
 ``orthogonal_decomposition``, ``is_socle_minimal_ideal`` and
 ``verify_theorems`` take an ``AlgebraSpec``, which is their whole input.
 
-``verify_theorems`` runs the functional characterizations over sampled
-functionals and asserts exactly the implication pattern the block count
-predicts: one block makes all characterizations equivalent; two or more
-blocks admit a tracial, radius-bounded functional that is not a scalar
-multiple of the trace and is non-constant on rank-one projections.
-Constancy on rank-one projections is equivalent to being a scalar
-multiple of the trace regardless of the block count. A violated pattern
-raises: it signals an implementation defect, never an acceptable result.
+``verify_theorems`` states the theorem as the set of verdict patterns a
+functional may show. Its six verdicts (scalar multiple of the trace,
+tracial, radius-bounded, vanishing on nilpotents and on square-zero
+elements, constant on rank-one projections) are all true or all false;
+two or more blocks add one pattern, tracial but not a scalar multiple,
+which the first-block trace shows. The first functional or structural
+verdict outside the prediction raises: it signals an implementation
+defect, never an acceptable result.
 """
 
 from __future__ import annotations
@@ -162,162 +162,134 @@ def _sample_functionals(
     return out
 
 
+# On one block the six verdicts coincide; two or more blocks add this
+# one pattern, shown by the first-block trace.
+_TRACIAL_NOT_SCALAR = (False, True, True, True, True, False)
+
+
+def _verdicts(rep: CharacterizationReport) -> tuple[bool, ...]:
+    """Scalar trace, tracial, radius-bounded, vanishing on nilpotents and
+    on square-zero elements, constant on rank-one projections."""
+    return (
+        rep.is_scalar_trace,
+        rep.tracial,
+        rep.bound.constant is not None,
+        rep.nilpotent.vanishes,
+        rep.square_zero.vanishes,
+        rep.rank_one_constancy.constant,
+    )
+
+
+def _require(ok: bool, what: str, rep: CharacterizationReport | None = None) -> None:
+    """Raise at the first failed prediction; the report that failed it is
+    the witness, and its six verdicts end the message."""
+    if not ok:
+        if rep is not None:
+            what += (
+                "; (scalar trace, tracial, radius bound, nilpotent, square-zero, "
+                f"rank-one constancy) = {_verdicts(rep)}"
+            )
+        raise TheoremViolationError(what, witness=rep)
+
+
+# Each claim's key, the observation it reports, and its statement.
+_CLAIMS = (
+    ("scalar_trace_equivalence", "single_block",
+     "scalar-trace, tracial, and radius-bound conditions are equivalent "
+     "exactly when the algebra is one matrix block"),
+    ("rank_one_constancy", "functionals_checked",
+     "constancy on rank-one projections is equivalent to being a scalar "
+     "multiple of the trace"),
+    ("minimal_ideal", "minimal_ideal",
+     "scalar-trace/tracial equivalence holds exactly when the algebra is "
+     "a minimal two-sided ideal"),
+    ("corner_blocks", "all_corners_single_block",
+     "scalar-trace/tracial equivalence holds exactly when every "
+     "projection corner is a single full matrix block"),
+    ("nilpotent_vanishing", "alpha_max_error",
+     "on a minimal-ideal algebra, vanishing on nilpotents, vanishing on "
+     "square-zero elements, the rank-radius bound, and scalar-trace form "
+     "are equivalent"),
+)
+
+
 def verify_theorems(
     spec: AlgebraSpec, trials: int = 100, seed: int = 0
 ) -> VerificationReport:
     """Verify the predicted characterization pattern for one algebra.
 
-    Per trial: sample planted functionals, characterize each, and check
-    every predicted implication. Raises TheoremViolationError on any
-    mismatch. The structural booleans (single block, minimal ideal,
-    all corners full blocks) are computed by independent routes and
-    must agree with the block count. Trial t samples its functionals from
+    Every sampled functional's six verdicts must be all true or all
+    false, or, on two or more blocks, tracial but not a scalar multiple
+    of the trace; a planted scalar must be recovered, and distinct block
+    scalars must not score as one. The first-block trace must show the
+    tracial-but-not-scalar pattern with a witness pair, and exist only
+    on two or more blocks. The structural booleans (single block,
+    minimal ideal, all corners full blocks) come from independent routes
+    and must agree. The first failed prediction raises
+    TheoremViolationError. Trial t samples its functionals from
     ``rng_for(seed, FUNCTIONALS, t)`` and its projection from
     ``rng_for(seed, PROJECTIONS, t)``, so no rejection loop of one family
     shifts the draws of another.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    k = spec.num_blocks
-    single_block = k == 1
+    single_block = spec.num_blocks == 1
+    predicted = {(True,) * 6, (False,) * 6} | (set() if single_block else {_TRACIAL_NOT_SCALAR})
     minimal = is_socle_minimal_ideal(spec, seed=seed)
 
-    constancy_failures: list[str] = []
-    equivalence_failures: list[str] = []
     alpha_errors: list[float] = []
     corner_all_single = True
-    counterexample_report: CharacterizationReport | None = None
     n_funcs = 0
-
     for t in range(trials):
         for kind, f, planted in _sample_functionals(spec, rng_for(seed, FUNCTIONALS, t)):
             n_funcs += 1
             rep = characterize(f, seed=seed)
-            conditions = [
-                rep.is_scalar_trace,
-                rep.tracial,
-                rep.bound.constant is not None,
-                rep.nilpotent.vanishes,
-                rep.square_zero.vanishes,
-            ]
-            # Constancy on rank-one projections tracks the scalar-trace
-            # property for every algebra.
-            if rep.rank_one_constancy.constant != rep.is_scalar_trace:
-                constancy_failures.append(
-                    f"trial {t} {kind}: constancy {rep.rank_one_constancy.constant} "
-                    f"vs scalar-trace {rep.is_scalar_trace}"
-                )
-            # Tracial, bounded, and the two vanishing conditions always
-            # track one another in this finite-dimensional model.
-            if len({conditions[1], conditions[2], conditions[3], conditions[4]}) != 1:
-                equivalence_failures.append(
-                    f"trial {t} {kind}: tracial/bound/nilpotent/square-zero "
-                    f"split as {conditions[1:]}"
-                )
-            if single_block:
-                if len(set(conditions)) != 1:
-                    equivalence_failures.append(
-                        f"trial {t} {kind}: single-block conditions split "
-                        f"as {conditions}"
-                    )
-            else:
-                if kind == "blockwise" and rep.is_scalar_trace:
-                    equivalence_failures.append(
-                        f"trial {t}: distinct block scalars scored as scalar trace"
-                    )
+            where = f"trial {t} {kind}"
+            _require(_verdicts(rep) in predicted, f"{where}: unpredicted verdicts", rep)
+            if kind == "blockwise" and not single_block:
+                why = "distinct block scalars scored as scalar trace"
+                _require(not rep.is_scalar_trace, f"{where}: {why}", rep)
             if kind == "scalar":
-                recovered = rep.scalar_trace_coefficient
-                if recovered is None:
-                    equivalence_failures.append(
-                        f"trial {t}: planted scalar multiple not recognized"
-                    )
-                else:
-                    alpha_errors.append(abs(recovered - planted))
-                    value = rep.rank_one_constancy.value
-                    if value is not None:
-                        alpha_errors.append(abs(value - planted))
-
+                _require(rep.is_scalar_trace, f"{where}: planted scalar not recovered", rep)
+                alpha_errors.append(abs(rep.scalar_trace_coefficient - planted))
+                value = rep.rank_one_constancy.value
+                if value is not None:
+                    alpha_errors.append(abs(value - planted))
         # Corner check on a sampled projection per trial
         p = random_projection(spec, rng_for(seed, PROJECTIONS, t))
         corner_all_single &= pAp_block_check(p)
 
-    if k >= 2:
+    counterexample = None
+    if single_block:
+        try:
+            counterexample_functional(spec)
+        except NoCounterexampleError:
+            pass
+        else:
+            raise TheoremViolationError("a counterexample exists on a single block")
+    else:
         # and, for several blocks, on one deliberate cross-block projection
         cross = matrix_unit(spec, 0, 0, 0) + matrix_unit(spec, 1, 0, 0)
         corner_all_single &= pAp_block_check(cross)
-        f = counterexample_functional(spec)
-        counterexample_report = characterize(f, seed=seed)
-        rep = counterexample_report
-        ok = (
-            rep.tracial
-            and rep.bound.constant is not None
-            and not rep.is_scalar_trace
-            and not rep.rank_one_constancy.constant
-            and rep.rank_one_constancy.witnesses is not None
+        counterexample = characterize(counterexample_functional(spec), seed=seed)
+        _require(
+            _verdicts(counterexample) == _TRACIAL_NOT_SCALAR
+            and counterexample.rank_one_constancy.witnesses is not None,
+            "first-block trace: not tracial-but-not-scalar with a witness pair",
+            counterexample,
         )
-        if not ok:
-            raise TheoremViolationError(
-                "first-block-trace functional did not show the predicted "
-                "tracial-but-not-scalar pattern",
-                witness=rep,
-            )
-    else:
-        try:
-            counterexample_functional(spec)
-            raise TheoremViolationError(
-                "a counterexample functional was produced on a single block"
-            )
-        except NoCounterexampleError:
-            pass
+    _require(
+        single_block == minimal == corner_all_single,
+        f"structural verdicts disagree: single-block {single_block}, "
+        f"minimal ideal {minimal}, corners {corner_all_single}",
+    )
 
-    if constancy_failures:
-        raise TheoremViolationError(
-            "rank-one-projection constancy diverged from the scalar-trace "
-            "verdict: " + "; ".join(constancy_failures[:3])
-        )
-    if equivalence_failures:
-        raise TheoremViolationError(
-            "characterization equivalences violated: "
-            + "; ".join(equivalence_failures[:3])
-        )
-    if not (single_block == minimal == corner_all_single):
-        raise TheoremViolationError(
-            f"structural verdicts disagree: single-block {single_block}, "
-            f"minimal ideal {minimal}, corners {corner_all_single}"
-        )
-
-    verdicts = {
-        "scalar_trace_equivalence": TheoremVerdict(
-            claim="scalar-trace, tracial, and radius-bound conditions are "
-            "equivalent exactly when the algebra is one matrix block",
-            holds=True,
-            details={"single_block": single_block},
-        ),
-        "rank_one_constancy": TheoremVerdict(
-            claim="constancy on rank-one projections is equivalent to being "
-            "a scalar multiple of the trace",
-            holds=True,
-            details={"functionals_checked": n_funcs},
-        ),
-        "minimal_ideal": TheoremVerdict(
-            claim="scalar-trace/tracial equivalence holds exactly when the "
-            "algebra is a minimal two-sided ideal",
-            holds=True,
-            details={"minimal_ideal": minimal},
-        ),
-        "corner_blocks": TheoremVerdict(
-            claim="scalar-trace/tracial equivalence holds exactly when every "
-            "projection corner is a single full matrix block",
-            holds=True,
-            details={"all_corners_single_block": corner_all_single},
-        ),
-        "nilpotent_vanishing": TheoremVerdict(
-            claim="on a minimal-ideal algebra, vanishing on nilpotents, "
-            "vanishing on square-zero elements, the rank-radius bound, and "
-            "scalar-trace form are equivalent",
-            holds=True,
-            details={"alpha_max_error": max(alpha_errors) if alpha_errors else 0.0},
-        ),
+    observed = {
+        "single_block": single_block,
+        "functionals_checked": n_funcs,
+        "minimal_ideal": minimal,
+        "all_corners_single_block": corner_all_single,
+        "alpha_max_error": max(alpha_errors),
     }
     return VerificationReport(
         spec=spec,
@@ -325,7 +297,10 @@ def verify_theorems(
         seed=seed,
         socle_is_single_matrix_block=corner_all_single,
         socle_is_minimal_ideal=minimal,
-        verdicts=verdicts,
+        verdicts={
+            key: TheoremVerdict(claim=claim, holds=True, details={name: observed[name]})
+            for key, name, claim in _CLAIMS
+        },
         functional_count=n_funcs,
-        counterexample=counterexample_report,
+        counterexample=counterexample,
     )

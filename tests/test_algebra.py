@@ -111,6 +111,12 @@ class TestSpectrum:
         assert len(rep.points) == 1
         assert rep.points[0][1] == 2
 
+    def test_far_apart_merge_writes_no_warning(self):
+        # the merged center 5e307 lies 2e308 from -1.5e308: the overflowed
+        # distance is inf, no merge, and no RuntimeWarning (an error here)
+        rep = sl.spectrum(single(np.diag([5e307, 5e307, -1.5e308])))
+        assert rep.points == ((-1.5e308 + 0j, 1), (5e307 + 0j, 2))
+
     def test_multiplicity_conservation_random(self, spec23):
         for i in range(20):
             a = random_element(spec23, rng_for(11, i))

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import soclelab as sl
+import soclelab.classify as classify
 import soclelab.riesz as riesz
 from soclelab.algebra import block_ranks, corner_ranks
 from soclelab.errors import NotIdempotentError, TheoremViolationError
@@ -281,3 +284,170 @@ class TestVerifyTheorems:
             expected = spec.num_blocks == 1
             assert rep.socle_is_minimal_ideal == expected
             assert rep.socle_is_single_matrix_block == expected
+
+
+def with_verdicts(rep, scalar, tracial, bound, nilpotent, square_zero, constant):
+    """A real report with its six verdicts set, witnesses kept."""
+    return dataclasses.replace(
+        rep,
+        scalar_trace_coefficient=(rep.scalar_trace_coefficient or 1.0) if scalar else None,
+        tracial=tracial,
+        bound=dataclasses.replace(
+            rep.bound, constant=(rep.bound.constant or 1.0) if bound else None
+        ),
+        nilpotent=dataclasses.replace(rep.nilpotent, vanishes=nilpotent),
+        square_zero=dataclasses.replace(rep.square_zero, vanishes=square_zero),
+        rank_one_constancy=dataclasses.replace(rep.rank_one_constancy, constant=constant),
+    )
+
+
+def verdicts_of(rep):
+    return (
+        rep.is_scalar_trace,
+        rep.tracial,
+        rep.bound.constant is not None,
+        rep.nilpotent.vanishes,
+        rep.square_zero.vanishes,
+        rep.rank_one_constancy.constant,
+    )
+
+
+def is_first_block_trace(f):
+    return not any(np.any(w) for w in f.weights[1:])
+
+
+def patch_characterize(monkeypatch, change, when=lambda f, rep: True):
+    """Replace ``classify.characterize`` by one that applies ``change``, a
+    map from six verdicts to six verdicts, to the reports ``when`` picks."""
+    real = classify.characterize
+
+    def patched(f, seed=0):
+        rep = real(f, seed=seed)
+        return with_verdicts(rep, *change(verdicts_of(rep))) if when(f, rep) else rep
+
+    monkeypatch.setattr(classify, "characterize", patched)
+
+
+class TestViolations:
+    """Each failed prediction raises TheoremViolationError; reports are
+    real ones with verdicts flipped."""
+
+    def test_constancy_apart_from_scalar_trace(self, monkeypatch, m3):
+        patch_characterize(monkeypatch, lambda v: v[:5] + (not v[5],))
+        with pytest.raises(TheoremViolationError):
+            sl.verify_theorems(m3, trials=2, seed=1)
+
+    def test_tracial_apart_from_vanishing(self, monkeypatch, spec22):
+        patch_characterize(
+            monkeypatch,
+            lambda v: v[:3] + (not v[3],) + v[4:],
+            when=lambda f, rep: not is_first_block_trace(f),
+        )
+        with pytest.raises(TheoremViolationError):
+            sl.verify_theorems(spec22, trials=2, seed=1)
+
+    def test_tracial_but_not_scalar_on_one_block(self, monkeypatch, m3):
+        # the blockwise sample, whose one block scalar has modulus 1.5
+        patch_characterize(
+            monkeypatch,
+            lambda v: (False,) + v[1:5] + (False,),
+            when=lambda f, rep: rep.is_scalar_trace
+            and np.isclose(abs(rep.scalar_trace_coefficient), 1.5),
+        )
+        with pytest.raises(TheoremViolationError):
+            sl.verify_theorems(m3, trials=2, seed=1)
+
+    def test_block_scalars_scored_as_scalar_trace(self, monkeypatch, spec22):
+        # all six verdicts true is a predicted pattern: only the planted
+        # distinct block scalars refute it
+        patch_characterize(
+            monkeypatch,
+            lambda v: (True,) * 6,
+            when=lambda f, rep: rep.tracial and not is_first_block_trace(f),
+        )
+        with pytest.raises(TheoremViolationError, match="distinct block scalars"):
+            sl.verify_theorems(spec22, trials=2, seed=1)
+
+    def test_planted_scalar_not_recovered(self, monkeypatch, spec22):
+        # all six verdicts false is a predicted pattern: only the planted
+        # scalar refutes it
+        patch_characterize(
+            monkeypatch,
+            lambda v: (False,) * 6,
+            when=lambda f, rep: rep.is_scalar_trace,
+        )
+        with pytest.raises(TheoremViolationError, match="planted scalar"):
+            sl.verify_theorems(spec22, trials=2, seed=1)
+
+    @pytest.mark.parametrize("index", [1, 2, 5])
+    def test_counterexample_pattern(self, monkeypatch, spec22, index):
+        # the first-block trace turned non-tracial, unbounded or constant
+        patch_characterize(
+            monkeypatch,
+            lambda v: v[:index] + (not v[index],) + v[index + 1:],
+            when=lambda f, rep: is_first_block_trace(f),
+        )
+        with pytest.raises(TheoremViolationError):
+            sl.verify_theorems(spec22, trials=2, seed=1)
+
+    def test_counterexample_without_witnesses(self, monkeypatch, spec22):
+        real = classify.characterize
+
+        def patched(f, seed=0):
+            rep = real(f, seed=seed)
+            if not is_first_block_trace(f):
+                return rep
+            constancy = dataclasses.replace(rep.rank_one_constancy, witnesses=None)
+            return dataclasses.replace(rep, rank_one_constancy=constancy)
+
+        monkeypatch.setattr(classify, "characterize", patched)
+        with pytest.raises(TheoremViolationError):
+            sl.verify_theorems(spec22, trials=2, seed=1)
+
+    def test_counterexample_on_one_block(self, monkeypatch, m3):
+        monkeypatch.setattr(
+            classify, "counterexample_functional", lambda spec: sl.trace_functional(spec, 1.0)
+        )
+        with pytest.raises(TheoremViolationError):
+            sl.verify_theorems(m3, trials=2, seed=1)
+
+    @pytest.mark.parametrize("sizes", [(3,), (2, 2)])
+    def test_minimal_ideal_disagrees(self, monkeypatch, sizes):
+        monkeypatch.setattr(
+            classify, "is_socle_minimal_ideal", lambda spec, seed=0: spec.num_blocks != 1
+        )
+        with pytest.raises(TheoremViolationError, match="structural"):
+            sl.verify_theorems(sl.AlgebraSpec(sizes), trials=2, seed=1)
+
+    @pytest.mark.parametrize("sizes", [(3,), (2, 2)])
+    def test_corners_disagree(self, monkeypatch, sizes):
+        monkeypatch.setattr(classify, "pAp_block_check", lambda p: p.spec.num_blocks != 1)
+        with pytest.raises(TheoremViolationError, match="structural"):
+            sl.verify_theorems(sl.AlgebraSpec(sizes), trials=2, seed=1)
+
+    def test_scalar_but_not_tracial_on_several_blocks(self, monkeypatch, spec22):
+        # the dense functionals, (False,) * 6, made (True, False, ..., True):
+        # scalar and constant but not tracial, a pattern no algebra allows
+        patch_characterize(
+            monkeypatch,
+            lambda v: (True,) + v[1:5] + (True,),
+            when=lambda f, rep: not rep.tracial,
+        )
+        with pytest.raises(TheoremViolationError) as info:
+            sl.verify_theorems(spec22, trials=2, seed=1)
+        assert "trial 0 dense" in info.value.claim
+        assert "(True, False, False, False, False, True)" in info.value.claim
+        assert verdicts_of(info.value.witness) == (True, False, False, False, False, True)
+
+    @pytest.mark.parametrize("index", [3, 4])
+    def test_counterexample_must_vanish(self, monkeypatch, spec22, index):
+        # the first-block trace not vanishing on nilpotents or on
+        # square-zero elements, every other verdict as predicted
+        patch_characterize(
+            monkeypatch,
+            lambda v: v[:index] + (False,) + v[index + 1:],
+            when=lambda f, rep: is_first_block_trace(f),
+        )
+        with pytest.raises(TheoremViolationError) as info:
+            sl.verify_theorems(spec22, trials=2, seed=1)
+        assert is_first_block_trace(info.value.witness.functional)

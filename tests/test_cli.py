@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -164,6 +165,20 @@ class TestCommands:
         cx = out["counterexample"]
         assert cx["characterization"]["is_tracial"] is True
         assert cx["characterization"]["is_scalar_trace"] is False
+
+    def test_verify_violation_is_a_json_error(self, capsys, monkeypatch):
+        # a report whose tracial verdict is flipped breaks the prediction
+        real = sl.classify.characterize
+
+        def flipped(f, seed=0):
+            rep = real(f, seed=seed)
+            return dataclasses.replace(rep, tracial=not rep.tracial)
+
+        monkeypatch.setattr(sl.classify, "characterize", flipped)
+        code, out = invoke(capsys, "verify", "--spec", '{"block_sizes": [2]}', "--trials", "2")
+        assert code == 2
+        assert out["error"]["type"] == "TheoremViolationError"
+        assert out["error"]["details"]["claim"] in out["error"]["message"]
 
 
 class TestCLIBehavior:
