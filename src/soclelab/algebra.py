@@ -135,11 +135,6 @@ class Element:
             np.array_equal(a, b) for a, b in zip(self.blocks, other.blocks)
         )
 
-    def copy(self) -> "Element":
-        return Element(
-            self.spec, tuple(b.copy() for b in self.blocks), _checked=True
-        )
-
     def __repr__(self) -> str:
         return f"Element(block_sizes={self.spec.block_sizes})"
 

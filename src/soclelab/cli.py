@@ -3,6 +3,9 @@
 Every command reads one JSON document (file, inline, or stdin), runs
 the corresponding library operation with an explicit seed, and writes
 one JSON report. Identical invocations produce byte-identical output.
+A document is a bare element or functional, or a JSON object whose
+required fields ``_document`` checks before each is decoded by its
+``jsonio`` reader.
 
 Each command accepts only the flags it reads (see ``_COMMANDS``). An
 element or functional fixes its own layout by its blocks, so only
@@ -37,25 +40,21 @@ from .rank import DEFAULT_PROBES, spectral_rank
 from .riesz import DEFAULT_NODES, diagonalize_maximal, riesz_projection, spectral_trace
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _int_at_least(low: int):
+    """The argparse type of an integer flag: a decimal integer, at least ``low``."""
 
+    def integer(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer of at least {low}, got {text!r}"
+            )
+        return value
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {value}")
-    return value
-
-
-def _node_count(text: str) -> int:
-    value = int(text)
-    if value < 4:
-        raise argparse.ArgumentTypeError(f"expected at least 4 nodes, got {value}")
-    return value
+    return integer
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,10 +72,10 @@ _OPTIONS = {
     "spec": dict(
         required=True, help="algebra layout as inline JSON or a path to a JSON file"
     ),
-    "seed": dict(type=_nonnegative_int, default=0),
-    "probes": dict(type=_positive_int, default=DEFAULT_PROBES),
-    "trials": dict(type=_positive_int, default=100),
-    "nodes": dict(type=_node_count, default=DEFAULT_NODES),
+    "seed": dict(type=_int_at_least(0), default=0),
+    "probes": dict(type=_int_at_least(1), default=DEFAULT_PROBES),
+    "trials": dict(type=_int_at_least(1), default=100),
+    "nodes": dict(type=_int_at_least(4), default=DEFAULT_NODES),
     "output": dict(default="-", help="report path, or - for stdout"),
 }
 
@@ -136,26 +135,33 @@ def _read_spec(args):
     return jsonio.spec_from_json(_load_json(text, "--spec"))
 
 
-def _element_input(args):
+def _document(args, *required: str, **optional) -> list:
+    """The values of the ``required`` fields, then of the ``optional`` ones
+    (their defaults where absent), of the input document, a JSON object."""
     data = _read_input(args)
-    if isinstance(data, dict) and "element" in data:
-        data = data["element"]
-    return jsonio.element_from_json(data)
+    if not isinstance(data, dict) or not data.keys() >= set(required):
+        fields = ", ".join(f'"{name}"' for name in required)
+        raise ShapeMismatchError(
+            f"{args.command} input needs a JSON object with the fields {fields}"
+        )
+    return [data[name] for name in required] + [
+        data.get(name, default) for name, default in optional.items()
+    ]
 
 
 def _run_spectrum(args) -> dict:
-    a = _element_input(args)
+    a = jsonio.element_from_json(_read_input(args))
     return jsonio.spectrum_report_to_json(spectrum(a))
 
 
 def _run_rank(args) -> dict:
-    a = _element_input(args)
+    a = jsonio.element_from_json(_read_input(args))
     rep = spectral_rank(a, probes=args.probes, seed=args.seed)
     return jsonio.rank_report_to_json(rep)
 
 
 def _run_trace(args) -> dict:
-    a = _element_input(args)
+    a = jsonio.element_from_json(_read_input(args))
     s = spectral_trace(a, seed=args.seed)
     return {
         "spectral_trace": jsonio.complex_to_json(s),
@@ -164,58 +170,36 @@ def _run_trace(args) -> dict:
 
 
 def _run_riesz(args) -> dict:
-    data = _read_input(args)
-    if not isinstance(data, dict) or "element" not in data or "targets" not in data:
-        raise ShapeMismatchError(
-            'riesz input needs {"element": {...}, "targets": [[re, im], ...]}'
-        )
-    a = jsonio.element_from_json(data["element"])
-    targets = [jsonio.complex_from_json(t) for t in data["targets"]]
-    rep = riesz_projection(a, targets, nodes=args.nodes)
+    element, targets = _document(args, "element", "targets")
+    a = jsonio.element_from_json(element)
+    rep = riesz_projection(a, jsonio.vector_from_json(targets), nodes=args.nodes)
     return jsonio.riesz_report_to_json(rep)
 
 
 def _run_diagonalize(args) -> dict:
-    a = _element_input(args)
+    a = jsonio.element_from_json(_read_input(args))
     d = diagonalize_maximal(a, seed=args.seed)
     return jsonio.diagonalization_to_json(d)
 
 
 def _run_commutator(args) -> dict:
-    data = _read_input(args)
-    if not isinstance(data, dict) or "matrix" not in data:
-        raise ShapeMismatchError('commutator input needs {"matrix": [[...]]}')
-    block = data.get("block", 0)
+    matrix, block = _document(args, "matrix", block=0)
     if not isinstance(block, int) or isinstance(block, bool) or block < 0:
         raise ShapeMismatchError(
             f'"block" must be a nonnegative integer, got {reprlib.repr(block)}'
         )
-    cert = commutator_decompose(jsonio.matrix_from_json(data["matrix"]), block=block)
+    cert = commutator_decompose(jsonio.matrix_from_json(matrix), block=block)
     return jsonio.certificate_to_json(cert)
 
 
 def _run_rank_one_commutator(args) -> dict:
-    data = _read_input(args)
-    needed = {"x", "f", "y", "g"}
-    if not isinstance(data, dict) or not needed.issubset(data):
-        raise ShapeMismatchError(
-            'rank-one-commutator input needs {"x": [...], "f": [...], '
-            '"y": [...], "g": [...]} vectors of [re, im] pairs'
-        )
-    pair = rank_one_commutator(
-        jsonio.vector_from_json(data["x"]),
-        jsonio.vector_from_json(data["f"]),
-        jsonio.vector_from_json(data["y"]),
-        jsonio.vector_from_json(data["g"]),
-    )
+    vectors = _document(args, "x", "f", "y", "g")
+    pair = rank_one_commutator(*map(jsonio.vector_from_json, vectors))
     return jsonio.rank_one_pair_to_json(pair)
 
 
 def _run_check_functional(args) -> dict:
-    data = _read_input(args)
-    if isinstance(data, dict) and "functional" in data:
-        data = data["functional"]
-    f = jsonio.functional_from_json(data)
+    f = jsonio.functional_from_json(_read_input(args))
     rep = characterize(f, seed=args.seed)
     return jsonio.characterization_to_json(rep)
 

@@ -16,27 +16,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element, matrix_unit
 from .errors import DegenerateProjectionError, NonFiniteEntryError, NotTracelessError
 from .errors import NumericOverflowError, ShapeMismatchError
 
 TRACELESS_TOL = 1e-9
-CERTIFICATE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class MatrixUnit:
-    """Symbolic e_(row,col) inside one block; ``element`` embeds it."""
+    """Symbolic e_(row,col) inside one block."""
 
     block: int
     row: int
     col: int
-
-    def element(self, spec: AlgebraSpec) -> Element:
-        return matrix_unit(spec, self.block, self.row, self.col)
-
-    def to_json_dict(self) -> dict:
-        return {"block": self.block, "row": self.row, "col": self.col}
 
 
 @dataclass(frozen=True)

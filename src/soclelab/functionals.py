@@ -58,7 +58,6 @@ from .algebra import (
 )
 from .errors import (
     NoCounterexampleError,
-    NonFiniteEntryError,
     NumericOverflowError,
     ShapeMismatchError,
     TheoremViolationError,
@@ -74,24 +73,11 @@ class Functional:
     __slots__ = ("spec", "weights")
 
     def __init__(self, spec: AlgebraSpec, weights, *, _checked: bool = False):
-        if _checked:
-            self.spec = spec
-            self.weights = weights
-            return
-        mats = tuple(np.asarray(w, dtype=complex) for w in weights)
-        if len(mats) != spec.num_blocks:
-            raise ShapeMismatchError(
-                f"expected {spec.num_blocks} weight blocks, got {len(mats)}"
-            )
-        for i, (w, n) in enumerate(zip(mats, spec.block_sizes)):
-            if w.shape != (n, n):
-                raise ShapeMismatchError(
-                    f"weight {i} has shape {w.shape}, expected {(n, n)}"
-                )
-            if not np.all(np.isfinite(w.view(float))):
-                raise NonFiniteEntryError(f"weight {i} has non-finite entries")
+        if not _checked:
+            # the weights are an element of the same algebra: its check is theirs
+            weights = Element(spec, weights).blocks
         self.spec = spec
-        self.weights = mats
+        self.weights = weights
 
     def __repr__(self) -> str:
         return f"Functional(block_sizes={self.spec.block_sizes})"

@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .algebra import AlgebraSpec, Element, SpectrumReport
-from .errors import ShapeMismatchError
+from .errors import NumericOverflowError, ShapeMismatchError
 
 
 def complex_to_json(z: complex) -> list[float]:
@@ -34,6 +34,10 @@ def complex_from_json(data) -> complex:
         raise ShapeMismatchError(
             f"expected numeric [re, im] pair, got {reprlib.repr(data)}"
         ) from exc
+    except OverflowError:
+        raise NumericOverflowError(
+            f"[re, im] pair {reprlib.repr(data)} overflows the double range"
+        ) from None
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -254,14 +258,17 @@ def diagonalization_to_json(d) -> dict:
 
 
 def certificate_to_json(cert) -> dict:
+    def unit(u) -> dict:
+        return {"block": u.block, "row": u.row, "col": u.col}
+
     return {
         "block": cert.block,
         "block_size": cert.block_size,
         "terms": [
             {
                 "c": complex_to_json(c),
-                "left": left.to_json_dict(),
-                "right": right.to_json_dict(),
+                "left": unit(left),
+                "right": unit(right),
             }
             for c, left, right in cert.terms
         ],

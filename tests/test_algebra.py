@@ -473,6 +473,26 @@ def test_every_exported_function_is_reached():
     assert unreached == ["evaluate"]
 
 
+def test_every_module_constant_is_read():
+    """Each module-level UPPER_CASE constant of ``soclelab`` is read by the
+    package: a threshold or setting that nothing applies is deleted."""
+    paths = sorted((Path(__file__).resolve().parent.parent / "src" / "soclelab").glob("*.py"))
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    nodes = [n for tree in trees.values() for n in ast.walk(tree)]
+    reads = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    reads |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    constants = [
+        f"{module}:{target.id}"
+        for module, tree in trees.items()
+        for stmt in tree.body
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+        for target in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])
+        if isinstance(target, ast.Name) and target.id.lstrip("_").isupper()
+    ]
+    assert "algebra.py:CLUSTER_TOL" in constants
+    assert [c for c in constants if c.split(":")[1] not in reads] == []
+
+
 def test_only_rank_probing_and_the_contour_take_counts():
     """Each certified route runs at one configuration: a probe count is a
     parameter only of rank probing, and a node count only of the contour

@@ -275,6 +275,15 @@ class TestCLIBehavior:
             ("commutator", {"matrix": [[[1.7e308, 0], [0, 0]], [[0, 0], [1.7e308, 0]]]}),
             # a rank-one projection value overflows the double range
             ("check-functional", PROJECTION_OVERFLOW),
+            # a JSON integer beyond the double range
+            ("spectrum", {"blocks": [[[[10**400, 0]]]]}),
+            ("rank-one-commutator", {"x": [[10**400, 0]], "f": [[1, 0]], "y": [[1, 0]], "g": [[1, 0]]}),
+            # targets must be a vector of [re, im] pairs
+            ("riesz", {"element": {"blocks": [DIAG_1_2]}, "targets": 5}),
+            ("riesz", {"element": {"blocks": [DIAG_1_2]}, "targets": None}),
+            # documents are bare: no element or functional wrapper
+            ("spectrum", {"element": {"blocks": [DIAG_1_2]}}),
+            ("check-functional", {"functional": {"weights": [DIAG_1_2]}}),
         ],
     )
     def test_bad_input_is_a_json_error(self, tmp_path, capsys, command, document):

@@ -190,12 +190,6 @@ class TestVerification:
         with pytest.raises(NonFiniteEntryError):
             sl.verify_certificate(dataclasses.replace(cert, target=np.diag([np.inf, -1.0])))
 
-    def test_unit_embedding(self, spec23):
-        u = MatrixUnit(1, 0, 2)
-        e = u.element(spec23)
-        assert e.blocks[1][0, 2] == 1.0
-        assert np.count_nonzero(e.blocks[0]) == 0
-
 
 class TestRankOnePair:
     def test_equal_projections_give_zero(self):

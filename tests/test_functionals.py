@@ -11,7 +11,9 @@ import soclelab.sampling as sampling
 from soclelab import jsonio
 from soclelab.errors import (
     NoCounterexampleError,
+    NonFiniteEntryError,
     NumericOverflowError,
+    ShapeMismatchError,
     SVDConvergenceError,
     TheoremViolationError,
 )
@@ -27,6 +29,27 @@ def e12_functional(spec):
     w = [np.zeros((n, n), dtype=complex) for n in spec.block_sizes]
     w[0][0, 1] = 1.0
     return Functional(spec, w)
+
+
+@pytest.mark.parametrize(
+    "sizes, blocks, error",
+    [
+        ((2, 3), [np.eye(2)], ShapeMismatchError),  # one block short
+        ((2,), [np.ones((2, 3))], ShapeMismatchError),  # not square
+        ((2,), [[[1.0, np.nan], [0.0, 1.0]]], NonFiniteEntryError),
+        ((2,), [[[1.0, 0.0], [complex(0.0, np.inf), 1.0]]], NonFiniteEntryError),
+    ],
+)
+def test_weights_are_checked_as_an_element(sizes, blocks, error):
+    """Under the trace pairing the weights are an element of the same
+    algebra: a functional rejects exactly what an element rejects."""
+    spec = sl.AlgebraSpec(sizes)
+    raised = []
+    for build in (sl.Element, Functional):
+        with pytest.raises(error) as caught:
+            build(spec, blocks)
+        raised.append((type(caught.value), str(caught.value)))
+    assert raised[0] == raised[1]
 
 
 class TestEvaluate:
