@@ -19,7 +19,8 @@ the rest of the package are certified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -226,6 +227,13 @@ def block_eigenvalues(blocks) -> np.ndarray:
     return np.concatenate(vals, axis=-1)
 
 
+class SpectralPoint(NamedTuple):
+    """One clustered spectral value and its algebraic multiplicity."""
+
+    value: complex
+    multiplicity: int
+
+
 @dataclass(frozen=True)
 class SpectrumReport:
     """Distinct spectral values with algebraic multiplicities.
@@ -236,7 +244,7 @@ class SpectrumReport:
     exactly 0 and flagged by ``contains_zero``.
     """
 
-    points: tuple[tuple[complex, int], ...]
+    points: tuple[SpectralPoint, ...]
     cluster_tolerance: float
     contains_zero: bool
 
@@ -340,10 +348,10 @@ def _spectrum_report(centers, counts, tol_abs: float) -> SpectrumReport:
     points = []
     zero_count = int(counts[zero_mask].sum())
     for c, m in zip(centers[~zero_mask], counts[~zero_mask]):
-        points.append((complex(c), int(m)))
+        points.append(SpectralPoint(complex(c), int(m)))
     contains_zero = zero_count > 0
     if contains_zero:
-        points.append((0j, zero_count))
+        points.append(SpectralPoint(0j, zero_count))
     points.sort(key=lambda p: (-abs(p[0]), p[0].real, p[0].imag))
     return SpectrumReport(tuple(points), tol_abs, contains_zero)
 

@@ -5,7 +5,9 @@ the corresponding library operation with an explicit seed, and writes
 one JSON report. Identical invocations produce byte-identical output.
 A document is a bare element or functional, or a JSON object whose
 required fields ``_document`` checks before each is decoded by its
-``jsonio`` reader.
+``jsonio`` reader. A report is written by ``jsonio.report_to_json``,
+keyed by its dataclass fields; ``check-functional`` and ``commutator``
+use the two explicit mappers of ``jsonio``.
 
 Each command accepts only the flags it reads (see ``_COMMANDS``). An
 element or functional fixes its own layout by its blocks, so only
@@ -26,7 +28,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import reprlib
 import sys
 
 from . import jsonio
@@ -151,43 +152,34 @@ def _document(args, *required: str, **optional) -> list:
 
 def _run_spectrum(args) -> dict:
     a = jsonio.element_from_json(_read_input(args))
-    return jsonio.spectrum_report_to_json(spectrum(a))
+    return jsonio.report_to_json(spectrum(a))
 
 
 def _run_rank(args) -> dict:
     a = jsonio.element_from_json(_read_input(args))
-    rep = spectral_rank(a, probes=args.probes, seed=args.seed)
-    return jsonio.rank_report_to_json(rep)
+    return jsonio.report_to_json(spectral_rank(a, probes=args.probes, seed=args.seed))
 
 
 def _run_trace(args) -> dict:
     a = jsonio.element_from_json(_read_input(args))
     s = spectral_trace(a, seed=args.seed)
-    return {
-        "spectral_trace": jsonio.complex_to_json(s),
-        "classical_trace": jsonio.complex_to_json(classical_trace(a)),
-    }
+    return jsonio.report_to_json({"spectral_trace": s, "classical_trace": classical_trace(a)})
 
 
 def _run_riesz(args) -> dict:
     element, targets = _document(args, "element", "targets")
     a = jsonio.element_from_json(element)
     rep = riesz_projection(a, jsonio.vector_from_json(targets), nodes=args.nodes)
-    return jsonio.riesz_report_to_json(rep)
+    return jsonio.report_to_json(rep)
 
 
 def _run_diagonalize(args) -> dict:
     a = jsonio.element_from_json(_read_input(args))
-    d = diagonalize_maximal(a, seed=args.seed)
-    return jsonio.diagonalization_to_json(d)
+    return jsonio.report_to_json(diagonalize_maximal(a, seed=args.seed))
 
 
 def _run_commutator(args) -> dict:
     matrix, block = _document(args, "matrix", block=0)
-    if not isinstance(block, int) or isinstance(block, bool) or block < 0:
-        raise ShapeMismatchError(
-            f'"block" must be a nonnegative integer, got {reprlib.repr(block)}'
-        )
     cert = commutator_decompose(jsonio.matrix_from_json(matrix), block=block)
     return jsonio.certificate_to_json(cert)
 
@@ -195,7 +187,7 @@ def _run_commutator(args) -> dict:
 def _run_rank_one_commutator(args) -> dict:
     vectors = _document(args, "x", "f", "y", "g")
     pair = rank_one_commutator(*map(jsonio.vector_from_json, vectors))
-    return jsonio.rank_one_pair_to_json(pair)
+    return jsonio.report_to_json(pair)
 
 
 def _run_check_functional(args) -> dict:
@@ -207,18 +199,19 @@ def _run_check_functional(args) -> dict:
 def _run_classify(args) -> dict:
     spec = _read_spec(args)
     ideals = orthogonal_decomposition(spec)
-    return {
-        "spec": jsonio.spec_to_json(spec),
-        "block_ideals": [jsonio.ideal_report_to_json(r) for r in ideals],
-        "socle_is_minimal_ideal": is_socle_minimal_ideal(spec, seed=args.seed),
-        "socle_is_single_matrix_block": spec.num_blocks == 1,
-    }
+    return jsonio.report_to_json(
+        {
+            "spec": spec,
+            "block_ideals": ideals,
+            "socle_is_minimal_ideal": is_socle_minimal_ideal(spec, seed=args.seed),
+            "socle_is_single_matrix_block": spec.num_blocks == 1,
+        }
+    )
 
 
 def _run_verify(args) -> dict:
     spec = _read_spec(args)
-    rep = verify_theorems(spec, trials=args.trials, seed=args.seed)
-    return jsonio.verification_report_to_json(rep)
+    return jsonio.report_to_json(verify_theorems(spec, trials=args.trials, seed=args.seed))
 
 
 # Each command with its runner and the flags it reads; every command

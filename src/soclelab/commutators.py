@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateProjectionError, NonFiniteEntryError, NotTracelessError
-from .errors import NumericOverflowError, ShapeMismatchError
+from .errors import NumericOverflowError, ShapeMismatchError, quote_json
 
 TRACELESS_TOL = 1e-9
 
@@ -54,11 +54,17 @@ def commutator_decompose(m: np.ndarray, block: int = 0) -> CommutatorCertificate
     certificates are minimal term-by-term. A 1 x 1 input must be zero
     and yields the empty certificate.
 
-    Raises ``NotTracelessError`` when |trace| exceeds ``TRACELESS_TOL``
-    times max(1, Frobenius norm), and ``NumericOverflowError`` when the trace
-    or a diagonal partial sum leaves the double range; either is decided
-    without an overflowing operation.
+    Raises ``ShapeMismatchError`` when ``block`` is not a nonnegative
+    ``int`` (a ``bool`` is not one), ``NotTracelessError`` when |trace|
+    exceeds ``TRACELESS_TOL`` times max(1, Frobenius norm), and
+    ``NumericOverflowError`` when the trace or a diagonal partial sum
+    leaves the double range; the last two are decided without an
+    overflowing operation.
     """
+    if not isinstance(block, int) or isinstance(block, bool) or block < 0:
+        raise ShapeMismatchError(
+            f'"block" must be a nonnegative integer, got {quote_json(block)}'
+        )
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ShapeMismatchError(f"expected a nonempty square matrix, got shape {m.shape}")

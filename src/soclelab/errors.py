@@ -7,6 +7,20 @@ is never silently accepted.
 
 from __future__ import annotations
 
+import json
+import reprlib
+
+
+def quote_json(value) -> str:
+    """The offending ``value`` of an error message as JSON text (``null``,
+    ``true``, ``"x"``), cut to 40 characters; a value that is not JSON
+    keeps its bounded ``repr``."""
+    try:
+        text = json.dumps(value)
+    except (TypeError, ValueError, RecursionError):
+        return reprlib.repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
 
 class SocleLabError(Exception):
     """Base class for all library errors."""

@@ -3,21 +3,27 @@
 Complex numbers are always two-element ``[re, im]`` arrays, matrices
 are row-major nested lists of those pairs, never strings. Every
 encoder/decoder pair round-trips exactly (floats survive via repr).
-Report serializers for every dataclass the CLI can emit live at the
-bottom of the module, after ``dumps``, which writes a report's text.
+
+A report's JSON is its dataclass: :func:`report_to_json` writes every
+report the CLI emits as the object of its fields, keyed by the field
+names, so a field is named in one place. Two reports keep an explicit
+mapper, :func:`characterization_to_json` and :func:`certificate_to_json`.
+The walk and the mappers live at the bottom of the module, after
+``dumps``, which writes a report's text.
 """
 
 from __future__ import annotations
 
 import math
-import reprlib
+from dataclasses import fields, is_dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element, SpectrumReport
-from .errors import NumericOverflowError, ShapeMismatchError
+from .algebra import AlgebraSpec, Element
+from .errors import NumericOverflowError, ShapeMismatchError, quote_json
+from .functionals import CharacterizationReport, Functional
 
 
 def complex_to_json(z: complex) -> list[float]:
@@ -27,16 +33,16 @@ def complex_to_json(z: complex) -> list[float]:
 
 def complex_from_json(data) -> complex:
     if not isinstance(data, (list, tuple)) or len(data) != 2:
-        raise ShapeMismatchError(f"expected [re, im] pair, got {reprlib.repr(data)}")
+        raise ShapeMismatchError(f"expected [re, im] pair, got {quote_json(data)}")
     try:
         return complex(float(data[0]), float(data[1]))
     except (TypeError, ValueError) as exc:
         raise ShapeMismatchError(
-            f"expected numeric [re, im] pair, got {reprlib.repr(data)}"
+            f"expected numeric [re, im] pair, got {quote_json(data)}"
         ) from exc
     except OverflowError:
         raise NumericOverflowError(
-            f"[re, im] pair {reprlib.repr(data)} overflows the double range"
+            f"[re, im] pair {quote_json(data)} overflows the double range"
         ) from None
 
 
@@ -57,20 +63,12 @@ def matrix_from_json(data) -> np.ndarray:
     )
 
 
-def vector_to_json(v: np.ndarray) -> list:
-    return matrix_to_json(v)
-
-
 def vector_from_json(data) -> np.ndarray:
     if not isinstance(data, (list, tuple)):
         raise ShapeMismatchError(
-            f"expected a vector of [re, im] pairs, got {reprlib.repr(data)}"
+            f"expected a vector of [re, im] pairs, got {quote_json(data)}"
         )
     return np.array([complex_from_json(z) for z in data], dtype=complex)
-
-
-def spec_to_json(spec: AlgebraSpec) -> dict:
-    return {"block_sizes": list(spec.block_sizes)}
 
 
 def spec_from_json(data) -> AlgebraSpec:
@@ -103,13 +101,11 @@ def element_from_json(data) -> Element:
     return Element(*_blocks_from_json(data, "blocks", "element"))
 
 
-def functional_to_json(f) -> dict:
+def functional_to_json(f: Functional) -> dict:
     return {"weights": [matrix_to_json(w) for w in f.weights]}
 
 
-def functional_from_json(data):
-    from .functionals import Functional
-
+def functional_from_json(data) -> Functional:
     return Functional(*_blocks_from_json(data, "weights", "functional"))
 
 
@@ -217,46 +213,76 @@ def _float_block(lst, level: int) -> str | None:
     return text % tuple(map(float.__repr__, flat))
 
 
-def spectrum_report_to_json(rep: SpectrumReport) -> dict:
+def report_to_json(value):
+    """The JSON payload of a report: a dataclass or ``NamedTuple`` is the
+    object of its fields, keyed by the field names, and the walk goes on
+    into each field. An element is ``{"blocks": ...}``, a functional
+    ``{"weights": ...}``, a complex an ``[re, im]`` pair, an array its
+    nested pairs, a tuple or list a list, a frozenset a sorted list, and
+    dict keys become strings. A characterization nested in a report (the
+    verification counterexample) is ``{"functional", "characterization"}``.
+    """
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, complex):
+        return complex_to_json(value)
+    if isinstance(value, np.ndarray):
+        return matrix_to_json(value)
+    if isinstance(value, Element):
+        return element_to_json(value)
+    if isinstance(value, Functional):
+        return functional_to_json(value)
+    if isinstance(value, CharacterizationReport):
+        return {
+            "functional": functional_to_json(value.functional),
+            "characterization": characterization_to_json(value),
+        }
+    if is_dataclass(value):
+        return {f.name: report_to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple) and hasattr(value, "_fields"):  # a NamedTuple
+        return {name: report_to_json(v) for name, v in zip(value._fields, value)}
+    if isinstance(value, (tuple, list)):
+        return [report_to_json(v) for v in value]
+    if isinstance(value, frozenset):
+        return [report_to_json(v) for v in sorted(value)]
+    if isinstance(value, dict):
+        return {str(k): report_to_json(v) for k, v in value.items()}
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+# An explicit mapper, not the walk: the JSON derives ``is_scalar_trace``
+# and ``bounded``, and names each verdict by the condition it decides.
+def characterization_to_json(rep: CharacterizationReport) -> dict:
+    constancy = rep.rank_one_constancy
+    witnesses = constancy.witnesses
     return {
-        "points": [
-            {"value": complex_to_json(v), "multiplicity": m} for v, m in rep.points
-        ],
-        "cluster_tolerance": rep.cluster_tolerance,
-        "contains_zero": rep.contains_zero,
+        "is_scalar_trace": rep.is_scalar_trace,
+        "scalar_trace_coefficient": report_to_json(rep.scalar_trace_coefficient),
+        "is_tracial": rep.tracial,
+        "tracial_witness_pair": report_to_json(rep.tracial_pair),
+        "spectral_bound": {
+            "bounded": rep.bound.constant is not None,
+            **report_to_json(rep.bound),
+        },
+        "vanishes_on_nilpotents": report_to_json(rep.nilpotent),
+        "vanishes_on_square_zero": report_to_json(rep.square_zero),
+        "constant_on_rank_one_projections": {
+            "constant": constancy.constant,
+            "value": report_to_json(constancy.value),
+            "witness_pair": (
+                None
+                if witnesses is None
+                else [
+                    {"projection": element_to_json(p), "value": complex_to_json(v)}
+                    for p, v in witnesses
+                ]
+            ),
+        },
     }
 
 
-def rank_report_to_json(rep) -> dict:
-    return {
-        "rank": rep.rank,
-        "oracle_rank": rep.oracle_rank,
-        "probes_used": rep.probes_used,
-        "achieved_counts": {str(k): v for k, v in rep.achieved_counts.items()},
-        "best_probe": element_to_json(rep.best_probe),
-    }
-
-
-def riesz_report_to_json(rep) -> dict:
-    return {
-        "projection": element_to_json(rep.projection),
-        "centers": [complex_to_json(c) for c in rep.centers],
-        "radii": list(rep.radii),
-        "nodes": rep.nodes,
-        "idempotency_defect": rep.idempotency_defect,
-        "multiplicity": rep.multiplicity,
-        "range_residual": rep.range_residual,
-    }
-
-
-def diagonalization_to_json(d) -> dict:
-    return {
-        "values": [complex_to_json(v) for v in d.values],
-        "projections": [element_to_json(p) for p in d.projections],
-        "residual": d.residual,
-    }
-
-
+# An explicit mapper, not the walk: a certificate holds up to n^2 - 1
+# terms, and this loop writes them several times faster than the walk.
 def certificate_to_json(cert) -> dict:
     def unit(u) -> dict:
         return {"block": u.block, "row": u.row, "col": u.col}
@@ -274,135 +300,4 @@ def certificate_to_json(cert) -> dict:
         ],
         "target": matrix_to_json(cert.target),
         "reconstruction_defect": cert.reconstruction_defect,
-    }
-
-
-def _field(data, key: str, kind: str):
-    if not isinstance(data, dict) or key not in data:
-        raise ShapeMismatchError(f'{kind} JSON needs a "{key}" field')
-    return data[key]
-
-
-def certificate_from_json(data):
-    from .commutators import CommutatorCertificate, MatrixUnit
-
-    def unit(term, side: str) -> MatrixUnit:
-        u = _field(term, side, "certificate term")
-        return MatrixUnit(*(_field(u, k, "matrix unit") for k in ("block", "row", "col")))
-
-    raw_terms = _field(data, "terms", "certificate")
-    if not isinstance(raw_terms, list):
-        raise ShapeMismatchError('certificate "terms" must be a list')
-    terms = tuple(
-        (
-            complex_from_json(_field(t, "c", "certificate term")),
-            unit(t, "left"),
-            unit(t, "right"),
-        )
-        for t in raw_terms
-    )
-    return CommutatorCertificate(
-        block=int(_field(data, "block", "certificate")),
-        block_size=int(_field(data, "block_size", "certificate")),
-        terms=terms,
-        target=matrix_from_json(_field(data, "target", "certificate")),
-        reconstruction_defect=float(_field(data, "reconstruction_defect", "certificate")),
-    )
-
-
-def rank_one_pair_to_json(pair) -> dict:
-    return {
-        "x": vector_to_json(pair.x),
-        "f": vector_to_json(pair.f),
-        "y": vector_to_json(pair.y),
-        "g": vector_to_json(pair.g),
-        "P": matrix_to_json(pair.P),
-        "Q": matrix_to_json(pair.Q),
-        "S": matrix_to_json(pair.S),
-        "T": matrix_to_json(pair.T),
-        "defect": pair.defect,
-    }
-
-
-def _maybe_complex(z) -> list[float] | None:
-    return None if z is None else complex_to_json(z)
-
-
-def _maybe_element(e) -> dict | None:
-    return None if e is None else element_to_json(e)
-
-
-def characterization_to_json(rep) -> dict:
-    pair = rep.tracial_pair
-    witnesses = rep.rank_one_constancy.witnesses
-    return {
-        "is_scalar_trace": rep.is_scalar_trace,
-        "scalar_trace_coefficient": _maybe_complex(rep.scalar_trace_coefficient),
-        "is_tracial": rep.tracial,
-        "tracial_witness_pair": (
-            None if pair is None else [element_to_json(pair[0]), element_to_json(pair[1])]
-        ),
-        "spectral_bound": {
-            "bounded": rep.bound.constant is not None,
-            "constant": rep.bound.constant,
-            "witness": _maybe_element(rep.bound.witness),
-            "witness_value": _maybe_complex(rep.bound.witness_value),
-        },
-        "vanishes_on_nilpotents": {
-            "vanishes": rep.nilpotent.vanishes,
-            "witness": _maybe_element(rep.nilpotent.witness),
-            "witness_value": _maybe_complex(rep.nilpotent.witness_value),
-        },
-        "vanishes_on_square_zero": {
-            "vanishes": rep.square_zero.vanishes,
-            "witness": _maybe_element(rep.square_zero.witness),
-            "witness_value": _maybe_complex(rep.square_zero.witness_value),
-        },
-        "constant_on_rank_one_projections": {
-            "constant": rep.rank_one_constancy.constant,
-            "value": _maybe_complex(rep.rank_one_constancy.value),
-            "witness_pair": (
-                None
-                if witnesses is None
-                else [
-                    {
-                        "projection": element_to_json(p),
-                        "value": complex_to_json(v),
-                    }
-                    for p, v in witnesses
-                ]
-            ),
-        },
-    }
-
-
-def ideal_report_to_json(rep) -> dict:
-    return {
-        "generator": element_to_json(rep.generator),
-        "ideal_dimension": rep.ideal_dimension,
-        "is_whole_algebra": rep.is_whole_algebra,
-        "supported_blocks": sorted(rep.supported_blocks),
-    }
-
-
-def verification_report_to_json(rep) -> dict:
-    return {
-        "spec": spec_to_json(rep.spec),
-        "trials": rep.trials,
-        "seed": rep.seed,
-        "socle_is_single_matrix_block": rep.socle_is_single_matrix_block,
-        "socle_is_minimal_ideal": rep.socle_is_minimal_ideal,
-        "functional_count": rep.functional_count,
-        "verdicts": {
-            name: {"claim": v.claim, "holds": v.holds, "details": v.details}
-            for name, v in rep.verdicts.items()
-        },
-        "counterexample": (
-            None
-            if rep.counterexample is None
-            else {
-                "functional": functional_to_json(rep.counterexample.functional),
-                "characterization": characterization_to_json(rep.counterexample),
-            }
-        ),
     }

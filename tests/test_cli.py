@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 
 import soclelab as sl
 from soclelab import cli, jsonio
+from soclelab.algebra import SpectralPoint
+from soclelab.classify import TheoremVerdict
 from soclelab.cli import run
 from soclelab.sampling import random_element, random_traceless_matrix, rng_for
 
@@ -345,6 +348,8 @@ class TestCLIBehavior:
             ("spectrum", {"blocks": [[[list(range(100000))]]]}),
             # a 589 KB "block" where an index belongs
             ("commutator", {"matrix": [[[0, 0]]], "block": list(range(100000))}),
+            ("riesz", {"element": {"blocks": [DIAG_1_2]}, "targets": None}),
+            ("commutator", {"matrix": [[[0, 0]]], "block": True}),
         ],
     )
     def test_shape_error_echoes_a_bounded_value(self, tmp_path, command, document):
@@ -355,6 +360,13 @@ class TestCLIBehavior:
         assert len(proc.stdout.encode()) < 1024
         out = json.loads(proc.stdout)
         assert out["error"]["type"] == "ShapeMismatchError"
+        # the value is echoed as its JSON text, not as a Python repr
+        message = out["error"]["message"]
+        assert not re.search(r"\b(None|True|False)\b|'", message)
+        if "targets" in document:
+            assert message.endswith("got null")
+        if document.get("block") is True:
+            assert message.endswith("got true")
 
     def test_bad_spec_is_a_json_error(self, capsys):
         code, out = invoke(capsys, "classify", "--spec", '{"block_sizes": 3}')
@@ -374,7 +386,7 @@ def _report_cases():
     rng = rng_for(229)
     a = random_element(sl.AlgebraSpec((2, 3)), rng)
     element = jsonio.element_to_json(a)
-    vectors = {k: jsonio.vector_to_json(rng.standard_normal(3) + 1j) for k in "xfyg"}
+    vectors = {k: jsonio.matrix_to_json(rng.standard_normal(3) + 1j) for k in "xfyg"}
     return {
         "spectrum": (["spectrum"], element),
         "rank": (["rank", "--probes", "8", "--seed", "3"], element),
@@ -414,6 +426,68 @@ class TestReportBytes:
         monkeypatch.setattr(json, "dumps", refuse)
         code = run(argv)
         assert (code, capsys.readouterr().out) == (0, expected)
+
+
+# Written by an explicit mapper, not by the walk: the characterization
+# JSON names each verdict by its condition, and the certificate's terms
+# are written by a faster loop.
+_EXPLICIT = {"check-functional", "commutator"}
+
+
+def _schema_types(value, data) -> set:
+    """Assert that the JSON ``data`` the walk wrote of ``value`` keys each
+    dataclass and ``NamedTuple`` by its field names, at every depth; the
+    types met."""
+    if isinstance(value, (sl.Element, sl.Functional, np.ndarray, complex)):
+        return set()
+    if isinstance(value, sl.CharacterizationReport):  # nested: its explicit mapper
+        assert set(data) == {"functional", "characterization"}
+        return set()
+    if dataclasses.is_dataclass(value) or hasattr(value, "_fields"):
+        names = getattr(value, "_fields", None) or [f.name for f in dataclasses.fields(value)]
+        assert sorted(data) == sorted(names), type(value).__name__
+        pairs = [(getattr(value, name), data[name]) for name in names]
+        return {type(value)}.union(*(_schema_types(v, d) for v, d in pairs))
+    if isinstance(value, dict):
+        assert sorted(data) == sorted(map(str, value))
+        return set().union(*(_schema_types(v, data[str(k)]) for k, v in value.items()))
+    if isinstance(value, (list, tuple)):
+        return set().union(*(_schema_types(v, d) for v, d in zip(value, data)))
+    return set()
+
+
+class TestReportSchema:
+    def test_report_keys_are_the_dataclass_fields(self, tmp_path, capsys, monkeypatch):
+        """A report's JSON is its dataclass: renaming a field renames its
+        key, in one place."""
+        walked, walk = [], jsonio.report_to_json
+
+        def record(value):
+            walked.append(value)
+            return walk(value)
+
+        monkeypatch.setattr(jsonio, "report_to_json", record)
+        met = set()
+        for command, (argv, document) in _report_cases().items():
+            if document is not None:
+                argv = argv + ["--input", write_input(tmp_path, document)]
+            walked.clear()
+            assert run(argv) == 0
+            data = json.loads(capsys.readouterr().out)
+            if command not in _EXPLICIT:
+                met |= _schema_types(walked[0], data)
+        assert met == {
+            sl.AlgebraSpec,
+            sl.Diagonalization,
+            sl.IdealReport,
+            sl.RankOnePair,
+            sl.RankReport,
+            sl.RieszReport,
+            sl.SpectrumReport,
+            SpectralPoint,
+            TheoremVerdict,
+            sl.VerificationReport,
+        }
 
 
 class TestOverflow:

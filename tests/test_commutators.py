@@ -111,6 +111,12 @@ class TestDecomposition:
             cert = sl.commutator_decompose(m)
             assert sl.verify_certificate(cert) <= 1e-12
 
+    @pytest.mark.parametrize("block", [-1, 1.0, True, "0", None])
+    def test_block_is_a_nonnegative_int(self, block):
+        # a certificate of MatrixUnit(-1, ...) would still verify
+        with pytest.raises(ShapeMismatchError, match="nonnegative integer"):
+            sl.commutator_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]), block=block)
+
 
 class TestVerification:
     def test_recomputes_from_scratch(self):

@@ -8,7 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 import soclelab as sl
 from soclelab import jsonio
-from soclelab.errors import ShapeMismatchError
+from soclelab.commutators import CommutatorCertificate, MatrixUnit
+from soclelab.errors import ShapeMismatchError, quote_json
 from soclelab.sampling import random_element, random_traceless_matrix, rng_for
 
 
@@ -25,7 +26,7 @@ class TestRoundTrips:
         assert b.spec == spec23
 
     def test_spec(self, spec23):
-        data = json.loads(json.dumps(jsonio.spec_to_json(spec23)))
+        data = json.loads(json.dumps(jsonio.report_to_json(spec23)))
         assert jsonio.spec_from_json(data) == spec23
 
     def test_functional(self, spec23):
@@ -35,10 +36,25 @@ class TestRoundTrips:
         assert all(np.array_equal(x, y) for x, y in zip(f.weights, g.weights))
 
     def test_certificate(self):
+        """The written certificate holds everything a reader needs to
+        re-verify it from the unit indices alone."""
         m = random_traceless_matrix(3, rng_for(193))
         cert = sl.commutator_decompose(m)
         data = json.loads(json.dumps(jsonio.certificate_to_json(cert)))
-        back = jsonio.certificate_from_json(data)
+
+        def unit(u):
+            return MatrixUnit(u["block"], u["row"], u["col"])
+
+        back = CommutatorCertificate(
+            block=data["block"],
+            block_size=data["block_size"],
+            terms=tuple(
+                (jsonio.complex_from_json(t["c"]), unit(t["left"]), unit(t["right"]))
+                for t in data["terms"]
+            ),
+            target=jsonio.matrix_from_json(data["target"]),
+            reconstruction_defect=data["reconstruction_defect"],
+        )
         assert back.terms == cert.terms
         assert sl.verify_certificate(back) <= 1e-12
 
@@ -50,44 +66,75 @@ class TestRoundTrips:
         with pytest.raises(ShapeMismatchError):
             jsonio.spec_from_json({})
 
-    @pytest.mark.parametrize(
-        "data",
-        [
-            {},
-            {
-                "block": 0,
-                "block_size": 2,
-                "terms": [{"c": [1, 0]}],
-                "target": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]],
-                "reconstruction_defect": 0.0,
-            },
-        ],
-    )
-    def test_certificate_missing_fields(self, data):
-        with pytest.raises(ShapeMismatchError):
-            jsonio.certificate_from_json(data)
-
 
 class TestReportSerialization:
     def test_spectrum_report(self, spec23):
         rep = sl.spectrum(random_element(spec23, rng_for(199)))
-        data = jsonio.spectrum_report_to_json(rep)
+        data = jsonio.report_to_json(rep)
         assert len(data["points"]) == len(rep.points)
+        assert data["points"][0] == {
+            "value": jsonio.complex_to_json(rep.points[0].value),
+            "multiplicity": rep.points[0].multiplicity,
+        }
         json.dumps(data)
 
     def test_verification_report_serializes(self, spec22):
         rep = sl.verify_theorems(spec22, trials=3, seed=5)
-        payload = jsonio.verification_report_to_json(rep)
+        payload = jsonio.report_to_json(rep)
         text = json.dumps(payload, sort_keys=True)
-        assert "counterexample" in payload and payload["counterexample"]
+        assert set(payload["counterexample"]) == {"functional", "characterization"}
+        assert payload["counterexample"]["characterization"] == (
+            jsonio.characterization_to_json(rep.counterexample)
+        )
         assert json.loads(text)["socle_is_minimal_ideal"] is False
 
     def test_riesz_report_serializes(self):
         a = sl.Element(sl.AlgebraSpec((3,)), [np.diag([1.0, 2.0, 3.0])])
         rep = sl.riesz_projection(a, [2.0])
-        payload = jsonio.riesz_report_to_json(rep)
+        payload = jsonio.report_to_json(rep)
         json.dumps(payload)
         assert payload["multiplicity"] == 1
+
+    def test_walk_spells_each_value_type(self, spec23):
+        a = random_element(spec23, rng_for(197))
+        report = sl.IdealReport(
+            generator=a,
+            ideal_dimension=2,
+            is_whole_algebra=False,
+            supported_blocks=frozenset({1, 0}),
+        )
+        assert jsonio.report_to_json(report) == {
+            "generator": jsonio.element_to_json(a),
+            "ideal_dimension": 2,
+            "is_whole_algebra": False,
+            "supported_blocks": [0, 1],
+        }
+        assert jsonio.report_to_json({3: (1j, None), "x": [np.eye(1)]}) == {
+            "3": [[0.0, 1.0], None],
+            "x": [[[[1.0, 0.0]]]],
+        }
+        f = sl.trace_functional(spec23)
+        assert jsonio.report_to_json([f]) == [jsonio.functional_to_json(f)]
+
+    def test_walk_refuses_what_is_not_json(self):
+        with pytest.raises(TypeError, match="set"):
+            jsonio.report_to_json({"x": {1, 2}})
+
+
+class TestQuoteJson:
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (None, "null"),
+            (True, "true"),
+            ("x", '"x"'),
+            ([1.5, None], "[1.5, null]"),
+            (list(range(100000)), "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11..."),
+            (1j, "1j"),
+        ],
+    )
+    def test_offending_value_is_bounded_json_text(self, value, text):
+        assert quote_json(value) == text
 
 
 def _reference_matrix_to_json(m):
@@ -117,7 +164,7 @@ class TestMatrixEncoder:
         for new, ref in [
             (jsonio.matrix_to_json(m), _reference_matrix_to_json(m)),
             (jsonio.matrix_to_json(m.T), _reference_matrix_to_json(m.T)),
-            (jsonio.vector_to_json(m.ravel()), _reference_vector_to_json(m.ravel())),
+            (jsonio.matrix_to_json(m.ravel()), _reference_vector_to_json(m.ravel())),
         ]:
             assert repr(new) == repr(ref)
             assert json.dumps(new) == json.dumps(ref)

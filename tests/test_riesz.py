@@ -454,8 +454,8 @@ class TestRouteB:
                 idempotency_defect=sl.operator_norm(p @ p - p),
                 multiplicity=idempotent_rank(p),
             )
-            assert jsonio.dumps(jsonio.riesz_report_to_json(got)) == jsonio.dumps(
-                jsonio.riesz_report_to_json(want)
+            assert jsonio.dumps(jsonio.report_to_json(got)) == jsonio.dumps(
+                jsonio.report_to_json(want)
             )
 
 
