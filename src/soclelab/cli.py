@@ -18,7 +18,8 @@ Exit status: 0 on success, 1 on a usage error (unknown command or
 flag, bad flag value, a path that cannot be read or written) or a
 domain error (bad input, violated precondition), 2 when a certification
 cross-check or a verified implication pattern fails. Errors are
-reported as a machine-readable JSON object on the chosen output stream;
+reported as a machine-readable JSON object, written by ``jsonio.dumps``
+with the error's fields as its details, on the chosen output stream;
 usage errors that come before ``--output`` is known, and any error when
 ``--output`` cannot be written, go to stdout.
 """
@@ -106,6 +107,8 @@ def _load_json(text: str, origin: str):
         ) from exc
     except RecursionError:
         raise ShapeMismatchError(f"JSON in {origin} nests too deeply") from None
+    except ValueError:  # an integer beyond the digit limit of int()
+        raise NumericOverflowError(f"an integer in {origin} overflows the double range") from None
 
 
 def _read_text(path: str | None, flag: str) -> str:
@@ -239,7 +242,7 @@ def _dumps(payload: dict) -> str:
 
 def _error_text(exc: SocleLabError) -> str:
     error = {"type": type(exc).__name__, "message": str(exc), "details": exc.details()}
-    return json.dumps({"error": error}, sort_keys=True, indent=2) + "\n"
+    return jsonio.dumps({"error": error}) + "\n"
 
 
 def _emit(output: str, text: str) -> None:

@@ -22,6 +22,15 @@ from .errors import NumericOverflowError, ShapeMismatchError, quote_json
 TRACELESS_TOL = 1e-9
 
 
+def _scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """``v / 2^e`` and ``e``: 2^e is the least power of two above every
+    real and imaginary part of ``v``, and at least 1, so the scaling is
+    exact and no sum of products of the scaled parts can overflow."""
+    largest = max(np.max(np.abs(v.real), initial=0.0), np.max(np.abs(v.imag), initial=0.0))
+    e = max(math.frexp(largest)[1], 0)
+    return v * math.ldexp(1.0, -e), e
+
+
 @dataclass(frozen=True)
 class MatrixUnit:
     """Symbolic e_(row,col) inside one block."""
@@ -71,12 +80,8 @@ def commutator_decompose(m: np.ndarray, block: int = 0) -> CommutatorCertificate
     if not np.isfinite(m).all():
         raise NonFiniteEntryError("matrix has non-finite entries")
     n = m.shape[0]
-    # The test |trace| > TRACELESS_TOL * max(1, ||m||_F), made on m / 2^e:
-    # 2^e is the least power of two above every real and imaginary part,
-    # and at least 1, so the scaling is exact and neither sum can overflow.
-    largest = max(float(np.max(np.abs(m.real))), float(np.max(np.abs(m.imag))))
-    e = max(math.frexp(largest)[1], 0)
-    unit = m * math.ldexp(1.0, -e)
+    # |trace| > TRACELESS_TOL * max(1, ||m||_F), made on m / 2^e (see _scaled)
+    unit, e = _scaled(m)
     t = complex(np.trace(unit))
     if abs(t) > TRACELESS_TOL * max(math.ldexp(1.0, -e), float(np.linalg.norm(unit, "fro"))):
         try:
@@ -191,14 +196,16 @@ def rank_one_commutator(x, f, y, g) -> RankOnePair:
     if not all(np.isfinite(v).all() for v in (x, f, y, g)):
         raise NonFiniteEntryError("vectors and covectors must have finite entries")
 
-    fx = complex(f @ x)
-    gy = complex(g @ y)
-    if abs(fx) < 1e-12 * max(1.0, np.linalg.norm(f) * np.linalg.norm(x)):
+    # |f(x)| < 1e-12 * max(1, ||f|| ||x||) and f / f(x), made on the scaled
+    # vectors (see _scaled), so that neither overflows; likewise for g(y)
+    (xu, ex), (fu, ef), (yu, ey), (gu, eg) = map(_scaled, (x, f, y, g))
+    fx, gy = complex(fu @ xu), complex(gu @ yu)
+    if abs(fx) < 1e-12 * max(math.ldexp(1.0, -ef - ex), np.linalg.norm(fu) * np.linalg.norm(xu)):
         raise DegenerateProjectionError("pairing f(x) is numerically zero")
-    if abs(gy) < 1e-12 * max(1.0, np.linalg.norm(g) * np.linalg.norm(y)):
+    if abs(gy) < 1e-12 * max(math.ldexp(1.0, -eg - ey), np.linalg.norm(gu) * np.linalg.norm(yu)):
         raise DegenerateProjectionError("pairing g(y) is numerically zero")
-    f = f / fx
-    g = g / gy
+    f = fu / fx * math.ldexp(1.0, -ex)
+    g = gu / gy * math.ldexp(1.0, -ey)
 
     P = np.outer(x, f)
     Q = np.outer(y, g)

@@ -3,11 +3,17 @@
 Domain errors signal bad inputs or ill-posed requests; certification
 errors signal that two independent computation routes disagreed, which
 is never silently accepted.
+
+An error's details are its fields: the parameters of its constructor
+without a default (so not ``message`` or ``witness``), each stored under
+its own name.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
+import math
 import reprlib
 
 
@@ -22,12 +28,31 @@ def quote_json(value) -> str:
     return text if len(text) <= 40 else text[:37] + "..."
 
 
+def _detail(value):
+    """A field's JSON value: a complex is an ``[re, im]`` pair, a float
+    that is not finite is ``null``, a list or tuple goes element by
+    element."""
+    if isinstance(value, (list, tuple)):
+        return [_detail(v) for v in value]
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, complex):
+        return [_detail(value.real), _detail(value.imag)]
+    return value
+
+
 class SocleLabError(Exception):
     """Base class for all library errors."""
 
     def details(self) -> dict:
-        """Machine-readable payload for JSON error reports."""
-        return {}
+        """Machine-readable payload for JSON error reports: the error's
+        fields, keyed by their names."""
+        params = list(inspect.signature(type(self).__init__).parameters.values())[1:]
+        return {
+            p.name: _detail(getattr(self, p.name))
+            for p in params
+            if p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty
+        }
 
 
 class UsageError(SocleLabError):
@@ -52,12 +77,7 @@ class EigensolverError(SocleLabError):
 
     def __init__(self, block_index: int, message: str = ""):
         self.block_index = block_index
-        super().__init__(
-            message or f"eigensolver failed to converge on block {block_index}"
-        )
-
-    def details(self) -> dict:
-        return {"block_index": self.block_index}
+        super().__init__(message or f"eigensolver failed to converge on block {block_index}")
 
 
 class SVDConvergenceError(EigensolverError):
@@ -76,13 +96,6 @@ class SingularResolventError(SocleLabError):
             f"spectral value {eigenvalue}"
         )
 
-    def details(self) -> dict:
-        return {
-            "point": [self.point.real, self.point.imag],
-            "eigenvalue": [self.eigenvalue.real, self.eigenvalue.imag],
-            "distance": self.distance,
-        }
-
 
 class TargetNotInSpectrumError(SocleLabError):
     """A requested contour target does not match any spectral point."""
@@ -98,7 +111,16 @@ class TargetNotInSpectrumError(SocleLabError):
 
 
 class ContourCollapseError(SocleLabError):
-    """Spectral points are too close for a safe integration contour."""
+    """No safe integration contour: its radius falls below the singularity
+    floor, or a shifted block on it is singular."""
+
+    def __init__(self, center: complex, radius: float, message: str = ""):
+        self.center = center
+        self.radius = radius
+        super().__init__(
+            message or f"the resolvent is singular on the contour of radius {radius:.3e} "
+            f"around {center}"
+        )
 
 
 class SpectralGapError(SocleLabError):
@@ -126,9 +148,6 @@ class NotTracelessError(SocleLabError):
         self.trace = trace
         super().__init__(f"matrix has nonzero trace {trace}")
 
-    def details(self) -> dict:
-        return {"trace": [self.trace.real, self.trace.imag]}
-
 
 class DegenerateProjectionError(SocleLabError):
     """A rank-one projection could not be normalized (pairing ~ 0)."""
@@ -140,9 +159,7 @@ class NotIdempotentError(SocleLabError):
     def __init__(self, defect: float, tolerance: float):
         self.defect = defect
         self.tolerance = tolerance
-        super().__init__(
-            f"idempotency defect {defect:.3e} exceeds tolerance {tolerance:.3e}"
-        )
+        super().__init__(f"idempotency defect {defect:.3e} exceeds tolerance {tolerance:.3e}")
 
 
 class NotMaximalError(SocleLabError):
@@ -156,9 +173,6 @@ class NotMaximalError(SocleLabError):
             "distinct nonzero spectral values"
         )
 
-    def details(self) -> dict:
-        return {"rank": self.rank, "nonzero_count": self.nonzero_count}
-
 
 class NoCounterexampleError(SocleLabError):
     """Single-block algebras admit no tracial-but-not-scalar functional."""
@@ -171,59 +185,37 @@ class CertificationError(SocleLabError):
 class RankCertificationError(CertificationError):
     """Probed spectral rank disagrees with the classical rank oracle."""
 
-    def __init__(self, spectral: int, classical: int, probes: int):
-        self.spectral = spectral
-        self.classical = classical
+    def __init__(self, spectral_rank: int, classical_rank: int, probes: int):
+        self.spectral_rank = spectral_rank
+        self.classical_rank = classical_rank
         self.probes = probes
         super().__init__(
-            f"spectral rank {spectral} != classical rank {classical} "
+            f"spectral rank {spectral_rank} != classical rank {classical_rank} "
             f"after {probes} probes"
         )
-
-    def details(self) -> dict:
-        return {
-            "spectral_rank": self.spectral,
-            "classical_rank": self.classical,
-            "probes": self.probes,
-        }
 
 
 class TraceCertificationError(CertificationError):
     """Spectral trace disagrees with the diagonal-sum oracle."""
 
-    def __init__(self, spectral: complex, classical: complex):
-        self.spectral = spectral
-        self.classical = classical
-        super().__init__(
-            f"spectral trace {spectral} != classical trace {classical}"
-        )
-
-    def details(self) -> dict:
-        return {
-            "spectral_trace": [self.spectral.real, self.spectral.imag],
-            "classical_trace": [self.classical.real, self.classical.imag],
-        }
+    def __init__(self, spectral_trace: complex, classical_trace: complex):
+        self.spectral_trace = spectral_trace
+        self.classical_trace = classical_trace
+        super().__init__(f"spectral trace {spectral_trace} != classical trace {classical_trace}")
 
 
 class MultiplicityInconsistencyError(CertificationError):
     """Perturbation counting and projection rank gave different answers."""
 
-    def __init__(self, target: complex, route_a, route_b, message: str = ""):
+    def __init__(self, target: complex, perturbation_count, projection_rank, message=""):
         self.target = target
-        self.route_a = route_a
-        self.route_b = route_b
+        self.perturbation_count = perturbation_count
+        self.projection_rank = projection_rank
         super().__init__(
             message
             or f"multiplicity at {target}: perturbation counting gave "
-            f"{route_a}, projection rank gave {route_b}"
+            f"{perturbation_count}, projection rank gave {projection_rank}"
         )
-
-    def details(self) -> dict:
-        return {
-            "target": [self.target.real, self.target.imag],
-            "perturbation_count": self.route_a,
-            "projection_rank": self.route_b,
-        }
 
 
 class TheoremViolationError(CertificationError):
@@ -233,6 +225,3 @@ class TheoremViolationError(CertificationError):
         self.claim = claim
         self.witness = witness
         super().__init__(f"predicted implication violated: {claim}")
-
-    def details(self) -> dict:
-        return {"claim": self.claim}

@@ -56,6 +56,7 @@ from .errors import (
     ProbeExhaustionError,
     ShapeMismatchError,
     SpectralGapError,
+    SVDConvergenceError,
     TargetNotInSpectrumError,
     TraceCertificationError,
 )
@@ -136,7 +137,7 @@ def _projection(a: Element, rep: SpectrumReport, centers, nodes: int):
         r = RADIUS_FACTOR * rep.gap(c)
         if r < RESOLVENT_FLOOR * scale:
             raise ContourCollapseError(
-                f"contour radius {r:.3e} around {c} is below the "
+                c, r, f"contour radius {r:.3e} around {c} is below the "
                 f"singularity floor {RESOLVENT_FLOOR * scale:.3e}"
             )
         radii.append(float(r))
@@ -144,7 +145,10 @@ def _projection(a: Element, rep: SpectrumReport, centers, nodes: int):
         for acc, half, b, n in zip(blocks, halves, a.blocks, a.spec.block_sizes):
             eye = np.eye(n, dtype=complex)
             shifted = zs[:, None, None] * eye - b
-            solved = np.linalg.solve(shifted, np.broadcast_to(eye, (nodes, n, n)))
+            try:
+                solved = np.linalg.solve(shifted, np.broadcast_to(eye, (nodes, n, n)))
+            except np.linalg.LinAlgError:
+                raise ContourCollapseError(c, r) from None
             acc += (r / nodes) * np.einsum("j,jkl->kl", phases, solved)
             half += (2 * r / nodes) * np.einsum("j,jkl->kl", phases[::2], solved[::2])
     return (
@@ -188,11 +192,9 @@ def riesz_projection(a: Element, targets, nodes: int = DEFAULT_NODES) -> RieszRe
     if all(c != 0 for c in centers):
         # Nonzero spectral values put the projection inside a*A; verify
         # by factoring p = a w in the least-squares sense.
-        worst = 0.0
-        for ab, pb in zip(a.blocks, p.blocks):
-            w = np.linalg.lstsq(ab, pb, rcond=None)[0]
-            worst = max(worst, float(np.linalg.norm(ab @ w - pb, 2)))
-        residual = worst
+        pairs = list(zip(a.blocks, p.blocks))
+        ws = _blockwise(lambda ap: np.linalg.lstsq(*ap, rcond=None)[0], pairs, SVDConvergenceError)
+        residual = max(float(np.linalg.norm(ab @ w - pb, 2)) for (ab, pb), w in zip(pairs, ws))
 
     return RieszReport(
         projection=p,

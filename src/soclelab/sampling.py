@@ -25,7 +25,6 @@ MULTIPLICITY_PROBE = 2  # riesz._multiplicities
 SPOT_CHECK = 3  # functionals._tracial
 IDEAL = 4  # classify.is_socle_minimal_ideal
 FUNCTIONALS = 5  # classify.verify_theorems, per trial
-PROJECTIONS = 6  # classify.verify_theorems, per trial
 
 
 def rng_for(seed: int, *key: int) -> np.random.Generator:

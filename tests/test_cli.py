@@ -24,15 +24,27 @@ from soclelab.sampling import random_element, random_traceless_matrix, rng_for
 from conftest import single
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is no JSON value")
+
+
+def strict_loads(text):
+    """``json.loads`` that rejects the ``NaN`` and ``Infinity`` tokens:
+    every report and error the CLI writes is strict JSON."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def invoke(capsys, *argv):
     code = run(list(argv))
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, strict_loads(out)
 
 
 def write_input(tmp_path, payload, name="input.json"):
+    """The path of a file holding ``payload`` as JSON; a ``str`` payload
+    is written as it stands."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(path)
 
 
@@ -201,7 +213,7 @@ class TestCLIBehavior:
         out_path = tmp_path / "report.json"
         code = run(["spectrum", "--input", path, "--output", str(out_path)])
         assert code == 0
-        data = json.loads(out_path.read_text())
+        data = strict_loads(out_path.read_text())
         assert data["points"][0]["multiplicity"] == 2
 
     def test_emitted_element_reparses(self, tmp_path, capsys):
@@ -287,6 +299,11 @@ class TestCLIBehavior:
             # documents are bare: no element or functional wrapper
             ("spectrum", {"element": {"blocks": [DIAG_1_2]}}),
             ("check-functional", {"functional": {"weights": [DIAG_1_2]}}),
+            # an integer beyond the 4300 digits that int() converts
+            pytest.param(
+                "spectrum", '{"blocks": [[[[1' + "0" * 5000 + ", 0]]]]}",
+                id="spectrum-long-integer",
+            ),
         ],
     )
     def test_bad_input_is_a_json_error(self, tmp_path, capsys, command, document):
@@ -336,7 +353,7 @@ class TestCLIBehavior:
         proc = run_fresh(argv, stdin=stdin)
         assert proc.returncode == 1
         assert proc.stderr == ""
-        out = json.loads(proc.stdout)
+        out = strict_loads(proc.stdout)
         assert set(out) == {"error"}
         assert out["error"]["type"] == error
         assert path in out["error"]["message"]
@@ -358,7 +375,7 @@ class TestCLIBehavior:
         assert proc.returncode == 1
         assert proc.stderr == ""
         assert len(proc.stdout.encode()) < 1024
-        out = json.loads(proc.stdout)
+        out = strict_loads(proc.stdout)
         assert out["error"]["type"] == "ShapeMismatchError"
         # the value is echoed as its JSON text, not as a Python repr
         message = out["error"]["message"]
@@ -473,7 +490,7 @@ class TestReportSchema:
                 argv = argv + ["--input", write_input(tmp_path, document)]
             walked.clear()
             assert run(argv) == 0
-            data = json.loads(capsys.readouterr().out)
+            data = strict_loads(capsys.readouterr().out)
             if command not in _EXPLICIT:
                 met |= _schema_types(walked[0], data)
         assert met == {
@@ -508,7 +525,7 @@ class TestOverflow:
         text = capsys.readouterr().out
         assert code == 1
         assert "Infinity" not in text and "NaN" not in text
-        error = json.loads(text)["error"]
+        error = strict_loads(text)["error"]
         assert error["type"] == "NumericOverflowError"
         assert quantity in error["message"] and "overflows" in error["message"]
 
@@ -517,7 +534,7 @@ class TestOverflow:
         proc = run_fresh(["check-functional", "--input", path])
         assert proc.returncode == 1
         assert proc.stderr == ""
-        assert json.loads(proc.stdout)["error"]["type"] == "NumericOverflowError"
+        assert strict_loads(proc.stdout)["error"]["type"] == "NumericOverflowError"
 
     @pytest.mark.parametrize(
         "document, quantity",
@@ -530,7 +547,7 @@ class TestOverflow:
         proc = run_fresh(["check-functional", "--input", write_input(tmp_path, document)])
         assert proc.returncode == 1
         assert proc.stderr == ""
-        error = json.loads(proc.stdout)["error"]
+        error = strict_loads(proc.stdout)["error"]
         assert error["type"] == "NumericOverflowError"
         assert quantity in error["message"]
 
@@ -543,7 +560,7 @@ class TestOverflow:
         text = capsys.readouterr().out
         assert code == 1
         assert "Infinity" not in text and "NaN" not in text
-        assert json.loads(text)["error"]["type"] == "NumericOverflowError"
+        assert strict_loads(text)["error"]["type"] == "NumericOverflowError"
 
     def test_diagonalize_at_the_top_of_the_range_writes_no_warning(self, capsys):
         # the values +-1e308 are 2e308 apart: an overflowed distance is
@@ -558,7 +575,7 @@ class TestOverflow:
         captured = capsys.readouterr()
         assert code == 0
         assert captured.err == ""
-        report = json.loads(captured.out)
+        report = strict_loads(captured.out)
         assert np.isfinite(report["residual"]) and report["residual"] < 1e-8
         assert sorted(v[0] for v in report["values"]) == [-1e308, 1e308]
 
@@ -591,7 +608,7 @@ class TestOverflow:
         text = out.getvalue()
         assert "Infinity" not in text and "NaN" not in text
         if code:
-            assert (code, json.loads(text)["error"]["type"]) == (1, "NumericOverflowError")
+            assert (code, strict_loads(text)["error"]["type"]) == (1, "NumericOverflowError")
 
     @pytest.mark.parametrize(
         "command, document",
@@ -608,20 +625,98 @@ class TestOverflow:
         proc = run_fresh([command], stdin=document)
         assert proc.returncode == 1
         assert proc.stderr == ""
-        assert json.loads(proc.stdout)["error"]["type"] == "NonFiniteEntryError"
+        assert strict_loads(proc.stdout)["error"]["type"] == "NonFiniteEntryError"
 
     def test_overflowing_commutator_trace_writes_no_warning(self):
         document = '{"matrix": [[[1.7e308,0],[0,0]],[[0,0],[1.7e308,0]]]}'
         proc = run_fresh(["commutator"], stdin=document)
         assert proc.returncode == 1
         assert proc.stderr == ""
-        error = json.loads(proc.stdout)["error"]
+        error = strict_loads(proc.stdout)["error"]
         assert error["type"] == "NumericOverflowError"
         assert "trace" in error["message"]
 
     def test_non_finite_report_value_is_a_typed_error(self):
         with pytest.raises(sl.errors.NumericOverflowError):
             cli._dumps({"value": float("inf")})
+
+
+def dft_conjugated_jordan(n):
+    """F J_n F* on one block: F the unitary n-point DFT, F_jk =
+    e^(2 pi i jk/n) / sqrt(n), and J_n the nilpotent Jordan block."""
+    k = np.arange(n)
+    f = np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
+    return single(f @ np.diag(np.ones(n - 1), 1) @ f.conj().T)
+
+
+class TestErrorDetails:
+    """An error's details are its fields, written by the report writer."""
+
+    @pytest.mark.parametrize(
+        "kind, command, document",
+        [
+            ("NotMaximalError", "diagonalize", jsonio.element_to_json(single(np.eye(2)))),
+            (
+                "TargetNotInSpectrumError",
+                "riesz",
+                {"element": {"blocks": [DIAG_1_2]}, "targets": [[5, 0]]},
+            ),
+            (
+                "SpectralGapError",
+                "trace",
+                jsonio.element_to_json(single(np.diag([1.0, 1.0 + 5e-6, 3.0]))),
+            ),
+            ("NotTracelessError", "commutator", {"matrix": [[[1, 0]]]}),
+        ],
+    )
+    def test_error_is_the_json_dumps_reference(
+        self, tmp_path, capsys, monkeypatch, kind, command, document
+    ):
+        argv = [command, "--input", write_input(tmp_path, document)]
+        with pytest.raises(getattr(sl.errors, kind)) as info:
+            cli._COMMANDS[command][0](cli.build_parser().parse_args(argv))
+        exc = info.value
+        assert exc.details()
+        error = {"type": kind, "message": str(exc), "details": exc.details()}
+        expected = json.dumps({"error": error}, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an error went through json.dumps")
+
+        monkeypatch.setattr(json, "dumps", refuse)
+        code = run(argv)
+        assert (code, capsys.readouterr().out) == (1, expected)
+
+    def test_an_infinite_distance_is_null(self, tmp_path, capsys):
+        document = {"element": {"blocks": [[[[-1e308, 0]]]]}, "targets": [[1e308, 0]]}
+        code, out = invoke(capsys, "riesz", "--input", write_input(tmp_path, document))
+        assert code == 1
+        assert out["error"]["type"] == "TargetNotInSpectrumError"
+        assert out["error"]["details"] == {
+            "target": [1e308, 0.0], "nearest": [-1e308, 0.0], "distance": None
+        }
+
+    def test_singular_contour_is_a_typed_error(self, tmp_path):
+        # a node of a contour around the perturbed spectrum makes a shifted
+        # block exactly singular in floating point
+        document = jsonio.element_to_json(dft_conjugated_jordan(5))
+        proc = run_fresh(["trace", "--input", write_input(tmp_path, document)])
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        error = strict_loads(proc.stdout)["error"]
+        assert error["type"] == "ContourCollapseError"
+        assert set(error["details"]) == {"center", "radius"}
+        assert error["details"]["radius"] > 0
+
+    def test_pairing_beyond_the_double_range_is_a_report(self):
+        # f(x) = 1.5e308 - 1.5e308i: both parts are finite, its modulus is not
+        document = '{"x": [[1.5, 1.5]], "f": [[0, -1e308]], "y": [[1, 0]], "g": [[1, 0]]}'
+        proc = run_fresh(["rank-one-commutator"], stdin=document)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        report = strict_loads(proc.stdout)
+        np.testing.assert_allclose(report["f"], [[1 / 3, -1 / 3]], rtol=1e-15)
+        assert report["defect"] < 1e-15
 
 
 class TestUsageErrors:
@@ -663,7 +758,7 @@ class TestUsageErrors:
     def test_usage_error_is_a_json_error(self, capsys, argv):
         code = run(argv)
         captured = capsys.readouterr()
-        out = json.loads(captured.out)
+        out = strict_loads(captured.out)
         assert code == 1
         assert set(out) == {"error"}
         assert out["error"]["type"] == "UsageError"

@@ -232,6 +232,23 @@ class TestRankOnePair:
         with pytest.raises(DegenerateProjectionError):
             sl.rank_one_commutator([1, 0], [0, 1], [1, 0], [1, 0])
 
+    @pytest.mark.parametrize("k", [-30, 0, 600, 1000])
+    def test_normalization_commutes_with_powers_of_two(self, k):
+        # the pairing is made on power-of-two-scaled vectors, so x -> 2^k x
+        # scales the normalized f by exactly 2^-k and leaves P unchanged
+        rng = rng_for(137)
+        x, f, y, g = (rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(4))
+        ref = sl.rank_one_commutator(x, f, y, g)
+        pair = sl.rank_one_commutator(x * 2.0**k, f, y, g)
+        np.testing.assert_array_equal(pair.f, ref.f * 2.0**-k)
+        np.testing.assert_array_equal(pair.P, ref.P)
+
+    def test_pairing_beyond_the_double_range(self):
+        # f(x) = 1.5e308 - 1.5e308i has finite parts but no finite modulus
+        pair = sl.rank_one_commutator([1.5 + 1.5j], [-1e308j], [1.0], [1.0])
+        np.testing.assert_allclose(pair.f, [(1 - 1j) / 3], rtol=1e-15)
+        assert pair.defect < 1e-15
+
     @pytest.mark.parametrize("which", range(4))
     def test_non_finite_vector_rejected(self, which):
         vectors = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]

@@ -12,12 +12,14 @@ from soclelab import jsonio, riesz
 from soclelab.algebra import idempotent_rank
 from soclelab.cli import run
 from soclelab.errors import (
+    ContourCollapseError,
     EigensolverError,
     MultiplicityInconsistencyError,
     NotIdempotentError,
     NotMaximalError,
     ProbeExhaustionError,
     SpectralGapError,
+    SVDConvergenceError,
     TargetNotInSpectrumError,
     TraceCertificationError,
 )
@@ -111,6 +113,25 @@ class TestRieszProjection:
         a = single(np.diag([1.0, 2.0]))
         with pytest.raises(TargetNotInSpectrumError):
             sl.riesz_projection(a, [5.0])
+
+    def test_singular_contour_solve_names_the_contour(self, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(ContourCollapseError) as info:
+            sl.riesz_projection(single(np.diag([1.0, 2.0])), [1.0])
+        assert info.value.details() == {"center": [1.0, 0.0], "radius": RADIUS_FACTOR}
+
+    def test_failed_range_factoring_names_the_block(self, monkeypatch):
+        def unconverged(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        monkeypatch.setattr(np.linalg, "lstsq", unconverged)
+        a = sl.Element(sl.AlgebraSpec((1, 2)), [np.eye(1), np.diag([1.0, 2.0])])
+        with pytest.raises(SVDConvergenceError) as info:
+            sl.riesz_projection(a, [1.0])
+        assert info.value.details() == {"block_index": 0}
 
     def test_quadrature_error_drops_fast_in_node_count(self):
         # gap 0.1 spectra: doubling nodes buys >= two orders of magnitude

@@ -14,7 +14,6 @@ from soclelab.sampling import (
     FUNCTIONALS,
     IDEAL,
     PROBE,
-    PROJECTIONS,
     SPOT_CHECK,
     random_element,
     random_element_stack,
@@ -119,7 +118,7 @@ def test_each_family_of_verify_theorems_reads_its_own_streams(spec22, monkeypatc
     sl.verify_theorems(spec22, trials=trials, seed=13)
     expected = [(IDEAL,)]
     for t in range(trials):
-        expected += [(FUNCTIONALS, t), (PROJECTIONS, t)]
+        expected += [(FUNCTIONALS, t)]
     assert keys["classify"] == [(13, k) for k in expected]
     # the spot check of every tracial functional reads the one spot-check stream
     assert keys["functionals"] and set(keys["functionals"]) == {(13, (SPOT_CHECK,))}
