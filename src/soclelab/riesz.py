@@ -53,6 +53,7 @@ from .errors import (
     EigensolverError,
     MultiplicityInconsistencyError,
     NotMaximalError,
+    NumericOverflowError,
     ProbeExhaustionError,
     ShapeMismatchError,
     SpectralGapError,
@@ -135,6 +136,8 @@ def _projection(a: Element, rep: SpectrumReport, centers, nodes: int):
     halves = [np.zeros((n, n), dtype=complex) for n in a.spec.block_sizes]
     for c in centers:
         r = RADIUS_FACTOR * rep.gap(c)
+        if not np.isfinite(r):
+            raise NumericOverflowError(f"the contour radius around {c} overflows the double range")
         if r < RESOLVENT_FLOOR * scale:
             raise ContourCollapseError(
                 c, r, f"contour radius {r:.3e} around {c} is below the "

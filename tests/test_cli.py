@@ -445,6 +445,32 @@ class TestReportBytes:
         assert (code, capsys.readouterr().out) == (0, expected)
 
 
+    @pytest.mark.parametrize(
+        "command, field, count", [("commutator", "terms", 255), ("diagonalize", "projections", 16)]
+    )
+    def test_hundreds_of_records_are_the_json_dumps_reference(
+        self, tmp_path, capsys, monkeypatch, command, field, count
+    ):
+        """A 16 x 16 certificate of 255 terms, and the 16 projections of a
+        maximal element on (8, 8): many records with the same fields."""
+        rng = rng_for(233)
+        if command == "commutator":
+            document = {"matrix": jsonio.matrix_to_json(random_traceless_matrix(16, rng))}
+        else:
+            document = jsonio.element_to_json(random_element(sl.AlgebraSpec((8, 8)), rng))
+        argv = [command, "--input", write_input(tmp_path, document)]
+        payload = cli._COMMANDS[command][0](cli.build_parser().parse_args(argv))
+        assert len(payload[field]) == count
+        expected = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a success report went through json.dumps")
+
+        monkeypatch.setattr(json, "dumps", refuse)
+        code = run(argv)
+        assert (code, capsys.readouterr().out) == (0, expected)
+
+
 # Written by an explicit mapper, not by the walk: the characterization
 # JSON names each verdict by its condition, and the certificate's terms
 # are written by a faster loop.
@@ -707,6 +733,20 @@ class TestErrorDetails:
         assert error["type"] == "ContourCollapseError"
         assert set(error["details"]) == {"center", "radius"}
         assert error["details"]["radius"] > 0
+
+    @pytest.mark.parametrize("command", ["riesz", "trace"])
+    def test_overflowing_contour_radius_is_a_typed_error(self, tmp_path, command):
+        # values +-1.41e308: the gap between them, and so the radius, is inf
+        element = {"blocks": [[[[1e308, 0], [1e308, 0]], [[1e308, 0], [-1e308, 0]]]]}
+        document = element
+        if command == "riesz":
+            document = {"element": element, "targets": [[1.414213562373095e308, 0]]}
+        proc = run_fresh([command, "--input", write_input(tmp_path, document)])
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        error = strict_loads(proc.stdout)["error"]
+        assert error["type"] == "NumericOverflowError"
+        assert "contour radius" in error["message"]
 
     def test_pairing_beyond_the_double_range_is_a_report(self):
         # f(x) = 1.5e308 - 1.5e308i: both parts are finite, its modulus is not

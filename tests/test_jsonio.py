@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -224,6 +224,75 @@ _TREES = st.recursive(
 )
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_FIELDS = {
+    "float": _FINITE,
+    "int": st.integers(-3, 2**70),
+    "str": st.text(max_size=3),
+    "bool": st.booleans(),
+    "null": st.none(),
+    "pair": st.lists(_FINITE, min_size=2, max_size=2),
+    "unit": st.fixed_dictionaries(
+        {"block": st.integers(0, 3), "row": st.integers(0, 3), "col": st.integers(0, 3)}
+    ),
+    "matrix": st.lists(st.lists(_FINITE, min_size=2, max_size=2), min_size=2, max_size=2),
+}
+_PERTURBATIONS = [
+    "none",
+    "number in a float column",
+    "non-finite after an object",
+    "missing key",
+    "extra key",
+    "empty",
+    "unchanged",
+]
+
+
+@st.composite
+def perturbed_records(draw):
+    """A list of records with the same fields, keys holding ``%`` and
+    ``%s`` among them, one record perturbed; bare or inside a dict."""
+    shapes = draw(
+        st.dictionaries(
+            st.text(alphabet="ab%s", min_size=1, max_size=3),
+            st.sampled_from(sorted(_FIELDS)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    count = draw(st.integers(2, 6))
+    records = [{key: draw(_FIELDS[shape]) for key, shape in shapes.items()} for _ in range(count)]
+    how = draw(st.sampled_from(_PERTURBATIONS))
+    i = draw(st.integers(0, count - 2 if how == "non-finite after an object" else count - 1))
+    key = draw(st.sampled_from(sorted(shapes)))
+    record = records[i]
+    if how == "none":  # in place of a dict, a list or a leaf
+        record[key] = None
+    elif how == "number in a float column":
+        number = draw(st.sampled_from([0, -(2**70), True, False]))
+        if shapes[key] == "pair":
+            record[key][draw(st.integers(0, 1))] = number
+        elif shapes[key] == "matrix":
+            record[key][draw(st.integers(0, 1))][draw(st.integers(0, 1))] = number
+        else:
+            record[key] = number
+    elif how == "non-finite after an object":
+        record[key] = object()
+        later = records[draw(st.integers(i + 1, count - 1))]
+        later[draw(st.sampled_from(sorted(shapes)))] = draw(
+            st.sampled_from([float("nan"), float("inf"), -float("inf")])
+        )
+    elif how == "missing key":
+        del record[key]
+    elif how == "extra key":
+        record[draw(st.sampled_from([1, 2.5, None, True, (1,), float("nan")]))] = 1.0
+    elif how == "empty":
+        record[key] = draw(st.sampled_from([{}, []]))
+    if draw(st.booleans()):
+        return {"%s": 1.0, "terms": records, "z": [records[0]]}
+    return records
+
+
 class _Real(float):
     def __repr__(self):
         return "not used by json"
@@ -238,6 +307,17 @@ class TestDumps:
     @settings(max_examples=400, deadline=None)
     @given(payload=_TREES)
     def test_equals_json_dumps(self, payload):
+        assert outcome(jsonio.dumps, payload) == outcome(reference_dumps, payload)
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=perturbed_records())
+    # the object comes first in document order, the NaN first in its column
+    @example([{"a": object(), "b": 0.0}, {"a": 0.0, "b": float("nan")}])
+    @example([{"%": None}, {"%": None}])  # a key of a shared template
+    @example([{"%s": "%s", "b": [1.0, 2]}, {"%s": "%d", "b": [3.0, 4.0]}])
+    @example([{"a": None}, {}])
+    @example([{"a": None, "b": False, "c": 0.0}, {"a": None, "b": True, "c": 0.5}])
+    def test_records_equal_json_dumps(self, payload):
         assert outcome(jsonio.dumps, payload) == outcome(reference_dumps, payload)
 
     @pytest.mark.parametrize(
@@ -273,3 +353,28 @@ class TestDumps:
     )
     def test_edge_cases_equal_json_dumps(self, payload):
         assert outcome(jsonio.dumps, payload) == outcome(reference_dumps, payload)
+
+
+class TestDumpsWork:
+    """Writing a report calls the layout a number of times set by its
+    fields, not by its size."""
+
+    @pytest.mark.parametrize("report", ["certificate", "diagonalization"])
+    def test_layout_calls_do_not_grow_with_the_report(self, monkeypatch, report):
+        if report == "certificate":
+            cert = sl.commutator_decompose(random_traceless_matrix(32, rng_for(239)))
+            payload = jsonio.certificate_to_json(cert)
+            assert len(payload["terms"]) == 32 * 32 - 1
+        else:
+            a = random_element(sl.AlgebraSpec((16,)), rng_for(241))
+            payload = jsonio.report_to_json(sl.diagonalize_maximal(a))
+            assert len(payload["projections"]) == 16
+        calls, layout = [], jsonio._layout
+
+        def counted(column, level):
+            calls.append(len(column))
+            return layout(column, level)
+
+        monkeypatch.setattr(jsonio, "_layout", counted)
+        assert jsonio.dumps(payload) == reference_dumps(payload)
+        assert len(calls) <= 40
