@@ -28,6 +28,7 @@ from .errors import (
     EigensolverError,
     NonFiniteEntryError,
     NotIdempotentError,
+    NumericOverflowError,
     ShapeMismatchError,
     SVDConvergenceError,
     SingularResolventError,
@@ -227,6 +228,29 @@ def block_eigenvalues(blocks) -> np.ndarray:
     return np.concatenate(vals, axis=-1)
 
 
+def _product_eigenvalues(stacks, blocks) -> np.ndarray:
+    """The :func:`block_eigenvalues` of the products x*b, for every x of
+    each block's ``(p, n, n)`` stack and that block's ``b``.
+
+    A stack is multiplied by one GEMM, as the ``(p*n, n)`` matrix of its
+    rows, not by ``p`` stacked products. Only integer counts are derived
+    from these products, never a report value. A product that overflows
+    fails the eigensolve's own finiteness check, which is then a
+    NumericOverflowError naming the block.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = [(x.reshape(-1, len(b)) @ b).reshape(x.shape) for x, b in zip(stacks, blocks)]
+    try:
+        return block_eigenvalues(products)
+    except EigensolverError as exc:
+        i = exc.block_index
+        if np.isfinite(products[i]).all():
+            raise
+        raise NumericOverflowError(
+            f"the probe products of block {i} overflow the double range"
+        ) from None
+
+
 class SpectralPoint(NamedTuple):
     """One clustered spectral value and its algebraic multiplicity."""
 
@@ -288,52 +312,61 @@ def cluster_eigenvalues(
     row's radius. Deterministic: each row is sorted lexicographically
     first, and ties merge the lexicographically first pair.
 
-    All rows run in one loop. The ``(p, N, N)`` distance tensor is built
-    once. Each iteration takes one row-major argmin per row and merges
-    in every row whose closest pair is within its radius; a merge
-    recomputes only the surviving center's row and column and retires
-    the absorbed one to infinity, so the argmin sees the same values,
-    in the same order, as on the matrix of the surviving centers alone.
-    A row whose closest pair is beyond its radius is done: nothing in it
-    changes again, so it gets the same result whichever rows share its
-    stack. The argmin runs over the whole tensor in place, with no copy
-    of the rows still merging.
+    All rows run in one loop. The sorted centers are one fancy-indexed
+    gather, and the ``(p, N, N)`` distance tensor is built once, its
+    diagonal set to infinity by one strided write. Each iteration takes
+    one row-major argmin per row and merges in every row whose closest
+    pair is within its radius; a merge recomputes only the surviving
+    center's row and column and retires the absorbed one to infinity, so
+    the argmin sees the same values, in the same order, as on the matrix
+    of the surviving centers alone. A row whose closest pair is beyond
+    its radius is done: nothing in it changes again, so it gets the same
+    result whichever rows share its stack. The argmin runs over the
+    whole tensor in place, with no copy of the rows still merging, and a
+    merge reads and writes centers and counts at flat indices, one
+    gather or scatter per quantity.
 
     Returns two ``(p, N)`` arrays, sorted centers and counts, in which a
     center merged away has count 0.
     """
     values = np.asarray(values)
     p, n = values.shape
+    every = np.arange(p)
     order = np.lexsort((values.imag, values.real))
-    centers = np.take_along_axis(values, order, axis=1).astype(complex)
+    centers = values[every[:, None], order].astype(complex, copy=False)
     counts = np.ones((p, n), dtype=int)
     with np.errstate(over="ignore"):  # an overflowed distance is inf: no merge
         diff = np.abs(centers[:, :, None] - centers[:, None, :])
-    diag = np.arange(n)
-    diff[:, diag, diag] = np.inf
     flat = diff.reshape(p, n * n)
-    every = np.arange(p)
-    radii = np.broadcast_to(np.asarray(tol_abs, dtype=float), (p,))
+    flat[:, :: n + 1] = np.inf
+    radii = np.asarray(tol_abs, dtype=float)
+    # flat views: entry (r, i) of centers and counts is r * n + i, entry
+    # (r, i, j) of diff is r * n * n + i * n + j
+    center, count, dist = centers.reshape(-1), counts.reshape(-1), diff.reshape(-1)
+    start = every * (n * n)
     for _ in range(n - 1):
         # each row of diff is symmetric, so its first minimum in
         # row-major order has i < j
         k = flat.argmin(axis=1)
         # not-greater, so a NaN distance merges; a row with nothing to
         # merge is left unchanged and stays out
-        live = np.flatnonzero(~(flat[every, k] > radii))
+        live = (~(dist[start + k] > radii)).nonzero()[0]
         if not live.size:
             break
-        k = k[live]
-        i, j = np.divmod(k, n)
-        ci, cj = counts[live, i], counts[live, j]
+        # when every row merges, the common case, rows are read as views
+        rows = live if live.size < p else slice(None)
+        i, j = np.divmod(k[rows], n)
+        at = live * n
+        at_i, at_j = at + i, at + j
+        ci, cj = count[at_i], count[at_j]
         w = ci + cj
-        merged = (ci * centers[live, i] + cj * centers[live, j]) / w
-        centers[live, i] = merged
-        counts[live, i] = w
-        counts[live, j] = 0
+        merged = (ci * center[at_i] + cj * center[at_j]) / w
+        center[at_i] = merged
+        count[at_i] = w
+        count[at_j] = 0
         with np.errstate(over="ignore"):  # as above; the centroid still warns
-            row = np.abs(merged[:, None] - centers[live])
-        row[counts[live] == 0] = np.inf
+            row = np.abs(merged[:, None] - centers[rows])
+        row[counts[rows] == 0] = np.inf
         diff[live, i] = diff[live, :, i] = row
         diff[live, j] = diff[live, :, j] = diff[live, i, i] = np.inf
     return centers, counts

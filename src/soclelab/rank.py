@@ -9,11 +9,21 @@ certified against the classical SVD rank, and a disagreement raises
 instead of returning.
 
 The probes run as one batch: they are one draw from the seed's
-``PROBE`` stream, multiplied by a's block in one batched product and
+``PROBE`` stream, multiplied by a's block in one GEMM per block and
 solved by one stacked eigensolve per block, and their spectra are
 clustered in one call. The stream is sequential, so probe i does not
 depend on the probe count, and the report is that of drawing and
 counting the probes one at a time.
+
+The GEMM multiplies a block's ``(p, n, n)`` probe stack as one
+``(p*n, n)`` matrix of rows, ``(x.reshape(-1, n) @ b).reshape(x.shape)``:
+row r of probe k times b is row r of the product x_k*b, so this is
+the stacked ``x @ b`` in one BLAS call instead of p. The products
+themselves never reach a report: a rank report holds the probe and
+integer counts of the products' eigenvalues, so a rounding difference
+between one GEMM and p stacked products could show only by carrying two
+eigenvalues across the merge radius. An overflowed product is a
+NumericOverflowError naming its block.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ import numpy as np
 
 from .algebra import (
     Element,
-    block_eigenvalues,
+    _product_eigenvalues,
     classical_rank,
     nonzero_spectrum_count,
     nonzero_spectrum_counts,
@@ -68,8 +78,7 @@ def spectral_rank(a: Element, probes: int = DEFAULT_PROBES, seed: int = 0) -> Ra
 def _probed_rank(a: Element, probes: int, seed: int, oracle: int) -> RankReport:
     """:func:`spectral_rank` with the SVD rank ``oracle`` of ``a`` given."""
     xs = random_element_stack(a.spec, rng_for(seed, PROBE), probes)
-    products = [x @ b for x, b in zip(xs, a.blocks)]
-    counts = nonzero_spectrum_counts(block_eigenvalues(products))
+    counts = nonzero_spectrum_counts(_product_eigenvalues(xs, a.blocks))
     best = int(np.argmax(counts))
     best_count = int(counts[best])
     if best_count != oracle:

@@ -38,7 +38,7 @@ from .algebra import (
     Element,
     SpectrumReport,
     _blockwise,
-    block_eigenvalues,
+    _product_eigenvalues,
     block_operator_norm,
     classical_rank,
     classical_trace,
@@ -283,19 +283,20 @@ def _perturbed_spectra(a: Element, seed: int):
 
     g_k is the k-th Gaussian element of ``rng_for(seed, MULTIPLICITY_PROBE)``
     divided by its operator norm, and eps is ``DEFAULT_EPS``. The norms
-    come from one stacked 2-norm per block, the products from one stacked
-    product and one ``eigvals`` per block, and the spectra from one
-    clustering pass over all rows.
+    come from one stacked 2-norm per block, the products from one GEMM
+    and one ``eigvals`` per block, and the spectra from one clustering
+    pass over all rows. Only the counts near each center are read from
+    these spectra; an overflowed product is a NumericOverflowError.
     """
     rng = rng_for(seed, MULTIPLICITY_PROBE)
     gs = random_element_stack(a.spec, rng, MULTIPLICITY_PROBES)
     inv_norms = (1.0 / block_operator_norm(gs)).astype(complex)[:, None, None]
     eps = complex(DEFAULT_EPS)
-    products = [
-        (np.eye(n, dtype=complex) + eps * (inv_norms * g)) @ b
-        for g, b, n in zip(gs, a.blocks, a.spec.block_sizes)
+    perturbations = [
+        np.eye(n, dtype=complex) + eps * (inv_norms * g)
+        for g, n in zip(gs, a.spec.block_sizes)
     ]
-    return stacked_spectra(block_eigenvalues(products))
+    return stacked_spectra(_product_eigenvalues(perturbations, a.blocks))
 
 
 def multiplicity(a: Element, target: complex, seed: int = 0) -> int:

@@ -52,15 +52,24 @@ def random_element_stack(
     draw holds element k's ``2 * spec.dimension`` normals, laid out
     block by block as the real then the imaginary parts, the order in
     which per-block :func:`complex_gaussian` draws would consume them.
+    Each block is assembled in one complex array: its real and imaginary
+    parts are set from the draw and the whole is divided by sqrt(2) in
+    place, the same complex division :func:`complex_gaussian` makes, so
+    the bits are those of the per-block draws. The stack is laid out for
+    the probe products, which multiply each block as one GEMM.
     """
     draws = rng.standard_normal((count, 2 * spec.dimension))
+    root2 = np.sqrt(2)
     blocks = []
     pos = 0
     for n in spec.block_sizes:
-        re = draws[:, pos : pos + n * n]
-        im = draws[:, pos + n * n : pos + 2 * n * n]
-        pos += 2 * n * n
-        blocks.append(((re + 1j * im) / np.sqrt(2)).reshape(-1, n, n))
+        m = n * n
+        block = np.empty((count, m), dtype=complex)
+        block.real = draws[:, pos : pos + m]
+        block.imag = draws[:, pos + m : pos + 2 * m]
+        block /= root2
+        pos += 2 * m
+        blocks.append(block.reshape(count, n, n))
     return tuple(blocks)
 
 

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -19,7 +20,12 @@ from soclelab import cli, jsonio
 from soclelab.algebra import SpectralPoint
 from soclelab.classify import TheoremVerdict
 from soclelab.cli import run
-from soclelab.sampling import random_element, random_traceless_matrix, rng_for
+from soclelab.sampling import (
+    random_element,
+    random_low_rank_element,
+    random_traceless_matrix,
+    rng_for,
+)
 
 from conftest import single
 
@@ -304,6 +310,12 @@ class TestCLIBehavior:
                 "spectrum", '{"blocks": [[[[1' + "0" * 5000 + ", 0]]]]}",
                 id="spectrum-long-integer",
             ),
+            # a probe product x*a overflows the double range
+            pytest.param(
+                "rank",
+                {"blocks": [[[[1e308, 0], [1e308, 0]], [[1e308, 0], [-1e308, 0]]]]},
+                id="rank-overflowing-probe-product",
+            ),
         ],
     )
     def test_bad_input_is_a_json_error(self, tmp_path, capsys, command, document):
@@ -469,6 +481,33 @@ class TestReportBytes:
         monkeypatch.setattr(json, "dumps", refuse)
         code = run(argv)
         assert (code, capsys.readouterr().out) == (0, expected)
+
+
+class TestRankReportBytes:
+    """A ``rank`` report holds only integer counts and the probe drawn
+    from the seed's stream, so its bytes are the same on every platform:
+    a change to the probe path that moves one of them fails here."""
+
+    @pytest.mark.parametrize(
+        "seed, sizes, ranks, flags, digest",
+        [
+            (0, (2, 3), None, [],
+             "9705d2e816a500981b6781efc0714bce5de58ab3ae498001658e99ebca702b6e"),
+            (1, (3,), [2], ["--seed", "5", "--probes", "16"],
+             "7e101942e22936d6a28c1ec4ee86889ba9028622a688e7b08c67a3053dad5787"),
+            (2, (1, 1, 4), [1, 0, 2], ["--seed", "11"],
+             "42ba89df25e9be4cf426d80cae7d267bcd5b3dbfe63fd29855026bf5dc3c4b46"),
+            (3, (8,), [3], ["--seed", "2", "--probes", "40"],
+             "f8f08615b3abf38013206d0470abd84eac0ec4fe7c5071bb579c6f31d2d5e72c"),
+        ],
+    )
+    def test_report_digest(self, tmp_path, capsys, seed, sizes, ranks, flags, digest):
+        spec = sl.AlgebraSpec(sizes)
+        rng = rng_for(seed, 1 << 40)
+        a = random_element(spec, rng) if ranks is None else random_low_rank_element(spec, rng, ranks)
+        path = write_input(tmp_path, jsonio.element_to_json(a))
+        assert run(["rank", "--input", path, *flags]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 # Written by an explicit mapper, not by the walk: the characterization
@@ -661,6 +700,15 @@ class TestOverflow:
         error = strict_loads(proc.stdout)["error"]
         assert error["type"] == "NumericOverflowError"
         assert "trace" in error["message"]
+
+    def test_overflowing_probe_product_writes_no_warning(self):
+        document = '{"blocks": [[[[1e308,0],[1e308,0]],[[1e308,0],[-1e308,0]]]]}'
+        proc = run_fresh(["rank"], stdin=document)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        error = strict_loads(proc.stdout)["error"]
+        assert error["type"] == "NumericOverflowError"
+        assert "block 0" in error["message"]
 
     def test_non_finite_report_value_is_a_typed_error(self):
         with pytest.raises(sl.errors.NumericOverflowError):

@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 
 import soclelab as sl
 from soclelab import algebra, rank
-from soclelab.errors import NotMaximalError, RankCertificationError
+from soclelab.errors import (
+    EigensolverError,
+    NotMaximalError,
+    NumericOverflowError,
+    RankCertificationError,
+)
 from soclelab.rank import DEFAULT_PROBES
 from soclelab.sampling import (
     PROBE,
@@ -265,3 +270,25 @@ class TestBatchedProbing:
             calls.clear()
             sl.spectral_rank(random_element(spec23, rng_for(67, i)), seed=i)
             assert calls == [DEFAULT_PROBES]
+
+    def test_overflowing_product_names_its_block(self, spec22):
+        # probes times entries of 1e308 overflow in block 1 only; the
+        # product runs under errstate, so no RuntimeWarning (an error here)
+        big = np.array([[1e308, 1e308], [1e308, -1e308]])
+        a = sl.Element(spec22, [np.eye(2), big])
+        with pytest.raises(NumericOverflowError, match="block 1 overflow"):
+            sl.spectral_rank(a)
+
+    def test_failed_eigensolve_of_a_finite_product_names_its_block(self, spec23, monkeypatch):
+        real = np.linalg.eigvals
+
+        def eigvals(m):
+            if m.shape[-1] == 3:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(m)
+
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        with pytest.raises(EigensolverError) as err:
+            sl.spectral_rank(random_element(spec23, rng_for(71)))
+        assert type(err.value) is EigensolverError
+        assert err.value.block_index == 1

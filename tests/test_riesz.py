@@ -17,6 +17,7 @@ from soclelab.errors import (
     MultiplicityInconsistencyError,
     NotIdempotentError,
     NotMaximalError,
+    NumericOverflowError,
     ProbeExhaustionError,
     SpectralGapError,
     SVDConvergenceError,
@@ -366,6 +367,14 @@ class TestSharedSpectralPass:
             _reference_spectral_trace(a, MULTIPLICITY_PROBES, 0, DEFAULT_NODES)
         with pytest.raises(error):
             sl.spectral_trace(a)
+
+    def test_overflowing_perturbed_product_names_its_block(self):
+        # (1 + eps*g)*a overflows at the top of the double range; the
+        # product runs under errstate, so no RuntimeWarning (an error here)
+        a = sl.Element(sl.AlgebraSpec((1, 2)), [np.eye(1), np.diag([1.7976e308, 1.0])])
+        for call in (lambda: sl.multiplicity(a, 1.7976e308), lambda: sl.spectral_trace(a)):
+            with pytest.raises(NumericOverflowError, match="block 1 overflow"):
+                call()
 
     def test_one_spectrum_and_no_range_check(self, monkeypatch):
         a = random_maximal_element(sl.AlgebraSpec((16,)), rng_for(83))

@@ -15,6 +15,7 @@ from soclelab.sampling import (
     IDEAL,
     PROBE,
     SPOT_CHECK,
+    complex_gaussian,
     random_element,
     random_element_stack,
     rng_for,
@@ -78,6 +79,22 @@ class TestOneDrawPerCall:
         for k, (s, l) in enumerate(zip(small, large)):
             assert s.tobytes() == l[:count].tobytes()
             assert s.tobytes() == np.stack([x.blocks[k] for x in one_at_a_time]).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        count=st.integers(1, 8),
+        seed=st.integers(0, 2**32),
+    )
+    def test_stack_is_successive_per_block_draws(self, sizes, count, seed):
+        # the reference: element after element, block after block, one
+        # complex_gaussian draw each, from the same stream
+        spec = sl.AlgebraSpec(tuple(sizes))
+        stack = random_element_stack(spec, rng_for(seed, PROBE), count)
+        rng = rng_for(seed, PROBE)
+        draws = [[complex_gaussian(rng, (n, n)) for n in sizes] for _ in range(count)]
+        for k, block in enumerate(stack):
+            assert block.tobytes() == np.stack([d[k] for d in draws]).tobytes()
 
     def test_spectral_rank_reads_a_prefix_of_one_stream(self, spec23, monkeypatch):
         a = random_element(spec23, rng_for(5, 1 << 40))
