@@ -10,7 +10,9 @@ assembled matrix is never formed.
 Many elements at once (rank probes, perturbation probes) are solved as
 stacks, one ``eigvals`` call per block, and their spectra are clustered
 together: :func:`cluster_eigenvalues` is the one clustering loop, and it
-runs every row of a stack in lockstep.
+runs every row of a stack in lockstep. :func:`_clustered` alone applies
+the merge radius and the zero snap to its centers; spectra, rank counts
+and the multiplicities' probe counts all read its table.
 
 Classical linear-algebra quantities (SVD rank, diagonal-sum trace) are
 exposed as oracles against which the purely spectral computations in
@@ -372,26 +374,16 @@ def cluster_eigenvalues(
     return centers, counts
 
 
-def _spectrum_report(centers, counts, tol_abs: float) -> SpectrumReport:
-    """The report of one clustered row: ``tol_abs`` is its merge radius,
-    and slots of count 0 (centers merged away) are skipped."""
-    live = counts > 0
-    centers, counts = centers[live], counts[live]
-    zero_mask = np.abs(centers) <= tol_abs
-    points = []
-    zero_count = int(counts[zero_mask].sum())
-    for c, m in zip(centers[~zero_mask], counts[~zero_mask]):
-        points.append(SpectralPoint(complex(c), int(m)))
-    contains_zero = zero_count > 0
-    if contains_zero:
-        points.append(SpectralPoint(0j, zero_count))
-    points.sort(key=lambda p: (-abs(p[0]), p[0].real, p[0].imag))
-    return SpectrumReport(tuple(points), tol_abs, contains_zero)
-
-
-def _merge_radii(vals: np.ndarray) -> np.ndarray:
-    """Merge radius ``CLUSTER_TOL * max(spectral radius, 1)`` of each row."""
-    return CLUSTER_TOL * np.maximum(np.abs(vals).max(axis=-1), 1.0)
+def _clustered(vals: np.ndarray):
+    """Per row of a ``(p, N)`` eigenvalue stack: the merge radius
+    ``CLUSTER_TOL * max(spectral radius, 1)``, the :func:`cluster_eigenvalues`
+    centers and counts, and the mask of the nonzero spectral values, the
+    live centers not within the radius of 0 (a NaN center is never 0).
+    Every other live center is the spectral value 0."""
+    radii = CLUSTER_TOL * np.maximum(np.abs(vals).max(axis=-1), 1.0)
+    centers, counts = cluster_eigenvalues(vals, radii)
+    nonzero = (counts > 0) & ~(np.abs(centers) <= radii[:, None])
+    return radii, centers, counts, nonzero
 
 
 def spectrum(a: Element) -> SpectrumReport:
@@ -400,19 +392,15 @@ def spectrum(a: Element) -> SpectrumReport:
     Eigenvalues are computed per block and merged whenever two values
     are within ``CLUSTER_TOL * max(spectral radius, 1)`` of each other.
     Any cluster centered within that radius of 0 is reported as the
-    exact spectral value 0.
+    exact spectral value 0 (the rule of :func:`_clustered`).
     """
-    return stacked_spectra(eigenvalues(a)[None, :])[0]
-
-
-def stacked_spectra(vals: np.ndarray) -> list[SpectrumReport]:
-    """The :func:`spectrum` report of each row of a ``(p, N)`` eigenvalue
-    stack, all rows clustered by one :func:`cluster_eigenvalues` call."""
-    tol_abs = _merge_radii(vals)
-    centers, counts = cluster_eigenvalues(vals, tol_abs)
-    return [
-        _spectrum_report(c, m, t) for c, m, t in zip(centers, counts, tol_abs.tolist())
-    ]
+    radius, centers, counts, nonzero = (row[0] for row in _clustered(eigenvalues(a)[None, :]))
+    points = [SpectralPoint(complex(c), int(m)) for c, m in zip(centers[nonzero], counts[nonzero])]
+    zero_count = int(counts[~nonzero].sum())
+    if zero_count:
+        points.append(SpectralPoint(0j, zero_count))
+    points.sort(key=lambda p: (-abs(p[0]), p[0].real, p[0].imag))
+    return SpectrumReport(tuple(points), float(radius), zero_count > 0)
 
 
 def nonzero_spectrum_count(a: Element) -> int:
@@ -424,14 +412,10 @@ def nonzero_spectrum_counts(vals: np.ndarray) -> np.ndarray:
     """#(distinct nonzero spectral values) for each row of ``vals``.
 
     ``vals`` is ``(p, N)``: row k holds all eigenvalues, with
-    multiplicity, of the k-th element. All rows are clustered by the
-    rule of :func:`spectrum` in one :func:`cluster_eigenvalues` call,
-    and each row counts its live centers beyond its merge radius,
-    skipping the report.
+    multiplicity, of the k-th element. All rows are clustered by one
+    :func:`_clustered` call, and each row sums its nonzero mask.
     """
-    tol_abs = _merge_radii(vals)
-    centers, counts = cluster_eigenvalues(vals, tol_abs)
-    return np.sum((counts > 0) & (np.abs(centers) > tol_abs[:, None]), axis=1)
+    return _clustered(vals)[3].sum(axis=1)
 
 
 def spectral_radius(a: Element) -> float:

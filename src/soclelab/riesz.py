@@ -7,8 +7,10 @@ geometrically in the node count. Multiplicities come by two independent
 routes (perturbation counting near the identity, and the rank of the
 projection) which must agree; one element's perturbation probes are
 drawn once, solved and clustered as one stack, and shared by all its
-spectral values. The second route needs only the rank of an
-idempotent, which holds at any quadrature error below 1/2, so it runs
+spectral values; the first route counts from its table by
+:func:`~soclelab.algebra._clustered`, the one function that applies the
+merge radius and the zero snap. The second route needs only the rank of
+an idempotent, which holds at any quadrature error below 1/2, so it runs
 nested rules: 16 nodes, whose even nodes give the 8-node rule for free,
 accepted when the two are within 1/4; else 32 nodes the same way; else
 ``DEFAULT_NODES``. The trace is the multiplicity-weighted sum of
@@ -38,6 +40,7 @@ from .algebra import (
     Element,
     SpectrumReport,
     _blockwise,
+    _clustered,
     _product_eigenvalues,
     block_operator_norm,
     classical_rank,
@@ -46,7 +49,6 @@ from .algebra import (
     idempotent_rank,
     operator_norm,
     spectrum,
-    stacked_spectra,
 )
 from .errors import (
     ContourCollapseError,
@@ -144,10 +146,13 @@ def _projection(a: Element, rep: SpectrumReport, centers, nodes: int):
                 f"singularity floor {RESOLVENT_FLOOR * scale:.3e}"
             )
         radii.append(float(r))
-        zs = c + r * phases
-        for acc, half, b, n in zip(blocks, halves, a.blocks, a.spec.block_sizes):
+        with np.errstate(over="ignore", invalid="ignore"):
+            zs = c + r * phases
+            shifts = [zs[:, None, None] * np.eye(len(b), dtype=complex) - b for b in a.blocks]
+        if not all(np.isfinite(shifted).all() for shifted in shifts):
+            raise NumericOverflowError(f"the contour around {c} overflows the double range")
+        for acc, half, shifted, n in zip(blocks, halves, shifts, a.spec.block_sizes):
             eye = np.eye(n, dtype=complex)
-            shifted = zs[:, None, None] * eye - b
             try:
                 solved = np.linalg.solve(shifted, np.broadcast_to(eye, (nodes, n, n)))
             except np.linalg.LinAlgError:
@@ -217,10 +222,10 @@ def _multiplicities(a: Element, rep: SpectrumReport, rank: int, centers, seed):
     ``MULTIPLICITY_PROBES`` normalized Gaussian elements, keeps the
     probes whose nonzero-spectrum count is the oracle ``rank`` of ``a``,
     and counts the distinct spectral values of each product within one
-    third of the local gap of the center; all counts must agree. The
-    probes do not depend on the center, so their spectra are computed
-    once, after the first gap check passes, by
-    :func:`_perturbed_spectra`. For nonzero centers, Route B is the
+    third of the local gap of the center (:func:`_near_counts`); all
+    counts must agree. The probes do not depend on the center, so their
+    clustered table is computed once, after the first gap check passes,
+    by :func:`_perturbed_spectra`. For nonzero centers, Route B is the
     :func:`~soclelab.algebra.idempotent_rank` of the Riesz projection,
     by :func:`_projection_rank`: at 16 nodes when that projection is
     within 1/4 of its nested 8-node rule, else at 32 nodes on the same
@@ -235,18 +240,16 @@ def _multiplicities(a: Element, rep: SpectrumReport, rank: int, centers, seed):
         if gap < floor:
             raise SpectralGapError(center, gap, floor)
         if admitted is None:
-            admitted = [
-                s for s in _perturbed_spectra(a, seed)
-                if s.num_nonzero == rank  # else outside the rank-attaining set
-            ]
-            if not admitted:
+            _, values, sizes, nonzero = _perturbed_spectra(a, seed)
+            keep = nonzero.sum(axis=1) == rank  # else outside the rank-attaining set
+            if not keep.any():
                 raise ProbeExhaustionError(
                     "no perturbation probe preserved the rank after "
                     f"{MULTIPLICITY_PROBES} attempts"
                 )
-        ball = gap / 3.0
-        near = [sum(abs(v - center) < ball for v, _ in s.points) for s in admitted]
-        counts = sorted(set(near))
+            zero = (sizes > 0) & ~nonzero
+            admitted = values[keep], nonzero[keep], zero[keep].any(axis=1)
+        counts = sorted(set(_near_counts(*admitted, center, gap / 3.0).tolist()))
         if len(counts) != 1:
             msg = f"perturbation counts at {center} were not constant: {counts}"
             raise MultiplicityInconsistencyError(center, counts, None, message=msg)
@@ -257,6 +260,17 @@ def _multiplicities(a: Element, rep: SpectrumReport, rank: int, centers, seed):
                 raise MultiplicityInconsistencyError(center, route_a, route_b)
         out.append(route_a)
     return out
+
+
+def _near_counts(values, nonzero, zero, center: complex, ball: float) -> np.ndarray:
+    """Route A's count at ``center`` per row of a probe table: its nonzero
+    ``values`` within ``ball``, plus its value 0 (``zero``) when |center| <
+    ``ball``. ``np.hypot`` rounds a distance as Python's complex ``abs``
+    does; an overflowed one is inf, outside the ball."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = values - center
+        near = np.hypot(d.real, d.imag) < ball
+    return (near & nonzero).sum(axis=1) + (zero & (abs(center) < ball))
 
 
 def _projection_rank(a: Element, rep: SpectrumReport, center: complex) -> int:
@@ -279,14 +293,15 @@ def _projection_rank(a: Element, rep: SpectrumReport, center: complex) -> int:
 
 
 def _perturbed_spectra(a: Element, seed: int):
-    """Clustered spectra of (1 + eps*g_k)*a, k < ``MULTIPLICITY_PROBES``.
+    """The :func:`~soclelab.algebra._clustered` table of (1 + eps*g_k)*a,
+    k < ``MULTIPLICITY_PROBES``, one row per k.
 
     g_k is the k-th Gaussian element of ``rng_for(seed, MULTIPLICITY_PROBE)``
     divided by its operator norm, and eps is ``DEFAULT_EPS``. The norms
     come from one stacked 2-norm per block, the products from one GEMM
-    and one ``eigvals`` per block, and the spectra from one clustering
+    and one ``eigvals`` per block, and the table from one clustering
     pass over all rows. Only the counts near each center are read from
-    these spectra; an overflowed product is a NumericOverflowError.
+    it; an overflowed product is a NumericOverflowError.
     """
     rng = rng_for(seed, MULTIPLICITY_PROBE)
     gs = random_element_stack(a.spec, rng, MULTIPLICITY_PROBES)
@@ -296,7 +311,7 @@ def _perturbed_spectra(a: Element, seed: int):
         np.eye(n, dtype=complex) + eps * (inv_norms * g)
         for g, n in zip(gs, a.spec.block_sizes)
     ]
-    return stacked_spectra(_product_eigenvalues(perturbations, a.blocks))
+    return _clustered(_product_eigenvalues(perturbations, a.blocks))
 
 
 def multiplicity(a: Element, target: complex, seed: int = 0) -> int:

@@ -501,6 +501,27 @@ def test_every_module_constant_is_read():
     assert [c for c in constants if c.split(":")[1] not in reads] == []
 
 
+def test_every_private_function_is_called():
+    """Each module-level ``_name`` function of ``soclelab`` is read by the
+    package outside its own body: a helper that nothing calls is
+    deleted with its last caller. Tests do not count."""
+    paths = sorted((Path(__file__).resolve().parent.parent / "src" / "soclelab").glob("*.py"))
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    reads = _Reads()
+    for tree in trees.values():
+        reads.visit(tree)
+    helpers = [
+        f"{module}:{stmt.name}"
+        for module, tree in trees.items()
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and stmt.name.startswith("_")
+        and not stmt.name.startswith("__")
+    ]
+    assert "algebra.py:_clustered" in helpers
+    assert [h for h in helpers if h.split(":")[1] not in reads.names] == []
+
+
 def test_only_rank_probing_and_the_contour_take_counts():
     """Each certified route runs at one configuration: a probe count is a
     parameter only of rank probing, and a node count only of the contour

@@ -46,6 +46,23 @@ def invoke(capsys, *argv):
     return code, strict_loads(out)
 
 
+def invoke_stdin(capsys, argv, document):
+    """``invoke`` with ``document`` as JSON on stdin; a RuntimeWarning
+    raises, as every one does in this suite."""
+    stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(document))
+    try:
+        code = run(argv)
+    finally:
+        sys.stdin = stdin
+    return code, strict_loads(capsys.readouterr().out)
+
+
+def diagonal(*values):
+    """The document of one diagonal block with real ``values``."""
+    n = len(values)
+    return {"blocks": [[[[v if i == j else 0, 0] for j in range(n)] for i, v in enumerate(values)]]}
+
+
 def write_input(tmp_path, payload, name="input.json"):
     """The path of a file holding ``payload`` as JSON; a ``str`` payload
     is written as it stands."""
@@ -723,6 +740,10 @@ def dft_conjugated_jordan(n):
     return single(f @ np.diag(np.ones(n - 1), 1) @ f.conj().T)
 
 
+TOP_GAP = {"blocks": [[[[1e308, 0], [1e308, 0]], [[1e308, 0], [-1e308, 0]]]]}
+TOP_NODES = {"blocks": [[[[1.797e308, 0], [0, 0]], [[0, 0], [1, 0]]]]}
+
+
 class TestErrorDetails:
     """An error's details are its fields, written by the report writer."""
 
@@ -782,19 +803,40 @@ class TestErrorDetails:
         assert set(error["details"]) == {"center", "radius"}
         assert error["details"]["radius"] > 0
 
-    @pytest.mark.parametrize("command", ["riesz", "trace"])
-    def test_overflowing_contour_radius_is_a_typed_error(self, tmp_path, command):
-        # values +-1.41e308: the gap between them, and so the radius, is inf
-        element = {"blocks": [[[[1e308, 0], [1e308, 0]], [[1e308, 0], [-1e308, 0]]]]}
-        document = element
-        if command == "riesz":
-            document = {"element": element, "targets": [[1.414213562373095e308, 0]]}
+    @pytest.mark.parametrize(
+        "command, document, message",
+        [
+            # values +-1.41e308: the gap between them, and so the radius, is inf
+            pytest.param(
+                "riesz",
+                {"element": TOP_GAP, "targets": [[1.414213562373095e308, 0]]},
+                "contour radius",
+                id="riesz",
+            ),
+            pytest.param("trace", TOP_GAP, "contour radius", id="trace"),
+            # diag(1.797e308, 1): the radius is finite, the nodes c + r*phase are not
+            pytest.param(
+                "trace",
+                TOP_NODES,
+                "the contour around (1.797e+308+0j) overflows",
+                id="trace-contour-nodes",
+            ),
+            # the merge radius snaps 1 to 0, whose shifted blocks overflow
+            pytest.param(
+                "riesz",
+                {"element": TOP_NODES, "targets": [[1, 0]]},
+                "the contour around 0j overflows",
+                id="riesz-contour-nodes",
+            ),
+        ],
+    )
+    def test_overflowing_contour_radius_is_a_typed_error(self, tmp_path, command, document, message):
         proc = run_fresh([command, "--input", write_input(tmp_path, document)])
         assert proc.returncode == 1
         assert proc.stderr == ""
         error = strict_loads(proc.stdout)["error"]
         assert error["type"] == "NumericOverflowError"
-        assert "contour radius" in error["message"]
+        assert message in error["message"]
 
     def test_pairing_beyond_the_double_range_is_a_report(self):
         # f(x) = 1.5e308 - 1.5e308i: both parts are finite, its modulus is not
@@ -906,3 +948,47 @@ class TestUsageErrors:
             proc = run_fresh(argv)
             fresh.append((proc.returncode, proc.stdout))
         assert reused == fresh
+
+
+class TestKnownWrongAnswers:
+    """Inputs on which a command gives a wrong answer, each test asserting
+    the right outcome: the right value, or a typed error without a
+    warning. Thresholds floored at max(1, scale) or scaled past the
+    element cause the first four, where the element's own scale would
+    not; roundoff splitting a defective spectral value into a ring of
+    distinct values causes the last."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="RANK_TOL * max(top, 1)")
+    def test_tiny_diagonal_has_rank_two(self, capsys):
+        code, out = invoke_stdin(capsys, ["rank"], diagonal(1e-10, 2e-10))
+        assert code == 0
+        assert (out["rank"], out["oracle_rank"]) == (2, 2)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="CLUSTER_TOL snaps both to 0")
+    def test_tiny_diagonal_trace_is_the_diagonal_sum(self, capsys):
+        code, out = invoke_stdin(capsys, ["trace"], diagonal(1e-8, -3e-9))
+        assert code == 0
+        np.testing.assert_allclose(out["spectral_trace"], [7e-9, 0.0], rtol=1e-8, atol=0)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="TRACELESS_TOL * max(1, norm)")
+    def test_tiny_trace_is_not_traceless(self, capsys):
+        matrix = diagonal(1e-10, 0)["blocks"][0]
+        code, out = invoke_stdin(capsys, ["commutator"], {"matrix": matrix})
+        assert code == 1
+        assert out["error"]["type"] == "NotTracelessError"
+
+    @pytest.mark.xfail(strict=True, raises=RuntimeWarning, reason="the centroid overflows")
+    def test_double_value_at_the_top_of_the_range(self, capsys):
+        code, out = invoke_stdin(capsys, ["spectrum"], diagonal(1e308, 1e308))
+        assert code == 0
+        assert out["points"] == [{"multiplicity": 2, "value": [1e308, 0.0]}]
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="a defective value's ring")
+    def test_conjugated_jordan_block_has_the_value_zero(self, capsys):
+        document = jsonio.element_to_json(dft_conjugated_jordan(4))
+        code, out = invoke_stdin(capsys, ["spectrum"], document)
+        if code == 1:
+            assert issubclass(getattr(sl.errors, out["error"]["type"]), sl.errors.SocleLabError)
+        else:
+            assert code == 0
+            assert out["points"] == [{"multiplicity": 4, "value": [0.0, 0.0]}]

@@ -4,12 +4,12 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import soclelab as sl
 from soclelab import jsonio, riesz
-from soclelab.algebra import idempotent_rank
+from soclelab.algebra import SpectralPoint, _clustered, idempotent_rank
 from soclelab.cli import run
 from soclelab.errors import (
     ContourCollapseError,
@@ -294,6 +294,27 @@ def _block(kind, n, rng):
     return np.diag(d).astype(complex)
 
 
+# Eigenvalues for clustered stacks: a cluster within the merge radius of
+# 0, close pairs that merge, and values near +-1e308.
+_STACK_VALUES = [
+    0j, 3e-7, -2e-7j, 1.0, 1.0 + 4e-7, 2.0, -1.5 + 0.5j, 1j,
+    -0.1321048632913019 - 1.179653489717825j, 0.6404226504432821 + 1.9878846938120014j,
+    8.9e307, 1.7e308, 1.7e308 + 1e300, -1.7e308, 1.7e308 + 1j,
+]
+
+
+def _reference_report(centers, counts, tol_abs):
+    """The points of one clustered row by the per-report rule: the live
+    centers, with those within ``tol_abs`` of 0 summed into the value 0."""
+    live = counts > 0
+    centers, counts = centers[live], counts[live]
+    zero_mask = np.abs(centers) <= tol_abs
+    points = [SpectralPoint(complex(c), int(m)) for c, m in zip(centers[~zero_mask], counts[~zero_mask])]
+    if zero_mask.any():
+        points.append(SpectralPoint(0j, int(counts[zero_mask].sum())))
+    return points
+
+
 class TestSharedSpectralPass:
     """One spectrum, SVD rank and probe set per element, shared by all
     of its spectral values, against the per-target loop."""
@@ -342,15 +363,61 @@ class TestSharedSpectralPass:
         rng = rng_for(seed, 1 << 40)
         spec = sl.AlgebraSpec(tuple(n for n, _ in blocks))
         a = sl.Element(spec, tuple(_block(kind, n, rng) for n, kind in blocks))
-        stacked = riesz._perturbed_spectra(a, seed)
-        assert len(stacked) == MULTIPLICITY_PROBES
+        radii, centers, counts, nonzero = riesz._perturbed_spectra(a, seed)
+        assert len(radii) == MULTIPLICITY_PROBES
         one = sl.identity(spec)
         rng = rng_for(seed, MULTIPLICITY_PROBE)
-        for rep in stacked:
+        for radius, row, sizes, mask in zip(radii, centers, counts, nonzero):
             g = random_element(spec, rng)
             g = (1.0 / sl.operator_norm(g)) * g
+            rep = sl.spectrum((one + DEFAULT_EPS * g) @ a)
             # repr tells signed zeros apart
-            assert repr(rep) == repr(sl.spectrum((one + DEFAULT_EPS * g) @ a))
+            assert repr(float(radius)) == repr(rep.cluster_tolerance)
+            points = sorted(
+                (SpectralPoint(complex(c), int(m)) for c, m in zip(row[mask], sizes[mask])),
+                key=lambda p: (-abs(p[0]), p[0].real, p[0].imag),
+            )
+            assert repr(points) == repr([p for p in rep.points if p.value != 0])
+            zero = [m for v, m in rep.points if v == 0]
+            assert int(sizes[~mask].sum()) == (zero[0] if zero else 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(st.sampled_from(_STACK_VALUES), min_size=4, max_size=4),
+            min_size=1,
+            max_size=5,
+        ),
+        center=st.sampled_from(_STACK_VALUES + [complex(np.inf, np.nan)]),
+        ball=st.sampled_from([1e-12, 1e-6, 0.1, 1.0, 3.0, 1e300, 1e308]),
+        edge=st.none() | st.integers(0, 19),
+    )
+    @example(rows=[[1.0, 2.0, 3e-7, -2e-7]], center=0j, ball=0.1, edge=None)
+    @example(rows=[[1.7e308, -1.7e308, 1.0, 1e-7]], center=1.7e308, ball=1e300, edge=None)
+    @example(
+        rows=[[1.7e308, 1.7e308, 1.0, 2.0]], center=complex(np.inf, np.nan), ball=1e308, edge=None
+    )
+    @example(rows=[[0.64 + 1.98j, 1.0, 2.0, 0j]], center=0j, ball=1.0, edge=0)
+    def test_route_a_counts_from_the_table_match_the_report_loop(self, rows, center, ball, edge):
+        """Route A's counts from the clustered table against the loop over
+        each row's report points; the rows mix snapped zero clusters with
+        values near +-1e308, whose distances and centroids overflow. With
+        ``edge`` set, the ball is the distance of one slot of the table,
+        so a distance rounded otherwise than by Python's complex ``abs``
+        lands on the other side of it. Imaginary parts stay small: that
+        ``abs`` raises where the modulus of two finite parts overflows."""
+        vals = np.array(rows, dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):  # the centroid update warns
+            radii, centers, counts, nonzero = _clustered(vals)
+        if edge is not None:
+            ball = abs(complex(centers.flat[edge % centers.size]) - center)
+        zero = ((counts > 0) & ~nonzero).any(axis=1)
+        table = riesz._near_counts(centers, nonzero, zero, center, ball).tolist()
+        loop = [
+            sum(abs(v - center) < ball for v, _ in _reference_report(c, m, r))
+            for c, m, r in zip(centers, counts, radii.tolist())
+        ]
+        assert table == loop
 
     @pytest.mark.parametrize(
         "matrix, error",
