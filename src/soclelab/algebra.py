@@ -34,6 +34,7 @@ from .errors import (
     ShapeMismatchError,
     SVDConvergenceError,
     SingularResolventError,
+    quote_json,
 )
 
 # Shared numerical thresholds, read directly by the functions that apply
@@ -57,6 +58,8 @@ class AlgebraSpec:
             raise ShapeMismatchError("an algebra needs at least one block")
         if any(n < 1 for n in sizes):
             raise ShapeMismatchError(f"block sizes must be >= 1, got {sizes}")
+        if max(sizes) ** 2 > np.iinfo(np.intp).max // 16:  # no complex array holds the block
+            raise ShapeMismatchError(f"block size {quote_json(max(sizes))} exceeds any array")
         object.__setattr__(self, "block_sizes", sizes)
 
     @property
@@ -224,9 +227,12 @@ def block_eigenvalues(blocks) -> np.ndarray:
     Block i is one ``(n_i, n_i)`` matrix or a stack ``(p, n_i, n_i)`` of
     them; a stack is solved by one ``eigvals`` call, and the result is
     then ``(p, sum n_i)``, row k holding the eigenvalues of the k-th
-    matrix of every block. A solver failure names the block.
+    matrix of every block. A solver failure or a non-finite eigenvalue names the block.
     """
     vals = _blockwise(np.linalg.eigvals, blocks, EigensolverError)
+    for i, v in enumerate(vals):
+        if not np.isfinite(v).all():
+            raise NumericOverflowError(f"the eigenvalues of block {i} overflow the double range")
     return np.concatenate(vals, axis=-1)
 
 

@@ -2,7 +2,9 @@
 
 Every command reads one JSON document (file, inline, or stdin), runs
 the corresponding library operation with an explicit seed, and writes
-one JSON report. Identical invocations produce byte-identical output.
+one JSON report. Identical invocations produce byte-identical output:
+``_dumps`` writes each report and error as one line of JSON, keys sorted,
+no ``NaN`` or ``Infinity`` (``python -m json.tool`` indents it).
 A document is a bare element or functional, or a JSON object whose
 required fields ``_document`` checks before each is decoded by its
 ``jsonio`` reader. A report is written by ``jsonio.report_to_json``,
@@ -18,10 +20,9 @@ Exit status: 0 on success, 1 on a usage error (unknown command or
 flag, bad flag value, a path that cannot be read or written) or a
 domain error (bad input, violated precondition), 2 when a certification
 cross-check or a verified implication pattern fails. Errors are
-reported as a machine-readable JSON object, written by ``jsonio.dumps``
-with the error's fields as its details, on the chosen output stream;
-usage errors that come before ``--output`` is known, and any error when
-``--output`` cannot be written, go to stdout.
+reported as a JSON object with the error's fields as its details, on
+the chosen output stream; usage errors that come before ``--output`` is
+known, and any error when ``--output`` cannot be written, go to stdout.
 """
 
 from __future__ import annotations
@@ -235,14 +236,14 @@ _COMMANDS = {
 
 def _dumps(payload: dict) -> str:
     try:
-        return jsonio.dumps(payload) + "\n"
+        return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
     except ValueError:
         raise NumericOverflowError("a report value overflows the double range") from None
 
 
 def _error_text(exc: SocleLabError) -> str:
     error = {"type": type(exc).__name__, "message": str(exc), "details": exc.details()}
-    return jsonio.dumps({"error": error}) + "\n"
+    return _dumps({"error": error})
 
 
 def _emit(output: str, text: str) -> None:

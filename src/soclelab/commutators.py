@@ -207,9 +207,10 @@ def rank_one_commutator(x, f, y, g) -> RankOnePair:
     f = fu / fx * math.ldexp(1.0, -ex)
     g = gu / gy * math.ldexp(1.0, -ey)
 
-    P = np.outer(x, f)
-    Q = np.outer(y, g)
-    S = np.outer(x, g)
-    T = np.outer(y, f)
-    defect = float(np.max(np.abs((P - Q) - (S @ T - T @ S))))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow makes the defect inf or nan
+        P, Q = np.outer(x, f), np.outer(y, g)
+        S, T = np.outer(x, g), np.outer(y, f)
+        defect = float(np.max(np.abs((P - Q) - (S @ T - T @ S))))
+    if not math.isfinite(defect):
+        raise NumericOverflowError("the rank-one products of x, f, y, g overflow the double range")
     return RankOnePair(x=x, f=f, y=y, g=g, P=P, Q=Q, S=S, T=T, defect=defect)

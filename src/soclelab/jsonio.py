@@ -8,17 +8,11 @@ A report's JSON is its dataclass: :func:`report_to_json` writes every
 report the CLI emits as the object of its fields, keyed by the field
 names, so a field is named in one place. Two reports keep an explicit
 mapper, :func:`characterization_to_json` and :func:`certificate_to_json`.
-``dumps`` writes the text column by column, one template for all values
-at one place of the tree; the walk and the mappers follow it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import fields, is_dataclass
-from itertools import chain
-from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 import numpy as np
 
@@ -108,108 +102,6 @@ def functional_to_json(f: Functional) -> dict:
 
 def functional_from_json(data) -> Functional:
     return Functional(*_blocks_from_json(data, "weights", "functional"))
-
-
-def dumps(payload) -> str:
-    """``json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)``:
-    the same bytes, or the same exception, for any payload without
-    reference cycles. The standard library's indenting encoder makes
-    Python calls per node; here :func:`_layout` lays the text out column
-    by column as one ``%``-template, filled once."""
-    template, _, slots = _layout((payload,), 0)
-    return template % tuple(slots)
-
-
-def _layout(column: tuple, level: int):
-    """The layout of ``column``, values at one place of the tree (every
-    entry of every matrix in a list, say) whose first line is at indent
-    ``level``: a ``%``-template for one value, its number of slots, and
-    the column's slot values in document order (an exact float for a
-    ``%r`` slot, JSON text for a ``%s`` slot).
-
-    Two or more values share one layout when they have one exact type,
-    lists or tuples one length, dicts the same ``str`` keys; the items
-    of the lists, or the values under each key, are the next columns, so
-    the Python work grows with the places, not the values. Otherwise, or
-    where ``json.dumps`` refuses one, it is None and the nearest list
-    holding a single value is written item by item: a column of one value
-    always has a layout or raises what ``json.dumps`` raises first.
-    """
-    first, single = column[0], len(column) == 1
-    if single:  # json's dispatch: a subclass is written as its base
-        if isinstance(first, str):
-            return encode_basestring_ascii(first).replace("%", "%%"), 0, ()
-        if first is None or first is True or first is False:
-            return {None: "null", True: "true", False: "false"}[first], 0, ()
-        if isinstance(first, int):
-            return int.__repr__(first), 0, ()
-        if isinstance(first, float):
-            if math.isfinite(first):
-                return float.__repr__(first), 0, ()
-            raise ValueError("Out of range float values are not JSON compliant: " + repr(first))
-        if not isinstance(first, (list, tuple, dict)):
-            raise TypeError(f"Object of type {first.__class__.__name__} is not JSON serializable")
-        kind = dict if isinstance(first, dict) else list
-    else:
-        kinds = set(map(type, column))
-        kind = kinds.pop() if len(kinds) == 1 else list if kinds == {list, tuple} else None
-        if kind is float:
-            finite = math.isfinite(sum(column)) or all(map(math.isfinite, column))
-            return ("%r", 1, column) if finite else None
-        if kind is type(None):
-            return "null", 0, ()
-        to_text = {str: encode_basestring_ascii, bool: ("false", "true").__getitem__}
-        if kind in (str, bool, int):
-            try:
-                return "%s", 1, tuple(map(to_text.get(kind, int.__repr__), column))
-            except ValueError:  # an int of more digits than may convert to text
-                return None
-    if kind is list or kind is tuple:
-        size = len(first)
-        if not single and set(map(len, column)) != {size}:
-            return None
-        if not size:
-            return "[]", 0, ()
-        items = tuple(chain.from_iterable(column))
-        layout = _layout(items, level + 1)
-        if layout is not None:
-            return _join("[", [layout[0]] * size, "]", level), layout[1] * size, layout[2]
-        if not single:
-            return None
-        parts, counts, slots = zip(*[_layout((x,), level + 1) for x in items])
-        return _join("[", parts, "]", level), sum(counts), chain.from_iterable(slots)
-    if kind is not dict:
-        return None
-    if single:
-        columns = sorted(first.items())
-    else:
-        keys = first.keys()
-        if not set(map(type, keys)) <= {str} or not all(map(keys.__eq__, map(dict.keys, column))):
-            return None
-        columns = [(k, tuple(map(itemgetter(k), column))) for k in sorted(keys)]
-    if not columns:
-        return "{}", 0, ()
-    layouts = []
-    for k, values in columns:
-        if not isinstance(k, (str, int, float, type(None))):
-            raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-        key = k if isinstance(k, str) else _layout((k,), 0)[0]  # a number or a literal
-        name = encode_basestring_ascii(key).replace("%", "%%")
-        layout = _layout((values,) if single else values, level + 1)
-        if layout is None:
-            return None
-        layouts.append((name + ": " + layout[0], layout[1], layout[2]))
-    parts, counts, slots = zip(*layouts)
-    if not single:
-        # a value's slots are each key's slots in turn: zip draws them
-        # key by key from one iterator per key, repeated once per slot
-        slots = zip(*chain.from_iterable([iter(s)] * n for s, n in zip(slots, counts)))
-    return _join("{", parts, "}", level), sum(counts), chain.from_iterable(slots)
-
-
-def _join(opening: str, items: list[str], closing: str, level: int) -> str:
-    inner = "\n" + "  " * (level + 1)
-    return opening + inner + ("," + inner).join(items) + "\n" + "  " * level + closing
 
 
 def report_to_json(value):

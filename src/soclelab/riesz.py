@@ -116,8 +116,10 @@ class Diagonalization:
 def _match_target(rep: SpectrumReport, target: complex) -> complex:
     """Snap a requested target onto a clustered spectral value."""
     target = complex(target)
-    dists = [(abs(v - target), v) for v, _ in rep.points]
-    d, v = min(dists, key=lambda t: t[0])
+    with np.errstate(over="ignore"):  # hypot rounds as complex abs, but is inf past the range
+        diff = rep.values - target
+        dists = np.hypot(diff.real, diff.imag)
+    d, v = min(zip(dists.tolist(), rep.values.tolist()), key=lambda t: t[0])
     if d > rep.cluster_tolerance:
         raise TargetNotInSpectrumError(target, v, d)
     return v
@@ -157,8 +159,11 @@ def _projection(a: Element, rep: SpectrumReport, centers, nodes: int):
                 solved = np.linalg.solve(shifted, np.broadcast_to(eye, (nodes, n, n)))
             except np.linalg.LinAlgError:
                 raise ContourCollapseError(c, r) from None
-            acc += (r / nodes) * np.einsum("j,jkl->kl", phases, solved)
-            half += (2 * r / nodes) * np.einsum("j,jkl->kl", phases[::2], solved[::2])
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                acc += (r / nodes) * np.einsum("j,jkl->kl", phases, solved)
+                half += (2 * r / nodes) * np.einsum("j,jkl->kl", phases[::2], solved[::2])
+        if not all(np.isfinite(m).all() for m in blocks + halves):
+            raise NumericOverflowError(f"the projection around {c} overflows the double range")
     return (
         Element(a.spec, tuple(blocks), _checked=True),
         Element(a.spec, tuple(halves), _checked=True),

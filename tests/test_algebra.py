@@ -501,6 +501,30 @@ def test_every_module_constant_is_read():
     assert [c for c in constants if c.split(":")[1] not in reads] == []
 
 
+def test_one_writer_of_json_text():
+    """``cli._dumps`` writes every report and error, and ``errors.quote_json``
+    an offending value inside a message: nothing else in ``soclelab``
+    calls ``json.dumps``, and no module reaches into ``json.encoder``."""
+    paths = sorted((Path(__file__).resolve().parent.parent / "src" / "soclelab").glob("*.py"))
+    callers, imported, attributes = [], [], []
+    for path in paths:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = f"{path.stem}.{getattr(stmt, 'name', stmt.lineno)}"
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "json.dumps":
+                    callers.append(where)
+                elif isinstance(node, ast.Import):
+                    imported += [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    imported += [f"{node.module}.{alias.name}" for alias in node.names]
+                elif isinstance(node, ast.Attribute):
+                    attributes.append(ast.unparse(node))
+    assert callers == ["cli._dumps", "errors.quote_json"]
+    # json is imported whole, so no bare dumps escapes the count above
+    assert [name for name in imported if name.startswith("json.")] == []
+    assert [name for name in attributes if name.startswith("json.encoder")] == []
+
+
 def test_every_private_function_is_called():
     """Each module-level ``_name`` function of ``soclelab`` is read by the
     package outside its own body: a helper that nothing calls is

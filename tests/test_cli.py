@@ -1,6 +1,8 @@
 import argparse
 import contextlib
+import copy
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -8,11 +10,12 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import soclelab as sl
@@ -88,6 +91,10 @@ DIAG_1_2 = [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]
 # value, 1e308 + 1e308, and a rank-one projection value, W[0,0] + W[1,0]
 SQUARE_ZERO_OVERFLOW = {"weights": [[[[1e308, 0], [1e308, 0]], [[-1e308, 0], [1e308, 0]]]]}
 PROJECTION_OVERFLOW = {"weights": [[[[1e308, 0], [0, 0]], [[1e308, 0], [0, 0]]]]}
+# finite blocks whose eigenvalues are not all finite: eigvals gives
+# NaN + NaNi twice for the first, [inf, 1.4e276] for the second
+NAN_EIGENVALUES = {"blocks": [[[[1.5e308, 1.5e308], [0, 0]], [[0, 0], [1, 0]]]]}
+INF_EIGENVALUE = {"blocks": [[[[1e308, 0], [1e308, 0]], [[1e308, 0], [1e308, 0]]]]}
 
 
 class TestCommands:
@@ -427,6 +434,7 @@ def scalar_weights(alpha, n):
     return {"weights": [rows]}
 
 
+@functools.cache
 def _report_cases():
     """(argv, input document or None) for each of the ten commands."""
     rng = rng_for(229)
@@ -457,28 +465,26 @@ def _report_cases():
     }
 
 
+def compact(payload) -> str:
+    """The reference text of a report or an error: one line, keys sorted."""
+    return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
+
+
 class TestReportBytes:
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
-    def test_report_is_the_json_dumps_reference(self, tmp_path, capsys, monkeypatch, command):
+    def test_report_is_the_json_dumps_reference(self, tmp_path, capsys, command):
         argv, document = _report_cases()[command]
         if document is not None:
             argv = argv + ["--input", write_input(tmp_path, document)]
         payload = cli._COMMANDS[command][0](cli.build_parser().parse_args(argv))
-        expected = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a success report went through json.dumps")
-
-        monkeypatch.setattr(json, "dumps", refuse)
         code = run(argv)
-        assert (code, capsys.readouterr().out) == (0, expected)
-
+        assert (code, capsys.readouterr().out) == (0, compact(payload))
 
     @pytest.mark.parametrize(
         "command, field, count", [("commutator", "terms", 255), ("diagonalize", "projections", 16)]
     )
     def test_hundreds_of_records_are_the_json_dumps_reference(
-        self, tmp_path, capsys, monkeypatch, command, field, count
+        self, tmp_path, capsys, command, field, count
     ):
         """A 16 x 16 certificate of 255 terms, and the 16 projections of a
         maximal element on (8, 8): many records with the same fields."""
@@ -490,14 +496,22 @@ class TestReportBytes:
         argv = [command, "--input", write_input(tmp_path, document)]
         payload = cli._COMMANDS[command][0](cli.build_parser().parse_args(argv))
         assert len(payload[field]) == count
-        expected = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a success report went through json.dumps")
-
-        monkeypatch.setattr(json, "dumps", refuse)
         code = run(argv)
-        assert (code, capsys.readouterr().out) == (0, expected)
+        assert (code, capsys.readouterr().out) == (0, compact(payload))
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS) + ["error"])
+    def test_output_is_one_line_of_sorted_json(self, tmp_path, capsys, command):
+        if command == "error":  # a typed error: 5 is no spectral value of diag(1, 2)
+            argv, document = ["riesz"], {"element": {"blocks": [DIAG_1_2]}, "targets": [[5, 0]]}
+        else:
+            argv, document = _report_cases()[command]
+        if document is not None:
+            argv = argv + ["--input", write_input(tmp_path, document)]
+        code = run(argv)
+        out = capsys.readouterr().out
+        assert code == (1 if command == "error" else 0)
+        assert out.count("\n") == 1
+        assert out == json.dumps(strict_loads(out), sort_keys=True) + "\n"
 
 
 class TestRankReportBytes:
@@ -524,7 +538,11 @@ class TestRankReportBytes:
         a = random_element(spec, rng) if ranks is None else random_low_rank_element(spec, rng, ranks)
         path = write_input(tmp_path, jsonio.element_to_json(a))
         assert run(["rank", "--input", path, *flags]) == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and out.endswith("\n")
+        # the digests were taken of the report indented by two spaces
+        text = json.dumps(json.loads(out), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # Written by an explicit mapper, not by the walk: the characterization
@@ -727,6 +745,17 @@ class TestOverflow:
         assert error["type"] == "NumericOverflowError"
         assert "block 0" in error["message"]
 
+    @pytest.mark.parametrize("command", ["spectrum", "trace", "riesz", "diagonalize"])
+    @pytest.mark.parametrize("element", [NAN_EIGENVALUES, INF_EIGENVALUE], ids=["nan", "inf"])
+    def test_non_finite_eigenvalues_write_no_warning(self, command, element):
+        document = {"element": element, "targets": [[0, 0]]} if command == "riesz" else element
+        proc = run_fresh([command], stdin=json.dumps(document))
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        error = strict_loads(proc.stdout)["error"]
+        assert error["type"] == "NumericOverflowError"
+        assert "block 0" in error["message"]
+
     def test_non_finite_report_value_is_a_typed_error(self):
         with pytest.raises(sl.errors.NumericOverflowError):
             cli._dumps({"value": float("inf")})
@@ -764,23 +793,15 @@ class TestErrorDetails:
             ("NotTracelessError", "commutator", {"matrix": [[[1, 0]]]}),
         ],
     )
-    def test_error_is_the_json_dumps_reference(
-        self, tmp_path, capsys, monkeypatch, kind, command, document
-    ):
+    def test_error_is_the_json_dumps_reference(self, tmp_path, capsys, kind, command, document):
         argv = [command, "--input", write_input(tmp_path, document)]
         with pytest.raises(getattr(sl.errors, kind)) as info:
             cli._COMMANDS[command][0](cli.build_parser().parse_args(argv))
         exc = info.value
         assert exc.details()
         error = {"type": kind, "message": str(exc), "details": exc.details()}
-        expected = json.dumps({"error": error}, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("an error went through json.dumps")
-
-        monkeypatch.setattr(json, "dumps", refuse)
         code = run(argv)
-        assert (code, capsys.readouterr().out) == (1, expected)
+        assert (code, capsys.readouterr().out) == (1, compact({"error": error}))
 
     def test_an_infinite_distance_is_null(self, tmp_path, capsys):
         document = {"element": {"blocks": [[[[-1e308, 0]]]]}, "targets": [[1e308, 0]]}
@@ -948,6 +969,92 @@ class TestUsageErrors:
             proc = run_fresh(argv)
             fresh.append((proc.returncode, proc.stdout))
         assert reused == fresh
+
+
+# The atoms that replace one subtree of a valid document: each JSON type,
+# the ends of the double range, an integer beyond it, short containers.
+ATOMS = [
+    None, True, False, "x", 0, -1, 1e308, -1e308, 5e-324, 10**400,
+    [], {}, [0], [[0, 0]], [1.5e308, 1.5e308],
+]
+
+
+def _subtrees(node, path=()):
+    """The path of every subtree of a JSON document, the root's first."""
+    yield path
+    if isinstance(node, (list, dict)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _subtrees(child, path + (key,))
+
+
+def _replaced(node, path, atom):
+    """A copy of ``node`` with the subtree at ``path`` replaced by ``atom``."""
+    if not path:
+        return atom
+    node = copy.copy(node)
+    node[path[0]] = _replaced(node[path[0]], path[1:], atom)
+    return node
+
+
+@st.composite
+def mutated_runs(draw):
+    """(argv, stdin text) of one command's valid document with one random
+    subtree replaced by an atom; the document of classify and verify is
+    their --spec layout."""
+    argv, document = _report_cases()[draw(st.sampled_from(sorted(cli._COMMANDS)))]
+    at = argv.index("--spec") + 1 if "--spec" in argv else None
+    if at is not None:
+        document = json.loads(argv[at])
+    path = draw(st.sampled_from(list(_subtrees(document))))
+    text = json.dumps(_replaced(document, path, draw(st.sampled_from(ATOMS))))
+    if at is None:
+        return argv, text
+    return argv[:at] + [text] + argv[at + 1:], ""
+
+
+# diag(3, 1, 1) with 1e308 above the diagonal: the contour sum around 1 overflows
+JORDAN_1E308 = {
+    "blocks": [[[[3, 0], [1e308, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]]
+}
+# x_0 g_1 = (1.5e308 + 1.5e308i)(0.7071 - 0.7071i) = 2.1e308
+PRODUCT_OVERFLOW = {
+    "x": [[1.5e308, 1.5e308], [1, 0]], "f": [[1, 0], [0, 0]],
+    "y": [[1, 0], [0, 0]], "g": [[1, 0], [0.7071, -0.7071]],
+}
+
+
+class TestNoTraceback:
+    @settings(max_examples=1000, deadline=None)
+    @given(case=mutated_runs())
+    @example(case=(["spectrum"], json.dumps(NAN_EIGENVALUES)))
+    @example(case=(["diagonalize"], json.dumps(NAN_EIGENVALUES)))
+    @example(case=(["trace"], json.dumps(INF_EIGENVALUE)))
+    @example(case=(["riesz"], json.dumps({"element": INF_EIGENVALUE, "targets": [[0, 0]]})))
+    # found by this test: a layout no array can hold, a distance and a
+    # contour sum beyond the double range, rank-one products that overflow
+    @example(case=(["classify", "--spec", json.dumps({"block_sizes": [10**400, 1]})], ""))
+    @example(case=(["riesz"], json.dumps(
+        {"element": {"blocks": [DIAG_1_2]}, "targets": [[1.5e308, 1.5e308]]}
+    )))
+    @example(case=(["riesz"], json.dumps({"element": JORDAN_1E308, "targets": [[1, 0]]})))
+    @example(case=(["rank-one-commutator"], json.dumps(PRODUCT_OVERFLOW)))
+    def test_every_mutated_document_is_a_report_or_a_typed_error(self, case):
+        argv, text = case
+        stdin, sys.stdin = sys.stdin, io.StringIO(text)
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    code = run(argv)
+        finally:
+            sys.stdin = stdin
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert code in (0, 1, 2)
+        text = out.getvalue()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        data = strict_loads(text)
+        if code:
+            assert issubclass(getattr(sl.errors, data["error"]["type"]), sl.errors.SocleLabError)
 
 
 class TestKnownWrongAnswers:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import soclelab as sl
-from soclelab import jsonio, riesz
+from soclelab import cli, jsonio, riesz
 from soclelab.algebra import SpectralPoint, _clustered, idempotent_rank
 from soclelab.cli import run
 from soclelab.errors import (
@@ -551,7 +551,8 @@ class TestRouteB:
                 idempotency_defect=sl.operator_norm(p @ p - p),
                 multiplicity=idempotent_rank(p),
             )
-            assert jsonio.dumps(jsonio.report_to_json(got)) == jsonio.dumps(
+            # the payloads as written: -0.0 and 0.0, or 1 and 1.0, differ
+            assert cli._dumps(jsonio.report_to_json(got)) == cli._dumps(
                 jsonio.report_to_json(want)
             )
 
