@@ -44,6 +44,9 @@ CLUSTER_TOL = 1e-6
 RANK_TOL = 1e-9
 RESOLVENT_FLOOR = 1e-10
 IDEMPOTENCY_TOL = 1e-8
+# The most complex entries one block may hold: 2048 x 2048, 64 MiB. An
+# AlgebraSpec with a larger block is refused before anything is allocated.
+MAX_BLOCK_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -58,8 +61,11 @@ class AlgebraSpec:
             raise ShapeMismatchError("an algebra needs at least one block")
         if any(n < 1 for n in sizes):
             raise ShapeMismatchError(f"block sizes must be >= 1, got {sizes}")
-        if max(sizes) ** 2 > np.iinfo(np.intp).max // 16:  # no complex array holds the block
-            raise ShapeMismatchError(f"block size {quote_json(max(sizes))} exceeds any array")
+        if max(sizes) ** 2 > MAX_BLOCK_ENTRIES:
+            raise ShapeMismatchError(
+                f"block size {quote_json(max(sizes))} has more than the "
+                f"{MAX_BLOCK_ENTRIES} entries of the largest block"
+            )
         object.__setattr__(self, "block_sizes", sizes)
 
     @property

@@ -21,7 +21,9 @@ elements, constant on rank-one projections) are all true or all false;
 two or more blocks add one pattern, tracial but not a scalar multiple,
 which the first-block trace shows. The first functional or structural
 verdict outside the prediction raises: it signals an implementation
-defect, never an acceptable result.
+defect, never an acceptable result. Every trial is sampled first, and
+the sampled functionals and the first-block trace are characterized as
+one stack; the predictions are then checked in trial order.
 """
 
 from __future__ import annotations
@@ -31,12 +33,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import AlgebraSpec, Element, corner_ranks, identity, matrix_unit, zero
-from .errors import NoCounterexampleError, TheoremViolationError
+from .errors import NoCounterexampleError, SocleLabError, TheoremViolationError
 from .functionals import (
     CharacterizationReport,
     Functional,
+    _characterize_stack,
     blockwise_scalar_functional,
-    characterize,
     counterexample_functional,
     random_functional,
     trace_functional,
@@ -226,7 +228,9 @@ def verify_theorems(
     minimal ideal, all corners full blocks) come from independent routes
     and must agree. The first failed prediction raises
     TheoremViolationError. Trial t samples its functionals from
-    ``rng_for(seed, FUNCTIONALS, t)``. The corner check needs no draw:
+    ``rng_for(seed, FUNCTIONALS, t)``; all of them and the first-block
+    trace are characterized as one stack, and a functional whose
+    characterization raises raises in its turn. The corner check needs no draw:
     it takes the identity, whose corner is the whole algebra, a single
     block exactly when the algebra is one.
     """
@@ -236,23 +240,31 @@ def verify_theorems(
     predicted = {(True,) * 6, (False,) * 6} | (set() if single_block else {_TRACIAL_NOT_SCALAR})
     minimal = is_socle_minimal_ideal(spec, seed=seed)
 
+    samples = [
+        (t, kind, f, planted)
+        for t in range(trials)
+        for kind, f, planted in _sample_functionals(spec, rng_for(seed, FUNCTIONALS, t))
+    ]
+    stack = [f for _, _, f, _ in samples]
+    if not single_block:
+        stack.append(counterexample_functional(spec))
+    reports = _characterize_stack(stack, seed)
+
     alpha_errors: list[float] = []
-    n_funcs = 0
-    for t in range(trials):
-        for kind, f, planted in _sample_functionals(spec, rng_for(seed, FUNCTIONALS, t)):
-            n_funcs += 1
-            rep = characterize(f, seed=seed)
-            where = f"trial {t} {kind}"
-            _require(_verdicts(rep) in predicted, f"{where}: unpredicted verdicts", rep)
-            if kind == "blockwise" and not single_block:
-                why = "distinct block scalars scored as scalar trace"
-                _require(not rep.is_scalar_trace, f"{where}: {why}", rep)
-            if kind == "scalar":
-                _require(rep.is_scalar_trace, f"{where}: planted scalar not recovered", rep)
-                alpha_errors.append(abs(rep.scalar_trace_coefficient - planted))
-                value = rep.rank_one_constancy.value
-                if value is not None:
-                    alpha_errors.append(abs(value - planted))
+    for (t, kind, _, planted), rep in zip(samples, reports):
+        if isinstance(rep, SocleLabError):
+            raise rep
+        where = f"trial {t} {kind}"
+        _require(_verdicts(rep) in predicted, f"{where}: unpredicted verdicts", rep)
+        if kind == "blockwise" and not single_block:
+            why = "distinct block scalars scored as scalar trace"
+            _require(not rep.is_scalar_trace, f"{where}: {why}", rep)
+        if kind == "scalar":
+            _require(rep.is_scalar_trace, f"{where}: planted scalar not recovered", rep)
+            alpha_errors.append(abs(rep.scalar_trace_coefficient - planted))
+            value = rep.rank_one_constancy.value
+            if value is not None:
+                alpha_errors.append(abs(value - planted))
 
     corner_all_single = pAp_block_check(identity(spec))
     counterexample = None
@@ -264,7 +276,9 @@ def verify_theorems(
         else:
             raise TheoremViolationError("a counterexample exists on a single block")
     else:
-        counterexample = characterize(counterexample_functional(spec), seed=seed)
+        counterexample = reports[-1]
+        if isinstance(counterexample, SocleLabError):
+            raise counterexample
         _require(
             _verdicts(counterexample) == _TRACIAL_NOT_SCALAR
             and counterexample.rank_one_constancy.witnesses is not None,
@@ -279,7 +293,7 @@ def verify_theorems(
 
     observed = {
         "single_block": single_block,
-        "functionals_checked": n_funcs,
+        "functionals_checked": len(samples),
         "minimal_ideal": minimal,
         "all_corners_single_block": corner_all_single,
         "alpha_max_error": max(alpha_errors),
@@ -294,6 +308,6 @@ def verify_theorems(
             key: TheoremVerdict(claim=claim, holds=True, details={name: observed[name]})
             for key, name, claim in _CLAIMS
         },
-        functional_count=n_funcs,
+        functional_count=len(samples),
         counterexample=counterexample,
     )

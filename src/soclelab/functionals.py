@@ -41,25 +41,33 @@ constancy fails if a value lies over t from the first.
 So tracial = square-zero = nilpotent = bounded outside t < dev <= 4 n t,
 and constancy = scalar trace outside t/5 < m <= 2 n t. Negative verdicts
 always carry a concrete witness that can be re-verified independently.
+
+Every characterization runs as one stacked pass over a list of
+functionals on one algebra (:func:`_characterize_stack`); a single
+functional is a stack of one. Per block, the weights form one
+``(F, n, n)`` stack with one 2-norm call for the deviations and one for
+the scales, and every closed-form value family is one gather over it.
+The index tables, the unitaries and the witness keys are cached, and
+the spot-check pairs are drawn once per stack, since all functionals of
+a call share the seed. Witness elements are built only for the verdicts
+that fail. Each functional's values are those it gets alone, bit for
+bit; when one functional of a stack raises, each is characterized alone,
+so that the first in order decides, as one by one.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    AlgebraSpec,
-    Element,
-    matrix_unit,
-    operator_norm,
-    zero,
-)
+from .algebra import AlgebraSpec, Element, block_operator_norm, matrix_unit, zero
 from .errors import (
     NoCounterexampleError,
     NumericOverflowError,
     ShapeMismatchError,
+    SocleLabError,
     TheoremViolationError,
 )
 from .sampling import SPOT_CHECK, complex_gaussian, random_element_stack, rng_for
@@ -68,7 +76,11 @@ TRACIAL_TOL = 1e-8
 
 
 class Functional:
-    """Weight matrices acting by f(a) = sum of tr(W_i a_i)."""
+    """Weight matrices acting by f(a) = sum of tr(W_i a_i).
+
+    Inside this module a Functional may also hold a stack of them: each
+    weight is then ``(F, n_i, n_i)``, row k the weights of the k-th
+    functional, and every value below gains that leading axis."""
 
     __slots__ = ("spec", "weights")
 
@@ -85,8 +97,7 @@ class Functional:
     def weight_scale(self) -> float:
         # the trace pairing makes the weights an element of the same algebra;
         # the scale is 0 only for the zero functional
-        norm = operator_norm(Element(self.spec, self.weights, _checked=True))
-        return _finite(norm, "weight operator norm")
+        return _finite(block_operator_norm(self.weights), "weight operator norm")
 
 
 def _finite(value, name: str):
@@ -133,71 +144,112 @@ def evaluate(f: Functional, a: Element) -> complex:
     )
 
 
-def _scalar_deviations(f: Functional) -> tuple[np.ndarray, float]:
-    """Per-block mean-diagonal scalars and the worst deviation from them.
-    The mean sums the diagonal divided by n, which cannot overflow."""
+@functools.lru_cache(maxsize=8)
+def _index_tables(n: int) -> tuple[np.ndarray, ...]:
+    """The off-diagonal positions (row, col) of an n x n block in
+    row-major order, then the pairs (i, j), i < j, of ``triu_indices``:
+    read-only, and cached for the last 8 block sizes."""
+    tables = (*np.nonzero(~np.eye(n, dtype=bool)), *np.triu_indices(n, 1))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _first_max(x: np.ndarray) -> np.ndarray:
+    """Per row of a ``(F, m)`` array, the index of its first largest
+    entry, or -1 where the row is all 0 (all False for a mask)."""
+    if not x.shape[-1]:
+        return np.full(x.shape[:-1], -1)
+    return np.where(x.any(axis=-1), x.argmax(axis=-1), -1)
+
+
+def _scalar_deviations(f: Functional) -> tuple[np.ndarray, np.ndarray]:
+    """Per-block mean-diagonal scalars and the worst deviation from them,
+    one 2-norm call per block. The mean sums the diagonal divided by n,
+    which cannot overflow."""
     sizes = f.spec.block_sizes
-    alphas = np.array(
-        [np.sum(np.diagonal(w) / n) for w, n in zip(f.weights, sizes)], dtype=complex
+    alphas = np.stack(
+        [np.sum(np.diagonal(w, axis1=-2, axis2=-1) / n, axis=-1) for w, n in zip(f.weights, sizes)],
+        axis=-1,
     )
-    devs = tuple(w - al * np.eye(n) for w, al, n in zip(f.weights, alphas, sizes))
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite one raises just below
+        devs = tuple(
+            w - alphas[..., k, None, None] * np.eye(n)
+            for k, (w, n) in enumerate(zip(f.weights, sizes))
+        )
     for d in devs:
         _finite(d, "deviation from the block scalars")
-    return alphas, operator_norm(Element(f.spec, devs, _checked=True))
+    return alphas, block_operator_norm(devs)
 
 
-def _tracial(f: Functional, dev: float, scale: float, seed: int) -> bool:
+def _tracial(f: Functional, dev, scale, seed: int) -> bool | list[bool]:
     """The scalar-weight verdict, spot-checked on 4 random pairs (a, b),
-    one stack from ``rng_for(seed, SPOT_CHECK)``: f(ab) - f(ba) is taken
-    on the weights divided by ``scale``, so every product stays finite; a
-    contradiction there means the criterion is broken, and raises."""
-    verdict = dev <= TRACIAL_TOL * scale
-    if verdict:
+    one stack from ``rng_for(seed, SPOT_CHECK)`` drawn when any verdict
+    holds: f(ab) - f(ba) is taken on the weights divided by ``scale``, so
+    every product stays finite; a contradiction there means the criterion
+    is broken, and raises. Verdicts are Python bools, a list for a stack."""
+    verdict = np.asarray(dev <= TRACIAL_TOL * scale)
+    if verdict.any():
         xs = random_element_stack(f.spec, rng_for(seed, SPOT_CHECK), 8)
+        unit = np.where(scale > 0, scale, 1.0)[..., None, None]
         gaps = sum(
-            np.einsum("ij,pji->p", w / (scale or 1.0), x[::2] @ x[1::2] - x[1::2] @ x[::2])
+            np.einsum("...ij,pji->...p", w / unit, x[::2] @ x[1::2] - x[1::2] @ x[::2])
             for w, x in zip(f.weights, xs)
         )
-        bad = np.flatnonzero(np.abs(gaps) > 1e3 * TRACIAL_TOL)
+        bad = np.argwhere((np.abs(gaps) > 1e3 * TRACIAL_TOL) & verdict[..., None])
         if bad.size:
-            pair = (Element(f.spec, tuple(x[2 * bad[0] + q] for x in xs)) for q in (0, 1))
+            p = bad[0, -1]
+            pair = (Element(f.spec, tuple(x[2 * p + q] for x in xs)) for q in (0, 1))
             raise TheoremViolationError(
                 "scalar-weight criterion contradicted by direct evaluation",
                 witness=tuple(pair),
             )
-    return verdict
+    return verdict.tolist()
 
 
-def _tracial_witness(f: Functional) -> tuple[Element, Element] | None:
-    """The unit pair with the first strictly largest |f(ab) - f(ba)| > 0.
+def _tracial_witnesses(f: Functional, tracial) -> list[tuple[Element, Element] | None]:
+    """Per functional of the stack f that is not ``tracial``, the unit pair
+    with the first strictly largest |f(ab) - f(ba)| > 0; else None.
 
     Candidates are pairs e_(x,y), e_(y,z) in one block. Block by block,
     the off-diagonal entry W[l, i] shows against e_(i,0), e_(0,l) for
     (i, l) in row-major order, then unequal diagonal entries against
     e_(i,j), e_(j,i) for i < j. ``np.hypot`` rounds the magnitudes as
     the scalar ``abs`` does; ``np.abs`` does not."""
-    gaps, pairs = [], []
-    for k, (w, n) in enumerate(zip(f.weights, f.spec.block_sizes)):
-        r, c = np.nonzero(~np.eye(n, dtype=bool))
-        i, j = np.triu_indices(n, 1)
-        gaps += [w[c, r], w[i, i] - w[j, j]]
-        y = np.r_[np.zeros_like(r), j]
-        pairs.append(np.column_stack([np.full(y.size, k), np.r_[r, i], y, np.r_[c, i]]))
-    g = np.concatenate(gaps)
-    magnitudes = np.hypot(g.real, g.imag)
-    if not np.any(magnitudes):
-        return None
-    k, x, y, z = (int(v) for v in np.concatenate(pairs)[np.argmax(magnitudes)])
-    return matrix_unit(f.spec, k, x, y), matrix_unit(f.spec, k, y, z)
+    if all(tracial):
+        return [None] * len(tracial)
+    gaps = []
+    for w, n in zip(f.weights, f.spec.block_sizes):
+        r, c, i, j = _index_tables(n)
+        gaps += [w[:, c, r], w[:, i, i] - w[:, j, j]]
+    g = np.concatenate(gaps, axis=-1)
+    best = _first_max(np.hypot(g.real, g.imag))
+    return [None if t or q < 0 else _unit_pair(f.spec, q) for t, q in zip(tracial, best)]
 
 
-def _scalar_trace(alphas, dev: float, scale: float) -> complex | None:
-    if dev > TRACIAL_TOL * scale:
-        return None
-    alpha = complex(np.mean(alphas))
-    if max(abs(a - alpha) for a in alphas) > TRACIAL_TOL * scale:
-        return None
-    return alpha
+def _unit_pair(spec: AlgebraSpec, q: int) -> tuple[Element, Element]:
+    """The q-th candidate pair of :func:`_tracial_witnesses`."""
+    for k, n in enumerate(spec.block_sizes):
+        r, c, i, j = _index_tables(n)
+        if q < r.size:
+            x, y, z = r[q], 0, c[q]
+            break
+        q -= r.size
+        if q < i.size:
+            x, y, z = i[q], j[q], i[q]
+            break
+        q -= i.size
+    return matrix_unit(spec, k, int(x), int(y)), matrix_unit(spec, k, int(y), int(z))
+
+
+def _scalar_traces(alphas, dev, scale) -> list[complex | None]:
+    """Per functional, the common block scalar when it is tracial and its
+    block scalars lie within the threshold of their mean, else None."""
+    mean = np.mean(alphas, axis=-1)
+    d = alphas - mean[:, None]
+    limit = TRACIAL_TOL * scale
+    scalar = (dev <= limit) & (np.hypot(d.real, d.imag).max(axis=-1) <= limit)
+    return [complex(m) if ok else None for m, ok in zip(mean, scalar)]
 
 
 @dataclass(frozen=True)
@@ -215,25 +267,30 @@ class SpectralBoundResult:
     witness_value: complex | None
 
 
-def _bound(f: Functional, tracial: bool, alphas, values) -> SpectralBoundResult:
-    """The bound constant from the block scalars ``alphas`` of a tracial f,
-    else the square-zero element with the first largest |value|."""
-    if tracial:
-        with np.errstate(over="ignore"):  # an infinite c raises just below
-            c = float(sum(abs(a) * n for a, n in zip(alphas, f.spec.block_sizes)))
-        _finite(c, "spectral bound constant sum |alpha_i| n_i")
-        return SpectralBoundResult(constant=c, witness=None, witness_value=None)
-    magnitudes = np.hypot(values.real, values.imag)
-    if not np.any(magnitudes):
-        raise TheoremViolationError(
-            "non-scalar weights vanish on the whole square-zero span"
-        )
-    best = int(np.argmax(magnitudes))
-    return SpectralBoundResult(
-        constant=None,
-        witness=_element(f.spec, _square_zero_keys(f.spec)[best]),
-        witness_value=complex(values[best]),
-    )
+def _bounds(spec: AlgebraSpec, tracial, alphas, values) -> list[SpectralBoundResult]:
+    """Per functional: the bound constant from the block scalars ``alphas``
+    of a tracial one, else the square-zero element with the first largest
+    |value| among its square-zero ``values``. The constant is summed in
+    Python floats, which overflow to inf without a warning."""
+    if any(tracial):
+        with np.errstate(over="ignore"):  # an infinite constant raises below
+            moduli = np.hypot(alphas.real, alphas.imag)
+    if not all(tracial):
+        best = _first_max(np.hypot(values.real, values.imag))
+    out = []
+    for k, t in enumerate(tracial):
+        if t:
+            c = sum(float(m) * n for m, n in zip(moduli[k], spec.block_sizes))
+            _finite(c, "spectral bound constant sum |alpha_i| n_i")
+            out.append(SpectralBoundResult(constant=c, witness=None, witness_value=None))
+        elif best[k] < 0:
+            raise TheoremViolationError(
+                "non-scalar weights vanish on the whole square-zero span"
+            )
+        else:
+            witness = _element(spec, _witness_keys(spec)[best[k]])
+            out.append(SpectralBoundResult(None, witness, complex(values[k, best[k]])))
+    return out
 
 
 def _square_zero_keys(spec: AlgebraSpec) -> list[tuple[int, int, int, int]]:
@@ -246,6 +303,16 @@ def _square_zero_keys(spec: AlgebraSpec) -> list[tuple[int, int, int, int]]:
         keys += [(k, i, j, 0) for i in range(n) for j in range(n) if i != j]
         keys += [(k, i, j, 1) for i in range(n) for j in range(i + 1, n)]
     return keys
+
+
+@functools.lru_cache(maxsize=8)
+def _witness_keys(spec: AlgebraSpec) -> tuple[tuple[int, int, int, int], ...]:
+    """The :func:`_square_zero_keys`, then those of the conjugated units:
+    first all the F e_ij F*, then all the (C F) e_ij (C F)*, each in
+    basis order; the order of :func:`_nilpotent_values`. Cached for the
+    last 8 algebras."""
+    keys = _square_zero_keys(spec)
+    return tuple(keys + [(k, i, j, u) for u in (2, 3) for k, i, j, kind in keys if kind == 0])
 
 
 def _element(spec: AlgebraSpec, key) -> Element:
@@ -266,12 +333,16 @@ def _element(spec: AlgebraSpec, key) -> Element:
     return w
 
 
+@functools.lru_cache(maxsize=8)
 def _unitaries(n: int) -> np.ndarray:
-    """F and C F stacked, with phases reduced in integers before ``exp``."""
+    """F and C F stacked, with phases reduced in integers before ``exp``:
+    read-only, and cached for the last 8 block sizes."""
     k = np.arange(n)
     dft = np.exp(-2j * np.pi * (np.outer(k, k) % n) / n) / np.sqrt(n)
     chirp = np.exp(1j * np.pi * (k * k % (2 * n)) / n)
-    return np.stack([dft, chirp[:, None] * dft])
+    us = np.stack([dft, chirp[:, None] * dft])
+    us.flags.writeable = False
+    return us
 
 
 def _square_zero_values(f: Functional) -> tuple[np.ndarray, np.ndarray]:
@@ -286,12 +357,12 @@ def _square_zero_values(f: Functional) -> tuple[np.ndarray, np.ndarray]:
     """
     values, norms = [], []
     for w, n in zip(f.weights, f.spec.block_sizes):
-        r, c = np.nonzero(~np.eye(n, dtype=bool))
-        i, j = np.triu_indices(n, 1)
+        r, c, i, j = _index_tables(n)
         with np.errstate(over="ignore"):  # an infinite value raises just below
-            values += [w[c, r], (w[i, i] + w[i, j]) + (-w[j, i] - w[j, j])]
+            values += [w[..., c, r], (w[..., i, i] + w[..., i, j]) + (-w[..., j, i] - w[..., j, j])]
         norms += [np.ones(r.size), np.full(i.size, 2.0)]
-    return _finite(0 + np.concatenate(values), "square-zero value"), np.concatenate(norms)
+    values = _finite(0 + np.concatenate(values, axis=-1), "square-zero value")
+    return values, np.concatenate(norms)
 
 
 @dataclass(frozen=True)
@@ -303,29 +374,33 @@ class VanishingVerdict:
 
 def _nilpotent_values(f: Functional, values, norms) -> tuple[np.ndarray, np.ndarray]:
     """The square-zero basis ``values`` and ``norms``, followed by f on
-    the conjugated units, (U* W U)[j, i], and their norms, 1: first all
-    the F e_ij F*, then all the (C F) e_ij (C F)*, each in basis order."""
+    the conjugated units, (U* W U)[j, i], and their norms, 1, in the
+    order of :func:`_witness_keys`."""
     extra = []
     for w, n in zip(f.weights, f.spec.block_sizes):
         us = _unitaries(n)
-        i, j = np.nonzero(~np.eye(n, dtype=bool))
-        extra.append((us.conj().transpose(0, 2, 1) @ w @ us)[:, j, i])
-    extra = _finite(np.concatenate(extra, axis=1).ravel(), "conjugated unit value")
-    return np.concatenate([values, extra]), np.concatenate([norms, np.ones(extra.size)])
+        r, c = _index_tables(n)[:2]
+        extra.append((us.conj().transpose(0, 2, 1) @ w[..., None, :, :] @ us)[..., c, r])
+    extra = _finite(np.concatenate(extra, axis=-1), "conjugated unit value")
+    extra = extra.reshape(*extra.shape[:-2], -1)
+    return (
+        np.concatenate([values, extra], axis=-1),
+        np.concatenate([norms, np.ones(extra.shape[-1])]),
+    )
 
 
-def _first_nonvanishing(f: Functional, scale: float, values, norms) -> VanishingVerdict:
-    """The first element on which |f| exceeds ``TRACIAL_TOL`` times
-    ``scale`` times its norm. ``values`` and ``norms`` follow the
-    square-zero basis and then, when longer, the conjugated units."""
-    hits = np.flatnonzero(np.hypot(values.real, values.imag) > TRACIAL_TOL * scale * norms)
-    if not hits.size:
-        return VanishingVerdict(True, None, None)
-    first = int(hits[0])
-    keys = _square_zero_keys(f.spec)
-    keys += [(k, i, j, u) for u in (2, 3) for k, i, j, kind in keys if kind == 0]
-    w = _element(f.spec, keys[first])
-    return VanishingVerdict(False, w, complex(values[first]))
+def _first_nonvanishing(spec: AlgebraSpec, limits, values, norms) -> list[VanishingVerdict]:
+    """Per functional, the first element on which |f| exceeds its
+    ``limits`` entry (``TRACIAL_TOL`` times its scale) times the
+    element's norm. ``values`` and ``norms`` follow the square-zero basis
+    and then, when longer, the conjugated units."""
+    first = _first_max(np.hypot(values.real, values.imag) > limits * norms)
+    return [
+        VanishingVerdict(True, None, None)
+        if q < 0
+        else VanishingVerdict(False, _element(spec, _witness_keys(spec)[q]), complex(v[q]))
+        for v, q in zip(values, first)
+    ]
 
 
 @dataclass(frozen=True)
@@ -342,23 +417,28 @@ def _projection_values(f: Functional) -> tuple[np.ndarray, list[tuple[int, int, 
     the values equal evaluate's bit for bit."""
     values, keys = [], []
     for k, (w, n) in enumerate(zip(f.weights, f.spec.block_sizes)):
-        j, l = np.nonzero(~np.eye(n, dtype=bool))
+        j, l = _index_tables(n)[:2]
         with np.errstate(over="ignore"):  # an infinite value raises just below
-            values += [np.diagonal(w), w[j, j] + w[l, j]]
+            values += [np.diagonal(w, axis1=-2, axis2=-1), w[..., j, j] + w[..., l, j]]
         keys += [(k, i, i, 4) for i in range(n)] + [(k, a, b, 4) for a, b in zip(j, l)]
-    return _finite(0 + np.concatenate(values), "rank-one projection value"), keys
+    return _finite(0 + np.concatenate(values, axis=-1), "rank-one projection value"), keys
 
 
-def _constancy(f: Functional, scale: float) -> ConstancyVerdict:
-    """f on the rank-one idempotents, which fix every weight entry, against
-    its value on the first; a failure names the first that differs."""
-    values, keys = _projection_values(f)
-    gaps = values - values[0]
-    off = np.flatnonzero(np.hypot(gaps.real, gaps.imag) > TRACIAL_TOL * scale)
-    if not off.size:
-        return ConstancyVerdict(True, complex(values[0]), None)
-    first, other = ((_element(f.spec, keys[i]), complex(values[i])) for i in (0, off[0]))
-    return ConstancyVerdict(False, None, (first, other))
+def _constancy(spec: AlgebraSpec, limits, values, keys) -> list[ConstancyVerdict]:
+    """Per functional, its :func:`_projection_values` (with their
+    ``keys``), which fix every weight entry, against its value on the
+    first; a failure names the first that lies over its ``limits`` entry
+    away."""
+    gaps = values - values[:, :1]
+    off = _first_max(np.hypot(gaps.real, gaps.imag) > limits)
+    out = []
+    for v, q in zip(values, off):
+        if q < 0:
+            out.append(ConstancyVerdict(True, complex(v[0]), None))
+        else:
+            first, other = ((_element(spec, keys[i]), complex(v[i])) for i in (0, q))
+            out.append(ConstancyVerdict(False, None, (first, other)))
+    return out
 
 
 def counterexample_functional(spec: AlgebraSpec) -> Functional:
@@ -395,22 +475,53 @@ class CharacterizationReport:
         return self.scalar_trace_coefficient is not None
 
 
+def _characterize_stack(fs, seed: int) -> list:
+    """The :class:`CharacterizationReport` of each functional of ``fs``, all
+    on one algebra, or the SocleLabError that characterizing it raises.
+
+    The weights are stacked per block and every quantity is taken once
+    for the whole stack: block scalars, deviations, weight scales,
+    square-zero, nilpotent and projection values, and the spot check;
+    each verdict is one vectorized threshold over its stack. The stages
+    run in the order in which one functional alone is decided. If the
+    stack raises, each functional is characterized alone, so that each
+    gets its own outcome.
+    """
+    spec = fs[0].spec
+    stack = Functional(spec, tuple(map(np.stack, zip(*(f.weights for f in fs)))), _checked=True)
+    try:
+        alphas, dev = _scalar_deviations(stack)
+        scale = stack.weight_scale()
+        values, norms = _square_zero_values(stack)
+        tracial = _tracial(stack, dev, scale, seed)
+        bounds = _bounds(spec, tracial, alphas, values)
+        nilpotent, nilpotent_norms = _nilpotent_values(stack, values, norms)
+        projections, keys = _projection_values(stack)
+    except SocleLabError as exc:
+        if len(fs) == 1:
+            return [exc]
+        return [out for f in fs for out in _characterize_stack([f], seed)]
+    limits = TRACIAL_TOL * scale[:, None]
+    return [
+        CharacterizationReport(f, *verdicts)
+        for f, *verdicts in zip(
+            fs,
+            _scalar_traces(alphas, dev, scale),
+            tracial,
+            _tracial_witnesses(stack, tracial),
+            bounds,
+            _first_nonvanishing(spec, limits, nilpotent, nilpotent_norms),
+            _first_nonvanishing(spec, limits, values, norms),
+            _constancy(spec, limits, projections, keys),
+        )
+    ]
+
+
 def characterize(f: Functional, seed: int = 0) -> CharacterizationReport:
     """Run every characterization on one functional: the one public way
-    to decide any of them. The block scalars, the weight scale, the
-    square-zero values and the tracial verdict are computed once and
-    shared by every verdict; ``seed`` seeds the tracial spot check."""
-    alphas, dev = _scalar_deviations(f)
-    scale = f.weight_scale()
-    values, norms = _square_zero_values(f)
-    tracial = _tracial(f, dev, scale, seed)
-    return CharacterizationReport(
-        functional=f,
-        scalar_trace_coefficient=_scalar_trace(alphas, dev, scale),
-        tracial=tracial,
-        tracial_pair=None if tracial else _tracial_witness(f),
-        bound=_bound(f, tracial, alphas, values),
-        nilpotent=_first_nonvanishing(f, scale, *_nilpotent_values(f, values, norms)),
-        square_zero=_first_nonvanishing(f, scale, values, norms),
-        rank_one_constancy=_constancy(f, scale),
-    )
+    to decide any of them, a stack of one for :func:`_characterize_stack`.
+    ``seed`` seeds the tracial spot check."""
+    (rep,) = _characterize_stack([f], seed)
+    if isinstance(rep, SocleLabError):
+        raise rep
+    return rep

@@ -13,8 +13,15 @@ merge radius and the zero snap. The second route needs only the rank of
 an idempotent, which holds at any quadrature error below 1/2, so it runs
 nested rules: 16 nodes, whose even nodes give the 8-node rule for free,
 accepted when the two are within 1/4; else 32 nodes the same way; else
-``DEFAULT_NODES``. The trace is the multiplicity-weighted sum of
-spectral values, certified against the diagonal-sum oracle.
+``DEFAULT_NODES``. Each node count doubles the one before, and its even
+nodes are bit for bit those of the one before, so a center that
+escalates solves only its new, odd nodes. All of an element's nonzero
+centers run together: per block and node count, one stacked solve over
+the centers not yet accepted and one stacked SVD that gives both their
+nested distances and their ranks. No solve or SVD call holds more than
+``STACK_ENTRIES`` complex entries; larger stacks are split. The trace is
+the multiplicity-weighted sum of spectral values, certified against the
+diagonal-sum oracle.
 
 A maximal element (as many distinct nonzero spectral values as its
 rank) needs no contour. Its nonzero values are simple and it vanishes
@@ -30,6 +37,7 @@ SVD rank is its own witness.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +66,7 @@ from .errors import (
     NumericOverflowError,
     ProbeExhaustionError,
     ShapeMismatchError,
+    SocleLabError,
     SpectralGapError,
     SVDConvergenceError,
     TargetNotInSpectrumError,
@@ -79,11 +88,15 @@ MULTIPLICITY_PROBES = 8
 # cluster tolerances; the two routes may legitimately split there.
 GAP_FLOOR_FACTOR = 10.0
 TRACE_CERT_TOL = 1e-8
-# Route B's nested node counts, and the largest distance between a
-# projection and its nested half rule at which its rank is accepted:
-# half the 1/2 that idempotent_rank tolerates.
+# Route B's nested node counts, each followed by twice itself and the
+# last by DEFAULT_NODES, and the largest distance between a projection
+# and its nested half rule at which its rank is accepted: half the 1/2
+# that idempotent_rank tolerates.
 _NESTED_NODES = (16, 32)
 _NESTED_ACCEPT = 0.25
+# The most complex entries (16 MiB) that one stacked solve or SVD call
+# holds; route B takes as many centers at once as fit at DEFAULT_NODES.
+STACK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -125,50 +138,85 @@ def _match_target(rep: SpectrumReport, target: complex) -> complex:
     return v
 
 
-def _projection(a: Element, rep: SpectrumReport, centers, nodes: int):
-    """The trapezoid-rule contour projection summed over ``centers`` (circles of
-    radius ``RADIUS_FACTOR`` times each gap in ``rep``), the same sum by the
-    nested rule on its even nodes, and the radii used.
-
-    For even ``nodes`` the even nodes are exactly those of the rule with
-    ``nodes // 2`` nodes, so the nested sum reuses the same solves; the
-    full sum does not depend on it."""
-    scale = max(rep.radius, 1.0)
+@functools.lru_cache(maxsize=8)
+def _phases(nodes: int) -> np.ndarray:
+    """The unit-circle nodes of the ``nodes``-point trapezoid rule;
+    read-only, and cached for the last 8 node counts."""
     phases = np.exp(1j * (2 * np.pi * np.arange(nodes) / nodes))
-    radii = []
-    blocks = [np.zeros((n, n), dtype=complex) for n in a.spec.block_sizes]
-    halves = [np.zeros((n, n), dtype=complex) for n in a.spec.block_sizes]
-    for c in centers:
-        r = RADIUS_FACTOR * rep.gap(c)
-        if not np.isfinite(r):
-            raise NumericOverflowError(f"the contour radius around {c} overflows the double range")
-        if r < RESOLVENT_FLOOR * scale:
-            raise ContourCollapseError(
-                c, r, f"contour radius {r:.3e} around {c} is below the "
-                f"singularity floor {RESOLVENT_FLOOR * scale:.3e}"
-            )
-        radii.append(float(r))
-        with np.errstate(over="ignore", invalid="ignore"):
-            zs = c + r * phases
-            shifts = [zs[:, None, None] * np.eye(len(b), dtype=complex) - b for b in a.blocks]
-        if not all(np.isfinite(shifted).all() for shifted in shifts):
-            raise NumericOverflowError(f"the contour around {c} overflows the double range")
-        for acc, half, shifted, n in zip(blocks, halves, shifts, a.spec.block_sizes):
-            eye = np.eye(n, dtype=complex)
+    phases.flags.writeable = False
+    return phases
+
+
+def _radius(rep: SpectrumReport, center: complex) -> float:
+    """The contour radius around ``center``: ``RADIUS_FACTOR`` times its gap
+    in ``rep``, at least the singularity floor."""
+    scale = max(rep.radius, 1.0)
+    r = RADIUS_FACTOR * rep.gap(center)
+    if not np.isfinite(r):
+        raise NumericOverflowError(f"the contour radius around {center} overflows the double range")
+    if r < RESOLVENT_FLOOR * scale:
+        raise ContourCollapseError(
+            center, r, f"contour radius {r:.3e} around {center} is below the "
+            f"singularity floor {RESOLVENT_FLOOR * scale:.3e}"
+        )
+    return r
+
+
+def _contour_solves(a: Element, centers, radii, nodes: int, odd: bool = False) -> list:
+    """Per block b of ``a``, (z - b)^-1 at the ``nodes``-point rule on the
+    circle of radius ``radii[k]`` around each ``centers[k]``, or at its odd
+    nodes only: ``(len(centers), m, n, n)``, m nodes per circle.
+
+    Every shift is built and checked before any solve; one that overflows
+    is a NumericOverflowError, a singular one a ContourCollapseError, each
+    naming the first circle of the call. The shifts of a block are solved
+    in calls of at most ``STACK_ENTRIES`` entries."""
+    phases = _phases(nodes)
+    shifts = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        zs = np.stack([c + r * phases for c, r in zip(centers, radii)])
+        if odd:
+            zs = zs[:, 1::2]
+        for b in a.blocks:
+            shifted = np.multiply.outer(zs, np.eye(len(b), dtype=complex))
+            shifted -= b
+            shifts.append(shifted)
+    if not all(np.isfinite(shifted).all() for shifted in shifts):
+        raise NumericOverflowError(f"the contour around {centers[0]} overflows the double range")
+    solves = []
+    for shifted in shifts:
+        n = shifted.shape[-1]
+        flat = shifted.reshape(-1, n, n)
+        step = max(1, STACK_ENTRIES // (n * n))
+        parts = []
+        for lo in range(0, len(flat), step):
+            part = flat[lo : lo + step]
             try:
-                solved = np.linalg.solve(shifted, np.broadcast_to(eye, (nodes, n, n)))
+                parts.append(
+                    np.linalg.solve(part, np.broadcast_to(np.eye(n, dtype=complex), part.shape))
+                )
             except np.linalg.LinAlgError:
-                raise ContourCollapseError(c, r) from None
-            with np.errstate(over="ignore", invalid="ignore"):  # checked below
-                acc += (r / nodes) * np.einsum("j,jkl->kl", phases, solved)
-                half += (2 * r / nodes) * np.einsum("j,jkl->kl", phases[::2], solved[::2])
-        if not all(np.isfinite(m).all() for m in blocks + halves):
-            raise NumericOverflowError(f"the projection around {c} overflows the double range")
-    return (
-        Element(a.spec, tuple(blocks), _checked=True),
-        Element(a.spec, tuple(halves), _checked=True),
-        tuple(radii),
-    )
+                raise ContourCollapseError(centers[0], radii[0]) from None
+        solved = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        solves.append(solved.reshape(shifted.shape))
+    return solves
+
+
+def _node_sums(center: complex, r: float, solved, nodes: int):
+    """The trapezoid-rule projection around ``center`` from the per-block
+    resolvents ``solved`` at all ``nodes`` nodes of its circle of radius
+    ``r``, and the same sum by the nested rule on its even nodes, which
+    for even ``nodes`` is the rule with ``nodes // 2`` nodes."""
+    phases = _phases(nodes)
+    blocks = [np.zeros(s.shape[1:], dtype=complex) for s in solved]
+    halves = [np.zeros(s.shape[1:], dtype=complex) for s in solved]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for acc, half, s in zip(blocks, halves, solved):
+            acc += (r / nodes) * np.einsum("j,jkl->kl", phases, s)
+            half += (2 * r / nodes) * np.einsum("j,jkl->kl", phases[::2], s[::2])
+    if not all(np.isfinite(m).all() for m in blocks + halves):
+        raise NumericOverflowError(f"the projection around {center} overflows the double range")
+    return blocks, halves
 
 
 def riesz_projection(a: Element, targets, nodes: int = DEFAULT_NODES) -> RieszReport:
@@ -197,7 +245,18 @@ def riesz_projection(a: Element, targets, nodes: int = DEFAULT_NODES) -> RieszRe
             )
         centers.append(c)
 
-    p, _, radii = _projection(a, rep, centers, nodes)
+    radii = []
+    blocks = [np.zeros((n, n), dtype=complex) for n in a.spec.block_sizes]
+    for c in centers:
+        r = _radius(rep, c)
+        radii.append(float(r))
+        solved = [s[0] for s in _contour_solves(a, [c], [r], nodes)]
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            for acc, term in zip(blocks, _node_sums(c, r, solved, nodes)[0]):
+                acc += term
+        if not all(np.isfinite(m).all() for m in blocks):
+            raise NumericOverflowError(f"the projection around {c} overflows the double range")
+    p = Element(a.spec, tuple(blocks), _checked=True)
     defect = operator_norm(p @ p - p)
     mult = idempotent_rank(p)
 
@@ -212,7 +271,7 @@ def riesz_projection(a: Element, targets, nodes: int = DEFAULT_NODES) -> RieszRe
     return RieszReport(
         projection=p,
         centers=tuple(centers),
-        radii=radii,
+        radii=tuple(radii),
         nodes=nodes,
         idempotency_defect=float(defect),
         multiplicity=mult,
@@ -232,39 +291,49 @@ def _multiplicities(a: Element, rep: SpectrumReport, rank: int, centers, seed):
     clustered table is computed once, after the first gap check passes,
     by :func:`_perturbed_spectra`. For nonzero centers, Route B is the
     :func:`~soclelab.algebra.idempotent_rank` of the Riesz projection,
-    by :func:`_projection_rank`: at 16 nodes when that projection is
-    within 1/4 of its nested 8-node rule, else at 32 nodes on the same
-    test, else at ``DEFAULT_NODES``. The routes share only ``rep`` and
-    ``rank``.
+    by :func:`_projection_ranks`, for all of them at once. The routes
+    share only ``rep`` and ``rank``. Route A runs first, up to the first
+    center it fails at; the centers are then judged in order, so the
+    first one that fails either route decides the error, as center by
+    center.
     """
     floor = GAP_FLOOR_FACTOR * rep.cluster_tolerance
     admitted = None
-    out = []
+    route_a, failure = [], None
     for center in centers:
-        gap = rep.gap(center)
-        if gap < floor:
-            raise SpectralGapError(center, gap, floor)
-        if admitted is None:
-            _, values, sizes, nonzero = _perturbed_spectra(a, seed)
-            keep = nonzero.sum(axis=1) == rank  # else outside the rank-attaining set
-            if not keep.any():
-                raise ProbeExhaustionError(
-                    "no perturbation probe preserved the rank after "
-                    f"{MULTIPLICITY_PROBES} attempts"
-                )
-            zero = (sizes > 0) & ~nonzero
-            admitted = values[keep], nonzero[keep], zero[keep].any(axis=1)
-        counts = sorted(set(_near_counts(*admitted, center, gap / 3.0).tolist()))
-        if len(counts) != 1:
-            msg = f"perturbation counts at {center} were not constant: {counts}"
-            raise MultiplicityInconsistencyError(center, counts, None, message=msg)
-        route_a = counts[0]
+        try:
+            gap = rep.gap(center)
+            if gap < floor:
+                raise SpectralGapError(center, gap, floor)
+            if admitted is None:
+                _, values, sizes, nonzero = _perturbed_spectra(a, seed)
+                keep = nonzero.sum(axis=1) == rank  # else outside the rank-attaining set
+                if not keep.any():
+                    raise ProbeExhaustionError(
+                        "no perturbation probe preserved the rank after "
+                        f"{MULTIPLICITY_PROBES} attempts"
+                    )
+                zero = (sizes > 0) & ~nonzero
+                admitted = values[keep], nonzero[keep], zero[keep].any(axis=1)
+            counts = sorted(set(_near_counts(*admitted, center, gap / 3.0).tolist()))
+            if len(counts) != 1:
+                msg = f"perturbation counts at {center} were not constant: {counts}"
+                raise MultiplicityInconsistencyError(center, counts, None, message=msg)
+        except SocleLabError as exc:
+            failure = exc
+            break
+        route_a.append(counts[0])
+    route_b = iter(_projection_ranks(a, rep, [c for c in centers[: len(route_a)] if c != 0]))
+    for center, count in zip(centers, route_a):
         if center != 0:
-            route_b = _projection_rank(a, rep, center)
-            if route_a != route_b:
-                raise MultiplicityInconsistencyError(center, route_a, route_b)
-        out.append(route_a)
-    return out
+            rank_b = next(route_b)
+            if isinstance(rank_b, SocleLabError):
+                raise rank_b
+            if count != rank_b:
+                raise MultiplicityInconsistencyError(center, count, rank_b)
+    if failure is not None:
+        raise failure
+    return route_a
 
 
 def _near_counts(values, nonzero, zero, center: complex, ball: float) -> np.ndarray:
@@ -278,9 +347,10 @@ def _near_counts(values, nonzero, zero, center: complex, ball: float) -> np.ndar
     return (near & nonzero).sum(axis=1) + (zero & (abs(center) < ball))
 
 
-def _projection_rank(a: Element, rep: SpectrumReport, center: complex) -> int:
-    """Route B: the :func:`~soclelab.algebra.idempotent_rank` of the
-    contour projection at ``center``, at the fewest nodes that certify it.
+def _projection_ranks(a: Element, rep: SpectrumReport, centers) -> list:
+    """Route B at each of ``centers``: the
+    :func:`~soclelab.algebra.idempotent_rank` of its contour projection at
+    the fewest nodes that certify it, or the SocleLabError it raises.
 
     At each node count n of ``_NESTED_NODES``, the n-node projection P_n
     is accepted when ||P_n - P_{n/2}|| <= ``_NESTED_ACCEPT``, P_{n/2}
@@ -289,12 +359,68 @@ def _projection_rank(a: Element, rep: SpectrumReport, center: complex) -> int:
     so that difference bounds the error of P_n with room to spare, and a
     rank is right whenever the error stays below 1/2. If no count passes,
     the rank is that of P at ``DEFAULT_NODES``.
+
+    The centers go in groups whose resolvents fit ``STACK_ENTRIES`` at
+    ``DEFAULT_NODES`` (:func:`_nested_ranks`). If a group raises, each of
+    its centers runs alone, so that each gets its own outcome.
     """
-    for nodes in _NESTED_NODES:
-        p, half, _ = _projection(a, rep, [center], nodes)
-        if operator_norm(p - half) <= _NESTED_ACCEPT:
-            return idempotent_rank(p)
-    return idempotent_rank(_projection(a, rep, [center], DEFAULT_NODES)[0])
+    largest = max(a.spec.block_sizes)
+    size = max(1, STACK_ENTRIES // (DEFAULT_NODES * largest * largest))
+    out = []
+    for lo in range(0, len(centers), size):
+        group = centers[lo : lo + size]
+        try:
+            out += _nested_ranks(a, rep, group)
+        except SocleLabError as exc:
+            if len(group) == 1:
+                out.append(exc)
+                continue
+            out += [r for c in group for r in _projection_ranks(a, rep, [c])]
+    return out
+
+
+def _nested_ranks(a: Element, rep: SpectrumReport, centers) -> list[int]:
+    """The route B rank of every center of one group, node count by node
+    count: per block, one stacked solve of the new nodes of the centers
+    not yet accepted, interleaved with their earlier solves as the even
+    nodes, and one stacked SVD of their projections P_n and differences
+    P_n - P_{n/2}, which gives both their ranks and their distances."""
+    radii = [_radius(rep, c) for c in centers]
+    ranks = [None] * len(centers)
+    pending = list(range(len(centers)))
+    solved = None
+    for nodes in _NESTED_NODES + (DEFAULT_NODES,):
+        cs, rs = [centers[k] for k in pending], [radii[k] for k in pending]
+        if solved is None:
+            solved = _contour_solves(a, cs, rs, nodes)
+        else:  # the earlier solves are the even nodes, the new ones the odd
+            odd = _contour_solves(a, cs, rs, nodes, odd=True)
+            solved = [
+                np.stack([even, new], axis=2).reshape(len(cs), nodes, *new.shape[2:])
+                for even, new in zip(solved, odd)
+            ]
+        sums = [
+            _node_sums(c, r, [s[i] for s in solved], nodes) for i, (c, r) in enumerate(zip(cs, rs))
+        ]
+        last = nodes == DEFAULT_NODES
+        stacks = [
+            np.stack([p[k] for p, _ in sums] + ([] if last else [p[k] - h[k] for p, h in sums]))
+            for k in range(a.spec.num_blocks)
+        ]
+        svals = _blockwise(
+            lambda x: np.linalg.svd(x, compute_uv=False), stacks, SVDConvergenceError
+        )
+        keep = []
+        for i, k in enumerate(pending):
+            if last or max(s[len(pending) + i, 0] for s in svals) <= _NESTED_ACCEPT:
+                ranks[k] = sum(int(np.sum(s[i] > 0.5)) for s in svals)
+            else:
+                keep.append(i)
+        pending = [pending[i] for i in keep]
+        if not pending:
+            break
+        solved = [s[keep] for s in solved]
+    return ranks
 
 
 def _perturbed_spectra(a: Element, seed: int):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import soclelab as sl
-from soclelab.algebra import CLUSTER_TOL, cluster_eigenvalues, idempotent_rank
+from soclelab.algebra import CLUSTER_TOL, MAX_BLOCK_ENTRIES, cluster_eigenvalues, idempotent_rank
 from soclelab.algebra import nonzero_spectrum_counts
 from soclelab.errors import (
     NonFiniteEntryError,
@@ -33,6 +33,13 @@ class TestConstruction:
         spec = sl.AlgebraSpec((2, 3))
         assert spec.dimension == 13
         assert spec.matrix_dimension == 5
+
+    def test_block_entries_are_bounded(self):
+        largest = int(np.sqrt(MAX_BLOCK_ENTRIES))
+        assert sl.AlgebraSpec((1, largest)).block_sizes == (1, largest)
+        for sizes in [(largest + 1,), (2, 100000), (10**400,)]:
+            with pytest.raises(ShapeMismatchError, match="entries of the largest block"):
+                sl.AlgebraSpec(sizes)
 
     def test_block_shape_checked(self, spec23):
         with pytest.raises(ShapeMismatchError):

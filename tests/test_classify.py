@@ -9,7 +9,7 @@ import soclelab as sl
 import soclelab.classify as classify
 import soclelab.riesz as riesz
 from soclelab.algebra import block_ranks, corner_ranks
-from soclelab.errors import NotIdempotentError, TheoremViolationError
+from soclelab.errors import NotIdempotentError, NumericOverflowError, TheoremViolationError
 from soclelab.sampling import (
     random_element,
     random_maximal_element,
@@ -286,6 +286,25 @@ class TestVerifyTheorems:
             assert rep.socle_is_single_matrix_block == expected
 
 
+    @pytest.mark.parametrize("sizes", [(3,), (2, 2)])
+    def test_one_stack_of_every_functional(self, sizes, monkeypatch):
+        spec = sl.AlgebraSpec(sizes)
+        stacks = []
+        real = classify._characterize_stack
+
+        def recorded(fs, seed):
+            stacks.append(list(fs))
+            return real(fs, seed)
+
+        monkeypatch.setattr(classify, "_characterize_stack", recorded)
+        rep = sl.verify_theorems(spec, trials=3, seed=5)
+        (fs,) = stacks
+        assert len(fs) == rep.functional_count + (spec.num_blocks > 1) == 9 + (spec.num_blocks > 1)
+        if spec.num_blocks > 1:
+            assert is_first_block_trace(fs[-1])
+            assert rep.counterexample.functional is fs[-1]
+
+
 def with_verdicts(rep, scalar, tracial, bound, nilpotent, square_zero, constant):
     """A real report with its six verdicts set, witnesses kept."""
     return dataclasses.replace(
@@ -316,16 +335,24 @@ def is_first_block_trace(f):
     return not any(np.any(w) for w in f.weights[1:])
 
 
+def patch_reports(monkeypatch, edit):
+    """Replace the stacked characterization that ``verify_theorems`` reads
+    by one that passes each functional's real report through ``edit``."""
+    real = classify._characterize_stack
+
+    def patched(fs, seed):
+        return [edit(f, rep) for f, rep in zip(fs, real(fs, seed))]
+
+    monkeypatch.setattr(classify, "_characterize_stack", patched)
+
+
 def patch_characterize(monkeypatch, change, when=lambda f, rep: True):
-    """Replace ``classify.characterize`` by one that applies ``change``, a
-    map from six verdicts to six verdicts, to the reports ``when`` picks."""
-    real = classify.characterize
-
-    def patched(f, seed=0):
-        rep = real(f, seed=seed)
-        return with_verdicts(rep, *change(verdicts_of(rep))) if when(f, rep) else rep
-
-    monkeypatch.setattr(classify, "characterize", patched)
+    """Apply ``change``, a map from six verdicts to six verdicts, to the
+    reports ``when`` picks."""
+    patch_reports(
+        monkeypatch,
+        lambda f, rep: with_verdicts(rep, *change(verdicts_of(rep))) if when(f, rep) else rep,
+    )
 
 
 class TestViolations:
@@ -391,16 +418,13 @@ class TestViolations:
             sl.verify_theorems(spec22, trials=2, seed=1)
 
     def test_counterexample_without_witnesses(self, monkeypatch, spec22):
-        real = classify.characterize
-
-        def patched(f, seed=0):
-            rep = real(f, seed=seed)
+        def patched(f, rep):
             if not is_first_block_trace(f):
                 return rep
             constancy = dataclasses.replace(rep.rank_one_constancy, witnesses=None)
             return dataclasses.replace(rep, rank_one_constancy=constancy)
 
-        monkeypatch.setattr(classify, "characterize", patched)
+        patch_reports(monkeypatch, patched)
         with pytest.raises(TheoremViolationError):
             sl.verify_theorems(spec22, trials=2, seed=1)
 
@@ -438,6 +462,31 @@ class TestViolations:
         assert "trial 0 dense" in info.value.claim
         assert "(True, False, False, False, False, True)" in info.value.claim
         assert verdicts_of(info.value.witness) == (True, False, False, False, False, True)
+
+    @pytest.mark.parametrize(
+        "failing, flipped, error",
+        [
+            (2, 0, TheoremViolationError),  # trial 0 scalar fails its prediction first
+            (2, 3, NumericOverflowError),  # trial 0 dense raises before trial 1 scalar
+        ],
+    )
+    def test_the_first_functional_in_order_decides(
+        self, monkeypatch, spec22, failing, flipped, error
+    ):
+        order = []
+
+        def edit(f, rep):
+            order.append(f)
+            k = len(order) - 1
+            if k == failing:
+                return NumericOverflowError("a value overflows the double range")
+            return with_verdicts(rep, *(not v for v in verdicts_of(rep))) if k == flipped else rep
+
+        patch_reports(monkeypatch, edit)
+        with pytest.raises(error) as info:
+            sl.verify_theorems(spec22, trials=2, seed=1)
+        if error is TheoremViolationError:
+            assert "trial 0 scalar" in info.value.claim
 
     @pytest.mark.parametrize("index", [3, 4])
     def test_counterexample_must_vanish(self, monkeypatch, spec22, index):

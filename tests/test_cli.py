@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -91,6 +92,11 @@ DIAG_1_2 = [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]
 # value, 1e308 + 1e308, and a rank-one projection value, W[0,0] + W[1,0]
 SQUARE_ZERO_OVERFLOW = {"weights": [[[[1e308, 0], [1e308, 0]], [[-1e308, 0], [1e308, 0]]]]}
 PROJECTION_OVERFLOW = {"weights": [[[[1e308, 0], [0, 0]], [[1e308, 0], [0, 0]]]]}
+# diag(1.7e308, 1.7e308, -1.7e308): the last entry minus the mean overflows
+DEVIATION_OVERFLOW = {
+    "weights": [[[[1.7e308, 0], [0, 0], [0, 0]], [[0, 0], [1.7e308, 0], [0, 0]],
+                 [[0, 0], [0, 0], [-1.7e308, 0]]]]
+}
 # finite blocks whose eigenvalues are not all finite: eigvals gives
 # NaN + NaNi twice for the first, [inf, 1.4e276] for the second
 NAN_EIGENVALUES = {"blocks": [[[[1.5e308, 1.5e308], [0, 0]], [[0, 0], [1, 0]]]]}
@@ -213,13 +219,12 @@ class TestCommands:
 
     def test_verify_violation_is_a_json_error(self, capsys, monkeypatch):
         # a report whose tracial verdict is flipped breaks the prediction
-        real = sl.classify.characterize
+        real = sl.classify._characterize_stack
 
-        def flipped(f, seed=0):
-            rep = real(f, seed=seed)
-            return dataclasses.replace(rep, tracial=not rep.tracial)
+        def flipped(fs, seed):
+            return [dataclasses.replace(rep, tracial=not rep.tracial) for rep in real(fs, seed)]
 
-        monkeypatch.setattr(sl.classify, "characterize", flipped)
+        monkeypatch.setattr(sl.classify, "_characterize_stack", flipped)
         code, out = invoke(capsys, "verify", "--spec", '{"block_sizes": [2]}', "--trials", "2")
         assert code == 2
         assert out["error"]["type"] == "TheoremViolationError"
@@ -641,6 +646,7 @@ class TestOverflow:
         [
             (SQUARE_ZERO_OVERFLOW, "square-zero value"),
             (PROJECTION_OVERFLOW, "rank-one projection value"),
+            (DEVIATION_OVERFLOW, "deviation from the block scalars"),
         ],
     )
     def test_overflowed_value_writes_no_warning(self, tmp_path, document, quantity):
@@ -1057,6 +1063,23 @@ class TestNoTraceback:
             assert issubclass(getattr(sl.errors, data["error"]["type"]), sl.errors.SocleLabError)
 
 
+    @pytest.mark.parametrize("size", [100000, 2049])
+    def test_a_block_over_the_bound_is_refused_before_any_allocation(self, size, capsys):
+        # 100000 x 100000 complex entries need 149 GiB; 2049 x 2049 would
+        # fit, and shows that the refusal comes first
+        tracemalloc.start()
+        try:
+            code = run(["classify", "--spec", json.dumps({"block_sizes": [size]})])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        assert strict_loads(captured.out)["error"]["type"] == "ShapeMismatchError"
+        assert peak < size * size * 16 // 64
+
+
 class TestKnownWrongAnswers:
     """Inputs on which a command gives a wrong answer, each test asserting
     the right outcome: the right value, or a typed error without a
@@ -1089,6 +1112,30 @@ class TestKnownWrongAnswers:
         code, out = invoke_stdin(capsys, ["spectrum"], diagonal(1e308, 1e308))
         assert code == 0
         assert out["points"] == [{"multiplicity": 2, "value": [1e308, 0.0]}]
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="RANK_TOL * top singular value")
+    def test_triangular_with_a_large_entry_has_full_rank(self, capsys):
+        # [[1, 1e6], [0, 2]]: a nonzero diagonal, so rank 2, and every
+        # entry exact in binary; sigma_min / sigma_max is 2e-12
+        document = {"blocks": [[[[1, 0], [1e6, 0]], [[0, 0], [2, 0]]]]}
+        code, out = invoke_stdin(capsys, ["rank"], document)
+        assert code == 0
+        assert (out["rank"], out["oracle_rank"]) == (2, 2)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="idempotent_rank at absolute 1/2")
+    def test_riesz_multiplicity_is_that_of_the_spectrum(self, capsys):
+        # at each value that spectrum reports for F J_4 F*, riesz must give
+        # spectrum's multiplicity or fail its certification (exit 2)
+        document = jsonio.element_to_json(dft_conjugated_jordan(4))
+        code, spectrum_out = invoke_stdin(capsys, ["spectrum"], document)
+        assert code == 0
+        for point in spectrum_out["points"]:
+            code, out = invoke_stdin(
+                capsys, ["riesz"], {"element": document, "targets": [point["value"]]}
+            )
+            if code != 2:
+                assert code == 0
+                assert out["multiplicity"] == point["multiplicity"]
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason="a defective value's ring")
     def test_conjugated_jordan_block_has_the_value_zero(self, capsys):

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 import soclelab as sl
 import soclelab.functionals as functionals
 import soclelab.sampling as sampling
-from soclelab import jsonio
+from soclelab import cli, jsonio
 from soclelab.errors import (
     NoCounterexampleError,
     NonFiniteEntryError,
     NumericOverflowError,
     ShapeMismatchError,
+    SocleLabError,
     SVDConvergenceError,
     TheoremViolationError,
 )
@@ -335,7 +336,7 @@ class TestSquareZeroClosedForm:
         f = sl.trace_functional(m2)
         values = _square_zero_values(f)[0]
         with pytest.raises(TheoremViolationError):
-            functionals._bound(f, False, None, values)
+            functionals._bounds(f.spec, [False], [None], values[None])
 
 
 class TestVanishing:
@@ -487,7 +488,7 @@ class TestTracialWitness:
     @example(f=ULP_TIE_2)
     def test_vectorized_scan_matches_loop(self, f):
         expected = tracial_scan_reference(f)
-        got = functionals._tracial_witness(f)
+        got = functionals._tracial_witnesses(stack_of(f), [False])[0]
         if expected is None:
             assert got is None
             return
@@ -509,26 +510,30 @@ class TestTracialWitness:
             assert sl.evaluate(f, a @ b) != sl.evaluate(f, b @ a)
 
 
+def stack_of(f):
+    """f as a stack of one functional, the input of the verdict bodies."""
+    return Functional(f.spec, tuple(w[None] for w in f.weights), _checked=True)
+
+
 def characterize_reference(f, seed):
     """The report assembled verdict by verdict from the private bodies,
     each of which computes its own inputs."""
-    fn = functionals
-    tracial = tracial_verdict(f, seed)
-    if tracial:
-        bound = fn._bound(f, True, fn._scalar_deviations(f)[0], None)
-    else:
-        bound = fn._bound(f, False, None, _square_zero_values(f)[0])
+    fn, g = functionals, stack_of(f)
+    tracial = [tracial_verdict(f, seed)]
+    limits = fn.TRACIAL_TOL * g.weight_scale()[:, None]
     return CharacterizationReport(
         functional=f,
-        scalar_trace_coefficient=fn._scalar_trace(*fn._scalar_deviations(f), f.weight_scale()),
-        tracial=tracial,
-        tracial_pair=None if tracial else fn._tracial_witness(f),
-        bound=bound,
+        scalar_trace_coefficient=fn._scalar_traces(*fn._scalar_deviations(g), g.weight_scale())[0],
+        tracial=tracial[0],
+        tracial_pair=fn._tracial_witnesses(g, tracial)[0],
+        bound=fn._bounds(
+            f.spec, tracial, fn._scalar_deviations(g)[0], _square_zero_values(g)[0]
+        )[0],
         nilpotent=fn._first_nonvanishing(
-            f, f.weight_scale(), *fn._nilpotent_values(f, *_square_zero_values(f))
-        ),
-        square_zero=fn._first_nonvanishing(f, f.weight_scale(), *_square_zero_values(f)),
-        rank_one_constancy=fn._constancy(f, f.weight_scale()),
+            f.spec, limits, *fn._nilpotent_values(g, *_square_zero_values(g))
+        )[0],
+        square_zero=fn._first_nonvanishing(f.spec, limits, *_square_zero_values(g))[0],
+        rank_one_constancy=fn._constancy(f.spec, limits, *fn._projection_values(g))[0],
     )
 
 
@@ -602,6 +607,66 @@ class TestCharacterizeOnePass:
         assert keys == [(29, sampling.SPOT_CHECK), (0, sampling.SPOT_CHECK)]
 
 
+@st.composite
+def functional_stacks(draw):
+    """1 to 7 functionals on one algebra: scalar, blockwise, dense and
+    counterexample weights at scales from 1e-8 to 1e8, exact zeros among
+    the weights or all of them, and weights whose operator norm
+    overflows."""
+    spec = sl.AlgebraSpec(tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))))
+    rng = rng_for(draw(st.integers(0, 2**16)))
+    kinds = ["scalar", "blockwise", "dense", "sparse", "zero", "huge"]
+    kinds += ["counterexample"] * (spec.num_blocks > 1)
+    fs = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=7)):
+        t = 10.0 ** draw(st.floats(-8, 8))
+        if kind == "scalar":
+            f = sl.trace_functional(spec, t * complex(rng.standard_normal(), rng.standard_normal()))
+        elif kind == "blockwise":
+            f = sl.blockwise_scalar_functional(spec, t * rng.standard_normal(spec.num_blocks))
+        elif kind == "counterexample":
+            f = sl.counterexample_functional(spec)
+        elif kind == "huge":
+            f = Functional(spec, [np.full((n, n), 1.7e308) for n in spec.block_sizes])
+        else:
+            w = sl.random_functional(spec, rng).weights
+            if kind != "dense":
+                w = [np.where(rng.uniform(size=x.shape) < (kind == "zero" or 0.5), 0, x) for x in w]
+            f = Functional(spec, [t * x for x in w])
+        fs.append(f)
+    return fs
+
+
+def written(rep):
+    """A report as the CLI writes it, or an error as its type, details and
+    message."""
+    if isinstance(rep, SocleLabError):
+        return type(rep), rep.details(), str(rep)
+    return cli._dumps(jsonio.characterization_to_json(rep))
+
+
+class TestCharacterizeStack:
+    @settings(max_examples=150, deadline=None)
+    @given(fs=functional_stacks(), seed=st.integers(0, 2**16))
+    def test_each_report_is_the_one_it_gets_alone(self, fs, seed):
+        stacked = functionals._characterize_stack(fs, seed)
+        assert len(stacked) == len(fs)
+        for f, rep in zip(fs, stacked):
+            try:
+                alone = sl.characterize(f, seed=seed)
+            except SocleLabError as exc:
+                alone = exc
+            assert written(rep) == written(alone)
+
+    def test_one_spot_check_draw_per_stack(self, spec23, monkeypatch):
+        keys = []
+        real = functionals.rng_for
+        monkeypatch.setattr(functionals, "rng_for", lambda *k: keys.append(k) or real(*k))
+        fs = [sl.trace_functional(spec23, a) for a in (1.0, 2.0, 3.0j)]
+        functionals._characterize_stack(fs, 5)
+        assert keys == [(5, sampling.SPOT_CHECK)]
+
+
 def reference_unitaries(n):
     """F and C F entry by entry, from the closed forms."""
     f = np.array(
@@ -662,14 +727,13 @@ class TestWitnessFamilies:
         # a single value over the threshold at position p must come back
         # with the p-th element of the basis-then-conjugated-units order
         spec = sl.AlgebraSpec(sizes)
-        f = sl.trace_functional(spec)
         elements = reference_square_zero_basis(spec) + reference_conjugated_units(spec)
         for p, x in enumerate(elements):
-            values = np.zeros(len(elements), dtype=complex)
-            values[p] = 1.0
-            # a scale that puts the threshold at 0.5
-            scale = 0.5 / functionals.TRACIAL_TOL
-            got = functionals._first_nonvanishing(f, scale, values, np.ones(len(elements)))
+            values = np.zeros((1, len(elements)), dtype=complex)
+            values[0, p] = 1.0
+            # a threshold of 0.5
+            limits = np.full((1, 1), 0.5)
+            (got,) = functionals._first_nonvanishing(spec, limits, values, np.ones(len(elements)))
             assert not got.vanishes
             for a, b in zip(got.witness.blocks, x.blocks):
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-15)

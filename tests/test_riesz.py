@@ -20,6 +20,7 @@ from soclelab.errors import (
     NumericOverflowError,
     ProbeExhaustionError,
     SpectralGapError,
+    SocleLabError,
     SVDConvergenceError,
     TargetNotInSpectrumError,
     TraceCertificationError,
@@ -287,6 +288,12 @@ def _block(kind, n, rng):
         d = rng.uniform(0.5, 2.0, n)
         d[0] = d[-1] + rng.uniform(2e-6, 8e-6)
         return np.diag(d).astype(complex)
+    if kind == "jordan":
+        # F (v I + J) F*, F the DFT unitary: a defective value that
+        # roundoff splits into a ring of simple ones
+        k = np.arange(n)
+        f = np.exp(-2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
+        return f @ (rng.choice([0.0, 2.0]) * np.eye(n) + np.eye(n, k=1)) @ f.conj().T
     # "tiny": a value under the cluster tolerance but above the SVD
     # cutoff, so no probe keeps the SVD rank
     d = rng.uniform(0.5, 2.0, n)
@@ -481,6 +488,20 @@ def trapezoid_projection(a, rep, center, nodes):
     return sl.Element(a.spec, blocks), r
 
 
+def nested_projection(a, rep, center, nodes):
+    """Route B's projection at ``center`` by the ``nodes``-point rule and
+    its nested rule on the even nodes, from the shared solve helper."""
+    r = riesz._radius(rep, center)
+    solved = [s[0] for s in riesz._contour_solves(a, [center], [r], nodes)]
+    p, half = riesz._node_sums(center, r, solved, nodes)
+    return sl.Element(a.spec, p), sl.Element(a.spec, half)
+
+
+def route_b_outcome(rank):
+    """repr of a route B rank, or the type of its error, as ``_outcome``."""
+    return type(rank) if isinstance(rank, Exception) else repr(rank)
+
+
 class TestRouteB:
     """Route B's nested 16/32-node rule against the projection rank at
     ``DEFAULT_NODES``."""
@@ -490,47 +511,122 @@ class TestRouteB:
     def test_rank_is_that_at_default_nodes(self, built):
         _, a = built
         rep = sl.spectrum(a)
-        for c in rep.nonzero_values:
-            assert _outcome(riesz._projection_rank, a, rep, c) == _outcome(
-                lambda: idempotent_rank(
-                    riesz._projection(a, rep, [c], DEFAULT_NODES)[0]
-                )
+        centers = list(rep.nonzero_values)
+        ranks = riesz._projection_ranks(a, rep, centers) if centers else []
+        assert len(ranks) == len(centers)
+        for c, rank in zip(centers, ranks):
+            assert route_b_outcome(rank) == _outcome(
+                lambda: idempotent_rank(nested_projection(a, rep, c, DEFAULT_NODES)[0])
             )
 
     def test_escalates_to_thirty_two_then_default_nodes(self, monkeypatch):
         a = random_maximal_element(sl.AlgebraSpec((8,)), rng_for(0))
         rep = sl.spectrum(a)
         c = rep.nonzero_values[0]
-        real = riesz._projection
-        expected = idempotent_rank(real(a, rep, [c], DEFAULT_NODES)[0])
-        p16, p8, _ = real(a, rep, [c], 16)
-        p32, p16_nested, _ = real(a, rep, [c], 32)
+        expected = idempotent_rank(nested_projection(a, rep, c, DEFAULT_NODES)[0])
+        p16, p8 = nested_projection(a, rep, c, 16)
+        p32, p16_nested = nested_projection(a, rep, c, 32)
         e16 = sl.operator_norm(p16 - p8)
         e32 = sl.operator_norm(p32 - p16_nested)
         assert e32 < e16 <= riesz._NESTED_ACCEPT
         seen = []
+        real = riesz._contour_solves
 
-        def recorded(a, rep, centers, nodes):
+        def recorded(a, centers, radii, nodes, odd=False):
             seen.append(nodes)
-            return real(a, rep, centers, nodes)
+            return real(a, centers, radii, nodes, odd)
 
-        monkeypatch.setattr(riesz, "_projection", recorded)
+        monkeypatch.setattr(riesz, "_contour_solves", recorded)
         for accept, nodes in [(e16, [16]), (e32, [16, 32]), (0.0, [16, 32, 64])]:
             monkeypatch.setattr(riesz, "_NESTED_ACCEPT", accept)
             seen.clear()
-            assert riesz._projection_rank(a, rep, c) == expected == 1
+            assert riesz._projection_ranks(a, rep, [c]) == [expected] == [1]
             assert seen == nodes
         # the whole multiplicity at the last resort
         seen.clear()
         assert sl.multiplicity(a, c) == 1
         assert seen == [16, 32, 64]
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        blocks=st.lists(
+            st.tuples(
+                st.integers(1, 5),
+                st.sampled_from(
+                    ["dense", "maximal", "nilpotent", "low-rank", "near-degenerate", "tiny"]
+                    + ["jordan"]
+                ),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_outcome_is_the_reference_loop(self, blocks, seed):
+        """The stacked route B inside spectral_trace against the per-target
+        loop, whose route B is riesz_projection at DEFAULT_NODES: the same
+        value, or the same error type with the same details."""
+        rng = rng_for(seed, 1 << 40)
+        spec = sl.AlgebraSpec(tuple(n for n, _ in blocks))
+        a = sl.Element(spec, tuple(_block(kind, n, rng) for n, kind in blocks))
+
+        def outcome(fn, *args):
+            try:
+                return repr(fn(*args))
+            except SocleLabError as exc:
+                return type(exc), exc.details()
+
+        assert outcome(sl.spectral_trace, a, seed) == outcome(
+            _reference_spectral_trace, a, MULTIPLICITY_PROBES, seed, DEFAULT_NODES
+        )
+
+    def test_one_solve_per_block_and_node_count(self, monkeypatch):
+        a = random_maximal_element(sl.AlgebraSpec((6, 10)), rng_for(3))
+        centers = list(sl.spectrum(a).nonzero_values)
+        shapes = []
+        real = np.linalg.solve
+
+        def counted(m, b):
+            shapes.append(m.shape)
+            return real(m, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        monkeypatch.setattr(riesz, "_NESTED_ACCEPT", 0.0)  # every center escalates
+        sl.spectral_trace(a)
+        c = len(centers)
+        # the new nodes only: all 16, then the 16 odd of 32, then the 32 odd of 64
+        assert shapes == [(c * m, n, n) for m in (16, 16, 32) for n in (6, 10)]
+
+    def test_only_centers_not_yet_accepted_escalate(self, monkeypatch):
+        a = random_maximal_element(sl.AlgebraSpec((8,)), rng_for(5))
+        rep = sl.spectrum(a)
+        centers = list(rep.nonzero_values)
+        distances = [
+            sl.operator_norm(p - half)
+            for p, half in (nested_projection(a, rep, c, 16) for c in centers)
+        ]
+        accept = float(np.median(distances))
+        escalated = [c for c, d in zip(centers, distances) if d > accept]
+        assert 0 < len(escalated) < len(centers)
+        expected = [idempotent_rank(nested_projection(a, rep, c, 64)[0]) for c in centers]
+        seen = []
+        real = riesz._contour_solves
+
+        def recorded(a, centers, radii, nodes, odd=False):
+            seen.append((list(centers), nodes))
+            return real(a, centers, radii, nodes, odd)
+
+        monkeypatch.setattr(riesz, "_contour_solves", recorded)
+        monkeypatch.setattr(riesz, "_NESTED_ACCEPT", accept)
+        assert riesz._projection_ranks(a, rep, centers) == expected
+        assert seen[:2] == [(centers, 16), (escalated, 32)]
+
     def test_nested_rule_is_the_half_node_rule(self):
         a = random_maximal_element(sl.AlgebraSpec((3, 5)), rng_for(7))
         rep = sl.spectrum(a)
         for c in rep.nonzero_values:
-            _, half, _ = riesz._projection(a, rep, [c], 16)
-            p8, _, _ = riesz._projection(a, rep, [c], 8)
+            _, half = nested_projection(a, rep, c, 16)
+            p8, _ = nested_projection(a, rep, c, 8)
             for hb, pb in zip(half.blocks, p8.blocks):
                 np.testing.assert_allclose(hb, pb, rtol=0, atol=1e-14)
 
