@@ -4,7 +4,13 @@ Every command reads one JSON document (file, inline, or stdin), runs
 the corresponding library operation with an explicit seed, and writes
 one JSON report. Identical invocations produce byte-identical output:
 ``_dumps`` writes each report and error as one line of JSON, keys sorted,
-no ``NaN`` or ``Infinity`` (``python -m json.tool`` indents it).
+no ``NaN`` or ``Infinity`` (``python -m json.tool`` indents it):
+``json.dumps(payload, sort_keys=True, allow_nan=False, check_circular=False)``
+and a newline. It skips the encoder's cycle check, which records and
+forgets every list and dict it writes: every payload is built fresh as
+a tree, so no container is reached twice and no cycle can occur
+(``tests/test_cli.py::TestPayloadsAreTrees`` walks each command's
+reports and errors to pin that).
 A document is a bare element or functional, or a JSON object whose
 required fields ``_document`` checks before each is decoded by its
 ``jsonio`` reader. A report is written by ``jsonio.report_to_json``,
@@ -236,7 +242,7 @@ _COMMANDS = {
 
 def _dumps(payload: dict) -> str:
     try:
-        return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
+        return json.dumps(payload, sort_keys=True, allow_nan=False, check_circular=False) + "\n"
     except ValueError:
         raise NumericOverflowError("a report value overflows the double range") from None
 

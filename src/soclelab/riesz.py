@@ -205,18 +205,16 @@ def _contour_solves(a: Element, centers, radii, nodes: int, odd: bool = False) -
 def _node_sums(center: complex, r: float, solved, nodes: int):
     """The trapezoid-rule projection around ``center`` from the per-block
     resolvents ``solved`` at all ``nodes`` nodes of its circle of radius
-    ``r``, and the same sum by the nested rule on its even nodes, which
-    for even ``nodes`` is the rule with ``nodes // 2`` nodes."""
+    ``r``. On the even nodes of an even ``nodes``, ``solved[::2]``, it is
+    the nested rule with ``nodes // 2`` nodes, bit for bit."""
     phases = _phases(nodes)
     blocks = [np.zeros(s.shape[1:], dtype=complex) for s in solved]
-    halves = [np.zeros(s.shape[1:], dtype=complex) for s in solved]
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for acc, half, s in zip(blocks, halves, solved):
+        for acc, s in zip(blocks, solved):
             acc += (r / nodes) * np.einsum("j,jkl->kl", phases, s)
-            half += (2 * r / nodes) * np.einsum("j,jkl->kl", phases[::2], s[::2])
-    if not all(np.isfinite(m).all() for m in blocks + halves):
+    if not all(np.isfinite(m).all() for m in blocks):
         raise NumericOverflowError(f"the projection around {center} overflows the double range")
-    return blocks, halves
+    return blocks
 
 
 def riesz_projection(a: Element, targets, nodes: int = DEFAULT_NODES) -> RieszReport:
@@ -252,7 +250,7 @@ def riesz_projection(a: Element, targets, nodes: int = DEFAULT_NODES) -> RieszRe
         radii.append(float(r))
         solved = [s[0] for s in _contour_solves(a, [c], [r], nodes)]
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            for acc, term in zip(blocks, _node_sums(c, r, solved, nodes)[0]):
+            for acc, term in zip(blocks, _node_sums(c, r, solved, nodes)):
                 acc += term
         if not all(np.isfinite(m).all() for m in blocks):
             raise NumericOverflowError(f"the projection around {c} overflows the double range")
@@ -399,13 +397,16 @@ def _nested_ranks(a: Element, rep: SpectrumReport, centers) -> list[int]:
                 np.stack([even, new], axis=2).reshape(len(cs), nodes, *new.shape[2:])
                 for even, new in zip(solved, odd)
             ]
-        sums = [
-            _node_sums(c, r, [s[i] for s in solved], nodes) for i, (c, r) in enumerate(zip(cs, rs))
-        ]
         last = nodes == DEFAULT_NODES
+        projections, differences = [], []
+        for i, (c, r) in enumerate(zip(cs, rs)):
+            own = [s[i] for s in solved]
+            projections.append(_node_sums(c, r, own, nodes))
+            if not last:  # P_n - P_{n/2}, the nested rule on the even nodes
+                half = _node_sums(c, r, [s[::2] for s in own], nodes // 2)
+                differences.append([p - h for p, h in zip(projections[-1], half)])
         stacks = [
-            np.stack([p[k] for p, _ in sums] + ([] if last else [p[k] - h[k] for p, h in sums]))
-            for k in range(a.spec.num_blocks)
+            np.stack([p[k] for p in projections + differences]) for k in range(a.spec.num_blocks)
         ]
         svals = _blockwise(
             lambda x: np.linalg.svd(x, compute_uv=False), stacks, SVDConvergenceError

@@ -1146,3 +1146,147 @@ class TestKnownWrongAnswers:
         else:
             assert code == 0
             assert out["points"] == [{"multiplicity": 4, "value": [0.0, 0.0]}]
+
+
+def _shared_containers(payload) -> list:
+    """The lists, tuples and dicts that a walk of ``payload`` reaches more
+    than once: none in a tree; a cycle's entry is among them."""
+    seen, shared, stack = set(), [], [payload]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (list, tuple, dict)):
+            continue
+        if id(node) in seen:
+            shared.append(node)
+            continue
+        seen.add(id(node))
+        stack.extend(node.values() if isinstance(node, dict) else node)
+    return shared
+
+
+def _written_payloads(monkeypatch, argv, text) -> list:
+    """Every payload that ``run(argv)``, fed ``text`` on stdin, hands to
+    ``cli._dumps``."""
+    payloads, dumps = [], cli._dumps
+
+    def recording(payload):
+        payloads.append(payload)
+        return dumps(payload)
+
+    monkeypatch.setattr(cli, "_dumps", recording)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    with contextlib.redirect_stdout(io.StringIO()):
+        run(argv)
+    return payloads
+
+
+@functools.cache
+def _tree_cases():
+    """(argv, stdin text) of each command's report on the documents above,
+    and of elements and functionals that end in a report near the top of
+    the double range or in a typed error."""
+    cases = {}
+    for command, (argv, document) in _report_cases().items():
+        cases[command] = (argv, "" if document is None else json.dumps(document))
+    rng = rng_for(233)
+    matrix = jsonio.matrix_to_json(random_traceless_matrix(16, rng))
+    cases["commutator 16x16"] = (["commutator"], json.dumps({"matrix": matrix}))
+    element = jsonio.element_to_json(random_element(sl.AlgebraSpec((8, 8)), rng))
+    cases["diagonalize (8, 8)"] = (["diagonalize"], json.dumps(element))
+    for n in (4, 5):
+        document = jsonio.element_to_json(dft_conjugated_jordan(n))
+        for command in ("spectrum", "rank", "trace", "diagonalize"):
+            cases[f"{command} F J_{n} F*"] = ([command], json.dumps(document))
+        value = sl.spectrum(dft_conjugated_jordan(n)).points[0].value
+        riesz = {"element": document, "targets": [jsonio.complex_to_json(value)]}
+        cases[f"riesz F J_{n} F*"] = (["riesz"], json.dumps(riesz))
+    for name, command, document in [
+        ("large scalar trace", "check-functional", scalar_weights(1e307, 3)),
+        ("square-zero overflow", "check-functional", SQUARE_ZERO_OVERFLOW),
+        ("projection overflow", "check-functional", PROJECTION_OVERFLOW),
+        ("deviation overflow", "check-functional", DEVIATION_OVERFLOW),
+        ("nan eigenvalues", "spectrum", NAN_EIGENVALUES),
+        ("inf eigenvalue", "diagonalize", INF_EIGENVALUE),
+        ("top gap", "trace", TOP_GAP),
+        ("top nodes", "trace", TOP_NODES),
+        ("top of the range", "diagonalize", diagonal(1e308, -1e308)),
+        ("jordan 1e308", "riesz", {"element": JORDAN_1E308, "targets": [[1, 0]]}),
+        ("product overflow", "rank-one-commutator", PRODUCT_OVERFLOW),
+        ("pairing beyond the range", "rank-one-commutator",
+         {"x": [[1.5, 1.5]], "f": [[0, -1e308]], "y": [[1, 0]], "g": [[1, 0]]}),
+        ("spectral gap", "trace", jsonio.element_to_json(single(np.diag([1.0, 1.0 + 5e-6, 3.0])))),
+        ("not in spectrum", "riesz", {"element": {"blocks": [DIAG_1_2]}, "targets": [[5, 0]]}),
+        ("not maximal", "diagonalize", jsonio.element_to_json(single(np.eye(2)))),
+        ("not traceless", "commutator", {"matrix": [[[1, 0]]]}),
+        ("non-finite", "commutator", '{"matrix": [[[NaN,0],[1,0]],[[0,0],[0,0]]]}'),
+        ("degenerate pairing", "rank-one-commutator",
+         {"x": [[1, 0]], "f": [[0, 0]], "y": [[1, 0]], "g": [[1, 0]]}),
+        ("bad shape", "spectrum", {"blocks": 5}),
+    ]:
+        cases[name] = ([command], document if isinstance(document, str) else json.dumps(document))
+    cases["usage"] = (["rank", "--seed", "-1"], "")
+    return cases
+
+
+def _every_subclass(cls) -> set:
+    return {c for sub in cls.__subclasses__() for c in {sub} | _every_subclass(sub)}
+
+
+# One instance of each SocleLabError subclass, its fields of the types the
+# library raises it with: complex, float (inf too), int, list and None.
+ERRORS = [
+    sl.errors.UsageError("soclelab rank: argument --seed: expected an integer"),
+    sl.errors.ShapeMismatchError("expected [re, im] pair, got 5"),
+    sl.errors.NonFiniteEntryError("block 0 has a non-finite entry"),
+    sl.errors.NumericOverflowError("a report value overflows the double range"),
+    sl.errors.EigensolverError(1),
+    sl.errors.SVDConvergenceError(0),
+    sl.errors.SingularResolventError(1 + 0j, 1 + 1e-300j, 1e-300),
+    sl.errors.TargetNotInSpectrumError(5 + 0j, -1e308 + 0j, float("inf")),
+    sl.errors.ContourCollapseError(0j, 1e-300),
+    sl.errors.SpectralGapError(1 + 0j, 5e-6, 1e-5),
+    sl.errors.ProbeExhaustionError("no perturbation probe preserved the rank"),
+    sl.errors.NotTracelessError(1 + 0j),
+    sl.errors.DegenerateProjectionError("pairing f(x) is numerically zero"),
+    sl.errors.NotIdempotentError(0.5, 1e-8),
+    sl.errors.NotMaximalError(2, 1),
+    sl.errors.NoCounterexampleError("a single block has no counterexample"),
+    sl.errors.CertificationError("two routes disagree"),
+    sl.errors.RankCertificationError(2, 3, 64),
+    sl.errors.TraceCertificationError(6 + 0j, 5 + 0j),
+    sl.errors.MultiplicityInconsistencyError(1 + 0j, [1, 2], None),
+    sl.errors.TheoremViolationError("tracial implies scalar", witness=[1.0]),
+]
+
+
+class TestPayloadsAreTrees:
+    """``cli._dumps`` skips the encoder's cycle check: every payload it
+    writes must be a tree, with no list, tuple or dict reached twice."""
+
+    def test_the_walk_finds_shared_and_cyclic_containers(self):
+        pair = [1.0, 0.0]
+        assert _shared_containers({"a": [pair, [2.0, 0.0]], "b": {"c": [[3.0, 0.0]]}}) == []
+        assert _shared_containers({"a": pair, "b": [pair]}) == [pair]
+        cycle = {"a": []}
+        cycle["a"].append(cycle)
+        assert _shared_containers(cycle) == [cycle]
+
+    @pytest.mark.parametrize("name", list(_tree_cases()))
+    def test_every_report_and_error_is_a_tree(self, monkeypatch, name):
+        argv, text = _tree_cases()[name]
+        payloads = _written_payloads(monkeypatch, argv, text)
+        assert len(payloads) == 1
+        assert _shared_containers(payloads[0]) == []
+
+    def test_the_errors_are_every_subclass(self):
+        assert {type(exc) for exc in ERRORS} == _every_subclass(sl.errors.SocleLabError)
+
+    @pytest.mark.parametrize("exc", ERRORS, ids=lambda exc: type(exc).__name__)
+    def test_every_error_payload_is_a_tree(self, monkeypatch, exc):
+        def failing(args):
+            raise exc
+
+        monkeypatch.setitem(cli._COMMANDS, "spectrum", (failing, ("input",)))
+        payloads = _written_payloads(monkeypatch, ["spectrum"], "")
+        assert [p["error"]["type"] for p in payloads] == [type(exc).__name__]
+        assert _shared_containers(payloads[0]) == []
