@@ -11,8 +11,11 @@ Many elements at once (rank probes, perturbation probes) are solved as
 stacks, one ``eigvals`` call per block, and their spectra are clustered
 together: :func:`cluster_eigenvalues` is the one clustering loop, and it
 runs every row of a stack in lockstep. :func:`_clustered` alone applies
-the merge radius and the zero snap to its centers; spectra, rank counts
-and the multiplicities' probe counts all read its table.
+the merge radius and the zero snap to its centers; spectra and the
+multiplicities' probe counts read its table. Rank counts read it only
+for the rows whose count a separation test cannot decide without
+clustering (:func:`nonzero_spectrum_counts`); both take the radius from
+:func:`_merge_radii`.
 
 Classical linear-algebra quantities (SVD rank, diagonal-sum trace) are
 exposed as oracles against which the purely spectral computations in
@@ -21,6 +24,7 @@ the rest of the package are certified.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -386,13 +390,19 @@ def cluster_eigenvalues(
     return centers, counts
 
 
+def _merge_radii(moduli: np.ndarray) -> np.ndarray:
+    """The merge radius ``CLUSTER_TOL * max(spectral radius, 1)`` of each
+    row of a ``(p, N)`` stack of eigenvalue moduli."""
+    return CLUSTER_TOL * np.maximum(moduli.max(axis=-1), 1.0)
+
+
 def _clustered(vals: np.ndarray):
-    """Per row of a ``(p, N)`` eigenvalue stack: the merge radius
-    ``CLUSTER_TOL * max(spectral radius, 1)``, the :func:`cluster_eigenvalues`
-    centers and counts, and the mask of the nonzero spectral values, the
-    live centers not within the radius of 0 (a NaN center is never 0).
-    Every other live center is the spectral value 0."""
-    radii = CLUSTER_TOL * np.maximum(np.abs(vals).max(axis=-1), 1.0)
+    """Per row of a ``(p, N)`` eigenvalue stack: the :func:`_merge_radii`,
+    the :func:`cluster_eigenvalues` centers and counts, and the mask of
+    the nonzero spectral values, the live centers not within the radius
+    of 0 (a NaN center is never 0). Every other live center is the
+    spectral value 0."""
+    radii = _merge_radii(np.abs(vals))
     centers, counts = cluster_eigenvalues(vals, radii)
     nonzero = (counts > 0) & ~(np.abs(centers) <= radii[:, None])
     return radii, centers, counts, nonzero
@@ -424,10 +434,54 @@ def nonzero_spectrum_counts(vals: np.ndarray) -> np.ndarray:
     """#(distinct nonzero spectral values) for each row of ``vals``.
 
     ``vals`` is ``(p, N)``: row k holds all eigenvalues, with
-    multiplicity, of the k-th element. All rows are clustered by one
-    :func:`_clustered` call, and each row sums its nonzero mask.
+    multiplicity, of the k-th element. The count is that of
+    :func:`_clustered`, but most rows are decided without clustering.
+    With r the row's merge radius, a row is *separated* when each of its
+    values has |v| <= r/2 (inner) or |v| > 2r (outer) and its outer
+    values are pairwise more than 2r apart. Its count is then the number
+    of outer values:
+
+    - inner values are pairwise within r, and an inner value lies more
+      than 1.5r from an outer one, so the closest pair within r is
+      always inner; a centroid of inner values stays in the convex
+      r/2-disk, so every merge is between inner clusters, and each
+      inner center is snapped to the spectral value 0;
+    - no pair of outer values is within r, so each stays a center of
+      its own, more than 2r from 0.
+
+    Rounding moves a centroid or a distance by a few ulps of the row's
+    scale, far inside these margins of r/2 and more.
+
+    The rows that are not separated, including any row with a
+    non-finite modulus or distance, are clustered by one
+    :func:`_clustered` call, and each sums its nonzero mask.
     """
-    return _clustered(vals)[3].sum(axis=1)
+    i, j = _pairs(vals.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite: clustered
+        moduli = np.abs(vals)
+        gaps = np.abs(vals[:, i] - vals[:, j])
+    radii = _merge_radii(moduli)[:, None]
+    outer = moduli > 2 * radii
+    unsure = (
+        (outer == (moduli <= radii / 2)).any(axis=1)  # neither inner nor outer
+        | ((gaps <= 2 * radii) & outer[:, i] & outer[:, j]).any(axis=1)
+        | ~np.isfinite(gaps).all(axis=1)
+        | ~np.isfinite(radii[:, 0])
+    )
+    counts = outer.sum(axis=1)
+    if unsure.any():
+        counts[unsure] = _clustered(vals[unsure])[3].sum(axis=1)
+    return counts
+
+
+@functools.lru_cache(maxsize=8)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j), i < j, of ``triu_indices(n, 1)``: read-only, and
+    cached for the last 8 row lengths."""
+    pairs = np.triu_indices(n, 1)
+    for t in pairs:
+        t.flags.writeable = False
+    return pairs
 
 
 def spectral_radius(a: Element) -> float:

@@ -46,7 +46,7 @@ from .errors import CertificationError, NumericOverflowError, ShapeMismatchError
 from .errors import SocleLabError, UsageError
 from .functionals import characterize
 from .rank import DEFAULT_PROBES, spectral_rank
-from .riesz import DEFAULT_NODES, diagonalize_maximal, riesz_projection, spectral_trace
+from .riesz import diagonalize_maximal, riesz_projection, spectral_trace
 
 
 def _int_at_least(low: int):
@@ -84,7 +84,6 @@ _OPTIONS = {
     "seed": dict(type=_int_at_least(0), default=0),
     "probes": dict(type=_int_at_least(1), default=DEFAULT_PROBES),
     "trials": dict(type=_int_at_least(1), default=100),
-    "nodes": dict(type=_int_at_least(4), default=DEFAULT_NODES),
     "output": dict(default="-", help="report path, or - for stdout"),
 }
 
@@ -179,7 +178,7 @@ def _run_trace(args) -> dict:
 def _run_riesz(args) -> dict:
     element, targets = _document(args, "element", "targets")
     a = jsonio.element_from_json(element)
-    rep = riesz_projection(a, jsonio.vector_from_json(targets), nodes=args.nodes)
+    rep = riesz_projection(a, jsonio.vector_from_json(targets))
     return jsonio.report_to_json(rep)
 
 
@@ -230,7 +229,7 @@ _COMMANDS = {
     "spectrum": (_run_spectrum, ("input",)),
     "rank": (_run_rank, ("input", "seed", "probes")),
     "trace": (_run_trace, ("input", "seed")),
-    "riesz": (_run_riesz, ("input", "nodes")),
+    "riesz": (_run_riesz, ("input",)),
     "diagonalize": (_run_diagonalize, ("input", "seed")),
     "commutator": (_run_commutator, ("input",)),
     "rank-one-commutator": (_run_rank_one_commutator, ("input",)),

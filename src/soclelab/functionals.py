@@ -163,6 +163,24 @@ def _first_max(x: np.ndarray) -> np.ndarray:
     return np.where(x.any(axis=-1), x.argmax(axis=-1), -1)
 
 
+def _first_largest(values) -> np.ndarray:
+    """Per row, the index of the first largest modulus among the complex
+    ``(F, m)`` array ``values(s)`` at scale s = 1, or -1 where the row is
+    all 0. ``np.hypot`` rounds the moduli as the scalar ``abs`` does. A
+    row with a modulus beyond the double range is ranked at s = 1/4
+    instead. There the modulus of a finite value, or of the difference of
+    two, is finite, and a power of two scales values that large exactly,
+    so their order is kept and no tie at inf decides."""
+    with np.errstate(over="ignore"):
+        z = values(1.0)
+        moduli = np.hypot(z.real, z.imag)
+    huge = np.isinf(moduli).any(axis=-1)
+    if huge.any():
+        z = values(0.25)[huge]
+        moduli[huge] = np.hypot(z.real, z.imag)
+    return _first_max(moduli)
+
+
 def _scalar_deviations(f: Functional) -> tuple[np.ndarray, np.ndarray]:
     """Per-block mean-diagonal scalars and the worst deviation from them,
     one 2-norm call per block. The mean sums the diagonal divided by n,
@@ -214,16 +232,18 @@ def _tracial_witnesses(f: Functional, tracial) -> list[tuple[Element, Element] |
     Candidates are pairs e_(x,y), e_(y,z) in one block. Block by block,
     the off-diagonal entry W[l, i] shows against e_(i,0), e_(0,l) for
     (i, l) in row-major order, then unequal diagonal entries against
-    e_(i,j), e_(j,i) for i < j. ``np.hypot`` rounds the magnitudes as
-    the scalar ``abs`` does; ``np.abs`` does not."""
+    e_(i,j), e_(j,i) for i < j, ranked by :func:`_first_largest`."""
     if all(tracial):
         return [None] * len(tracial)
-    gaps = []
-    for w, n in zip(f.weights, f.spec.block_sizes):
-        r, c, i, j = _index_tables(n)
-        gaps += [w[:, c, r], w[:, i, i] - w[:, j, j]]
-    g = np.concatenate(gaps, axis=-1)
-    best = _first_max(np.hypot(g.real, g.imag))
+
+    def gaps(s):
+        out = []
+        for w, n in zip(f.weights, f.spec.block_sizes):
+            r, c, i, j = _index_tables(n)
+            out += [s * w[:, c, r], s * w[:, i, i] - s * w[:, j, j]]
+        return np.concatenate(out, axis=-1)
+
+    best = _first_largest(gaps)
     return [None if t or q < 0 else _unit_pair(f.spec, q) for t, q in zip(tracial, best)]
 
 
@@ -244,11 +264,16 @@ def _unit_pair(spec: AlgebraSpec, q: int) -> tuple[Element, Element]:
 
 def _scalar_traces(alphas, dev, scale) -> list[complex | None]:
     """Per functional, the common block scalar when it is tracial and its
-    block scalars lie within the threshold of their mean, else None."""
-    mean = np.mean(alphas, axis=-1)
-    d = alphas - mean[:, None]
+    block scalars lie within the threshold of their mean, else None.
+    The mean or a gap to it overflows only where sum |alpha_i| n_i does,
+    which has raised for a tracial functional; any other gets None
+    whatever its mean and gaps read."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.mean(alphas, axis=-1)
+        d = alphas - mean[:, None]
+        gaps = np.hypot(d.real, d.imag)
     limit = TRACIAL_TOL * scale
-    scalar = (dev <= limit) & (np.hypot(d.real, d.imag).max(axis=-1) <= limit)
+    scalar = (dev <= limit) & (gaps.max(axis=-1) <= limit)
     return [complex(m) if ok else None for m, ok in zip(mean, scalar)]
 
 
@@ -270,13 +295,14 @@ class SpectralBoundResult:
 def _bounds(spec: AlgebraSpec, tracial, alphas, values) -> list[SpectralBoundResult]:
     """Per functional: the bound constant from the block scalars ``alphas``
     of a tracial one, else the square-zero element with the first largest
-    |value| among its square-zero ``values``. The constant is summed in
-    Python floats, which overflow to inf without a warning."""
+    |value| among its square-zero ``values`` (:func:`_first_largest`).
+    The constant is summed in Python floats, which overflow to inf
+    without a warning."""
     if any(tracial):
         with np.errstate(over="ignore"):  # an infinite constant raises below
             moduli = np.hypot(alphas.real, alphas.imag)
     if not all(tracial):
-        best = _first_max(np.hypot(values.real, values.imag))
+        best = _first_largest(lambda s: s * values)
     out = []
     for k, t in enumerate(tracial):
         if t:
@@ -393,8 +419,10 @@ def _first_nonvanishing(spec: AlgebraSpec, limits, values, norms) -> list[Vanish
     """Per functional, the first element on which |f| exceeds its
     ``limits`` entry (``TRACIAL_TOL`` times its scale) times the
     element's norm. ``values`` and ``norms`` follow the square-zero basis
-    and then, when longer, the conjugated units."""
-    first = _first_max(np.hypot(values.real, values.imag) > limits * norms)
+    and then, when longer, the conjugated units. A |value| beyond the
+    double range reads inf, which exceeds every finite limit, as it does."""
+    with np.errstate(over="ignore"):
+        first = _first_max(np.hypot(values.real, values.imag) > limits * norms)
     return [
         VanishingVerdict(True, None, None)
         if q < 0
@@ -428,9 +456,11 @@ def _constancy(spec: AlgebraSpec, limits, values, keys) -> list[ConstancyVerdict
     """Per functional, its :func:`_projection_values` (with their
     ``keys``), which fix every weight entry, against its value on the
     first; a failure names the first that lies over its ``limits`` entry
-    away."""
-    gaps = values - values[:, :1]
-    off = _first_max(np.hypot(gaps.real, gaps.imag) > limits)
+    away. The values are finite, so a gap beyond the double range reads
+    inf, never NaN, and lies over every finite limit, as it does."""
+    with np.errstate(over="ignore"):
+        gaps = values - values[:, :1]
+        off = _first_max(np.hypot(gaps.real, gaps.imag) > limits)
     out = []
     for v, q in zip(values, off):
         if q < 0:

@@ -3,6 +3,7 @@ import importlib
 import inspect
 import pkgutil
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import soclelab as sl
 from soclelab.algebra import CLUSTER_TOL, MAX_BLOCK_ENTRIES, cluster_eigenvalues, idempotent_rank
-from soclelab.algebra import nonzero_spectrum_counts
+from soclelab.algebra import _clustered, nonzero_spectrum_counts
 from soclelab.errors import (
     NonFiniteEntryError,
     ShapeMismatchError,
@@ -217,6 +218,37 @@ def cluster_stack(draw, n=None, max_rows=6):
     return rows.reshape(p, n), radii
 
 
+# unit directions on the axes, where a modulus is exact, and off them
+DIRECTIONS = [1, -1, 1j, -1j, np.exp(0.25j * np.pi), np.exp(2j)]
+
+
+@st.composite
+def threshold_row(draw, n):
+    """n eigenvalues on the thresholds of the count's separation test.
+
+    An anchor of modulus up to 1e300 fixes the merge radius r. Every
+    other value has modulus r/2, r or 2r, or lies r or 2r from a value
+    drawn before it, each times 1 + 2**-k, 1 or 1 - 2**-k; or it is an
+    exact signed zero. The row is then shuffled.
+    """
+    anchor = draw(st.sampled_from([0.5, 1.0, 3.0, 1e6, 1e150, 1e300]))
+    row = [anchor * draw(st.sampled_from(DIRECTIONS))]
+    r = CLUSTER_TOL * max(float(np.abs(row[0])), 1.0)
+    for _ in range(n - 1):
+        kind = draw(st.sampled_from(["modulus", "gap", "zero"]))
+        if kind == "zero":
+            row.append(complex(*draw(st.tuples(*[st.sampled_from([0.0, -0.0])] * 2))))
+            continue
+        k = draw(st.integers(1, 53))
+        step = r * draw(st.sampled_from([1 + 2.0**-k, 1.0, 1 - 2.0**-k]))
+        step *= draw(st.sampled_from(DIRECTIONS))
+        if kind == "modulus":
+            row.append(draw(st.sampled_from([0.5, 1.0, 2.0])) * step)
+        else:
+            row.append(draw(st.sampled_from(row)) + draw(st.sampled_from([1.0, 2.0])) * step)
+    return draw(st.permutations(row))
+
+
 class TestClustering:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -276,6 +308,18 @@ class TestClustering:
             radius = CLUSTER_TOL * max(np.abs(row).max(), 1.0)
             centers, _ = reference_cluster(row, radius)
             assert count == int(np.sum(np.abs(centers) > radius))
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_counts_at_the_separation_thresholds(self, data):
+        n = data.draw(st.integers(1, 8))
+        p = data.draw(st.integers(1, 6))
+        vals = np.array([data.draw(threshold_row(n)) for _ in range(p)], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            counts = nonzero_spectrum_counts(vals)
+            want = _clustered(vals)[3].sum(axis=1)
+        assert counts.tolist() == want.tolist()
 
     def test_rows_merge_at_their_own_radius(self):
         # radius 1e-6 keeps the pair in row 0 apart; 1e-4 merges the one in row 1

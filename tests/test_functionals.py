@@ -482,6 +482,16 @@ NEAR_TRACIAL_4 = Functional(
 )
 
 
+# diag(a, -a, -1.1a) on (3,), a = 0.65e308 (1 + i): the square-zero values
+# 2a and 2.1a of e_00 - e_01 + e_10 - e_11 and e_00 - e_02 + e_20 - e_22
+# are finite, their moduli 1.84e308 and 1.93e308 are not. The bound
+# witness is the second, the first largest, and so is the tracial pair
+# of the diagonal gaps W[0, 0] - W[2, 2] = 2.1a against 2a.
+TOP_OF_RANGE_DIAG_3 = Functional(
+    sl.AlgebraSpec((3,)), [np.diag([1.0, -1.0, -1.1]) * 0.65e308 * (1 + 1j)]
+)
+
+
 class TestTracialWitness:
     @settings(max_examples=200, deadline=None)
     @given(f=awkward_functionals())
@@ -820,6 +830,7 @@ class TestScaleInvariance:
     @settings(max_examples=150, deadline=None)
     @given(f=awkward_functionals(), k=st.integers(-26, 26))
     @example(f=NEAR_TRACIAL_4, k=-26)
+    @example(f=TOP_OF_RANGE_DIAG_3, k=-16)
     def test_power_of_two_scaling(self, f, k):
         t = 2.0**k
         g = Functional(f.spec, [t * w for w in f.weights])

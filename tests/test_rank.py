@@ -258,18 +258,37 @@ class TestBatchedProbing:
         real = algebra.cluster_eigenvalues
 
         def counted(*args, **kwargs):
-            calls.append(len(np.atleast_2d(args[0])))
+            calls.append(np.array(args[0]))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(algebra, "cluster_eigenvalues", counted)
-        # the whole probe stack, whether or not a probe has a pair to merge
+        # every probe is decided by the separation test: no clustering at all
         low = sl.Element(spec23, [np.eye(2), np.zeros((3, 3))])
         sl.spectral_rank(low)
-        assert calls == [DEFAULT_PROBES]
+        assert calls == []
+        # never one call per probe
         for i in range(5):
-            calls.clear()
-            sl.spectral_rank(random_element(spec23, rng_for(67, i)), seed=i)
-            assert calls == [DEFAULT_PROBES]
+            for a in (
+                random_element(spec23, rng_for(67, i)),
+                random_low_rank_element(spec23, rng_for(67, i), [1, 1]),
+            ):
+                calls.clear()
+                sl.spectral_rank(a, seed=i)
+                assert len(calls) <= 1
+        # rows 1 and 3 are undecided: a modulus of 0.75 r, and two values
+        # beyond 2r that lie 1.5 r apart (r = 1e-6 in every row)
+        r = algebra.CLUSTER_TOL
+        vals = np.array(
+            [[0.5, 0, 1e-8], [0.5, 0.75 * r, 0], [0.5, -0.5, 1e-8j], [0.5, 3 * r, 4.5 * r]],
+            dtype=complex,
+        )
+        calls.clear()
+        counts = algebra.nonzero_spectrum_counts(vals)
+        assert len(calls) == 1
+        assert calls[0].shape == (2, 3)
+        assert calls[0].tobytes() == vals[[1, 3]].tobytes()
+        assert counts.tolist() == [1, 1, 2, 3]
+        assert counts.tolist() == algebra._clustered(vals)[3].sum(axis=1).tolist()
 
     def test_overflowing_product_names_its_block(self, spec22):
         # probes times entries of 1e308 overflow in block 1 only; the
