@@ -8,14 +8,12 @@ are reported once with a summed algebraic multiplicity; the full
 assembled matrix is never formed.
 
 Many elements at once (rank probes, perturbation probes) are solved as
-stacks, one ``eigvals`` call per block, and their spectra are clustered
-together: :func:`cluster_eigenvalues` is the one clustering loop, and it
-runs every row of a stack in lockstep. :func:`_clustered` alone applies
-the merge radius and the zero snap to its centers; spectra and the
-multiplicities' probe counts read its table. Rank counts read it only
-for the rows whose count a separation test cannot decide without
-clustering (:func:`nonzero_spectrum_counts`); both take the radius from
-:func:`_merge_radii`.
+stacks, one ``eigvals`` call per block. :func:`_clustered` alone turns a
+stack of eigenvalue rows into spectral values: it applies the merge
+radius and the zero snap, decides each row it can by a separation test,
+and sends only the others to :func:`cluster_eigenvalues`, the one
+clustering loop. Spectra, rank counts and the multiplicities' probe
+counts all read its table.
 
 Classical linear-algebra quantities (SVD rank, diagonal-sum trace) are
 exposed as oracles against which the purely spectral computations in
@@ -328,83 +326,87 @@ def cluster_eigenvalues(
     row. Within a row, the closest pair of clusters is merged into
     its multiplicity-weighted centroid while that pair sits within the
     row's radius. Deterministic: each row is sorted lexicographically
-    first, and ties merge the lexicographically first pair.
-
-    All rows run in one loop. The sorted centers are one fancy-indexed
-    gather, and the ``(p, N, N)`` distance tensor is built once, its
-    diagonal set to infinity by one strided write. Each iteration takes
-    one row-major argmin per row and merges in every row whose closest
-    pair is within its radius; a merge recomputes only the surviving
-    center's row and column and retires the absorbed one to infinity, so
-    the argmin sees the same values, in the same order, as on the matrix
-    of the surviving centers alone. A row whose closest pair is beyond
-    its radius is done: nothing in it changes again, so it gets the same
-    result whichever rows share its stack. The argmin runs over the
-    whole tensor in place, with no copy of the rows still merging, and a
-    merge reads and writes centers and counts at flat indices, one
-    gather or scatter per quantity.
+    first, and ties merge the lexicographically first pair. Rows are
+    clustered one at a time, each on its own ``(N, N)`` distance matrix,
+    so a row's result does not depend on the rows that share its stack.
 
     Returns two ``(p, N)`` arrays, sorted centers and counts, in which a
     center merged away has count 0.
     """
     values = np.asarray(values)
     p, n = values.shape
-    every = np.arange(p)
     order = np.lexsort((values.imag, values.real))
-    centers = values[every[:, None], order].astype(complex, copy=False)
+    centers = np.take_along_axis(values, order, axis=1).astype(complex, copy=False)
     counts = np.ones((p, n), dtype=int)
-    with np.errstate(over="ignore"):  # an overflowed distance is inf: no merge
-        diff = np.abs(centers[:, :, None] - centers[:, None, :])
-    flat = diff.reshape(p, n * n)
-    flat[:, :: n + 1] = np.inf
-    radii = np.asarray(tol_abs, dtype=float)
-    # flat views: entry (r, i) of centers and counts is r * n + i, entry
-    # (r, i, j) of diff is r * n * n + i * n + j
-    center, count, dist = centers.reshape(-1), counts.reshape(-1), diff.reshape(-1)
-    start = every * (n * n)
-    for _ in range(n - 1):
-        # each row of diff is symmetric, so its first minimum in
-        # row-major order has i < j
-        k = flat.argmin(axis=1)
-        # not-greater, so a NaN distance merges; a row with nothing to
-        # merge is left unchanged and stays out
-        live = (~(dist[start + k] > radii)).nonzero()[0]
-        if not live.size:
-            break
-        # when every row merges, the common case, rows are read as views
-        rows = live if live.size < p else slice(None)
-        i, j = np.divmod(k[rows], n)
-        at = live * n
-        at_i, at_j = at + i, at + j
-        ci, cj = count[at_i], count[at_j]
-        w = ci + cj
-        merged = (ci * center[at_i] + cj * center[at_j]) / w
-        center[at_i] = merged
-        count[at_i] = w
-        count[at_j] = 0
-        with np.errstate(over="ignore"):  # as above; the centroid still warns
-            row = np.abs(merged[:, None] - centers[rows])
-        row[counts[rows] == 0] = np.inf
-        diff[live, i] = diff[live, :, i] = row
-        diff[live, j] = diff[live, :, j] = diff[live, i, i] = np.inf
+    radii = np.broadcast_to(np.asarray(tol_abs, dtype=float), (p,))
+    for center, count, radius in zip(centers, counts, radii):
+        with np.errstate(over="ignore"):  # an overflowed distance is inf: no merge
+            diff = np.abs(center[:, None] - center[None, :])
+        np.fill_diagonal(diff, np.inf)
+        for _ in range(n - 1):
+            # diff is symmetric, so its first minimum in row-major order has i < j
+            i, j = divmod(int(diff.argmin()), n)
+            # not-greater, so a NaN distance merges
+            if diff[i, j] > radius:
+                break
+            w = count[i] + count[j]
+            center[i] = (count[i] * center[i] + count[j] * center[j]) / w
+            count[i] = w
+            count[j] = 0
+            with np.errstate(over="ignore"):  # as above; the centroid still warns
+                row = np.abs(center[i] - center)
+            row[count == 0] = np.inf
+            diff[i] = diff[:, i] = row
+            diff[j] = diff[:, j] = diff[i, i] = np.inf
     return centers, counts
 
 
-def _merge_radii(moduli: np.ndarray) -> np.ndarray:
-    """The merge radius ``CLUSTER_TOL * max(spectral radius, 1)`` of each
-    row of a ``(p, N)`` stack of eigenvalue moduli."""
-    return CLUSTER_TOL * np.maximum(moduli.max(axis=-1), 1.0)
-
-
 def _clustered(vals: np.ndarray):
-    """Per row of a ``(p, N)`` eigenvalue stack: the :func:`_merge_radii`,
-    the :func:`cluster_eigenvalues` centers and counts, and the mask of
-    the nonzero spectral values, the live centers not within the radius
-    of 0 (a NaN center is never 0). Every other live center is the
-    spectral value 0."""
-    radii = _merge_radii(np.abs(vals))
-    centers, counts = cluster_eigenvalues(vals, radii)
-    nonzero = (counts > 0) & ~(np.abs(centers) <= radii[:, None])
+    """Per row of a ``(p, N)`` eigenvalue stack: the merge radius
+    ``CLUSTER_TOL * max(spectral radius, 1)``, the centers and counts of
+    its clusters, and the mask of the nonzero spectral values, the live
+    centers not within the radius of 0 (a NaN center is never 0). Every
+    other live center is the spectral value 0. Centers follow no order.
+
+    With r the row's merge radius, a row is *separated* when each of its
+    values has |v| <= r/2 (inner) or |v| > 2r (outer) and its outer
+    values are pairwise more than 2r apart. Clustering would then leave
+    its outer values as they are and snap its inner ones to 0:
+
+    - inner values are pairwise within r, and an inner value lies more
+      than 1.5r from an outer one, so the closest pair within r is
+      always inner; a centroid of inner values stays in the convex
+      r/2-disk, so every merge is between inner clusters, and each
+      inner center is snapped to the spectral value 0;
+    - no pair of outer values is within r, so each stays a center of
+      its own, more than 2r from 0.
+
+    Rounding moves a centroid or a distance by a few ulps of the row's
+    scale, far inside these margins of r/2 and more. So a separated row
+    keeps its values as centers, each of count 1, and its outer values
+    are its nonzero mask. The other rows, including any row with a
+    non-finite modulus or distance, are clustered by one
+    :func:`cluster_eigenvalues` call, made only when there are any.
+    """
+    i, j = _pairs(vals.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite: clustered
+        moduli = np.abs(vals)
+        gaps = np.abs(vals[:, i] - vals[:, j])
+    radii = CLUSTER_TOL * np.maximum(moduli.max(axis=-1), 1.0)
+    r = radii[:, None]
+    nonzero = moduli > 2 * r
+    unsure = (
+        (nonzero == (moduli <= r / 2)).any(axis=1)  # neither inner nor outer
+        | ((gaps <= 2 * r) & nonzero[:, i] & nonzero[:, j]).any(axis=1)
+        | ~np.isfinite(gaps).all(axis=1)
+        | ~np.isfinite(radii)
+    )
+    centers, counts = vals, np.ones(vals.shape, dtype=int)
+    if unsure.any():
+        c, m = cluster_eigenvalues(vals[unsure], radii[unsure])
+        centers = vals.copy()
+        centers[unsure], counts[unsure] = c, m
+        nonzero[unsure] = (m > 0) & ~(np.abs(c) <= r[unsure])
     return radii, centers, counts, nonzero
 
 
@@ -431,47 +433,10 @@ def nonzero_spectrum_count(a: Element) -> int:
 
 
 def nonzero_spectrum_counts(vals: np.ndarray) -> np.ndarray:
-    """#(distinct nonzero spectral values) for each row of ``vals``.
-
-    ``vals`` is ``(p, N)``: row k holds all eigenvalues, with
-    multiplicity, of the k-th element. The count is that of
-    :func:`_clustered`, but most rows are decided without clustering.
-    With r the row's merge radius, a row is *separated* when each of its
-    values has |v| <= r/2 (inner) or |v| > 2r (outer) and its outer
-    values are pairwise more than 2r apart. Its count is then the number
-    of outer values:
-
-    - inner values are pairwise within r, and an inner value lies more
-      than 1.5r from an outer one, so the closest pair within r is
-      always inner; a centroid of inner values stays in the convex
-      r/2-disk, so every merge is between inner clusters, and each
-      inner center is snapped to the spectral value 0;
-    - no pair of outer values is within r, so each stays a center of
-      its own, more than 2r from 0.
-
-    Rounding moves a centroid or a distance by a few ulps of the row's
-    scale, far inside these margins of r/2 and more.
-
-    The rows that are not separated, including any row with a
-    non-finite modulus or distance, are clustered by one
-    :func:`_clustered` call, and each sums its nonzero mask.
-    """
-    i, j = _pairs(vals.shape[-1])
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite: clustered
-        moduli = np.abs(vals)
-        gaps = np.abs(vals[:, i] - vals[:, j])
-    radii = _merge_radii(moduli)[:, None]
-    outer = moduli > 2 * radii
-    unsure = (
-        (outer == (moduli <= radii / 2)).any(axis=1)  # neither inner nor outer
-        | ((gaps <= 2 * radii) & outer[:, i] & outer[:, j]).any(axis=1)
-        | ~np.isfinite(gaps).all(axis=1)
-        | ~np.isfinite(radii[:, 0])
-    )
-    counts = outer.sum(axis=1)
-    if unsure.any():
-        counts[unsure] = _clustered(vals[unsure])[3].sum(axis=1)
-    return counts
+    """#(distinct nonzero spectral values) for each row of a ``(p, N)``
+    stack, row k holding all eigenvalues, with multiplicity, of the k-th
+    element: the sum of its :func:`_clustered` nonzero mask."""
+    return _clustered(vals)[3].sum(axis=1)
 
 
 @functools.lru_cache(maxsize=8)

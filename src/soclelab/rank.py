@@ -11,11 +11,11 @@ instead of returning.
 The probes run as one batch: they are one draw from the seed's
 ``PROBE`` stream, multiplied by a's block in one GEMM per block and
 solved by one stacked eigensolve per block, and their spectra are
-counted in one call, which clusters only the probes whose count a
-separation test leaves open (``algebra.nonzero_spectrum_counts``). The
-stream is sequential, so probe i does not depend on the probe count,
-and the report is that of drawing and counting the probes one at a
-time.
+counted in one call (``algebra.nonzero_spectrum_counts``), which
+clusters only the probes whose count the separation test of
+``algebra._clustered`` leaves open. The stream is sequential, so probe
+i does not depend on the probe count, and the report is that of drawing
+and counting the probes one at a time.
 
 The GEMM multiplies a block's ``(p, n, n)`` probe stack as one
 ``(p*n, n)`` matrix of rows, ``(x.reshape(-1, n) @ b).reshape(x.shape)``:

@@ -431,9 +431,11 @@ def _perturbed_spectra(a: Element, seed: int):
     g_k is the k-th Gaussian element of ``rng_for(seed, MULTIPLICITY_PROBE)``
     divided by its operator norm, and eps is ``DEFAULT_EPS``. The norms
     come from one stacked 2-norm per block, the products from one GEMM
-    and one ``eigvals`` per block, and the table from one clustering
-    pass over all rows. Only the counts near each center are read from
-    it; an overflowed product is a NumericOverflowError.
+    and one ``eigvals`` per block, and the table from one
+    :func:`~soclelab.algebra._clustered` call over all rows, which
+    clusters only the rows its separation test leaves open. Only the
+    counts near each center are read from it; an overflowed product is a
+    NumericOverflowError.
     """
     rng = rng_for(seed, MULTIPLICITY_PROBE)
     gs = random_element_stack(a.spec, rng, MULTIPLICITY_PROBES)

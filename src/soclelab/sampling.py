@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import AlgebraSpec, Element, zero
-from .errors import ProbeExhaustionError
+from .errors import ProbeExhaustionError, ShapeMismatchError
 
 # Stream tags, one per random family of the library.
 PROBE = 1  # rank.spectral_rank
@@ -56,9 +56,17 @@ def random_element_stack(
     parts are set from the draw and the whole is divided by sqrt(2) in
     place, the same complex division :func:`complex_gaussian` makes, so
     the bits are those of the per-block draws. The stack is laid out for
-    the probe products, which multiply each block as one GEMM.
+    the probe products, which multiply each block as one GEMM. A count
+    whose draw numpy refuses, by its shape or by its size in memory, is
+    a ShapeMismatchError that names it.
     """
-    draws = rng.standard_normal((count, 2 * spec.dimension))
+    try:
+        draws = rng.standard_normal((count, 2 * spec.dimension))
+    except (ValueError, MemoryError):
+        raise ShapeMismatchError(
+            f"a stack of {count} random elements of dimension {spec.dimension} "
+            "is more than numpy can allocate"
+        ) from None
     root2 = np.sqrt(2)
     blocks = []
     pos = 0

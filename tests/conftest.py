@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from soclelab import AlgebraSpec, Element
+from soclelab import AlgebraSpec, Element, algebra
 from soclelab.sampling import complex_gaussian, rng_for
 
 
@@ -24,6 +24,61 @@ def spec23():
 @pytest.fixture
 def spec22():
     return AlgebraSpec((2, 2))
+
+
+@pytest.fixture
+def clustering_calls(monkeypatch):
+    """The stacks passed to ``algebra.cluster_eigenvalues``, one array per
+    call, recorded while the test runs."""
+    calls = []
+    real = algebra.cluster_eigenvalues
+
+    def counted(*args, **kwargs):
+        calls.append(np.array(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(algebra, "cluster_eigenvalues", counted)
+    return calls
+
+
+def reference_cluster(values, tol_abs):
+    """Agglomerative clustering that rebuilds the distance matrix every merge."""
+    order = np.lexsort((values.imag, values.real))
+    centers = values[order].astype(complex)
+    counts = np.ones(len(centers), dtype=int)
+    while len(centers) > 1:
+        diff = np.abs(centers[:, None] - centers[None, :])
+        np.fill_diagonal(diff, np.inf)
+        i, j = np.unravel_index(int(np.argmin(diff)), diff.shape)
+        if diff[i, j] > tol_abs:
+            break
+        if i > j:
+            i, j = j, i
+        w = counts[i] + counts[j]
+        centers[i] = (counts[i] * centers[i] + counts[j] * centers[j]) / w
+        counts[i] = w
+        centers = np.delete(centers, j)
+        counts = np.delete(counts, j)
+    return centers, counts
+
+
+def report_order(point):
+    """The order of a spectrum report's points: modulus down, then real
+    and imaginary part up."""
+    value = point[0]
+    return -abs(value), value.real, value.imag
+
+
+def reference_spectrum(row):
+    """One row of eigenvalues by :func:`reference_cluster` at the merge
+    radius ``CLUSTER_TOL * max(|v|, 1)``: the radius, the nonzero values
+    with their counts in :func:`report_order`, and the multiplicity of
+    the value 0, the centers within the radius of 0."""
+    radius = algebra.CLUSTER_TOL * max(float(np.abs(row).max()), 1.0)
+    centers, counts = reference_cluster(np.asarray(row, dtype=complex), radius)
+    zero = np.abs(centers) <= radius
+    points = sorted(zip(centers[~zero].tolist(), counts[~zero].tolist()), key=report_order)
+    return radius, points, int(counts[zero].sum())
 
 
 def single(matrix) -> Element:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import soclelab as sl
+import soclelab.riesz as riesz
 from soclelab.algebra import CLUSTER_TOL, MAX_BLOCK_ENTRIES, cluster_eigenvalues, idempotent_rank
 from soclelab.algebra import _clustered, nonzero_spectrum_counts
 from soclelab.errors import (
@@ -20,9 +21,9 @@ from soclelab.errors import (
     SingularResolventError,
     SVDConvergenceError,
 )
-from soclelab.sampling import random_element, random_invertible, rng_for
+from soclelab.sampling import random_element, random_invertible, random_maximal_element, rng_for
 
-from conftest import single
+from conftest import reference_cluster, reference_spectrum, report_order, single
 
 
 class TestConstruction:
@@ -140,27 +141,6 @@ class TestSpectrum:
             right = np.sort_complex(sl.spectrum(a @ x).nonzero_values)
             assert len(left) == len(right)
             np.testing.assert_allclose(left, right, atol=1e-8, rtol=1e-8)
-
-
-def reference_cluster(values, tol_abs):
-    """Agglomerative clustering that rebuilds the distance matrix every merge."""
-    order = np.lexsort((values.imag, values.real))
-    centers = values[order].astype(complex)
-    counts = np.ones(len(centers), dtype=int)
-    while len(centers) > 1:
-        diff = np.abs(centers[:, None] - centers[None, :])
-        np.fill_diagonal(diff, np.inf)
-        i, j = np.unravel_index(int(np.argmin(diff)), diff.shape)
-        if diff[i, j] > tol_abs:
-            break
-        if i > j:
-            i, j = j, i
-        w = counts[i] + counts[j]
-        centers[i] = (counts[i] * centers[i] + counts[j] * centers[j]) / w
-        counts[i] = w
-        centers = np.delete(centers, j)
-        counts = np.delete(counts, j)
-    return centers, counts
 
 
 def one_row(values, tol_abs):
@@ -318,8 +298,37 @@ class TestClustering:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             counts = nonzero_spectrum_counts(vals)
-            want = _clustered(vals)[3].sum(axis=1)
-        assert counts.tolist() == want.tolist()
+        assert counts.tolist() == [len(reference_spectrum(row)[1]) for row in vals]
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_clustered_rows_match_the_reference(self, data):
+        """Each row of the :func:`_clustered` table, separated or clustered,
+        against :func:`reference_spectrum`: its nonzero values and their
+        counts, its multiplicity of 0 and its radius. Rows from the
+        threshold and the cluster strategies share a stack."""
+        n = data.draw(st.integers(1, 8))
+        p = data.draw(st.integers(1, 6))
+        kinds = st.sampled_from([threshold_row, cluster_row])
+        vals = np.array([data.draw(data.draw(kinds)(n)) for _ in range(p)], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            radii, centers, counts, nonzero = _clustered(vals)
+        for row, radius, c, m, nz in zip(vals, radii, centers, counts, nonzero):
+            want_radius, want_points, want_zero = reference_spectrum(row)
+            points = sorted(zip(c[nz].tolist(), m[nz].tolist()), key=report_order)
+            assert repr(points) == repr(want_points)
+            assert int(m[(m > 0) & ~nz].sum()) == want_zero
+            assert repr(float(radius)) == repr(want_radius)
+
+    def test_separated_spectra_make_no_clustering_call(self, clustering_calls):
+        a = random_maximal_element(sl.AlgebraSpec((2, 3, 8)), rng_for(29))
+        sl.spectrum(a)
+        riesz._perturbed_spectra(a, 0)
+        assert clustering_calls == []
+        # the pair at 1 is within the radius: the one row is clustered
+        sl.spectrum(single(np.diag([1.0, 1.0, 2.0])))
+        assert [call.shape for call in clustering_calls] == [(1, 3)]
 
     def test_rows_merge_at_their_own_radius(self):
         # radius 1e-6 keeps the pair in row 0 apart; 1e-4 merges the one in row 1

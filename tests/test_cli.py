@@ -367,6 +367,8 @@ class TestCLIBehavior:
             ("undecodable input", "ShapeMismatchError"),
             ("deeply nested stdin", "ShapeMismatchError"),
             ("unwritable output", "UsageError"),
+            # the probe stack is beyond numpy's largest array
+            ("huge probe count", "ShapeMismatchError"),
         ],
     )
     def test_file_error_is_a_json_error(self, tmp_path, case, error):
@@ -375,7 +377,7 @@ class TestCLIBehavior:
         undecodable = str(tmp_path / "undecodable.json")
         Path(undecodable).write_bytes(b"\xff\xfe")
         unwritable = str(tmp_path / "missing" / "out.json")
-        # the arguments, stdin, and the path the message names
+        # the arguments, stdin, and the path or value the message names
         argv, stdin, path = {
             "missing input": (["spectrum", "--input", missing], None, missing),
             "directory input": (["spectrum", "--input", str(tmp_path)], None, str(tmp_path)),
@@ -384,6 +386,9 @@ class TestCLIBehavior:
             "deeply nested stdin": (["spectrum"], "[" * 200000 + "]" * 200000, "stdin"),
             "unwritable output": (
                 ["spectrum", "--input", good, "--output", unwritable], None, unwritable
+            ),
+            "huge probe count": (
+                ["rank", "--input", good, "--probes", str(10**20)], None, str(10**20)
             ),
         }[case]
         proc = run_fresh(argv, stdin=stdin)

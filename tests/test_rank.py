@@ -23,7 +23,7 @@ from soclelab.sampling import (
     rng_for,
 )
 
-from conftest import similar_elements, single
+from conftest import reference_spectrum, similar_elements, single
 
 
 class TestSpectralRank:
@@ -253,15 +253,8 @@ class TestBatchedProbing:
             b.tobytes() for b in best.blocks
         ]
 
-    def test_one_clustering_call(self, spec23, monkeypatch):
-        calls = []
-        real = algebra.cluster_eigenvalues
-
-        def counted(*args, **kwargs):
-            calls.append(np.array(args[0]))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(algebra, "cluster_eigenvalues", counted)
+    def test_one_clustering_call(self, spec23, clustering_calls):
+        calls = clustering_calls
         # every probe is decided by the separation test: no clustering at all
         low = sl.Element(spec23, [np.eye(2), np.zeros((3, 3))])
         sl.spectral_rank(low)
@@ -288,7 +281,7 @@ class TestBatchedProbing:
         assert calls[0].shape == (2, 3)
         assert calls[0].tobytes() == vals[[1, 3]].tobytes()
         assert counts.tolist() == [1, 1, 2, 3]
-        assert counts.tolist() == algebra._clustered(vals)[3].sum(axis=1).tolist()
+        assert counts.tolist() == [len(reference_spectrum(row)[1]) for row in vals]
 
     def test_overflowing_product_names_its_block(self, spec22):
         # probes times entries of 1e308 overflow in block 1 only; the

@@ -10,6 +10,7 @@ import soclelab.classify as classify
 import soclelab.functionals as functionals
 import soclelab.rank as rank
 import soclelab.riesz as riesz
+from soclelab.errors import ShapeMismatchError
 from soclelab.sampling import (
     FUNCTIONALS,
     IDEAL,
@@ -95,6 +96,14 @@ class TestOneDrawPerCall:
         draws = [[complex_gaussian(rng, (n, n)) for n in sizes] for _ in range(count)]
         for k, block in enumerate(stack):
             assert block.tobytes() == np.stack([d[k] for d in draws]).tobytes()
+
+    def test_a_stack_numpy_cannot_allocate_names_its_count(self, spec23):
+        class OutOfMemory:
+            def standard_normal(self, shape):
+                raise MemoryError(f"cannot allocate {shape}")
+
+        with pytest.raises(ShapeMismatchError, match=r"stack of 1000000000 random elements"):
+            random_element_stack(spec23, OutOfMemory(), 10**9)
 
     def test_spectral_rank_reads_a_prefix_of_one_stream(self, spec23, monkeypatch):
         a = random_element(spec23, rng_for(5, 1 << 40))
