@@ -24,7 +24,8 @@ element or functional fixes its own layout by its blocks, so only
 
 Exit status: 0 on success, 1 on a usage error (unknown command or
 flag, bad flag value, a path that cannot be read or written) or a
-domain error (bad input, violated precondition), 2 when a certification
+domain error (bad input, violated precondition, a request that needs
+more memory than numpy can allocate), 2 when a certification
 cross-check or a verified implication pattern fails. Errors are
 reported as a JSON object with the error's fields as its details, on
 the chosen output stream; usage errors that come before ``--output`` is
@@ -270,6 +271,9 @@ def run(argv=None) -> int:
         text, code = _dumps(_COMMANDS[args.command][0](args)), 0
     except SocleLabError as exc:
         text, code = _error_text(exc), 2 if isinstance(exc, CertificationError) else 1
+    except MemoryError:
+        exc = ShapeMismatchError("the request needs more memory than numpy can allocate")
+        text, code = _error_text(exc), 1
     try:
         _emit(output, text)
     except UsageError as exc:  # the report or error has nowhere else to go

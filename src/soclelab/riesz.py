@@ -11,17 +11,13 @@ spectral values; the first route counts from its table by
 :func:`~soclelab.algebra._clustered`, the one function that applies the
 merge radius and the zero snap. The second route needs only the rank of
 an idempotent, which holds at any quadrature error below 1/2, so it runs
-nested rules: 16 nodes, whose even nodes give the 8-node rule for free,
-accepted when the two are within 1/4; else 32 nodes the same way; else
-``DEFAULT_NODES``. Each node count doubles the one before, and its even
-nodes are bit for bit those of the one before, so a center that
-escalates solves only its new, odd nodes. All of an element's nonzero
-centers run together: per block and node count, one stacked solve over
-the centers not yet accepted and one stacked SVD that gives both their
-nested distances and their ranks. No solve or SVD call holds more than
-``STACK_ENTRIES`` complex entries; larger stacks are split. The trace is
-the multiplicity-weighted sum of spectral values, certified against the
-diagonal-sum oracle.
+two rules: 16 nodes, whose even nodes give the 8-node rule for free,
+accepted when the two are within 1/4; else a fresh solve at
+``DEFAULT_NODES``, unchecked. All of an element's nonzero centers run
+together: per block and rule, one stacked solve over the centers not
+yet accepted and one stacked SVD that gives both their nested distances
+and their ranks. The trace is the multiplicity-weighted sum of spectral
+values, certified against the diagonal-sum oracle.
 
 A maximal element (as many distinct nonzero spectral values as its
 rank) needs no contour. Its nonzero values are simple and it vanishes
@@ -88,14 +84,15 @@ MULTIPLICITY_PROBES = 8
 # cluster tolerances; the two routes may legitimately split there.
 GAP_FLOOR_FACTOR = 10.0
 TRACE_CERT_TOL = 1e-8
-# Route B's nested node counts, each followed by twice itself and the
-# last by DEFAULT_NODES, and the largest distance between a projection
-# and its nested half rule at which its rank is accepted: half the 1/2
-# that idempotent_rank tolerates.
-_NESTED_NODES = (16, 32)
+# Route B's first rule, whose projection is accepted when it lies within
+# _NESTED_ACCEPT of its nested half rule: half the 1/2 that
+# idempotent_rank tolerates. A center it does not accept is solved
+# afresh at DEFAULT_NODES.
+_NESTED_NODES = 16
 _NESTED_ACCEPT = 0.25
-# The most complex entries (16 MiB) that one stacked solve or SVD call
-# holds; route B takes as many centers at once as fit at DEFAULT_NODES.
+# The most complex entries (16 MiB) that a group of route B centers
+# holds in one block's resolvents at DEFAULT_NODES: a group takes as
+# many centers as fit, and at least one.
 STACK_ENTRIES = 1 << 20
 
 
@@ -162,21 +159,20 @@ def _radius(rep: SpectrumReport, center: complex) -> float:
     return r
 
 
-def _contour_solves(a: Element, centers, radii, nodes: int, odd: bool = False) -> list:
+def _contour_solves(a: Element, centers, radii, nodes: int) -> list:
     """Per block b of ``a``, (z - b)^-1 at the ``nodes``-point rule on the
-    circle of radius ``radii[k]`` around each ``centers[k]``, or at its odd
-    nodes only: ``(len(centers), m, n, n)``, m nodes per circle.
+    circle of radius ``radii[k]`` around each ``centers[k]``:
+    ``(len(centers), nodes, n, n)``.
 
     Every shift is built and checked before any solve; one that overflows
     is a NumericOverflowError, a singular one a ContourCollapseError, each
-    naming the first circle of the call. The shifts of a block are solved
-    in calls of at most ``STACK_ENTRIES`` entries."""
+    naming the first circle of the call. Each block's shifts go to one
+    ``np.linalg.solve`` call, so its memory peaks at the shifts and the
+    resolvents, twice the output."""
     phases = _phases(nodes)
     shifts = []
     with np.errstate(over="ignore", invalid="ignore"):
         zs = np.stack([c + r * phases for c, r in zip(centers, radii)])
-        if odd:
-            zs = zs[:, 1::2]
         for b in a.blocks:
             shifted = np.multiply.outer(zs, np.eye(len(b), dtype=complex))
             shifted -= b
@@ -185,20 +181,11 @@ def _contour_solves(a: Element, centers, radii, nodes: int, odd: bool = False) -
         raise NumericOverflowError(f"the contour around {centers[0]} overflows the double range")
     solves = []
     for shifted in shifts:
-        n = shifted.shape[-1]
-        flat = shifted.reshape(-1, n, n)
-        step = max(1, STACK_ENTRIES // (n * n))
-        parts = []
-        for lo in range(0, len(flat), step):
-            part = flat[lo : lo + step]
-            try:
-                parts.append(
-                    np.linalg.solve(part, np.broadcast_to(np.eye(n, dtype=complex), part.shape))
-                )
-            except np.linalg.LinAlgError:
-                raise ContourCollapseError(centers[0], radii[0]) from None
-        solved = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        solves.append(solved.reshape(shifted.shape))
+        eye = np.broadcast_to(np.eye(shifted.shape[-1], dtype=complex), shifted.shape)
+        try:
+            solves.append(np.linalg.solve(shifted, eye))
+        except np.linalg.LinAlgError:
+            raise ContourCollapseError(centers[0], radii[0]) from None
     return solves
 
 
@@ -350,13 +337,13 @@ def _projection_ranks(a: Element, rep: SpectrumReport, centers) -> list:
     :func:`~soclelab.algebra.idempotent_rank` of its contour projection at
     the fewest nodes that certify it, or the SocleLabError it raises.
 
-    At each node count n of ``_NESTED_NODES``, the n-node projection P_n
-    is accepted when ||P_n - P_{n/2}|| <= ``_NESTED_ACCEPT``, P_{n/2}
-    being the nested rule on the even nodes of the same solves. The rule
-    converges geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014),
-    so that difference bounds the error of P_n with room to spare, and a
-    rank is right whenever the error stays below 1/2. If no count passes,
-    the rank is that of P at ``DEFAULT_NODES``.
+    Its first rule is the ``_NESTED_NODES``-node projection P_16, accepted
+    when ||P_16 - P_8|| <= ``_NESTED_ACCEPT``, P_8 being the nested rule on
+    the even nodes of the same solves. The rule converges geometrically
+    (Trefethen & Weideman, SIAM Rev. 56, 2014), so that difference bounds
+    the error of P_16 with room to spare, and a rank is right whenever
+    the error stays below 1/2. A center it does not accept takes the rank
+    of P at ``DEFAULT_NODES``, from a fresh solve.
 
     The centers go in groups whose resolvents fit ``STACK_ENTRIES`` at
     ``DEFAULT_NODES`` (:func:`_nested_ranks`). If a group raises, each of
@@ -378,25 +365,17 @@ def _projection_ranks(a: Element, rep: SpectrumReport, centers) -> list:
 
 
 def _nested_ranks(a: Element, rep: SpectrumReport, centers) -> list[int]:
-    """The route B rank of every center of one group, node count by node
-    count: per block, one stacked solve of the new nodes of the centers
-    not yet accepted, interleaved with their earlier solves as the even
-    nodes, and one stacked SVD of their projections P_n and differences
-    P_n - P_{n/2}, which gives both their ranks and their distances."""
+    """The route B rank of every center of one group, rule by rule: per
+    block, one stacked solve of the centers not yet accepted, and one
+    stacked SVD of their projections P_n and, at ``_NESTED_NODES``, their
+    differences P_n - P_{n/2}, which gives both their ranks and their
+    distances."""
     radii = [_radius(rep, c) for c in centers]
     ranks = [None] * len(centers)
     pending = list(range(len(centers)))
-    solved = None
-    for nodes in _NESTED_NODES + (DEFAULT_NODES,):
+    for nodes in (_NESTED_NODES, DEFAULT_NODES):
         cs, rs = [centers[k] for k in pending], [radii[k] for k in pending]
-        if solved is None:
-            solved = _contour_solves(a, cs, rs, nodes)
-        else:  # the earlier solves are the even nodes, the new ones the odd
-            odd = _contour_solves(a, cs, rs, nodes, odd=True)
-            solved = [
-                np.stack([even, new], axis=2).reshape(len(cs), nodes, *new.shape[2:])
-                for even, new in zip(solved, odd)
-            ]
+        solved = _contour_solves(a, cs, rs, nodes)
         last = nodes == DEFAULT_NODES
         projections, differences = [], []
         for i, (c, r) in enumerate(zip(cs, rs)):
@@ -416,11 +395,10 @@ def _nested_ranks(a: Element, rep: SpectrumReport, centers) -> list[int]:
             if last or max(s[len(pending) + i, 0] for s in svals) <= _NESTED_ACCEPT:
                 ranks[k] = sum(int(np.sum(s[i] > 0.5)) for s in svals)
             else:
-                keep.append(i)
-        pending = [pending[i] for i in keep]
+                keep.append(k)
+        pending = keep
         if not pending:
             break
-        solved = [s[keep] for s in solved]
     return ranks
 
 

@@ -2,7 +2,6 @@ import ast
 import importlib
 import inspect
 import pkgutil
-import textwrap
 import warnings
 from pathlib import Path
 
@@ -467,23 +466,33 @@ def test_no_public_function_takes_a_tolerance():
 
 
 def test_no_public_function_takes_a_parameter_it_never_reads():
-    """Every parameter of a public function or method (``self`` aside) is
+    """Every parameter of every function or method defined in ``soclelab``,
+    public, private and nested alike (``self`` and ``cls`` aside), is
     read somewhere in its body: an input that nothing reads is deleted,
     not accepted and ignored."""
-    unread = []
-    for name, fn in public_functions().items():
-        node = ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0]
-        read = {
-            n.id
-            for stmt in node.body
-            for n in ast.walk(stmt)
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-        }
-        unread += [
-            f"{name}({p})"
-            for p in inspect.signature(fn).parameters
-            if p != "self" and p not in read
-        ]
+    paths = sorted((Path(__file__).resolve().parent.parent / "src" / "soclelab").glob("*.py"))
+    unread, checked = [], set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            checked.add(f"{path.name}:{node.name}")
+            read = {
+                n.id
+                for stmt in node.body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [p for p in (args.vararg, args.kwarg) if p is not None]
+            unread += [
+                f"{path.name}:{node.lineno}:{node.name}({p.arg})"
+                for p in params
+                if p.arg not in ("self", "cls") and p.arg not in read
+            ]
+    # public, private and nested functions are all checked
+    assert {"algebra.py:spectrum", "riesz.py:_contour_solves", "cli.py:integer"} <= checked
     assert unread == []
 
 

@@ -1111,6 +1111,29 @@ class TestNoTraceback:
         assert strict_loads(captured.out)["error"]["type"] == "ShapeMismatchError"
         assert peak < size * size * 16 // 64
 
+    @pytest.mark.parametrize("command", ["rank", "verify"])
+    def test_memory_numpy_cannot_allocate_is_a_typed_error(self, monkeypatch, capsys, command):
+        # a stub stands in for a command whose arrays or seed sequences
+        # do not fit in memory, as `rank --probes 6000000` or
+        # `verify --trials 30000000` under a small address-space limit
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._COMMANDS, command, (exhausted, cli._COMMANDS[command][1]))
+        spec = ["--spec", json.dumps({"block_sizes": [2]})]
+        argv = [command] + (spec if command == "verify" else [])
+        stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(diagonal(1, 2)))
+        try:
+            code = run(argv)
+        finally:
+            sys.stdin = stdin
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        error = strict_loads(captured.out)["error"]
+        assert error["type"] == "ShapeMismatchError"
+        assert error["message"] == "the request needs more memory than numpy can allocate"
+
 
 class TestKnownWrongAnswers:
     """Inputs on which a command gives a wrong answer, each test asserting

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -504,7 +505,7 @@ def route_b_outcome(rank):
 
 
 class TestRouteB:
-    """Route B's nested 16/32-node rule against the projection rank at
+    """Route B's nested 16-node rule against the projection rank at
     ``DEFAULT_NODES``."""
 
     @settings(max_examples=60, deadline=None)
@@ -520,25 +521,23 @@ class TestRouteB:
                 lambda: idempotent_rank(nested_projection(a, rep, c, DEFAULT_NODES)[0])
             )
 
-    def test_escalates_to_thirty_two_then_default_nodes(self, monkeypatch):
+    def test_escalates_to_default_nodes(self, monkeypatch):
         a = random_maximal_element(sl.AlgebraSpec((8,)), rng_for(0))
         rep = sl.spectrum(a)
         c = rep.nonzero_values[0]
         expected = idempotent_rank(nested_projection(a, rep, c, DEFAULT_NODES)[0])
         p16, p8 = nested_projection(a, rep, c, 16)
-        p32, p16_nested = nested_projection(a, rep, c, 32)
         e16 = sl.operator_norm(p16 - p8)
-        e32 = sl.operator_norm(p32 - p16_nested)
-        assert e32 < e16 <= riesz._NESTED_ACCEPT
+        assert 0 < e16 <= riesz._NESTED_ACCEPT
         seen = []
         real = riesz._contour_solves
 
-        def recorded(a, centers, radii, nodes, odd=False):
+        def recorded(a, centers, radii, nodes):
             seen.append(nodes)
-            return real(a, centers, radii, nodes, odd)
+            return real(a, centers, radii, nodes)
 
         monkeypatch.setattr(riesz, "_contour_solves", recorded)
-        for accept, nodes in [(e16, [16]), (e32, [16, 32]), (0.0, [16, 32, 64])]:
+        for accept, nodes in [(e16, [16]), (0.0, [16, 64])]:
             monkeypatch.setattr(riesz, "_NESTED_ACCEPT", accept)
             seen.clear()
             assert riesz._projection_ranks(a, rep, [c]) == [expected] == [1]
@@ -546,7 +545,7 @@ class TestRouteB:
         # the whole multiplicity at the last resort
         seen.clear()
         assert sl.multiplicity(a, c) == 1
-        assert seen == [16, 32, 64]
+        assert seen == [16, 64]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -595,8 +594,8 @@ class TestRouteB:
         monkeypatch.setattr(riesz, "_NESTED_ACCEPT", 0.0)  # every center escalates
         sl.spectral_trace(a)
         c = len(centers)
-        # the new nodes only: all 16, then the 16 odd of 32, then the 32 odd of 64
-        assert shapes == [(c * m, n, n) for m in (16, 16, 32) for n in (6, 10)]
+        # all centers at 16 nodes, then all of them afresh at 64
+        assert shapes == [(c, m, n, n) for m in (16, 64) for n in (6, 10)]
 
     def test_only_centers_not_yet_accepted_escalate(self, monkeypatch):
         a = random_maximal_element(sl.AlgebraSpec((8,)), rng_for(5))
@@ -613,14 +612,29 @@ class TestRouteB:
         seen = []
         real = riesz._contour_solves
 
-        def recorded(a, centers, radii, nodes, odd=False):
+        def recorded(a, centers, radii, nodes):
             seen.append((list(centers), nodes))
-            return real(a, centers, radii, nodes, odd)
+            return real(a, centers, radii, nodes)
 
         monkeypatch.setattr(riesz, "_contour_solves", recorded)
         monkeypatch.setattr(riesz, "_NESTED_ACCEPT", accept)
         assert riesz._projection_ranks(a, rep, centers) == expected
-        assert seen[:2] == [(centers, 16), (escalated, 32)]
+        assert seen == [(centers, 16), (escalated, 64)]
+
+    def test_solve_memory_is_the_shifts_and_the_resolvents(self):
+        # one (200,) block, 1 center, 64 nodes: the shifts and their
+        # resolvents, each the size of the output, and nothing more
+        a = single(np.diag(np.arange(1.0, 201.0)))
+        rep = sl.spectrum(a)
+        r = riesz._radius(rep, 1.0)
+        tracemalloc.start()
+        try:
+            (solved,) = riesz._contour_solves(a, [1.0], [r], DEFAULT_NODES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert solved.shape == (1, DEFAULT_NODES, 200, 200)
+        assert peak <= 2.2 * solved.nbytes
 
     def test_nested_rule_is_the_half_node_rule(self):
         a = random_maximal_element(sl.AlgebraSpec((3, 5)), rng_for(7))
