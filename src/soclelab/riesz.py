@@ -11,13 +11,13 @@ spectral values; the first route counts from its table by
 :func:`~soclelab.algebra._clustered`, the one function that applies the
 merge radius and the zero snap. The second route needs only the rank of
 an idempotent, which holds at any quadrature error below 1/2, so it runs
-two rules: 16 nodes, whose even nodes give the 8-node rule for free,
-accepted when the two are within 1/4; else a fresh solve at
-``DEFAULT_NODES``, unchecked. All of an element's nonzero centers run
-together: per block and rule, one stacked solve over the centers not
-yet accepted and one stacked SVD that gives both their nested distances
-and their ranks. The trace is the multiplicity-weighted sum of spectral
-values, certified against the diagonal-sum oracle.
+two stacked rules over all of an element's nonzero centers. Per block,
+one 16-node solve gives every center's 16-node rule and, on its even
+nodes, its 8-node rule (one trapezoid sum each), and one SVD gives every
+rank and every distance between the two; a center whose two rules differ
+by more than 1/4 is solved afresh at ``DEFAULT_NODES``, unchecked. The
+trace is the multiplicity-weighted sum of spectral values, certified
+against the diagonal-sum oracle.
 
 A maximal element (as many distinct nonzero spectral values as its
 rank) needs no contour. Its nonzero values are simple and it vanishes
@@ -189,17 +189,20 @@ def _contour_solves(a: Element, centers, radii, nodes: int) -> list:
     return solves
 
 
-def _node_sums(center: complex, r: float, solved, nodes: int):
-    """The trapezoid-rule projection around ``center`` from the per-block
-    resolvents ``solved`` at all ``nodes`` nodes of its circle of radius
-    ``r``. On the even nodes of an even ``nodes``, ``solved[::2]``, it is
-    the nested rule with ``nodes // 2`` nodes, bit for bit."""
-    phases = _phases(nodes)
-    blocks = [np.zeros(s.shape[1:], dtype=complex) for s in solved]
+def _node_sums(centers, radii, solved, nodes: int) -> list:
+    """Per block, the trapezoid-rule projections ``(len(centers), n, n)``
+    around every ``centers[k]``, from the resolvents ``solved`` of one
+    :func:`_contour_solves` call at all ``nodes`` nodes of the circles of
+    radius ``radii[k]``: one ``einsum`` per block. On the even nodes of an
+    even ``nodes``, ``[s[:, ::2] for s in solved]``, it is the nested rule
+    with ``nodes // 2`` nodes, bit for bit. A non-finite projection is a
+    NumericOverflowError naming the first such center."""
+    weights = (np.asarray(radii, dtype=float) / nodes)[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for acc, s in zip(blocks, solved):
-            acc += (r / nodes) * np.einsum("j,jkl->kl", phases, s)
-    if not all(np.isfinite(m).all() for m in blocks):
+        blocks = [0 + weights * np.einsum("j,cjkl->ckl", _phases(nodes), s) for s in solved]
+    finite = np.logical_and.reduce([np.isfinite(m).all(axis=(1, 2)) for m in blocks])
+    if not finite.all():
+        center = centers[np.argmin(finite)]
         raise NumericOverflowError(f"the projection around {center} overflows the double range")
     return blocks
 
@@ -235,10 +238,10 @@ def riesz_projection(a: Element, targets, nodes: int = DEFAULT_NODES) -> RieszRe
     for c in centers:
         r = _radius(rep, c)
         radii.append(float(r))
-        solved = [s[0] for s in _contour_solves(a, [c], [r], nodes)]
+        solved = _contour_solves(a, [c], [r], nodes)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            for acc, term in zip(blocks, _node_sums(c, r, solved, nodes)):
-                acc += term
+            for acc, term in zip(blocks, _node_sums([c], [r], solved, nodes)):
+                acc += term[0]
         if not all(np.isfinite(m).all() for m in blocks):
             raise NumericOverflowError(f"the projection around {c} overflows the double range")
     p = Element(a.spec, tuple(blocks), _checked=True)
@@ -365,41 +368,28 @@ def _projection_ranks(a: Element, rep: SpectrumReport, centers) -> list:
 
 
 def _nested_ranks(a: Element, rep: SpectrumReport, centers) -> list[int]:
-    """The route B rank of every center of one group, rule by rule: per
-    block, one stacked solve of the centers not yet accepted, and one
-    stacked SVD of their projections P_n and, at ``_NESTED_NODES``, their
-    differences P_n - P_{n/2}, which gives both their ranks and their
-    distances."""
+    """The route B rank of every center of one group, by two stacked rules.
+    First, one ``_NESTED_NODES``-node solve and two node sums per block,
+    P_16 and its nested rule P_8, and one SVD per block of all P_16 and
+    P_16 - P_8, which gives every rank and every nested distance. Then a
+    ``DEFAULT_NODES``-node solve and SVD only for the centers whose
+    distance is over ``_NESTED_ACCEPT``, whose ranks it replaces."""
     radii = [_radius(rep, c) for c in centers]
-    ranks = [None] * len(centers)
-    pending = list(range(len(centers)))
-    for nodes in (_NESTED_NODES, DEFAULT_NODES):
-        cs, rs = [centers[k] for k in pending], [radii[k] for k in pending]
-        solved = _contour_solves(a, cs, rs, nodes)
-        last = nodes == DEFAULT_NODES
-        projections, differences = [], []
-        for i, (c, r) in enumerate(zip(cs, rs)):
-            own = [s[i] for s in solved]
-            projections.append(_node_sums(c, r, own, nodes))
-            if not last:  # P_n - P_{n/2}, the nested rule on the even nodes
-                half = _node_sums(c, r, [s[::2] for s in own], nodes // 2)
-                differences.append([p - h for p, h in zip(projections[-1], half)])
-        stacks = [
-            np.stack([p[k] for p in projections + differences]) for k in range(a.spec.num_blocks)
-        ]
-        svals = _blockwise(
-            lambda x: np.linalg.svd(x, compute_uv=False), stacks, SVDConvergenceError
-        )
-        keep = []
-        for i, k in enumerate(pending):
-            if last or max(s[len(pending) + i, 0] for s in svals) <= _NESTED_ACCEPT:
-                ranks[k] = sum(int(np.sum(s[i] > 0.5)) for s in svals)
-            else:
-                keep.append(k)
-        pending = keep
-        if not pending:
-            break
-    return ranks
+    solved = _contour_solves(a, centers, radii, _NESTED_NODES)
+    full = _node_sums(centers, radii, solved, _NESTED_NODES)
+    half = _node_sums(centers, radii, [s[:, ::2] for s in solved], _NESTED_NODES // 2)
+    svd = functools.partial(np.linalg.svd, compute_uv=False)
+    stacks = [np.concatenate([p, p - h]) for p, h in zip(full, half)]
+    svals = _blockwise(svd, stacks, SVDConvergenceError)
+    ranks = sum((s[: len(centers)] > 0.5).sum(axis=1) for s in svals)
+    distances = np.max([s[len(centers) :, 0] for s in svals], axis=0)
+    escalated = np.flatnonzero(~(distances <= _NESTED_ACCEPT))
+    if escalated.size:
+        cs, rs = [centers[k] for k in escalated], [radii[k] for k in escalated]
+        full = _node_sums(cs, rs, _contour_solves(a, cs, rs, DEFAULT_NODES), DEFAULT_NODES)
+        svals = _blockwise(svd, full, SVDConvergenceError)
+        ranks[escalated] = sum((s > 0.5).sum(axis=1) for s in svals)
+    return ranks.tolist()
 
 
 def _perturbed_spectra(a: Element, seed: int):

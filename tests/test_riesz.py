@@ -493,9 +493,9 @@ def nested_projection(a, rep, center, nodes):
     """Route B's projection at ``center`` by the ``nodes``-point rule and
     its nested rule on the even nodes, from the shared solve helper."""
     r = riesz._radius(rep, center)
-    solved = [s[0] for s in riesz._contour_solves(a, [center], [r], nodes)]
-    p = riesz._node_sums(center, r, solved, nodes)
-    half = riesz._node_sums(center, r, [s[::2] for s in solved], nodes // 2)
+    solved = riesz._contour_solves(a, [center], [r], nodes)
+    p = [s[0] for s in riesz._node_sums([center], [r], solved, nodes)]
+    half = [s[0] for s in riesz._node_sums([center], [r], [s[:, ::2] for s in solved], nodes // 2)]
     return sl.Element(a.spec, p), sl.Element(a.spec, half)
 
 
