@@ -799,12 +799,12 @@ class TestOverflow:
             cli._dumps({"value": float("inf")})
 
 
-def dft_conjugated_jordan(n):
-    """F J_n F* on one block: F the unitary n-point DFT, F_jk =
+def dft_conjugated_jordan(n, value=0.0):
+    """F (value I + J_n) F* on one block: F the unitary n-point DFT, F_jk =
     e^(2 pi i jk/n) / sqrt(n), and J_n the nilpotent Jordan block."""
     k = np.arange(n)
     f = np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
-    return single(f @ np.diag(np.ones(n - 1), 1) @ f.conj().T)
+    return single(f @ (value * np.eye(n) + np.diag(np.ones(n - 1), 1)) @ f.conj().T)
 
 
 TOP_GAP = {"blocks": [[[[1e308, 0], [1e308, 0]], [[1e308, 0], [-1e308, 0]]]]}
@@ -1177,11 +1177,11 @@ class TestKnownWrongAnswers:
         assert code == 0
         assert (out["rank"], out["oracle_rank"]) == (2, 2)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="idempotent_rank at absolute 1/2")
-    def test_riesz_multiplicity_is_that_of_the_spectrum(self, capsys):
-        # at each value that spectrum reports for F J_4 F*, riesz must give
-        # spectrum's multiplicity or fail its certification (exit 2)
-        document = jsonio.element_to_json(dft_conjugated_jordan(4))
+    @staticmethod
+    def riesz_agrees_with_spectrum(capsys, element):
+        # at each value that spectrum reports for ``element``, riesz must
+        # give spectrum's multiplicity or fail its certification (exit 2)
+        document = jsonio.element_to_json(element)
         code, spectrum_out = invoke_stdin(capsys, ["spectrum"], document)
         assert code == 0
         for point in spectrum_out["points"]:
@@ -1191,6 +1191,19 @@ class TestKnownWrongAnswers:
             if code != 2:
                 assert code == 0
                 assert out["multiplicity"] == point["multiplicity"]
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="idempotent_rank at absolute 1/2")
+    def test_riesz_multiplicity_is_that_of_the_spectrum(self, capsys):
+        self.riesz_agrees_with_spectrum(capsys, dft_conjugated_jordan(4))
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="idempotent_rank at absolute 1/2")
+    def test_riesz_multiplicity_at_a_six_fold_ring(self, capsys):
+        self.riesz_agrees_with_spectrum(capsys, dft_conjugated_jordan(6))
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="idempotent_rank at absolute 1/2")
+    def test_riesz_multiplicity_at_a_shifted_ring(self, capsys):
+        # F (2I + J_4) F*: a defective value off the origin
+        self.riesz_agrees_with_spectrum(capsys, dft_conjugated_jordan(4, 2.0))
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason="a defective value's ring")
     def test_conjugated_jordan_block_has_the_value_zero(self, capsys):
