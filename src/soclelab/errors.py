@@ -218,6 +218,22 @@ class MultiplicityInconsistencyError(CertificationError):
         )
 
 
+class ProjectionRankError(CertificationError):
+    """A Riesz projection's rank disagrees with the spectrum's multiplicity
+    at its targets, or with its own trace."""
+
+    def __init__(self, trace: complex, projection_rank: int, spectrum_multiplicity: int, bound: float):
+        self.trace = trace
+        self.projection_rank = projection_rank
+        self.spectrum_multiplicity = spectrum_multiplicity
+        self.bound = bound
+        super().__init__(
+            f"Riesz projection of rank {projection_rank} and trace {trace}: the "
+            f"spectrum gives multiplicity {spectrum_multiplicity}, and the trace "
+            f"must lie within {bound} of the rank"
+        )
+
+
 class TheoremViolationError(CertificationError):
     """A verified implication pattern failed; indicates an implementation defect."""
 

@@ -61,6 +61,7 @@ from .errors import (
     NotMaximalError,
     NumericOverflowError,
     ProbeExhaustionError,
+    ProjectionRankError,
     ShapeMismatchError,
     SocleLabError,
     SpectralGapError,
@@ -247,6 +248,13 @@ def riesz_projection(a: Element, targets, nodes: int = DEFAULT_NODES) -> RieszRe
     p = Element(a.spec, tuple(blocks), _checked=True)
     defect = operator_norm(p @ p - p)
     mult = idempotent_rank(p)
+    # second route: the multiplicities that spectrum clustered at the
+    # centers; and a projection's trace is its rank
+    expected = sum(m for v, m in rep.points if v in centers)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed trace fails
+        trace = classical_trace(p)
+    if mult != expected or not abs(trace - mult) <= 0.25:
+        raise ProjectionRankError(trace, mult, expected, 0.25)
 
     residual = None
     if all(c != 0 for c in centers):

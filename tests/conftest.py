@@ -87,6 +87,14 @@ def single(matrix) -> Element:
     return Element(AlgebraSpec((m.shape[0],)), [m])
 
 
+def dft_conjugated_jordan(n, value=0.0):
+    """F (value I + J_n) F* on one block: F the unitary n-point DFT, F_jk =
+    e^(2 pi i jk/n) / sqrt(n), and J_n the nilpotent Jordan block."""
+    k = np.arange(n)
+    f = np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
+    return single(f @ (value * np.eye(n) + np.diag(np.ones(n - 1), 1)) @ f.conj().T)
+
+
 def _unitary(n, rng):
     q, r = np.linalg.qr(complex_gaussian(rng, (n, n)))
     return q * (np.diag(r) / np.abs(np.diag(r)))

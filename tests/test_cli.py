@@ -31,7 +31,7 @@ from soclelab.sampling import (
     rng_for,
 )
 
-from conftest import single
+from conftest import dft_conjugated_jordan, single
 
 
 def _reject_constant(token):
@@ -799,14 +799,6 @@ class TestOverflow:
             cli._dumps({"value": float("inf")})
 
 
-def dft_conjugated_jordan(n, value=0.0):
-    """F (value I + J_n) F* on one block: F the unitary n-point DFT, F_jk =
-    e^(2 pi i jk/n) / sqrt(n), and J_n the nilpotent Jordan block."""
-    k = np.arange(n)
-    f = np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
-    return single(f @ (value * np.eye(n) + np.diag(np.ones(n - 1), 1)) @ f.conj().T)
-
-
 TOP_GAP = {"blocks": [[[[1e308, 0], [1e308, 0]], [[1e308, 0], [-1e308, 0]]]]}
 TOP_NODES = {"blocks": [[[[1.797e308, 0], [0, 0]], [[0, 0], [1, 0]]]]}
 
@@ -1192,15 +1184,12 @@ class TestKnownWrongAnswers:
                 assert code == 0
                 assert out["multiplicity"] == point["multiplicity"]
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="idempotent_rank at absolute 1/2")
     def test_riesz_multiplicity_is_that_of_the_spectrum(self, capsys):
         self.riesz_agrees_with_spectrum(capsys, dft_conjugated_jordan(4))
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="idempotent_rank at absolute 1/2")
     def test_riesz_multiplicity_at_a_six_fold_ring(self, capsys):
         self.riesz_agrees_with_spectrum(capsys, dft_conjugated_jordan(6))
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="idempotent_rank at absolute 1/2")
     def test_riesz_multiplicity_at_a_shifted_ring(self, capsys):
         # F (2I + J_4) F*: a defective value off the origin
         self.riesz_agrees_with_spectrum(capsys, dft_conjugated_jordan(4, 2.0))
@@ -1323,6 +1312,7 @@ ERRORS = [
     sl.errors.RankCertificationError(2, 3, 64),
     sl.errors.TraceCertificationError(6 + 0j, 5 + 0j),
     sl.errors.MultiplicityInconsistencyError(1 + 0j, [1, 2], None),
+    sl.errors.ProjectionRankError(1.08 + 0.08j, 2, 1, 0.25),
     sl.errors.TheoremViolationError("tracial implies scalar", witness=[1.0]),
 ]
 

@@ -20,6 +20,7 @@ from soclelab.errors import (
     NotMaximalError,
     NumericOverflowError,
     ProbeExhaustionError,
+    ProjectionRankError,
     SpectralGapError,
     SocleLabError,
     SVDConvergenceError,
@@ -46,7 +47,7 @@ from soclelab.sampling import (
     rng_for,
 )
 
-from conftest import similar_elements, similar_maximal, single
+from conftest import dft_conjugated_jordan, similar_elements, similar_maximal, single
 
 
 def eigenprojection_oracle(matrix, target, radius=0.3):
@@ -116,6 +117,43 @@ class TestRieszProjection:
         a = single(np.diag([1.0, 2.0]))
         with pytest.raises(TargetNotInSpectrumError):
             sl.riesz_projection(a, [5.0])
+
+    def test_rank_is_certified_by_the_spectrum_and_the_trace(self):
+        # ||P|| is 1e14 here, yet the rank and the trace agree
+        a = single([[1.0, 1e14], [0.0, 2.0]])
+        for target in (1.0, 2.0):
+            rep = sl.riesz_projection(a, [target])
+            assert rep.multiplicity == 1
+            assert abs(np.trace(rep.projection.blocks[0]) - 1) < 1e-14
+        # a value of F J_3 F* whose projection has rank 1 and trace 0.92
+        a = dft_conjugated_jordan(3)
+        assert sl.riesz_projection(a, [sl.spectrum(a).points[0].value]).multiplicity == 1
+
+    def test_rank_that_the_spectrum_refutes_fails(self):
+        # F J_4 F*: spectrum gives four simple values; the projection at
+        # each has rank 2 and a trace near 1
+        a = dft_conjugated_jordan(4)
+        for value, mult in sl.spectrum(a).points:
+            with pytest.raises(ProjectionRankError) as info:
+                sl.riesz_projection(a, [value])
+            details = info.value.details()
+            assert (details["projection_rank"], details["spectrum_multiplicity"]) == (2, mult)
+            assert details["bound"] == 0.25
+            assert abs(complex(*details["trace"]) - mult) <= 0.25
+
+    @pytest.mark.parametrize("factor, fails", [(1.2, False), (1.3, True)])
+    def test_trace_lies_within_a_quarter_of_the_rank(self, monkeypatch, factor, fails):
+        # P scaled by 1.2 or 1.3 keeps rank 1, its trace moves to 1.2 or 1.3
+        real = riesz._node_sums
+        monkeypatch.setattr(
+            riesz, "_node_sums", lambda *args: [factor * s for s in real(*args)]
+        )
+        a = single(np.diag([3.0, 1.0, 1.0]))
+        if fails:
+            with pytest.raises(ProjectionRankError):
+                sl.riesz_projection(a, [3.0])
+        else:
+            assert sl.riesz_projection(a, [3.0]).multiplicity == 1
 
     def test_singular_contour_solve_names_the_contour(self, monkeypatch):
         def singular(*args):
@@ -248,7 +286,10 @@ def _reference_multiplicity(a, target, probes, seed, nodes):
         raise MultiplicityInconsistencyError(center, sorted(set(counts)), None)
     route_a = counts[0]
     if center != 0:
-        route_b = sl.riesz_projection(a, [center], nodes=nodes).multiplicity
+        try:
+            route_b = sl.riesz_projection(a, [center], nodes=nodes).multiplicity
+        except ProjectionRankError as exc:  # riesz's own check; route B is the rank
+            route_b = exc.projection_rank
         if route_a != route_b:
             raise MultiplicityInconsistencyError(center, route_a, route_b)
     return route_a
