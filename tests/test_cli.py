@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
@@ -25,8 +26,10 @@ from soclelab.algebra import SpectralPoint
 from soclelab.classify import TheoremVerdict
 from soclelab.cli import run
 from soclelab.sampling import (
+    complex_gaussian,
     random_element,
     random_low_rank_element,
+    random_maximal_element,
     random_traceless_matrix,
     rng_for,
 )
@@ -1203,6 +1206,136 @@ class TestKnownWrongAnswers:
         else:
             assert code == 0
             assert out["points"] == [{"multiplicity": 4, "value": [0.0, 0.0]}]
+
+
+def _after(change):
+    """A fault that applies ``change`` to every result of the function it
+    replaces."""
+    return lambda real: lambda *args, **kwargs: change(real(*args, **kwargs))
+
+
+def _first_coefficient_scaled(real):
+    """A ``CommutatorCertificate`` whose first coefficient is x 1.01."""
+
+    def build(*, terms, **fields):
+        (coefficient, *units), *rest = terms
+        return real(terms=((1.01 * coefficient, *units), *rest), **fields)
+
+    return build
+
+
+def _first_outer_scaled(real):
+    """numpy, but its first ``outer`` product, P in ``rank_one_commutator``,
+    is x 1.01."""
+    calls = []
+
+    def outer(u, v):
+        calls.append(None)
+        return (1.01 if len(calls) == 1 else 1.0) * real.outer(u, v)
+
+    return types.SimpleNamespace(**{**vars(real), "outer": outer})
+
+
+@functools.cache
+def _fault_documents():
+    """One document per command, each built here from a fixed stream."""
+    rng = rng_for(389)
+    maximal = random_maximal_element(sl.AlgebraSpec((8,)), rng)
+    values = [jsonio.complex_to_json(v) for v in sl.spectrum(maximal).nonzero_values[:3]]
+    low_rank = random_low_rank_element(sl.AlgebraSpec((2, 3)), rng, ranks=(1, 2))
+    vectors = {k: [jsonio.complex_to_json(v) for v in complex_gaussian(rng, 8)] for k in "xfyg"}
+    return {
+        "rank": jsonio.element_to_json(low_rank),
+        "trace": jsonio.element_to_json(maximal),
+        "spectrum": jsonio.element_to_json(maximal),
+        "riesz": {"element": jsonio.element_to_json(maximal), "targets": values},
+        "diagonalize": jsonio.element_to_json(maximal),
+        "commutator": {"matrix": jsonio.matrix_to_json(random_traceless_matrix(8, rng))},
+        "rank-one-commutator": vectors,
+        "check-functional": jsonio.functional_to_json(
+            sl.random_functional(sl.AlgebraSpec((4,)), rng)
+        ),
+    }
+
+
+def _unjudged(field):
+    return pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason=f"{field} is not judged: no success without a passed certificate",
+    )
+
+
+class TestFaultMatrix:
+    """A fault in one route of a command's certificate must end in exit 2.
+    Each row rebinds one name of a module, a seam that the command goes
+    through, to a faulty version of it. The strict xfails are certificate
+    fields that nothing in the library judges yet, so the command exits 0."""
+
+    @pytest.mark.parametrize(
+        "argv, module, name, fault, error",
+        [
+            pytest.param(
+                ["rank"], sl.rank, "nonzero_spectrum_counts", _after(lambda c: c + 1),
+                "RankCertificationError", id="rank probe counts + 1",
+            ),
+            pytest.param(
+                ["trace"], sl.riesz, "_near_counts", _after(lambda c: c + 1),
+                "MultiplicityInconsistencyError", id="trace route A counts + 1",
+            ),
+            pytest.param(
+                ["trace"], sl.riesz, "_node_sums", _after(lambda ps: [0.3 * p for p in ps]),
+                "MultiplicityInconsistencyError", id="trace route B node sums x 0.3",
+            ),
+            pytest.param(
+                ["trace"], sl.riesz, "classical_trace", _after(lambda t: t * (1 + 1e-6)),
+                "TraceCertificationError", id="trace oracle x (1 + 1e-6)",
+            ),
+            pytest.param(
+                ["spectrum"], sl.algebra, "eigenvalues", _after(lambda v: v + 1e-3), None,
+                id="spectrum eigenvalues + 1e-3", marks=_unjudged("the spectrum"),
+            ),
+            pytest.param(
+                ["riesz"], sl.riesz, "_node_sums", _after(lambda ps: [0.3 * p for p in ps]),
+                "ProjectionRankError", id="riesz node sums x 0.3",
+            ),
+            pytest.param(
+                ["diagonalize"], sl.riesz, "_eigenprojection", _after(lambda p: sl.scale(1.01, p)),
+                None, id="diagonalize projections x 1.01", marks=_unjudged("residual"),
+            ),
+            pytest.param(
+                ["commutator"], sl.commutators, "CommutatorCertificate",
+                _first_coefficient_scaled, None, id="commutator one coefficient x 1.01",
+                marks=_unjudged("reconstruction_defect"),
+            ),
+            pytest.param(
+                ["rank-one-commutator"], sl.commutators, "np", _first_outer_scaled, None,
+                id="rank-one-commutator P x 1.01", marks=_unjudged("defect"),
+            ),
+            pytest.param(
+                ["check-functional"], sl.functionals, "_scalar_deviations",
+                _after(lambda found: (found[0], 0 * found[1])),
+                "TheoremViolationError", id="check-functional deviations x 0",
+            ),
+            pytest.param(
+                ["classify", "--spec", '{"block_sizes": [2, 3]}'], sl.classify,
+                "generated_ideal",
+                _after(lambda r: dataclasses.replace(r, ideal_dimension=r.ideal_dimension + 1)),
+                "TheoremViolationError", id="classify ideal dimensions + 1",
+            ),
+            pytest.param(
+                ["verify", "--spec", '{"block_sizes": [2, 2]}', "--trials", "2"], sl.classify,
+                "_characterize_stack",
+                _after(lambda reps: [dataclasses.replace(r, tracial=not r.tracial) for r in reps]),
+                "TheoremViolationError", id="verify tracial verdicts flipped",
+            ),
+        ],
+    )
+    def test_a_one_route_fault_exits_2(self, capsys, monkeypatch, argv, module, name, fault, error):
+        document = _fault_documents().get(argv[0])
+        monkeypatch.setattr(module, name, fault(getattr(module, name)))
+        code, out = invoke_stdin(capsys, argv, document)
+        assert code == 2
+        assert out["error"]["type"] == error
 
 
 def _shared_containers(payload) -> list:
