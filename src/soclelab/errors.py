@@ -222,7 +222,9 @@ class ProjectionRankError(CertificationError):
     """A Riesz projection's rank disagrees with the spectrum's multiplicity
     at its targets, or with its own trace."""
 
-    def __init__(self, trace: complex, projection_rank: int, spectrum_multiplicity: int, bound: float):
+    def __init__(
+        self, trace: complex, projection_rank: int, spectrum_multiplicity: int, bound: float
+    ):
         self.trace = trace
         self.projection_rank = projection_rank
         self.spectrum_multiplicity = spectrum_multiplicity

@@ -16,8 +16,10 @@ one 16-node solve gives every center's 16-node rule and, on its even
 nodes, its 8-node rule (one trapezoid sum each), and one SVD gives every
 rank and every distance between the two; a center whose two rules differ
 by more than 1/4 is solved afresh at ``DEFAULT_NODES``, unchecked. The
-trace is the multiplicity-weighted sum of spectral values, certified
-against the diagonal-sum oracle.
+multiplicity that :func:`riesz_projection` reports, the rank of its
+projection, is checked against the spectrum's count and the projection's
+trace. The trace is the multiplicity-weighted sum of spectral values,
+certified against the diagonal-sum oracle.
 
 A maximal element (as many distinct nonzero spectral values as its
 rank) needs no contour. Its nonzero values are simple and it vanishes
@@ -216,7 +218,10 @@ def riesz_projection(a: Element, targets, nodes: int = DEFAULT_NODES) -> RieszRe
     distance to the nearest other value. For several targets the
     per-target projections are summed. The reported multiplicity is the
     :func:`~soclelab.algebra.idempotent_rank` of the projection, which
-    holds at any node count whose quadrature error stays below 1/2.
+    holds at any node count whose quadrature error stays below 1/2. It
+    must equal the sum of the spectrum's multiplicities at the targets,
+    and the trace of the projection must lie within 1/4 of it, else a
+    ProjectionRankError is raised.
     """
     if nodes < 4:
         raise ValueError("need at least 4 quadrature nodes")
@@ -248,8 +253,7 @@ def riesz_projection(a: Element, targets, nodes: int = DEFAULT_NODES) -> RieszRe
     p = Element(a.spec, tuple(blocks), _checked=True)
     defect = operator_norm(p @ p - p)
     mult = idempotent_rank(p)
-    # second route: the multiplicities that spectrum clustered at the
-    # centers; and a projection's trace is its rank
+    # the second route is the spectrum's count; a projection's trace is its rank
     expected = sum(m for v, m in rep.points if v in centers)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed trace fails
         trace = classical_trace(p)

@@ -677,6 +677,19 @@ class TestRouteB:
         assert solved.shape == (1, DEFAULT_NODES, 200, 200)
         assert peak <= 2.2 * solved.nbytes
 
+    def test_node_sums_of_a_stack_are_those_of_each_center(self):
+        # one einsum per block for all centers, bit for bit the per-center loop
+        a = random_maximal_element(sl.AlgebraSpec((3, 5)), rng_for(11))
+        rep = sl.spectrum(a)
+        centers = list(rep.nonzero_values)
+        radii = [riesz._radius(rep, c) for c in centers]
+        for nodes in (16, DEFAULT_NODES):
+            solved = riesz._contour_solves(a, centers, radii, nodes)
+            sums = riesz._node_sums(centers, radii, solved, nodes)
+            for k, c in enumerate(centers):
+                p, _ = trapezoid_projection(a, rep, c, nodes)
+                assert [s[k].tobytes() for s in sums] == [pb.tobytes() for pb in p.blocks]
+
     def test_nested_rule_is_the_half_node_rule(self):
         a = random_maximal_element(sl.AlgebraSpec((3, 5)), rng_for(7))
         rep = sl.spectrum(a)
