@@ -6,9 +6,9 @@ survey copies ``src/``, ``tests/``, ``bench/``, ``demos/`` and
 assignment in the copy, runs tier-1 there with ``-x`` and prints one
 Markdown row per constant: ``fails`` with the first failing test, or
 ``passes`` with pytest's summary. A tolerance that some test depends on
-fails both ways. The 18 runs take about 15 minutes on two cores.
+fails both ways.
 
-Run it from the root of a checkout:
+Usage:
 
     python tools/tolerance_survey.py
 """
