@@ -13,9 +13,11 @@ from soclelab.sampling import random_traceless_matrix, rng_for
 # telescoping partial sums on [e_i,i+1, e_i+1,i].
 m = np.array([[1.0, 7.0, 0.0], [0.0, 2.0, 0.0], [-4.0, 0.0, -3.0]])
 cert = sl.commutator_decompose(m)
-print(f"target trace {np.trace(m):+.1f}, {len(cert.terms)} certificate terms:")
-for c, left, right in cert.terms:
-    print(f"  {c:+.1f} * [e({left.row},{left.col}), e({right.row},{right.col})]")
+# The certificate is one table: a coefficient per term and the (row, col)
+# of its left and right unit, all in block cert.block.
+print(f"target trace {np.trace(m):+.1f}, {len(cert.coefficients)} certificate terms:")
+for c, (a, b), (r, s) in zip(cert.coefficients, cert.left, cert.right):
+    print(f"  {c:+.1f} * [e({a},{b}), e({r},{s})]")
 print(f"reconstruction defect: {sl.verify_certificate(cert):.2e}")
 
 # Certificates are data, not trust: verification rebuilds everything.

@@ -38,7 +38,6 @@ from .classify import (
 )
 from .commutators import (
     CommutatorCertificate,
-    MatrixUnit,
     RankOnePair,
     commutator_decompose,
     rank_one_commutator,

@@ -4,13 +4,15 @@ Every traceless n x n matrix is a short linear combination of
 commutators of matrix units: each off-diagonal entry comes from
 [e_ii, e_ij] = e_ij, and the diagonal telescopes through
 [e_i,i+1, e_i+1,i] = e_ii - e_i+1,i+1 with partial-sum coefficients.
-The difference of two rank-one projections is a single commutator of
-two rank-one operators, built from the defining vectors.
+A certificate holds these terms as one table: a coefficient vector and
+the (row, col) of each term's left and right unit, all inside the
+certificate's one block. The difference of two rank-one projections is
+a single commutator of two rank-one operators, built from the defining
+vectors.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -32,25 +34,19 @@ def _scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 @dataclass(frozen=True)
-class MatrixUnit:
-    """Symbolic e_(row,col) inside one block."""
-
-    block: int
-    row: int
-    col: int
-
-
-@dataclass(frozen=True)
 class CommutatorCertificate:
-    """target = sum of c * (left right - right left) over the terms.
+    """target = sum over k of coefficients[k] * [e_left[k], e_right[k]].
 
-    Left and right factors are always single matrix units, so the
-    certificate is re-verifiable from the indices alone.
+    One table: a complex (k,) ``coefficients`` vector, and integer (k, 2)
+    ``left`` and ``right`` arrays of each term's unit (row, col), all in
+    ``block``. The certificate is re-verifiable from the indices alone.
     """
 
     block: int
     block_size: int
-    terms: tuple[tuple[complex, MatrixUnit, MatrixUnit], ...]
+    coefficients: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
     target: np.ndarray
     reconstruction_defect: float
 
@@ -58,16 +54,16 @@ class CommutatorCertificate:
 def commutator_decompose(m: np.ndarray, block: int = 0) -> CommutatorCertificate:
     """Write a traceless matrix as a combination of unit commutators.
 
-    At most n^2 - 1 terms: one per nonzero off-diagonal entry plus one
-    per nonzero diagonal partial sum. Zero coefficients are skipped, so
-    certificates are minimal term-by-term. A 1 x 1 input must be zero
-    and yields the empty certificate.
+    At most n^2 - 1 terms: one per nonzero off-diagonal entry, in
+    row-major order, then one per nonzero diagonal partial sum. Zero
+    coefficients are skipped, so certificates are minimal term-by-term.
+    A 1 x 1 input must be zero and yields the empty certificate.
 
     Raises ``ShapeMismatchError`` when ``block`` is not a nonnegative
     ``int`` (a ``bool`` is not one), ``NotTracelessError`` when |trace|
     exceeds ``TRACELESS_TOL`` times max(1, Frobenius norm), and
     ``NumericOverflowError`` when the trace or a diagonal partial sum
-    leaves the double range; the last two are decided without an
+    leaves the double range; the trace is decided without an
     overflowing operation.
     """
     if not isinstance(block, int) or isinstance(block, bool) or block < 0:
@@ -90,29 +86,20 @@ def commutator_decompose(m: np.ndarray, block: int = 0) -> CommutatorCertificate
             raise NumericOverflowError("the trace overflows the double range") from None
         raise NotTracelessError(trace)
 
-    terms: list[tuple[complex, MatrixUnit, MatrixUnit]] = []
-    rows = m.tolist()
-    for i, row in enumerate(rows):
-        diagonal = MatrixUnit(block, i, i)
-        for j, entry in enumerate(row):
-            if i != j and entry != 0:
-                terms.append((entry, diagonal, MatrixUnit(block, i, j)))
-    partial = 0j
-    for i in range(n - 1):
-        partial += rows[i][i]  # Python arithmetic: an overflow is inf, not a warning
-        if not cmath.isfinite(partial):
-            raise NumericOverflowError(
-                f"diagonal partial sum {i} overflows the double range"
-            )
-        if partial != 0:
-            terms.append(
-                (partial, MatrixUnit(block, i, i + 1), MatrixUnit(block, i + 1, i))
-            )
-
+    rows, cols = np.nonzero((m != 0) & ~np.eye(n, dtype=bool))
+    # 0 + keeps a -0.0 part of the first sum out of the coefficients
+    with np.errstate(over="ignore", invalid="ignore"):
+        partial = 0 + np.cumsum(np.diagonal(m)[:-1])
+    if not np.isfinite(partial).all():
+        i = np.argmin(np.isfinite(partial))
+        raise NumericOverflowError(f"diagonal partial sum {i} overflows the double range")
+    steps = np.flatnonzero(partial)
     cert = CommutatorCertificate(
         block=block,
         block_size=n,
-        terms=tuple(terms),
+        coefficients=np.concatenate([m[rows, cols], partial[steps]]),
+        left=np.concatenate([np.stack([rows, rows], 1), np.stack([steps, steps + 1], 1)]),
+        right=np.concatenate([np.stack([rows, cols], 1), np.stack([steps + 1, steps], 1)]),
         target=m.copy(),
         reconstruction_defect=0.0,
     )
@@ -125,14 +112,16 @@ def verify_certificate(cert: CommutatorCertificate) -> float:
     Rebuilds the sum from the stored unit indices rather than trusting
     anything recorded in the certificate, by the identity
     [e_ab, e_cd] = δ_bc e_ad - δ_da e_cb: each term adds c at (a, d)
-    when b = c and subtracts it at (c, b) when d = a, in the stored
-    order. The zero commutator [e_aa, e_aa] adds nothing. Every entry
-    receives the same ±c in the same order as in a rebuild by matrix
-    products, so the defect is bit-identical to that rebuild's.
+    when b = c and subtracts it at (c, b) when d = a. The zero
+    commutator [e_aa, e_aa] adds nothing. ``np.add.at`` applies the
+    contributions in term order, so every entry receives the same ±c in
+    the same order as in a rebuild by matrix products, and the defect
+    is bit-identical to that rebuild's.
 
     Raises ``NonFiniteEntryError`` for a non-finite coefficient or
     target entry, and ``ShapeMismatchError`` for a target of the wrong
-    shape or a unit outside the certificate's block.
+    shape, a table whose arrays do not fit together, or an index
+    outside the block.
     """
     n = cert.block_size
     target = np.asarray(cert.target)
@@ -140,24 +129,28 @@ def verify_certificate(cert: CommutatorCertificate) -> float:
         raise ShapeMismatchError("certificate target has the wrong shape")
     if not np.isfinite(target).all():
         raise NonFiniteEntryError("certificate target has non-finite entries")
-    acc = [0j] * (n * n)
-    for coefficient, left, right in cert.terms:
-        for unit in (left, right):
-            if unit.block != cert.block or not (0 <= unit.row < n and 0 <= unit.col < n):
-                raise ShapeMismatchError(
-                    f"{unit} lies outside block {cert.block} of size {n}"
-                )
-        if not cmath.isfinite(coefficient):
-            raise NonFiniteEntryError(f"certificate coefficient {coefficient} is not finite")
-        a, b, c, d = left.row, left.col, right.row, right.col
-        if a == b == c == d:
-            continue
-        if b == c:
-            acc[a * n + d] += coefficient
-        if d == a:
-            acc[c * n + b] -= coefficient
-    rebuilt = np.array(acc, dtype=complex).reshape(n, n)
-    return float(np.max(np.abs(rebuilt - target)))
+    coefficients = np.asarray(cert.coefficients, dtype=complex)
+    left, right = np.asarray(cert.left), np.asarray(cert.right)
+    k = len(coefficients) if coefficients.ndim == 1 else -1
+    integral = left.dtype.kind in "iu" and right.dtype.kind in "iu"
+    if not (integral and left.shape == right.shape == (k, 2)):
+        raise ShapeMismatchError("certificate table has the wrong shape or index type")
+    outside = ((left < 0) | (left >= n) | (right < 0) | (right >= n)).any(1)
+    if outside.any():
+        raise ShapeMismatchError(
+            f"term {outside.argmax()} has a unit outside block {cert.block} of size {n}"
+        )
+    if not np.isfinite(coefficients).all():
+        raise NonFiniteEntryError("certificate has non-finite coefficients")
+    (a, b), (c, d) = left.T, right.T
+    zero = (a == b) & (b == c) & (c == d)
+    # term k's +c at (a, d), then its -c at (c, b): row-major order is term order
+    hits = np.stack([(b == c) & ~zero, (d == a) & ~zero], 1)
+    where = np.stack([a * n + d, c * n + b], 1)[hits]
+    signed = np.stack([coefficients, -coefficients], 1)[hits]
+    rebuilt = np.zeros(n * n, dtype=complex)
+    np.add.at(rebuilt, where, signed)
+    return float(np.max(np.abs(rebuilt.reshape(n, n) - target)))
 
 
 @dataclass(frozen=True)

@@ -174,20 +174,21 @@ def characterization_to_json(rep: CharacterizationReport) -> dict:
 
 # An explicit mapper, not the walk: a certificate holds up to n^2 - 1
 # terms, and this loop writes them several times faster than the walk.
+# Every unit is written with the certificate's block.
 def certificate_to_json(cert) -> dict:
-    def unit(u) -> dict:
-        return {"block": u.block, "row": u.row, "col": u.col}
-
+    block = cert.block
     return {
-        "block": cert.block,
+        "block": block,
         "block_size": cert.block_size,
         "terms": [
             {
                 "c": complex_to_json(c),
-                "left": unit(left),
-                "right": unit(right),
+                "left": {"block": block, "row": a, "col": b},
+                "right": {"block": block, "row": r, "col": s},
             }
-            for c, left, right in cert.terms
+            for c, (a, b), (r, s) in zip(
+                cert.coefficients.tolist(), cert.left.tolist(), cert.right.tolist()
+            )
         ],
         "target": matrix_to_json(cert.target),
         "reconstruction_defect": cert.reconstruction_defect,

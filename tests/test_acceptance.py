@@ -198,7 +198,7 @@ def test_criterion_5_commutator_certificates():
         n = 1 + i % 8
         cert = sl.commutator_decompose(random_traceless_matrix(n, rng))
         worst_cert = max(worst_cert, sl.verify_certificate(cert))
-        assert len(cert.terms) <= n * n - 1
+        assert len(cert.coefficients) <= n * n - 1
     worst_pair = 0.0
     rank_misses = 0
     for i in range(200):

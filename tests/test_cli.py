@@ -1217,9 +1217,10 @@ def _after(change):
 def _first_coefficient_scaled(real):
     """A ``CommutatorCertificate`` whose first coefficient is x 1.01."""
 
-    def build(*, terms, **fields):
-        (coefficient, *units), *rest = terms
-        return real(terms=((1.01 * coefficient, *units), *rest), **fields)
+    def build(*, coefficients, **fields):
+        scaled = coefficients.copy()
+        scaled[0] *= 1.01
+        return real(coefficients=scaled, **fields)
 
     return build
 

@@ -2,11 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import soclelab as sl
-from soclelab.commutators import CommutatorCertificate, MatrixUnit
+from soclelab import cli, jsonio
+from soclelab.commutators import CommutatorCertificate
 from soclelab.errors import DegenerateProjectionError, NonFiniteEntryError
 from soclelab.errors import NotTracelessError, NumericOverflowError, ShapeMismatchError
 from soclelab.sampling import random_element, random_traceless_matrix, rng_for
@@ -15,10 +16,27 @@ from conftest import single
 
 
 def units(cert):
-    return [
-        (c, (left.row, left.col), (right.row, right.col))
-        for c, left, right in cert.terms
-    ]
+    """The certificate's table as (c, (row, col), (row, col)) triples."""
+    left, right = map(tuple, cert.left.tolist()), map(tuple, cert.right.tolist())
+    return list(zip(cert.coefficients.tolist(), left, right))
+
+
+def table(n, terms, target=None, block=0):
+    """A hand-built certificate of ``terms``, (c, (a, b), (c', d)) triples."""
+    return CommutatorCertificate(
+        block=block,
+        block_size=n,
+        coefficients=np.array([c for c, _, _ in terms], dtype=complex),
+        left=np.array([left for _, left, _ in terms], dtype=int).reshape(-1, 2),
+        right=np.array([right for _, _, right in terms], dtype=int).reshape(-1, 2),
+        target=np.zeros((n, n), dtype=complex) if target is None else target,
+        reconstruction_defect=0.0,
+    )
+
+
+# -0.0 parts on and off the diagonal; 0j + (-0.0 + 1j) is 0.0 + 1j
+NEGATIVE_ZEROS = np.array([[complex(-0.0, 1.0), complex(-0.0, 2.0)], [0.0, complex(-0.0, -1.0)]])
+NEAR_OVERFLOW = np.diag([1e308, -1e308])
 
 
 class TestDecomposition:
@@ -40,7 +58,8 @@ class TestDecomposition:
 
     def test_one_by_one_is_empty(self):
         cert = sl.commutator_decompose(np.zeros((1, 1)))
-        assert cert.terms == ()
+        assert units(cert) == []
+        assert cert.left.shape == cert.right.shape == (0, 2)
         assert cert.reconstruction_defect == 0.0
 
     def test_nonzero_trace_rejected(self):
@@ -78,6 +97,11 @@ class TestDecomposition:
         assert units(cert) == [(1e308, (0, 1), (1, 0))]
         assert cert.reconstruction_defect == 0.0
 
+    def test_negative_zero_parts(self):
+        # the diagonal partial sums start from 0j, as a running sum does
+        cert = sl.commutator_decompose(NEGATIVE_ZEROS)
+        assert repr(units(cert)) == "[((-0+2j), (0, 0), (0, 1)), (1j, (0, 1), (1, 0))]"
+
     @pytest.mark.parametrize(
         "m",
         [
@@ -95,13 +119,24 @@ class TestDecomposition:
         m = np.zeros((3, 3), dtype=complex)
         m[0, 2] = 5.0
         cert = sl.commutator_decompose(m)
-        assert len(cert.terms) == 1
+        assert units(cert) == [(5.0, (0, 0), (0, 2))]
+
+    def test_terms_are_row_major_then_diagonal(self):
+        m = np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 4.0], [0.0, 5.0, -1.0]])
+        assert units(sl.commutator_decompose(m)) == [
+            (2.0, (0, 0), (0, 2)),
+            (3.0, (1, 1), (1, 0)),
+            (4.0, (1, 1), (1, 2)),
+            (5.0, (2, 2), (2, 1)),
+            (1.0, (0, 1), (1, 0)),
+            (1.0, (1, 2), (2, 1)),
+        ]
 
     def test_term_bound(self):
         for n in range(1, 9):
             m = random_traceless_matrix(n, rng_for(107, n))
             cert = sl.commutator_decompose(m)
-            assert len(cert.terms) <= n * n - 1
+            assert len(cert.coefficients) <= n * n - 1
 
     def test_round_trip_random(self):
         for i in range(60):
@@ -113,7 +148,7 @@ class TestDecomposition:
 
     @pytest.mark.parametrize("block", [-1, 1.0, True, "0", None])
     def test_block_is_a_nonnegative_int(self, block):
-        # a certificate of MatrixUnit(-1, ...) would still verify
+        # the writer would label every unit of the certificate with it
         with pytest.raises(ShapeMismatchError, match="nonnegative integer"):
             sl.commutator_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]), block=block)
 
@@ -122,27 +157,13 @@ class TestVerification:
     def test_recomputes_from_scratch(self):
         m = random_traceless_matrix(4, rng_for(113))
         cert = sl.commutator_decompose(m)
-        perturbed = CommutatorCertificate(
-            block=cert.block,
-            block_size=cert.block_size,
-            terms=(
-                (cert.terms[0][0] + 1.0, cert.terms[0][1], cert.terms[0][2]),
-            )
-            + cert.terms[1:],
-            target=cert.target,
-            reconstruction_defect=cert.reconstruction_defect,
-        )
+        moved = cert.coefficients.copy()
+        moved[0] += 1.0
+        perturbed = dataclasses.replace(cert, coefficients=moved)
         assert sl.verify_certificate(perturbed) >= 0.5
 
     def test_empty_certificate_zero_target(self):
-        cert = CommutatorCertificate(
-            block=0,
-            block_size=2,
-            terms=(),
-            target=np.zeros((2, 2), dtype=complex),
-            reconstruction_defect=0.0,
-        )
-        assert sl.verify_certificate(cert) == 0.0
+        assert sl.verify_certificate(table(2, [])) == 0.0
 
     def test_commutators_are_trace_free(self, spec23):
         # single commutators always land in the trace kernel
@@ -155,39 +176,33 @@ class TestVerification:
 
     def test_negative_index_is_rejected(self):
         # e_(-1,-1) would wrap to e_11 and verify [[0,0],[1,0]] with defect 0
-        cert = CommutatorCertificate(
-            block=0,
-            block_size=2,
-            terms=((1.0, MatrixUnit(0, -1, -1), MatrixUnit(0, -1, 0)),),
-            target=np.array([[0, 0], [1, 0]], dtype=complex),
-            reconstruction_defect=0.0,
-        )
-        with pytest.raises(ShapeMismatchError):
+        cert = table(2, [(1.0, (-1, -1), (-1, 0))], target=np.array([[0, 0], [1, 0]], dtype=complex))
+        with pytest.raises(ShapeMismatchError, match="term 0"):
             sl.verify_certificate(cert)
 
     def test_index_past_the_block_is_rejected(self):
-        cert = CommutatorCertificate(
-            block=0,
-            block_size=2,
-            terms=((1.0, MatrixUnit(0, 5, 0), MatrixUnit(0, 0, 1)),),
-            target=np.zeros((2, 2), dtype=complex),
-            reconstruction_defect=0.0,
-        )
-        with pytest.raises(ShapeMismatchError):
+        cert = table(2, [(1.0, (0, 0), (0, 1)), (1.0, (5, 0), (0, 1))])
+        with pytest.raises(ShapeMismatchError, match="term 1"):
             sl.verify_certificate(cert)
 
-    def test_unit_of_another_block_is_rejected(self):
-        cert = sl.commutator_decompose(np.diag([1.0, -1.0]), block=1)
-        c, left, right = cert.terms[0]
-        foreign = dataclasses.replace(cert, terms=((c, MatrixUnit(0, left.row, left.col), right),))
-        with pytest.raises(ShapeMismatchError):
-            sl.verify_certificate(foreign)
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("coefficients", np.ones((1, 1), dtype=complex)),  # not a vector
+            ("left", np.zeros((2, 2), dtype=int)),  # two rows for one coefficient
+            ("right", np.zeros((1, 3), dtype=int)),  # not (row, col) pairs
+            ("left", np.zeros((1, 2))),  # float indices
+        ],
+    )
+    def test_table_that_does_not_fit_together_is_rejected(self, field, value):
+        cert = table(2, [(1.0, (0, 0), (0, 1))])
+        with pytest.raises(ShapeMismatchError, match="certificate table"):
+            sl.verify_certificate(dataclasses.replace(cert, **{field: value}))
 
     def test_non_finite_coefficient_is_rejected(self):
         # a NaN defect would pass every "defect > tol" check
         cert = sl.commutator_decompose(np.diag([1.0, -1.0]))
-        _, left, right = cert.terms[0]
-        bad = dataclasses.replace(cert, terms=((complex(np.nan, 0.0), left, right),))
+        bad = dataclasses.replace(cert, coefficients=np.array([complex(np.nan, 0.0)]))
         with pytest.raises(NonFiniteEntryError):
             sl.verify_certificate(bad)
 
@@ -262,15 +277,15 @@ def matmul_defect(cert):
     ``verify_certificate``'s rebuild by index."""
     n = cert.block_size
 
-    def unit_matrix(unit):
+    def unit_matrix(row, col):
         m = np.zeros((n, n), dtype=complex)
-        m[unit.row, unit.col] = 1.0
+        m[row, col] = 1.0
         return m
 
     acc = np.zeros((n, n), dtype=complex)
-    for c, left, right in cert.terms:
-        lm = unit_matrix(left)
-        rm = unit_matrix(right)
+    for c, left, right in zip(cert.coefficients, cert.left, cert.right):
+        lm = unit_matrix(*left)
+        rm = unit_matrix(*right)
         acc += c * (lm @ rm - rm @ lm)
     return float(np.max(np.abs(acc - cert.target)))
 
@@ -304,24 +319,22 @@ def hand_built_certificates(draw):
         c, d = {"any": (draw(index), draw(index)), "swap": (b, a), "same": (a, a)}[kind]
         if kind == "same":
             b = a
-        terms.append((draw(_COEFFICIENTS), MatrixUnit(2, a, b), MatrixUnit(2, c, d)))
+        terms.append((draw(_COEFFICIENTS), (a, b), (c, d)))
     target = np.array(
         draw(st.lists(_ENTRIES, min_size=2 * n * n, max_size=2 * n * n)), dtype=float
     ).view(complex).reshape(n, n)
-    return CommutatorCertificate(
-        block=2, block_size=n, terms=tuple(terms), target=target, reconstruction_defect=0.0
-    )
+    return table(n, terms, target=target, block=2)
 
 
 @st.composite
 def perturbed_certificates(draw):
     """Decomposed certificates whose coefficients are then moved."""
     cert = draw(decomposed_certificates())
-    terms = tuple(
-        (c + draw(_COEFFICIENTS) if draw(st.booleans()) else c, left, right)
-        for c, left, right in cert.terms
+    moved = np.array(
+        [c + draw(_COEFFICIENTS) if draw(st.booleans()) else c for c in cert.coefficients],
+        dtype=complex,
     )
-    return dataclasses.replace(cert, terms=terms)
+    return dataclasses.replace(cert, coefficients=moved)
 
 
 class TestRebuildByIndex:
@@ -329,7 +342,55 @@ class TestRebuildByIndex:
     @given(
         cert=decomposed_certificates() | hand_built_certificates() | perturbed_certificates()
     )
+    # [e_00, e_00] adds nothing: 1 + 1e300 - 1e300 would lose the 1 at (0, 0)
+    @example(cert=table(2, [(1.0, (0, 1), (1, 0)), (1e300, (0, 0), (0, 0))], np.diag([0j, -1])))
     def test_defect_equals_the_matmul_rebuild(self, cert):
         with np.errstate(all="ignore"):
             expected = matmul_defect(cert)
         assert repr(sl.verify_certificate(cert)) == repr(expected)
+
+
+def reference_terms(m, block):
+    """The terms of ``commutator_decompose`` as a per-term loop builds
+    them: (c, (block, row, col), (block, row, col)) triples."""
+    terms = []
+    rows = m.tolist()
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            if i != j and entry != 0:
+                terms.append((entry, (block, i, i), (block, i, j)))
+    partial = 0j
+    for i in range(len(rows) - 1):
+        partial += rows[i][i]
+        if partial != 0:
+            terms.append((partial, (block, i, i + 1), (block, i + 1, i)))
+    return terms
+
+
+def reference_certificate_json(cert, terms):
+    """The certificate's JSON written one term at a time, the reference
+    for ``jsonio.certificate_to_json``."""
+
+    def unit(u):
+        return {"block": u[0], "row": u[1], "col": u[2]}
+
+    return {
+        "block": cert.block,
+        "block_size": cert.block_size,
+        "terms": [
+            {"c": jsonio.complex_to_json(c), "left": unit(left), "right": unit(right)}
+            for c, left, right in terms
+        ],
+        "target": jsonio.matrix_to_json(cert.target),
+        "reconstruction_defect": cert.reconstruction_defect,
+    }
+
+
+class TestWriterBytes:
+    @settings(max_examples=200, deadline=None)
+    @given(cert=decomposed_certificates())
+    @example(cert=sl.commutator_decompose(NEGATIVE_ZEROS, block=3))
+    @example(cert=sl.commutator_decompose(NEAR_OVERFLOW))
+    def test_bytes_are_the_per_term_reference(self, cert):
+        expected = reference_certificate_json(cert, reference_terms(cert.target, cert.block))
+        assert cli._dumps(jsonio.certificate_to_json(cert)) == cli._dumps(expected)

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import soclelab as sl
 from soclelab import cli, jsonio
-from soclelab.commutators import CommutatorCertificate, MatrixUnit
+from soclelab.commutators import CommutatorCertificate
 from soclelab.errors import NumericOverflowError, ShapeMismatchError, quote_json
 from soclelab.sampling import random_element, random_traceless_matrix, rng_for
 
@@ -41,21 +41,23 @@ class TestRoundTrips:
         m = random_traceless_matrix(3, rng_for(193))
         cert = sl.commutator_decompose(m)
         data = json.loads(json.dumps(jsonio.certificate_to_json(cert)))
+        terms = data["terms"]
+        assert {t[side]["block"] for t in terms for side in ("left", "right")} == {data["block"]}
 
-        def unit(u):
-            return MatrixUnit(u["block"], u["row"], u["col"])
+        def indices(side):
+            return np.array([[t[side]["row"], t[side]["col"]] for t in terms]).reshape(-1, 2)
 
         back = CommutatorCertificate(
             block=data["block"],
             block_size=data["block_size"],
-            terms=tuple(
-                (jsonio.complex_from_json(t["c"]), unit(t["left"]), unit(t["right"]))
-                for t in data["terms"]
-            ),
+            coefficients=np.array([jsonio.complex_from_json(t["c"]) for t in terms]),
+            left=indices("left"),
+            right=indices("right"),
             target=jsonio.matrix_from_json(data["target"]),
             reconstruction_defect=data["reconstruction_defect"],
         )
-        assert back.terms == cert.terms
+        for field in ("coefficients", "left", "right", "target"):
+            np.testing.assert_array_equal(getattr(back, field), getattr(cert, field))
         assert sl.verify_certificate(back) <= 1e-12
 
     def test_bad_payloads(self):

@@ -37,13 +37,7 @@ CONSTANTS = [
     ("riesz", "TRACE_CERT_TOL"),
     ("riesz", "_NESTED_ACCEPT"),
 ]
-# A failing Hypothesis test makes its pytest plugin import libcst, whose
-# import warns; tier-1 turns that warning into an internal error that
-# hides the failing test's name.
-PYTEST = [
-    sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p", "no:cacheprovider",
-    "-W", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning",
-]
+PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p", "no:cacheprovider"]
 
 
 def assignment(name: str) -> re.Pattern:
