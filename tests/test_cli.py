@@ -1133,10 +1133,12 @@ class TestNoTraceback:
 class TestKnownWrongAnswers:
     """Inputs on which a command gives a wrong answer, each test asserting
     the right outcome: the right value, or a typed error without a
-    warning. Thresholds floored at max(1, scale) or scaled past the
-    element cause the first four, where the element's own scale would
-    not; roundoff splitting a defective spectral value into a ring of
-    distinct values causes the last."""
+    warning. Each strict xfail names its cause in its reason: a threshold
+    floored at max(1, scale) or taken against the wrong scale, a centroid
+    that overflows, route A's perturbation moved past a third of the gap
+    by a skewed element, or roundoff splitting a defective spectral value
+    into a ring of distinct values. The tests without a marker pin
+    answers that were once wrong."""
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason="RANK_TOL * max(top, 1)")
     def test_tiny_diagonal_has_rank_two(self, capsys):
@@ -1171,6 +1173,19 @@ class TestKnownWrongAnswers:
         code, out = invoke_stdin(capsys, ["rank"], document)
         assert code == 0
         assert (out["rank"], out["oracle_rank"]) == (2, 2)
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="route A's DEFAULT_EPS perturbation, scaled by the skew, passes a third of the gap",
+    )
+    def test_skewed_triangular_trace_is_the_diagonal_sum(self, capsys):
+        # [[1, 400], [0, 2]]: values 1 and 2, one apart, but a perturbation
+        # of size DEFAULT_EPS moves them by about DEFAULT_EPS * 400, so the
+        # perturbation counts at 2 are not constant (exit 2)
+        document = {"blocks": [[[[1, 0], [400, 0]], [[0, 0], [2, 0]]]]}
+        code, out = invoke_stdin(capsys, ["trace"], document)
+        assert code == 0
+        np.testing.assert_allclose(out["spectral_trace"], [3.0, 0.0], rtol=1e-8, atol=1e-8)
 
     @staticmethod
     def riesz_agrees_with_spectrum(capsys, element):
@@ -1482,3 +1497,179 @@ class TestPayloadsAreTrees:
         payloads = _written_payloads(monkeypatch, ["spectrum"], "")
         assert [p["error"]["type"] for p in payloads] == [type(exc).__name__]
         assert _shared_containers(payloads[0]) == []
+
+
+# The text ``cli._error_text`` writes for each instance of ``ERRORS``.
+ERROR_TEXTS = {
+    "UsageError": (
+        '{"error": {"details": {}, "message": "soclelab rank: argument --seed: expected an '
+        'integer", "type": "UsageError"}}\n'
+    ),
+    "ShapeMismatchError": (
+        '{"error": {"details": {}, "message": "expected [re, im] pair, got 5", "type": '
+        '"ShapeMismatchError"}}\n'
+    ),
+    "NonFiniteEntryError": (
+        '{"error": {"details": {}, "message": "block 0 has a non-finite entry", "type": '
+        '"NonFiniteEntryError"}}\n'
+    ),
+    "NumericOverflowError": (
+        '{"error": {"details": {}, "message": "a report value overflows the double range", '
+        '"type": "NumericOverflowError"}}\n'
+    ),
+    "EigensolverError": (
+        '{"error": {"details": {"block_index": 1}, "message": "eigensolver failed to converge on '
+        'block 1", "type": "EigensolverError"}}\n'
+    ),
+    "SVDConvergenceError": (
+        '{"error": {"details": {"block_index": 0}, "message": "eigensolver failed to converge on '
+        'block 0", "type": "SVDConvergenceError"}}\n'
+    ),
+    "SingularResolventError": (
+        '{"error": {"details": {"distance": 1e-300, "eigenvalue": [1.0, 1e-300], "point": [1.0, '
+        '0.0]}, "message": "resolvent point (1+0j) is within 1.000e-300 of the spectral value '
+        '(1+1e-300j)", "type": "SingularResolventError"}}\n'
+    ),
+    "TargetNotInSpectrumError": (
+        '{"error": {"details": {"distance": null, "nearest": [-1e+308, 0.0], "target": [5.0, '
+        '0.0]}, "message": "target (5+0j) is not a spectral point (nearest value (-1e+308+0j) at '
+        'distance inf)", "type": "TargetNotInSpectrumError"}}\n'
+    ),
+    "ContourCollapseError": (
+        '{"error": {"details": {"center": [0.0, 0.0], "radius": 1e-300}, "message": "the '
+        'resolvent is singular on the contour of radius 1.000e-300 around 0j", "type": '
+        '"ContourCollapseError"}}\n'
+    ),
+    "SpectralGapError": (
+        '{"error": {"details": {"floor": 1e-05, "gap": 5e-06, "target": [1.0, 0.0]}, "message": '
+        '"gap 5.000e-06 around (1+0j) is below the resolvable threshold 1.000e-05; multiplicities '
+        'at this separation are not trusted", "type": "SpectralGapError"}}\n'
+    ),
+    "ProbeExhaustionError": (
+        '{"error": {"details": {}, "message": "no perturbation probe preserved the rank", "type": '
+        '"ProbeExhaustionError"}}\n'
+    ),
+    "NotTracelessError": (
+        '{"error": {"details": {"trace": [1.0, 0.0]}, "message": "matrix has nonzero trace '
+        '(1+0j)", "type": "NotTracelessError"}}\n'
+    ),
+    "DegenerateProjectionError": (
+        '{"error": {"details": {}, "message": "pairing f(x) is numerically zero", "type": '
+        '"DegenerateProjectionError"}}\n'
+    ),
+    "NotIdempotentError": (
+        '{"error": {"details": {"defect": 0.5, "tolerance": 1e-08}, "message": "idempotency '
+        'defect 5.000e-01 exceeds tolerance 1.000e-08", "type": "NotIdempotentError"}}\n'
+    ),
+    "NotMaximalError": (
+        '{"error": {"details": {"nonzero_count": 1, "rank": 2}, "message": "element is not '
+        'maximal: rank 2 but 1 distinct nonzero spectral values", "type": "NotMaximalError"}}\n'
+    ),
+    "NoCounterexampleError": (
+        '{"error": {"details": {}, "message": "a single block has no counterexample", "type": '
+        '"NoCounterexampleError"}}\n'
+    ),
+    "CertificationError": (
+        '{"error": {"details": {}, "message": "two routes disagree", "type": '
+        '"CertificationError"}}\n'
+    ),
+    "RankCertificationError": (
+        '{"error": {"details": {"classical_rank": 3, "probes": 64, "spectral_rank": 2}, '
+        '"message": "spectral rank 2 != classical rank 3 after 64 probes", "type": '
+        '"RankCertificationError"}}\n'
+    ),
+    "TraceCertificationError": (
+        '{"error": {"details": {"classical_trace": [5.0, 0.0], "spectral_trace": [6.0, 0.0]}, '
+        '"message": "spectral trace (6+0j) != classical trace (5+0j)", "type": '
+        '"TraceCertificationError"}}\n'
+    ),
+    "MultiplicityInconsistencyError": (
+        '{"error": {"details": {"perturbation_count": [1, 2], "projection_rank": null, "target": '
+        '[1.0, 0.0]}, "message": "multiplicity at (1+0j): perturbation counting gave [1, 2], '
+        'projection rank gave None", "type": "MultiplicityInconsistencyError"}}\n'
+    ),
+    "ProjectionRankError": (
+        '{"error": {"details": {"bound": 0.25, "projection_rank": 2, "spectrum_multiplicity": 1, '
+        '"trace": [1.08, 0.08]}, "message": "Riesz projection of rank 2 and trace (1.08+0.08j): '
+        'the spectrum gives multiplicity 1, and the trace must lie within 0.25 of the rank", '
+        '"type": "ProjectionRankError"}}\n'
+    ),
+    "TheoremViolationError": (
+        '{"error": {"details": {"claim": "tracial implies scalar"}, "message": "predicted '
+        'implication violated: tracial implies scalar", "type": "TheoremViolationError"}}\n'
+    ),
+}
+
+# Each way a raiser overrides the default message, an empty override that
+# falls back to it, and numpy scalar fields, one of them NaN.
+ERROR_FORMS = [
+    (
+        sl.errors.ContourCollapseError(
+            0.5 + 0j, 1e-13, "contour radius 1.000e-13 around (0.5+0j) is below the "
+            "singularity floor 1.000e-12"
+        ),
+        '{"error": {"details": {"center": [0.5, 0.0], "radius": 1e-13}, "message": "contour '
+        'radius 1.000e-13 around (0.5+0j) is below the singularity floor 1.000e-12", "type": '
+        '"ContourCollapseError"}}\n'
+    ),
+    (
+        sl.errors.EigensolverError(2, "Eigenvalues did not converge"),
+        '{"error": {"details": {"block_index": 2}, "message": "Eigenvalues did not converge", '
+        '"type": "EigensolverError"}}\n'
+    ),
+    (
+        sl.errors.MultiplicityInconsistencyError(
+            1 + 0j, [0, 1], None,
+            message="perturbation counts at (1+0j) were not constant: [0, 1]",
+        ),
+        '{"error": {"details": {"perturbation_count": [0, 1], "projection_rank": null, '
+        '"target": [1.0, 0.0]}, "message": "perturbation counts at (1+0j) were not constant: '
+        '[0, 1]", "type": "MultiplicityInconsistencyError"}}\n'
+    ),
+    (
+        sl.errors.EigensolverError(3, ""),
+        '{"error": {"details": {"block_index": 3}, "message": "eigensolver failed to converge '
+        'on block 3", "type": "EigensolverError"}}\n'
+    ),
+    (
+        sl.errors.SpectralGapError(np.complex128(1 - 2j), np.float64(np.nan), np.float64(1e-5)),
+        '{"error": {"details": {"floor": 1e-05, "gap": null, "target": [1.0, -2.0]}, '
+        '"message": "gap nan around (1-2j) is below the resolvable threshold 1.000e-05; '
+        'multiplicities at this separation are not trusted", "type": "SpectralGapError"}}\n'
+    ),
+]
+
+
+class TestErrorPayloadBytes:
+    """Every error payload is pinned as literal text: the type, message and
+    details of each subclass, and each form of message override."""
+
+    @pytest.mark.parametrize("exc", ERRORS, ids=lambda exc: type(exc).__name__)
+    def test_each_subclass_writes_its_text(self, exc):
+        assert cli._error_text(exc) == ERROR_TEXTS[type(exc).__name__]
+        assert exc.args == (str(exc),)
+
+    @pytest.mark.parametrize(
+        "exc, text", ERROR_FORMS, ids=["positional", "lapack", "keyword", "empty", "numpy"]
+    )
+    def test_each_message_form_writes_its_text(self, exc, text):
+        assert cli._error_text(exc) == text
+        assert exc.args == (str(exc),)
+
+    @pytest.mark.parametrize(
+        "exc", [exc for exc in ERRORS if exc.details()], ids=lambda exc: type(exc).__name__
+    )
+    def test_a_wrong_number_of_fields_is_a_type_error(self, exc):
+        count = len(exc.details())
+        with pytest.raises(TypeError):
+            type(exc)(*[1.0] * (count - 1))
+        # one value more than the fields and a message
+        with pytest.raises(TypeError):
+            type(exc)(*[1.0] * count, "a message", 1.0)
+
+    @pytest.mark.parametrize(
+        "exc", [exc for exc in ERRORS if not exc.details()], ids=lambda exc: type(exc).__name__
+    )
+    def test_a_message_only_error_takes_one_message(self, exc):
+        again = type(exc)(str(exc))
+        assert (again.args, again.details()) == ((str(exc),), {})
