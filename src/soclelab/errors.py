@@ -4,14 +4,15 @@ Domain errors signal bad inputs or ill-posed requests; certification
 errors signal that two independent computation routes disagreed, which
 is never silently accepted.
 
-An error's details are its fields: the parameters of its constructor
-without a default (so not ``message`` or ``witness``), each stored under
-its own name.
+Each class declares its details once: ``fields``, the names of the
+values its constructor takes, in order, and ``text``, the ``str.format``
+template of its default message over them. An error stores each field
+under its name, and its details are its fields; a class without fields
+takes only a message.
 """
 
 from __future__ import annotations
 
-import inspect
 import json
 import math
 import reprlib
@@ -42,17 +43,32 @@ def _detail(value):
 
 
 class SocleLabError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    ``cls(*values, message="")`` stores the values under the names in
+    ``fields``. A message, passed after the values or as ``message``,
+    replaces ``text`` formatted over them; the wrong number of values is
+    a TypeError."""
+
+    fields: tuple[str, ...] = ()
+    text = ""
+
+    def __init__(self, *values, message: str = ""):
+        if len(values) == len(self.fields) + 1 and not message:
+            *values, message = values
+        if len(values) != len(self.fields):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(self.fields)} values and a message, "
+                f"got {len(values)} values"
+            )
+        named = dict(zip(self.fields, values))
+        vars(self).update(named)
+        super().__init__(message or self.text.format(**named))
 
     def details(self) -> dict:
         """Machine-readable payload for JSON error reports: the error's
         fields, keyed by their names."""
-        params = list(inspect.signature(type(self).__init__).parameters.values())[1:]
-        return {
-            p.name: _detail(getattr(self, p.name))
-            for p in params
-            if p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty
-        }
+        return {name: _detail(getattr(self, name)) for name in self.fields}
 
 
 class UsageError(SocleLabError):
@@ -75,9 +91,8 @@ class NumericOverflowError(SocleLabError):
 class EigensolverError(SocleLabError):
     """The dense eigensolver failed to converge on a block."""
 
-    def __init__(self, block_index: int, message: str = ""):
-        self.block_index = block_index
-        super().__init__(message or f"eigensolver failed to converge on block {block_index}")
+    fields = ("block_index",)
+    text = "eigensolver failed to converge on block {block_index}"
 
 
 class SVDConvergenceError(EigensolverError):
@@ -87,54 +102,36 @@ class SVDConvergenceError(EigensolverError):
 class SingularResolventError(SocleLabError):
     """The resolvent was requested too close to a spectral point."""
 
-    def __init__(self, point: complex, eigenvalue: complex, distance: float):
-        self.point = point
-        self.eigenvalue = eigenvalue
-        self.distance = distance
-        super().__init__(
-            f"resolvent point {point} is within {distance:.3e} of the "
-            f"spectral value {eigenvalue}"
-        )
+    fields = ("point", "eigenvalue", "distance")
+    text = "resolvent point {point} is within {distance:.3e} of the spectral value {eigenvalue}"
 
 
 class TargetNotInSpectrumError(SocleLabError):
     """A requested contour target does not match any spectral point."""
 
-    def __init__(self, target: complex, nearest: complex, distance: float):
-        self.target = target
-        self.nearest = nearest
-        self.distance = distance
-        super().__init__(
-            f"target {target} is not a spectral point (nearest value "
-            f"{nearest} at distance {distance:.3e})"
-        )
+    fields = ("target", "nearest", "distance")
+    text = (
+        "target {target} is not a spectral point (nearest value {nearest} at "
+        "distance {distance:.3e})"
+    )
 
 
 class ContourCollapseError(SocleLabError):
     """No safe integration contour: its radius falls below the singularity
     floor, or a shifted block on it is singular."""
 
-    def __init__(self, center: complex, radius: float, message: str = ""):
-        self.center = center
-        self.radius = radius
-        super().__init__(
-            message or f"the resolvent is singular on the contour of radius {radius:.3e} "
-            f"around {center}"
-        )
+    fields = ("center", "radius")
+    text = "the resolvent is singular on the contour of radius {radius:.3e} around {center}"
 
 
 class SpectralGapError(SocleLabError):
     """The spectral gap around a target is below the resolvable threshold."""
 
-    def __init__(self, target: complex, gap: float, floor: float):
-        self.target = target
-        self.gap = gap
-        self.floor = floor
-        super().__init__(
-            f"gap {gap:.3e} around {target} is below the resolvable "
-            f"threshold {floor:.3e}; multiplicities at this separation "
-            "are not trusted"
-        )
+    fields = ("target", "gap", "floor")
+    text = (
+        "gap {gap:.3e} around {target} is below the resolvable threshold {floor:.3e}; "
+        "multiplicities at this separation are not trusted"
+    )
 
 
 class ProbeExhaustionError(SocleLabError):
@@ -144,9 +141,8 @@ class ProbeExhaustionError(SocleLabError):
 class NotTracelessError(SocleLabError):
     """Commutator decomposition requires a (numerically) traceless input."""
 
-    def __init__(self, trace: complex):
-        self.trace = trace
-        super().__init__(f"matrix has nonzero trace {trace}")
+    fields = ("trace",)
+    text = "matrix has nonzero trace {trace}"
 
 
 class DegenerateProjectionError(SocleLabError):
@@ -156,22 +152,18 @@ class DegenerateProjectionError(SocleLabError):
 class NotIdempotentError(SocleLabError):
     """An operation requiring a projection received a non-idempotent."""
 
-    def __init__(self, defect: float, tolerance: float):
-        self.defect = defect
-        self.tolerance = tolerance
-        super().__init__(f"idempotency defect {defect:.3e} exceeds tolerance {tolerance:.3e}")
+    fields = ("defect", "tolerance")
+    text = "idempotency defect {defect:.3e} exceeds tolerance {tolerance:.3e}"
 
 
 class NotMaximalError(SocleLabError):
     """Diagonalization requires #(distinct nonzero spectral values) = rank."""
 
-    def __init__(self, rank: int, nonzero_count: int):
-        self.rank = rank
-        self.nonzero_count = nonzero_count
-        super().__init__(
-            f"element is not maximal: rank {rank} but {nonzero_count} "
-            "distinct nonzero spectral values"
-        )
+    fields = ("rank", "nonzero_count")
+    text = (
+        "element is not maximal: rank {rank} but {nonzero_count} distinct nonzero spectral "
+        "values"
+    )
 
 
 class NoCounterexampleError(SocleLabError):
@@ -185,61 +177,45 @@ class CertificationError(SocleLabError):
 class RankCertificationError(CertificationError):
     """Probed spectral rank disagrees with the classical rank oracle."""
 
-    def __init__(self, spectral_rank: int, classical_rank: int, probes: int):
-        self.spectral_rank = spectral_rank
-        self.classical_rank = classical_rank
-        self.probes = probes
-        super().__init__(
-            f"spectral rank {spectral_rank} != classical rank {classical_rank} "
-            f"after {probes} probes"
-        )
+    fields = ("spectral_rank", "classical_rank", "probes")
+    text = "spectral rank {spectral_rank} != classical rank {classical_rank} after {probes} probes"
 
 
 class TraceCertificationError(CertificationError):
     """Spectral trace disagrees with the diagonal-sum oracle."""
 
-    def __init__(self, spectral_trace: complex, classical_trace: complex):
-        self.spectral_trace = spectral_trace
-        self.classical_trace = classical_trace
-        super().__init__(f"spectral trace {spectral_trace} != classical trace {classical_trace}")
+    fields = ("spectral_trace", "classical_trace")
+    text = "spectral trace {spectral_trace} != classical trace {classical_trace}"
 
 
 class MultiplicityInconsistencyError(CertificationError):
     """Perturbation counting and projection rank gave different answers."""
 
-    def __init__(self, target: complex, perturbation_count, projection_rank, message=""):
-        self.target = target
-        self.perturbation_count = perturbation_count
-        self.projection_rank = projection_rank
-        super().__init__(
-            message
-            or f"multiplicity at {target}: perturbation counting gave "
-            f"{perturbation_count}, projection rank gave {projection_rank}"
-        )
+    fields = ("target", "perturbation_count", "projection_rank")
+    text = (
+        "multiplicity at {target}: perturbation counting gave {perturbation_count}, "
+        "projection rank gave {projection_rank}"
+    )
 
 
 class ProjectionRankError(CertificationError):
     """A Riesz projection's rank disagrees with the spectrum's multiplicity
     at its targets, or with its own trace."""
 
-    def __init__(
-        self, trace: complex, projection_rank: int, spectrum_multiplicity: int, bound: float
-    ):
-        self.trace = trace
-        self.projection_rank = projection_rank
-        self.spectrum_multiplicity = spectrum_multiplicity
-        self.bound = bound
-        super().__init__(
-            f"Riesz projection of rank {projection_rank} and trace {trace}: the "
-            f"spectrum gives multiplicity {spectrum_multiplicity}, and the trace "
-            f"must lie within {bound} of the rank"
-        )
+    fields = ("trace", "projection_rank", "spectrum_multiplicity", "bound")
+    text = (
+        "Riesz projection of rank {projection_rank} and trace {trace}: the spectrum gives "
+        "multiplicity {spectrum_multiplicity}, and the trace must lie within {bound} of the rank"
+    )
 
 
 class TheoremViolationError(CertificationError):
-    """A verified implication pattern failed; indicates an implementation defect."""
+    """A verified implication pattern failed; indicates an implementation
+    defect. The ``witness`` is kept for the caller and is no detail."""
+
+    fields = ("claim",)
+    text = "predicted implication violated: {claim}"
 
     def __init__(self, claim: str, witness=None):
-        self.claim = claim
         self.witness = witness
-        super().__init__(f"predicted implication violated: {claim}")
+        super().__init__(claim)
