@@ -1666,10 +1666,3 @@ class TestErrorPayloadBytes:
         # one value more than the fields and a message
         with pytest.raises(TypeError):
             type(exc)(*[1.0] * count, "a message", 1.0)
-
-    @pytest.mark.parametrize(
-        "exc", [exc for exc in ERRORS if not exc.details()], ids=lambda exc: type(exc).__name__
-    )
-    def test_a_message_only_error_takes_one_message(self, exc):
-        again = type(exc)(str(exc))
-        assert (again.args, again.details()) == ((str(exc),), {})
