@@ -1666,3 +1666,109 @@ class TestErrorPayloadBytes:
         # one value more than the fields and a message
         with pytest.raises(TypeError):
             type(exc)(*[1.0] * count, "a message", 1.0)
+
+
+# check-functional documents with integer or dyadic weights on (1, 2) and
+# (2,), whose report values are sums of weight entries and the bound
+# constant sum |alpha_i| n_i with |-3 + 4i| = 5: the same bytes on every
+# platform.
+CHARACTERIZATION_DOCUMENTS = {
+    "scalar": {"weights": [[[[2.5, 0]]], [[[2.5, 0], [0, 0]], [[0, 0], [2.5, 0]]]]},
+    "blockwise": {"weights": [[[[1, 0]]], [[[-3, 4], [0, 0]], [[0, 0], [-3, 4]]]]},
+    "dense": {"weights": [[[[1, 0], [2, 0.5]], [[-3, 0], [4, 0]]]]},
+    "zero": {"weights": [[[[0, 0]]], [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]]},
+}
+CHARACTERIZATION_TEXTS = {
+    "scalar": (
+        '{"constant_on_rank_one_projections": {"constant": true, "value": [2.5, 0.0], '
+        '"witness_pair": null}, "is_scalar_trace": true, "is_tracial": true, '
+        '"scalar_trace_coefficient": [2.5, 0.0], "spectral_bound": {"bounded": true, '
+        '"constant": 7.5, "witness": null, "witness_value": null}, "tracial_witness_pair": '
+        'null, "vanishes_on_nilpotents": {"vanishes": true, "witness": null, '
+        '"witness_value": null}, "vanishes_on_square_zero": {"vanishes": true, "witness": '
+        'null, "witness_value": null}}\n'
+    ),
+    "blockwise": (
+        '{"constant_on_rank_one_projections": {"constant": false, "value": null, '
+        '"witness_pair": [{"projection": {"blocks": [[[[1.0, 0.0]]], [[[0.0, 0.0], [0.0, '
+        '0.0]], [[0.0, 0.0], [0.0, 0.0]]]]}, "value": [1.0, 0.0]}, {"projection": '
+        '{"blocks": [[[[0.0, 0.0]]], [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, '
+        '0.0]]]]}, "value": [-3.0, 4.0]}]}, "is_scalar_trace": false, "is_tracial": true, '
+        '"scalar_trace_coefficient": null, "spectral_bound": {"bounded": true, "constant": '
+        '11.0, "witness": null, "witness_value": null}, "tracial_witness_pair": null, '
+        '"vanishes_on_nilpotents": {"vanishes": true, "witness": null, "witness_value": '
+        'null}, "vanishes_on_square_zero": {"vanishes": true, "witness": null, '
+        '"witness_value": null}}\n'
+    ),
+    "dense": (
+        '{"constant_on_rank_one_projections": {"constant": false, "value": null, '
+        '"witness_pair": [{"projection": {"blocks": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, '
+        '0.0], [0.0, 0.0]]]]}, "value": [1.0, 0.0]}, {"projection": {"blocks": [[[[0.0, '
+        '0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}, "value": [4.0, 0.0]}]}, '
+        '"is_scalar_trace": false, "is_tracial": false, "scalar_trace_coefficient": null, '
+        '"spectral_bound": {"bounded": false, "constant": null, "witness": {"blocks": '
+        '[[[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]}, "witness_value": [-3.0, '
+        '0.0]}, "tracial_witness_pair": [{"blocks": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, '
+        '0.0], [0.0, 0.0]]]]}, {"blocks": [[[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, '
+        '0.0]]]]}], "vanishes_on_nilpotents": {"vanishes": false, "witness": {"blocks": '
+        '[[[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]}, "witness_value": [-3.0, '
+        '0.0]}, "vanishes_on_square_zero": {"vanishes": false, "witness": {"blocks": '
+        '[[[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]}, "witness_value": [-3.0, '
+        '0.0]}}\n'
+    ),
+    "zero": (
+        '{"constant_on_rank_one_projections": {"constant": true, "value": [0.0, 0.0], '
+        '"witness_pair": null}, "is_scalar_trace": true, "is_tracial": true, '
+        '"scalar_trace_coefficient": [0.0, 0.0], "spectral_bound": {"bounded": true, '
+        '"constant": 0.0, "witness": null, "witness_value": null}, "tracial_witness_pair": '
+        'null, "vanishes_on_nilpotents": {"vanishes": true, "witness": null, '
+        '"witness_value": null}, "vanishes_on_square_zero": {"vanishes": true, "witness": '
+        'null, "witness_value": null}}\n'
+    ),
+    "verify": (
+        '{"counterexample": {"characterization": {"constant_on_rank_one_projections": '
+        '{"constant": false, "value": null, "witness_pair": [{"projection": {"blocks": '
+        '[[[[1.0, 0.0]]], [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]}, "value": '
+        '[1.0, 0.0]}, {"projection": {"blocks": [[[[0.0, 0.0]]], [[[1.0, 0.0], [0.0, '
+        '0.0]], [[0.0, 0.0], [0.0, 0.0]]]]}, "value": [0.0, 0.0]}]}, "is_scalar_trace": '
+        'false, "is_tracial": true, "scalar_trace_coefficient": null, "spectral_bound": '
+        '{"bounded": true, "constant": 1.0, "witness": null, "witness_value": null}, '
+        '"tracial_witness_pair": null, "vanishes_on_nilpotents": {"vanishes": true, '
+        '"witness": null, "witness_value": null}, "vanishes_on_square_zero": {"vanishes": '
+        'true, "witness": null, "witness_value": null}}, "functional": {"weights": '
+        '[[[[1.0, 0.0]]], [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]}}, '
+        '"functional_count": 3, "seed": 0, "socle_is_minimal_ideal": false, '
+        '"socle_is_single_matrix_block": false, "spec": {"block_sizes": [1, 2]}, "trials": '
+        '1, "verdicts": {"corner_blocks": {"claim": "scalar-trace/tracial equivalence '
+        'holds exactly when every projection corner is a single full matrix block", '
+        '"details": {"all_corners_single_block": false}, "holds": true}, "minimal_ideal": '
+        '{"claim": "scalar-trace/tracial equivalence holds exactly when the algebra is a '
+        'minimal two-sided ideal", "details": {"minimal_ideal": false}, "holds": true}, '
+        '"nilpotent_vanishing": {"claim": "on a minimal-ideal algebra, vanishing on '
+        'nilpotents, vanishing on square-zero elements, the rank-radius bound, and '
+        'scalar-trace form are equivalent", "details": {"alpha_max_error": 0.0}, "holds": '
+        'true}, "rank_one_constancy": {"claim": "constancy on rank-one projections is '
+        'equivalent to being a scalar multiple of the trace", "details": '
+        '{"functionals_checked": 3}, "holds": true}, "scalar_trace_equivalence": {"claim": '
+        '"scalar-trace, tracial, and radius-bound conditions are equivalent exactly when '
+        'the algebra is one matrix block", "details": {"single_block": false}, "holds": '
+        'true}}}\n'
+    ),
+}
+
+
+class TestCharacterizationReportBytes:
+    """The characterization report is pinned as literal text: a scalar
+    trace, a tracial functional that is not one, a dense functional with
+    every witness, the zero functional, and the counterexample nested in
+    a verification report."""
+
+    @pytest.mark.parametrize("kind", list(CHARACTERIZATION_DOCUMENTS))
+    def test_check_functional_writes_its_text(self, tmp_path, capsys, kind):
+        path = write_input(tmp_path, CHARACTERIZATION_DOCUMENTS[kind])
+        assert run(["check-functional", "--input", path]) == 0
+        assert capsys.readouterr().out == CHARACTERIZATION_TEXTS[kind]
+
+    def test_verify_counterexample_writes_its_text(self, capsys):
+        assert run(["verify", "--spec", '{"block_sizes": [1, 2]}', "--trials", "1"]) == 0
+        assert capsys.readouterr().out == CHARACTERIZATION_TEXTS["verify"]
