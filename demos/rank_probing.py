@@ -21,7 +21,7 @@ print(f"probed rank {report.rank}, oracle rank {report.oracle_rank}")
 print(f"count histogram over probes: {report.achieved_counts}")
 
 # The element itself shows fewer nonzero spectral values than its rank.
-print(f"distinct nonzero spectral values of a itself: {sl.nonzero_spectrum_count(a)}")
+print(f"distinct nonzero spectral values of a itself: {sl.spectrum(a).num_nonzero}")
 
 # Maximal elements are the ones already showing rank many values;
 # diagonal matrices with distinct nonzero entries are the prototype.

@@ -24,7 +24,7 @@ print(f"contains zero: {rep.contains_zero}, radius: {rep.radius}")
 z = 3.0 + 0.5j
 r = sl.resolvent(a, z)
 one = sl.identity(spec)
-residual = sl.operator_norm((sl.scale(z, one) - a) @ r - one)
+residual = sl.operator_norm((z * one - a) @ r - one)
 print(f"resolvent residual at z={z}: {residual:.2e}")
 
 # Classical oracles: SVD rank and the diagonal-sum trace.

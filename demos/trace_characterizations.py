@@ -17,26 +17,26 @@ double = sl.AlgebraSpec((2, 2))
 f = sl.trace_functional(single, alpha=2.5)
 rep = sl.characterize(f)
 print(f"2.5*Tr on one block: scalar {rep.is_scalar_trace} "
-      f"(alpha={rep.scalar_trace_coefficient:.2f}), tracial {rep.tracial}, "
-      f"bound constant {rep.bound.constant}")
+      f"(alpha={rep.scalar_trace_coefficient:.2f}), tracial {rep.is_tracial}, "
+      f"bound constant {rep.spectral_bound.constant}")
 
 # The first-block trace on a two-block algebra is the classic
 # counterexample: tracial and radius-bounded, but not a scalar multiple.
 g = sl.counterexample_functional(double)
 rep = sl.characterize(g)
-print(f"first-block trace on two blocks: tracial {rep.tracial}, "
-      f"scalar {rep.is_scalar_trace}, bound constant {rep.bound.constant}")
-(p1, v1), (p2, v2) = rep.rank_one_constancy.witnesses
+print(f"first-block trace on two blocks: tracial {rep.is_tracial}, "
+      f"scalar {rep.is_scalar_trace}, bound constant {rep.spectral_bound.constant}")
+(p1, v1), (p2, v2) = rep.constant_on_rank_one_projections.witness_pair
 print(f"  rank-one projections disagree: f(p1)={v1:.3f} vs f(p2)={v2:.3f}")
 
 # A dense random functional fails everything, with explicit witnesses.
 h = sl.random_functional(double, sl.sampling.rng_for(3))
 rep = sl.characterize(h)
-w = rep.bound.witness
-print(f"dense functional: tracial {rep.tracial}, square-zero vanishing "
-      f"{rep.square_zero.vanishes}")
-print(f"  refuting witness has spectral radius {sl.spectral_radius(w)} "
-      f"and f(w) = {rep.bound.witness_value:.3f}")
+w = rep.spectral_bound.witness
+print(f"dense functional: tracial {rep.is_tracial}, square-zero vanishing "
+      f"{rep.vanishes_on_square_zero.vanishes}")
+print(f"  refuting witness has spectral radius {sl.spectrum(w).radius} "
+      f"and f(w) = {rep.spectral_bound.witness_value:.3f}")
 
 # The structural verdicts: single block <=> minimal two-sided ideal
 # <=> every projection corner is one full matrix block.

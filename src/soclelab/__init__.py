@@ -19,11 +19,8 @@ from .algebra import (
     eigenvalues,
     identity,
     matrix_unit,
-    nonzero_spectrum_count,
     operator_norm,
     resolvent,
-    scale,
-    spectral_radius,
     spectrum,
     zero,
 )

@@ -190,10 +190,6 @@ def matrix_unit(spec: AlgebraSpec, block: int, row: int, col: int) -> Element:
     return e
 
 
-def scale(alpha, a: Element) -> Element:
-    return alpha * a
-
-
 def _blockwise(solver, blocks, error) -> list:
     """``solver`` applied to each block; a LinAlgError becomes ``error(block)``."""
     out = []
@@ -427,11 +423,6 @@ def spectrum(a: Element) -> SpectrumReport:
     return SpectrumReport(tuple(points), float(radius), zero_count > 0)
 
 
-def nonzero_spectrum_count(a: Element) -> int:
-    """#(distinct nonzero spectral values) of one element."""
-    return int(nonzero_spectrum_counts(eigenvalues(a)[None, :])[0])
-
-
 def nonzero_spectrum_counts(vals: np.ndarray) -> np.ndarray:
     """#(distinct nonzero spectral values) for each row of a ``(p, N)``
     stack, row k holding all eigenvalues, with multiplicity, of the k-th
@@ -447,11 +438,6 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     for t in pairs:
         t.flags.writeable = False
     return pairs
-
-
-def spectral_radius(a: Element) -> float:
-    """Largest modulus of a spectral value (0 for nilpotents)."""
-    return spectrum(a).radius
 
 
 def resolvent(a: Element, z: complex) -> Element:

@@ -29,6 +29,7 @@ one stack; the predictions are then checked in trial order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,6 +133,14 @@ class TheoremVerdict:
     details: dict = field(default_factory=dict)
 
 
+class CharacterizedFunctional(NamedTuple):
+    """A functional with its characterization: the counterexample of a
+    verification, and the witness of a failed functional prediction."""
+
+    functional: Functional
+    characterization: CharacterizationReport
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Full structural and functional verification of one algebra."""
@@ -143,7 +152,7 @@ class VerificationReport:
     socle_is_minimal_ideal: bool
     verdicts: dict[str, TheoremVerdict]
     functional_count: int
-    counterexample: CharacterizationReport | None
+    counterexample: CharacterizedFunctional | None
 
 
 def _sample_functionals(
@@ -173,24 +182,28 @@ def _verdicts(rep: CharacterizationReport) -> tuple[bool, ...]:
     on square-zero elements, constant on rank-one projections."""
     return (
         rep.is_scalar_trace,
-        rep.tracial,
-        rep.bound.constant is not None,
-        rep.nilpotent.vanishes,
-        rep.square_zero.vanishes,
-        rep.rank_one_constancy.constant,
+        rep.is_tracial,
+        rep.spectral_bound.bounded,
+        rep.vanishes_on_nilpotents.vanishes,
+        rep.vanishes_on_square_zero.vanishes,
+        rep.constant_on_rank_one_projections.constant,
     )
 
 
-def _require(ok: bool, what: str, rep: CharacterizationReport | None = None) -> None:
-    """Raise at the first failed prediction; the report that failed it is
-    the witness, and its six verdicts end the message."""
+def _require(
+    ok: bool, what: str, f: Functional | None = None, rep: CharacterizationReport | None = None
+) -> None:
+    """Raise at the first failed prediction; the functional that failed it
+    and its report are the witness, and its six verdicts end the message."""
     if not ok:
+        witness = None
         if rep is not None:
             what += (
                 "; (scalar trace, tracial, radius bound, nilpotent, square-zero, "
                 f"rank-one constancy) = {_verdicts(rep)}"
             )
-        raise TheoremViolationError(what, witness=rep)
+            witness = CharacterizedFunctional(f, rep)
+        raise TheoremViolationError(what, witness=witness)
 
 
 # Each claim's key, the observation it reports, and its statement.
@@ -251,18 +264,18 @@ def verify_theorems(
     reports = _characterize_stack(stack, seed)
 
     alpha_errors: list[float] = []
-    for (t, kind, _, planted), rep in zip(samples, reports):
+    for (t, kind, f, planted), rep in zip(samples, reports):
         if isinstance(rep, SocleLabError):
             raise rep
         where = f"trial {t} {kind}"
-        _require(_verdicts(rep) in predicted, f"{where}: unpredicted verdicts", rep)
+        _require(_verdicts(rep) in predicted, f"{where}: unpredicted verdicts", f, rep)
         if kind == "blockwise" and not single_block:
             why = "distinct block scalars scored as scalar trace"
-            _require(not rep.is_scalar_trace, f"{where}: {why}", rep)
+            _require(not rep.is_scalar_trace, f"{where}: {why}", f, rep)
         if kind == "scalar":
-            _require(rep.is_scalar_trace, f"{where}: planted scalar not recovered", rep)
+            _require(rep.is_scalar_trace, f"{where}: planted scalar not recovered", f, rep)
             alpha_errors.append(abs(rep.scalar_trace_coefficient - planted))
-            value = rep.rank_one_constancy.value
+            value = rep.constant_on_rank_one_projections.value
             if value is not None:
                 alpha_errors.append(abs(value - planted))
 
@@ -276,15 +289,17 @@ def verify_theorems(
         else:
             raise TheoremViolationError("a counterexample exists on a single block")
     else:
-        counterexample = reports[-1]
-        if isinstance(counterexample, SocleLabError):
-            raise counterexample
+        f, rep = stack[-1], reports[-1]
+        if isinstance(rep, SocleLabError):
+            raise rep
         _require(
-            _verdicts(counterexample) == _TRACIAL_NOT_SCALAR
-            and counterexample.rank_one_constancy.witnesses is not None,
+            _verdicts(rep) == _TRACIAL_NOT_SCALAR
+            and rep.constant_on_rank_one_projections.witness_pair is not None,
             "first-block trace: not tracial-but-not-scalar with a witness pair",
-            counterexample,
+            f,
+            rep,
         )
+        counterexample = CharacterizedFunctional(f, rep)
     _require(
         single_block == minimal == corner_all_single,
         f"structural verdicts disagree: single-block {single_block}, "

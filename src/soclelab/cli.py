@@ -14,8 +14,8 @@ reports and errors to pin that).
 A document is a bare element or functional, or a JSON object whose
 required fields ``_document`` checks before each is decoded by its
 ``jsonio`` reader. A report is written by ``jsonio.report_to_json``,
-keyed by its dataclass fields; ``check-functional`` and ``commutator``
-use the two explicit mappers of ``jsonio``.
+keyed by its dataclass fields; only ``commutator`` uses an explicit
+mapper, ``jsonio.certificate_to_json``.
 
 Each command accepts only the flags it reads (see ``_COMMANDS``). An
 element or functional fixes its own layout by its blocks, so only
@@ -202,8 +202,7 @@ def _run_rank_one_commutator(args) -> dict:
 
 def _run_check_functional(args) -> dict:
     f = jsonio.functional_from_json(_read_input(args))
-    rep = characterize(f, seed=args.seed)
-    return jsonio.characterization_to_json(rep)
+    return jsonio.report_to_json(characterize(f, seed=args.seed))
 
 
 def _run_classify(args) -> dict:

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -282,11 +283,12 @@ class SpectralBoundResult:
     """Either a valid bound constant or a refuting element, never both.
 
     A tracial functional with block scalars alpha_i satisfies
-    |f(a)| <= (sum |alpha_i| n_i) * spectral_radius(a); any other
+    |f(a)| <= (sum |alpha_i| n_i) * (spectral radius of a); any other
     functional is unbounded on square-zero elements, whose spectral
     radius is 0 while f is not.
     """
 
+    bounded: bool
     constant: float | None
     witness: Element | None
     witness_value: complex | None
@@ -308,14 +310,14 @@ def _bounds(spec: AlgebraSpec, tracial, alphas, values) -> list[SpectralBoundRes
         if t:
             c = sum(float(m) * n for m, n in zip(moduli[k], spec.block_sizes))
             _finite(c, "spectral bound constant sum |alpha_i| n_i")
-            out.append(SpectralBoundResult(constant=c, witness=None, witness_value=None))
+            out.append(SpectralBoundResult(True, c, None, None))
         elif best[k] < 0:
             raise TheoremViolationError(
                 "non-scalar weights vanish on the whole square-zero span"
             )
         else:
             witness = _element(spec, _witness_keys(spec)[best[k]])
-            out.append(SpectralBoundResult(None, witness, complex(values[k, best[k]])))
+            out.append(SpectralBoundResult(False, None, witness, complex(values[k, best[k]])))
     return out
 
 
@@ -431,11 +433,16 @@ def _first_nonvanishing(spec: AlgebraSpec, limits, values, norms) -> list[Vanish
     ]
 
 
+class ProjectionValue(NamedTuple):
+    projection: Element
+    value: complex
+
+
 @dataclass(frozen=True)
 class ConstancyVerdict:
     constant: bool
     value: complex | None
-    witnesses: tuple[tuple[Element, complex], tuple[Element, complex]] | None
+    witness_pair: tuple[ProjectionValue, ProjectionValue] | None
 
 
 def _projection_values(f: Functional) -> tuple[np.ndarray, list[tuple[int, int, int, int]]]:
@@ -466,7 +473,7 @@ def _constancy(spec: AlgebraSpec, limits, values, keys) -> list[ConstancyVerdict
         if q < 0:
             out.append(ConstancyVerdict(True, complex(v[0]), None))
         else:
-            first, other = ((_element(spec, keys[i]), complex(v[i])) for i in (0, q))
+            first, other = (ProjectionValue(_element(spec, keys[i]), complex(v[i])) for i in (0, q))
             out.append(ConstancyVerdict(False, None, (first, other)))
     return out
 
@@ -489,20 +496,17 @@ def counterexample_functional(spec: AlgebraSpec) -> Functional:
 
 @dataclass(frozen=True)
 class CharacterizationReport:
-    """All characterization verdicts for one functional, with witnesses."""
+    """All characterization verdicts for one functional, with witnesses,
+    each field named by the condition it decides."""
 
-    functional: Functional
+    is_scalar_trace: bool
     scalar_trace_coefficient: complex | None
-    tracial: bool
-    tracial_pair: tuple[Element, Element] | None
-    bound: SpectralBoundResult
-    nilpotent: VanishingVerdict
-    square_zero: VanishingVerdict
-    rank_one_constancy: ConstancyVerdict
-
-    @property
-    def is_scalar_trace(self) -> bool:
-        return self.scalar_trace_coefficient is not None
+    is_tracial: bool
+    tracial_witness_pair: tuple[Element, Element] | None
+    spectral_bound: SpectralBoundResult
+    vanishes_on_nilpotents: VanishingVerdict
+    vanishes_on_square_zero: VanishingVerdict
+    constant_on_rank_one_projections: ConstancyVerdict
 
 
 def _characterize_stack(fs, seed: int) -> list:
@@ -533,9 +537,8 @@ def _characterize_stack(fs, seed: int) -> list:
         return [out for f in fs for out in _characterize_stack([f], seed)]
     limits = TRACIAL_TOL * scale[:, None]
     return [
-        CharacterizationReport(f, *verdicts)
-        for f, *verdicts in zip(
-            fs,
+        CharacterizationReport(c is not None, c, *verdicts)
+        for c, *verdicts in zip(
             _scalar_traces(alphas, dev, scale),
             tracial,
             _tracial_witnesses(stack, tracial),

@@ -6,8 +6,8 @@ encoder/decoder pair round-trips exactly (floats survive via repr).
 
 A report's JSON is its dataclass: :func:`report_to_json` writes every
 report the CLI emits as the object of its fields, keyed by the field
-names, so a field is named in one place. Two reports keep an explicit
-mapper, :func:`characterization_to_json` and :func:`certificate_to_json`.
+names, so a field is named in one place. One report keeps an explicit
+mapper for speed, :func:`certificate_to_json`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import AlgebraSpec, Element
 from .errors import NumericOverflowError, ShapeMismatchError, quote_json
-from .functionals import CharacterizationReport, Functional
+from .functionals import Functional
 
 
 def complex_to_json(z: complex) -> list[float]:
@@ -110,8 +110,7 @@ def report_to_json(value):
     into each field. An element is ``{"blocks": ...}``, a functional
     ``{"weights": ...}``, a complex an ``[re, im]`` pair, an array its
     nested pairs, a tuple or list a list, a frozenset a sorted list, and
-    dict keys become strings. A characterization nested in a report (the
-    verification counterexample) is ``{"functional", "characterization"}``.
+    dict keys become strings.
     """
     if value is None or isinstance(value, (str, int, float)):
         return value
@@ -123,11 +122,6 @@ def report_to_json(value):
         return element_to_json(value)
     if isinstance(value, Functional):
         return functional_to_json(value)
-    if isinstance(value, CharacterizationReport):
-        return {
-            "functional": functional_to_json(value.functional),
-            "characterization": characterization_to_json(value),
-        }
     if is_dataclass(value):
         return {f.name: report_to_json(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, tuple) and hasattr(value, "_fields"):  # a NamedTuple
@@ -139,37 +133,6 @@ def report_to_json(value):
     if isinstance(value, dict):
         return {str(k): report_to_json(v) for k, v in value.items()}
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-# An explicit mapper, not the walk: the JSON derives ``is_scalar_trace``
-# and ``bounded``, and names each verdict by the condition it decides.
-def characterization_to_json(rep: CharacterizationReport) -> dict:
-    constancy = rep.rank_one_constancy
-    witnesses = constancy.witnesses
-    return {
-        "is_scalar_trace": rep.is_scalar_trace,
-        "scalar_trace_coefficient": report_to_json(rep.scalar_trace_coefficient),
-        "is_tracial": rep.tracial,
-        "tracial_witness_pair": report_to_json(rep.tracial_pair),
-        "spectral_bound": {
-            "bounded": rep.bound.constant is not None,
-            **report_to_json(rep.bound),
-        },
-        "vanishes_on_nilpotents": report_to_json(rep.nilpotent),
-        "vanishes_on_square_zero": report_to_json(rep.square_zero),
-        "constant_on_rank_one_projections": {
-            "constant": constancy.constant,
-            "value": report_to_json(constancy.value),
-            "witness_pair": (
-                None
-                if witnesses is None
-                else [
-                    {"projection": element_to_json(p), "value": complex_to_json(v)}
-                    for p, v in witnesses
-                ]
-            ),
-        },
-    }
 
 
 # An explicit mapper, not the walk: a certificate holds up to n^2 - 1

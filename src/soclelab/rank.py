@@ -39,8 +39,8 @@ from .algebra import (
     Element,
     _product_eigenvalues,
     classical_rank,
-    nonzero_spectrum_count,
     nonzero_spectrum_counts,
+    spectrum,
 )
 from .errors import RankCertificationError
 from .sampling import PROBE, random_element_stack, rng_for
@@ -103,7 +103,7 @@ def is_maximal_finite_rank(a: Element) -> bool:
     rank, a witnesses its own maximality (x = 1 among the products x*a)
     and no probe is drawn; otherwise ``spectral_rank(a)`` certifies it.
     """
-    count = nonzero_spectrum_count(a)
+    count = spectrum(a).num_nonzero
     return _maximality_rank(a, count, seed=0) == count
 
 

@@ -88,7 +88,7 @@ def test_criterion_2_trace_coincidence():
         worst = max(worst, abs(s - oracle) / max(1.0, abs(oracle)))
         rng = rng_for(CORPUS_SEED + 7777, index + 1000 * which)
         alpha = complex(rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform()))
-        lhs = sl.spectral_trace(sl.scale(alpha, a), seed=index)
+        lhs = sl.spectral_trace(alpha * a, seed=index)
         rhs = alpha * s
         worst_h = max(worst_h, abs(lhs - rhs) / max(1.0, abs(rhs)))
     ok = worst <= 1e-8 and worst_h <= 1e-8
@@ -245,13 +245,13 @@ def test_criterion_7_theorem_pattern_multi_block():
     functional with a non-constancy witness pair appears every run."""
     for sizes in [(2, 2), (1, 3), (2, 3, 1)]:
         rep = sl.verify_theorems(sl.AlgebraSpec(sizes), trials=100, seed=43)
-        cx = rep.counterexample
-        assert cx is not None, sizes
-        assert cx.tracial and cx.bound.constant is not None, sizes
+        assert rep.counterexample is not None, sizes
+        cx = rep.counterexample.characterization
+        assert cx.is_tracial and cx.spectral_bound.constant is not None, sizes
         assert not cx.is_scalar_trace, sizes
-        assert cx.rank_one_constancy.witnesses is not None, sizes
-        (p1, v1), (p2, v2) = cx.rank_one_constancy.witnesses
-        f = cx.functional
+        assert cx.constant_on_rank_one_projections.witness_pair is not None, sizes
+        (p1, v1), (p2, v2) = cx.constant_on_rank_one_projections.witness_pair
+        f = rep.counterexample.functional
         assert abs(sl.evaluate(f, p1) - v1) < 1e-10
         assert abs(sl.evaluate(f, p2) - v2) < 1e-10
         assert abs(v1 - v2) > 1e-3
@@ -295,16 +295,17 @@ def test_criterion_9_equivalence_engine():
             else:
                 f = sl.trace_functional(spec, complex(rng.standard_normal()))
             rep = sl.characterize(f)
-            tracial = rep.tracial
-            if not (tracial == rep.square_zero.vanishes == rep.nilpotent.vanishes):
+            tracial = rep.is_tracial
+            square_zero, nilpotent = rep.vanishes_on_square_zero, rep.vanishes_on_nilpotents
+            if not (tracial == square_zero.vanishes == nilpotent.vanishes):
                 disagreements += 1
-            bound = rep.bound
+            bound = rep.spectral_bound
             if tracial != (bound.constant is not None):
                 disagreements += 1
             if not tracial:
                 w = bound.witness
                 if (
-                    sl.spectral_radius(w) != 0.0
+                    sl.spectrum(w).radius != 0.0
                     or abs(sl.evaluate(f, w)) <= 1e-8
                     or abs(bound.witness_value - sl.evaluate(f, w)) > 1e-12
                 ):

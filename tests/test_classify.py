@@ -111,7 +111,7 @@ class TestIdealClosedForm:
 
     def test_sums_over_supported_blocks(self):
         spec = sl.AlgebraSpec((2, 3, 1))
-        a = sl.matrix_unit(spec, 0, 1, 0) + sl.scale(1e-300, sl.matrix_unit(spec, 2, 0, 0))
+        a = sl.matrix_unit(spec, 0, 1, 0) + 1e-300 * sl.matrix_unit(spec, 2, 0, 0)
         rep = sl.generated_ideal(a)
         assert rep.ideal_dimension == 4 + 1
         assert rep.supported_blocks == frozenset({0, 2})
@@ -261,11 +261,11 @@ class TestVerifyTheorems:
         rep = sl.verify_theorems(spec22, trials=20, seed=11)
         assert not rep.socle_is_minimal_ideal
         assert not rep.socle_is_single_matrix_block
-        cx = rep.counterexample
-        assert cx is not None
-        assert cx.tracial and not cx.is_scalar_trace
-        assert cx.bound.constant is not None
-        assert cx.rank_one_constancy.witnesses is not None
+        assert rep.counterexample is not None
+        cx = rep.counterexample.characterization
+        assert cx.is_tracial and not cx.is_scalar_trace
+        assert cx.spectral_bound.constant is not None
+        assert cx.constant_on_rank_one_projections.witness_pair is not None
 
     def test_scalar_block_recovers_alpha(self):
         rep = sl.verify_theorems(sl.AlgebraSpec((1,)), trials=10, seed=3)
@@ -309,25 +309,34 @@ def with_verdicts(rep, scalar, tracial, bound, nilpotent, square_zero, constant)
     """A real report with its six verdicts set, witnesses kept."""
     return dataclasses.replace(
         rep,
+        is_scalar_trace=scalar,
         scalar_trace_coefficient=(rep.scalar_trace_coefficient or 1.0) if scalar else None,
-        tracial=tracial,
-        bound=dataclasses.replace(
-            rep.bound, constant=(rep.bound.constant or 1.0) if bound else None
+        is_tracial=tracial,
+        spectral_bound=dataclasses.replace(
+            rep.spectral_bound,
+            bounded=bound,
+            constant=(rep.spectral_bound.constant or 1.0) if bound else None,
         ),
-        nilpotent=dataclasses.replace(rep.nilpotent, vanishes=nilpotent),
-        square_zero=dataclasses.replace(rep.square_zero, vanishes=square_zero),
-        rank_one_constancy=dataclasses.replace(rep.rank_one_constancy, constant=constant),
+        vanishes_on_nilpotents=dataclasses.replace(
+            rep.vanishes_on_nilpotents, vanishes=nilpotent
+        ),
+        vanishes_on_square_zero=dataclasses.replace(
+            rep.vanishes_on_square_zero, vanishes=square_zero
+        ),
+        constant_on_rank_one_projections=dataclasses.replace(
+            rep.constant_on_rank_one_projections, constant=constant
+        ),
     )
 
 
 def verdicts_of(rep):
     return (
         rep.is_scalar_trace,
-        rep.tracial,
-        rep.bound.constant is not None,
-        rep.nilpotent.vanishes,
-        rep.square_zero.vanishes,
-        rep.rank_one_constancy.constant,
+        rep.is_tracial,
+        rep.spectral_bound.bounded,
+        rep.vanishes_on_nilpotents.vanishes,
+        rep.vanishes_on_square_zero.vanishes,
+        rep.constant_on_rank_one_projections.constant,
     )
 
 
@@ -390,7 +399,7 @@ class TestViolations:
         patch_characterize(
             monkeypatch,
             lambda v: (True,) * 6,
-            when=lambda f, rep: rep.tracial and not is_first_block_trace(f),
+            when=lambda f, rep: rep.is_tracial and not is_first_block_trace(f),
         )
         with pytest.raises(TheoremViolationError, match="distinct block scalars"):
             sl.verify_theorems(spec22, trials=2, seed=1)
@@ -421,8 +430,8 @@ class TestViolations:
         def patched(f, rep):
             if not is_first_block_trace(f):
                 return rep
-            constancy = dataclasses.replace(rep.rank_one_constancy, witnesses=None)
-            return dataclasses.replace(rep, rank_one_constancy=constancy)
+            constancy = dataclasses.replace(rep.constant_on_rank_one_projections, witness_pair=None)
+            return dataclasses.replace(rep, constant_on_rank_one_projections=constancy)
 
         patch_reports(monkeypatch, patched)
         with pytest.raises(TheoremViolationError):
@@ -455,13 +464,15 @@ class TestViolations:
         patch_characterize(
             monkeypatch,
             lambda v: (True,) + v[1:5] + (True,),
-            when=lambda f, rep: not rep.tracial,
+            when=lambda f, rep: not rep.is_tracial,
         )
         with pytest.raises(TheoremViolationError) as info:
             sl.verify_theorems(spec22, trials=2, seed=1)
         assert "trial 0 dense" in info.value.claim
         assert "(True, False, False, False, False, True)" in info.value.claim
-        assert verdicts_of(info.value.witness) == (True, False, False, False, False, True)
+        assert verdicts_of(info.value.witness.characterization) == (
+            True, False, False, False, False, True
+        )
 
     @pytest.mark.parametrize(
         "failing, flipped, error",

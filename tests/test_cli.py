@@ -23,8 +23,9 @@ from hypothesis import strategies as st
 import soclelab as sl
 from soclelab import cli, jsonio
 from soclelab.algebra import SpectralPoint
-from soclelab.classify import TheoremVerdict
+from soclelab.classify import CharacterizedFunctional, TheoremVerdict
 from soclelab.cli import run
+from soclelab.functionals import ProjectionValue
 from soclelab.sampling import (
     complex_gaussian,
     random_element,
@@ -225,7 +226,7 @@ class TestCommands:
         real = sl.classify._characterize_stack
 
         def flipped(fs, seed):
-            return [dataclasses.replace(rep, tracial=not rep.tracial) for rep in real(fs, seed)]
+            return [dataclasses.replace(rep, is_tracial=not rep.is_tracial) for rep in real(fs, seed)]
 
         monkeypatch.setattr(sl.classify, "_characterize_stack", flipped)
         code, out = invoke(capsys, "verify", "--spec", '{"block_sizes": [2]}', "--trials", "2")
@@ -553,10 +554,9 @@ class TestRankReportBytes:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-# Written by an explicit mapper, not by the walk: the characterization
-# JSON names each verdict by its condition, and the certificate's terms
+# Written by an explicit mapper, not by the walk: the certificate's terms
 # are written by a faster loop.
-_EXPLICIT = {"check-functional", "commutator"}
+_EXPLICIT = {"commutator"}
 
 
 def _schema_types(value, data) -> set:
@@ -564,9 +564,6 @@ def _schema_types(value, data) -> set:
     dataclass and ``NamedTuple`` by its field names, at every depth; the
     types met."""
     if isinstance(value, (sl.Element, sl.Functional, np.ndarray, complex)):
-        return set()
-    if isinstance(value, sl.CharacterizationReport):  # nested: its explicit mapper
-        assert set(data) == {"functional", "characterization"}
         return set()
     if dataclasses.is_dataclass(value) or hasattr(value, "_fields"):
         names = getattr(value, "_fields", None) or [f.name for f in dataclasses.fields(value)]
@@ -603,15 +600,21 @@ class TestReportSchema:
                 met |= _schema_types(walked[0], data)
         assert met == {
             sl.AlgebraSpec,
+            sl.CharacterizationReport,
+            sl.ConstancyVerdict,
             sl.Diagonalization,
             sl.IdealReport,
             sl.RankOnePair,
             sl.RankReport,
             sl.RieszReport,
+            sl.SpectralBoundResult,
             sl.SpectrumReport,
             SpectralPoint,
             TheoremVerdict,
+            sl.VanishingVerdict,
             sl.VerificationReport,
+            CharacterizedFunctional,
+            ProjectionValue,
         }
 
 
@@ -1315,7 +1318,7 @@ class TestFaultMatrix:
                 "ProjectionRankError", id="riesz node sums x 0.3",
             ),
             pytest.param(
-                ["diagonalize"], sl.riesz, "_eigenprojection", _after(lambda p: sl.scale(1.01, p)),
+                ["diagonalize"], sl.riesz, "_eigenprojection", _after(lambda p: 1.01 * p),
                 None, id="diagonalize projections x 1.01", marks=_unjudged("residual"),
             ),
             pytest.param(
@@ -1341,7 +1344,7 @@ class TestFaultMatrix:
             pytest.param(
                 ["verify", "--spec", '{"block_sizes": [2, 2]}', "--trials", "2"], sl.classify,
                 "_characterize_stack",
-                _after(lambda reps: [dataclasses.replace(r, tracial=not r.tracial) for r in reps]),
+                _after(lambda reps: [dataclasses.replace(r, is_tracial=not r.is_tracial) for r in reps]),
                 "TheoremViolationError", id="verify tracial verdicts flipped",
             ),
         ],

@@ -74,26 +74,26 @@ class TestEvaluate:
         rng = rng_for(139)
         f = sl.random_functional(spec23, rng)
         a, b = random_element(spec23, rng), random_element(spec23, rng)
-        lhs = sl.evaluate(f, sl.scale(2.0, a) + sl.scale(-3.0j, b))
+        lhs = sl.evaluate(f, 2.0 * a - 3.0j * b)
         rhs = 2.0 * sl.evaluate(f, a) - 3.0j * sl.evaluate(f, b)
         assert abs(lhs - rhs) < 1e-10
 
 
 class TestTracial:
     def test_trace_is_tracial(self, spec23):
-        assert sl.characterize(sl.trace_functional(spec23)).tracial
+        assert sl.characterize(sl.trace_functional(spec23)).is_tracial
 
     def test_unit_weight_is_not(self, m2):
         f = e12_functional(m2)
         rep = sl.characterize(f)
-        assert not rep.tracial
-        a, b = rep.tracial_pair
+        assert not rep.is_tracial
+        a, b = rep.tracial_witness_pair
         assert abs(sl.evaluate(f, a @ b) - sl.evaluate(f, b @ a)) > 0.5
 
     def test_blockwise_scalars_are_tracial(self, spec23):
         rep = sl.characterize(sl.blockwise_scalar_functional(spec23, [2.0, 5.0]))
-        assert rep.tracial
-        assert rep.tracial_pair is None
+        assert rep.is_tracial
+        assert rep.tracial_witness_pair is None
 
     def test_weight_scale_once_per_call(self, spec23, monkeypatch):
         calls = []
@@ -173,23 +173,23 @@ class TestScalarTrace:
 
 class TestSpectralBound:
     def test_trace_bound_constant(self, m3):
-        res = sl.characterize(sl.trace_functional(m3)).bound
+        res = sl.characterize(sl.trace_functional(m3)).spectral_bound
         assert res.constant == pytest.approx(3.0)
         for i in range(5):
             a = random_element(m3, rng_for(149, i))
             assert abs(sl.evaluate(sl.trace_functional(m3), a)) <= (
-                res.constant * sl.spectral_radius(a) + 1e-9
+                res.constant * sl.spectrum(a).radius + 1e-9
             )
 
     def test_unit_weight_witness(self, m2):
-        res = sl.characterize(e12_functional(m2)).bound
+        res = sl.characterize(e12_functional(m2)).spectral_bound
         assert res.constant is None
-        assert sl.spectral_radius(res.witness) == 0.0
+        assert sl.spectrum(res.witness).radius == 0.0
         assert abs(res.witness_value) == pytest.approx(1.0)
 
     def test_zero_functional_bound(self, spec23):
         rep = sl.characterize(sl.blockwise_scalar_functional(spec23, [0.0, 0.0]))
-        assert rep.bound.constant == 0.0
+        assert rep.spectral_bound.constant == 0.0
 
 
 def reference_square_zero_basis(spec):
@@ -310,7 +310,7 @@ class TestSquareZeroClosedForm:
     def test_witnesses_match_elementwise_scans(self, f):
         expected = basis_witness_reference(f)
         rep = sl.characterize(f)
-        for got in (rep.square_zero, rep.nilpotent):
+        for got in (rep.vanishes_on_square_zero, rep.vanishes_on_nilpotents):
             if expected is None:
                 continue  # the random families decide; unchanged code
             w, v = expected
@@ -318,8 +318,8 @@ class TestSquareZeroClosedForm:
             assert bits(got.witness_value) == bits(v)
             assert all(bits(x) == bits(y) for x, y in zip(got.witness.blocks, w.blocks))
         best = bound_witness_reference(f)
-        if not rep.tracial and best is not None:
-            got = rep.bound
+        if not rep.is_tracial and best is not None:
+            got = rep.spectral_bound
             assert bits(got.witness_value) == bits(best[1])
             assert all(
                 bits(x) == bits(y) for x, y in zip(got.witness.blocks, best[0].blocks)
@@ -328,7 +328,7 @@ class TestSquareZeroClosedForm:
     def test_first_strict_maximum_wins_ties(self, m3):
         w = np.zeros((3, 3), dtype=complex)
         w[2, 0] = w[0, 2] = 1.0  # e_02 and e_20 give the same |value|
-        res = sl.characterize(Functional(m3, [w])).bound
+        res = sl.characterize(Functional(m3, [w])).spectral_bound
         np.testing.assert_array_equal(res.witness.blocks[0], sl.matrix_unit(m3, 0, 0, 2).blocks[0])
 
     def test_bound_witness_raises_when_scan_finds_nothing(self, m2):
@@ -342,39 +342,41 @@ class TestSquareZeroClosedForm:
 class TestVanishing:
     def test_trace_vanishes_both_ways(self, spec23):
         rep = sl.characterize(sl.trace_functional(spec23))
-        assert rep.square_zero.vanishes
-        assert rep.nilpotent.vanishes
+        assert rep.vanishes_on_square_zero.vanishes
+        assert rep.vanishes_on_nilpotents.vanishes
 
     def test_unit_weight_fails_with_witness(self, m2):
         f = e12_functional(m2)
         rep = sl.characterize(f)
-        verdict = rep.square_zero
+        verdict = rep.vanishes_on_square_zero
         assert not verdict.vanishes
         assert abs(sl.evaluate(f, verdict.witness)) > 1e-6
-        assert sl.spectral_radius(verdict.witness) == 0.0
-        assert not rep.nilpotent.vanishes
+        assert sl.spectrum(verdict.witness).radius == 0.0
+        assert not rep.vanishes_on_nilpotents.vanishes
 
     def test_blockwise_scalars_vanish(self, spec22):
         rep = sl.characterize(sl.counterexample_functional(spec22))
-        assert rep.square_zero.vanishes
-        assert rep.nilpotent.vanishes
+        assert rep.vanishes_on_square_zero.vanishes
+        assert rep.vanishes_on_nilpotents.vanishes
 
     def test_scaled_trace_vanishes(self, spec23):
         rng = rng_for(151)
         alpha = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        assert sl.characterize(sl.trace_functional(spec23, alpha)).nilpotent.vanishes
+        assert sl.characterize(sl.trace_functional(spec23, alpha)).vanishes_on_nilpotents.vanishes
 
 
 class TestRankOneConstancy:
     def test_scaled_trace_constant(self, spec23):
-        verdict = sl.characterize(sl.trace_functional(spec23, 3.0)).rank_one_constancy
+        rep = sl.characterize(sl.trace_functional(spec23, 3.0))
+        verdict = rep.constant_on_rank_one_projections
         assert verdict.constant
         assert verdict.value == pytest.approx(3.0)
 
     def test_first_block_trace_not_constant(self, spec22):
-        verdict = sl.characterize(sl.counterexample_functional(spec22)).rank_one_constancy
+        rep = sl.characterize(sl.counterexample_functional(spec22))
+        verdict = rep.constant_on_rank_one_projections
         assert not verdict.constant
-        (p1, v1), (p2, v2) = verdict.witnesses
+        (p1, v1), (p2, v2) = verdict.witness_pair
         assert abs(v1 - v2) > 0.5
         f = sl.counterexample_functional(spec22)
         assert sl.evaluate(f, p1) == pytest.approx(v1)
@@ -382,7 +384,7 @@ class TestRankOneConstancy:
 
     def test_zero_functional_constant(self, spec23):
         rep = sl.characterize(sl.blockwise_scalar_functional(spec23, [0.0, 0.0]))
-        verdict = rep.rank_one_constancy
+        verdict = rep.constant_on_rank_one_projections
         assert verdict.constant
         assert verdict.value == 0
 
@@ -393,7 +395,7 @@ class TestCounterexample:
         np.testing.assert_array_equal(f.weights[0], np.eye(2))
         np.testing.assert_array_equal(f.weights[1], np.zeros((2, 2)))
         rep = sl.characterize(f)
-        assert rep.tracial
+        assert rep.is_tracial
         assert rep.scalar_trace_coefficient is None
 
     def test_one_three(self):
@@ -434,15 +436,15 @@ class TestEngineInvariants:
             else:
                 f = sl.counterexample_functional(spec23)
             rep = sl.characterize(f)
-            assert rep.tracial == rep.square_zero.vanishes
-            assert rep.tracial == rep.nilpotent.vanishes
-            assert rep.tracial == (rep.bound.constant is not None)
+            assert rep.is_tracial == rep.vanishes_on_square_zero.vanishes
+            assert rep.is_tracial == rep.vanishes_on_nilpotents.vanishes
+            assert rep.is_tracial == (rep.spectral_bound.constant is not None)
 
     def test_scalar_implies_tracial_and_constant(self, spec23):
         rep = sl.characterize(sl.trace_functional(spec23, 2.0 - 1.0j))
         assert rep.scalar_trace_coefficient is not None
-        assert rep.tracial
-        assert rep.rank_one_constancy.constant
+        assert rep.is_tracial
+        assert rep.constant_on_rank_one_projections.constant
 
     def test_minimal_projection_compression_identity(self, spec23):
         # for rank-one p, p x p is evaluate(Tr, x p) times p
@@ -453,7 +455,7 @@ class TestEngineInvariants:
             x = random_element(spec23, rng)
             lhs = p @ x @ p
             coeff = sl.evaluate(f, x @ p)
-            rhs = sl.scale(coeff, p)
+            rhs = coeff * p
             assert sl.operator_norm(lhs - rhs) <= 1e-8 * max(
                 1.0, sl.operator_norm(p) ** 2 * sl.operator_norm(x)
             )
@@ -513,8 +515,8 @@ class TestTracialWitness:
     @example(f=NEAR_TRACIAL_4)
     def test_witness_exactly_when_not_tracial(self, f):
         rep = sl.characterize(f)
-        pair = rep.tracial_pair
-        assert rep.tracial == (pair is None)
+        pair = rep.tracial_witness_pair
+        assert rep.is_tracial == (pair is None)
         if pair is not None:
             a, b = pair
             assert sl.evaluate(f, a @ b) != sl.evaluate(f, b @ a)
@@ -531,19 +533,24 @@ def characterize_reference(f, seed):
     fn, g = functionals, stack_of(f)
     tracial = [tracial_verdict(f, seed)]
     limits = fn.TRACIAL_TOL * g.weight_scale()[:, None]
+    coefficient = fn._scalar_traces(*fn._scalar_deviations(g), g.weight_scale())[0]
     return CharacterizationReport(
-        functional=f,
-        scalar_trace_coefficient=fn._scalar_traces(*fn._scalar_deviations(g), g.weight_scale())[0],
-        tracial=tracial[0],
-        tracial_pair=fn._tracial_witnesses(g, tracial)[0],
-        bound=fn._bounds(
+        is_scalar_trace=coefficient is not None,
+        scalar_trace_coefficient=coefficient,
+        is_tracial=tracial[0],
+        tracial_witness_pair=fn._tracial_witnesses(g, tracial)[0],
+        spectral_bound=fn._bounds(
             f.spec, tracial, fn._scalar_deviations(g)[0], _square_zero_values(g)[0]
         )[0],
-        nilpotent=fn._first_nonvanishing(
+        vanishes_on_nilpotents=fn._first_nonvanishing(
             f.spec, limits, *fn._nilpotent_values(g, *_square_zero_values(g))
         )[0],
-        square_zero=fn._first_nonvanishing(f.spec, limits, *_square_zero_values(g))[0],
-        rank_one_constancy=fn._constancy(f.spec, limits, *fn._projection_values(g))[0],
+        vanishes_on_square_zero=fn._first_nonvanishing(
+            f.spec, limits, *_square_zero_values(g)
+        )[0],
+        constant_on_rank_one_projections=fn._constancy(
+            f.spec, limits, *fn._projection_values(g)
+        )[0],
     )
 
 
@@ -574,8 +581,8 @@ class TestCharacterizeOnePass:
     )
     @example(f=NEAR_TRACIAL_4, seed=0)
     def test_report_equals_public_verdicts_bytewise(self, f, seed):
-        got = jsonio.characterization_to_json(sl.characterize(f, seed=seed))
-        want = jsonio.characterization_to_json(characterize_reference(f, seed))
+        got = jsonio.report_to_json(sl.characterize(f, seed=seed))
+        want = jsonio.report_to_json(characterize_reference(f, seed))
         assert json.dumps(got) == json.dumps(want)
 
     @pytest.mark.parametrize("kind", ["dense", "trace"])
@@ -652,7 +659,7 @@ def written(rep):
     message."""
     if isinstance(rep, SocleLabError):
         return type(rep), rep.details(), str(rep)
-    return cli._dumps(jsonio.characterization_to_json(rep))
+    return cli._dumps(jsonio.report_to_json(rep))
 
 
 class TestCharacterizeStack:
@@ -788,20 +795,21 @@ class TestWitnessFamilies:
 def report_parts(rep):
     """The verdict booleans, the witness elements and the reported
     values of one characterization report."""
-    c = rep.rank_one_constancy
+    bound, c = rep.spectral_bound, rep.constant_on_rank_one_projections
+    nilpotent, square_zero = rep.vanishes_on_nilpotents, rep.vanishes_on_square_zero
     flags = [
-        rep.tracial,
+        rep.is_tracial,
         rep.is_scalar_trace,
-        rep.bound.constant is not None,
-        rep.nilpotent.vanishes,
-        rep.square_zero.vanishes,
+        bound.constant is not None,
+        nilpotent.vanishes,
+        square_zero.vanishes,
         c.constant,
     ]
-    elements = [*(rep.tracial_pair or (None, None)), rep.bound.witness]
-    elements += [rep.nilpotent.witness, rep.square_zero.witness]
-    values = [rep.scalar_trace_coefficient, rep.bound.constant, rep.bound.witness_value]
-    values += [rep.nilpotent.witness_value, rep.square_zero.witness_value, c.value]
-    for p, v in c.witnesses or ((None, None), (None, None)):
+    elements = [*(rep.tracial_witness_pair or (None, None)), bound.witness]
+    elements += [nilpotent.witness, square_zero.witness]
+    values = [rep.scalar_trace_coefficient, bound.constant, bound.witness_value]
+    values += [nilpotent.witness_value, square_zero.witness_value, c.value]
+    for p, v in c.witness_pair or ((None, None), (None, None)):
         elements.append(p)
         values.append(v)
     return flags, elements, values
@@ -811,21 +819,22 @@ class TestScaleInvariance:
     def test_tiny_weights_are_not_tracial(self):
         f = Functional(sl.AlgebraSpec((2,)), [np.array([[1, 2], [3, 4]]) * 1e-100])
         rep = sl.characterize(f)
-        assert not rep.tracial
+        assert not rep.is_tracial
         assert rep.scalar_trace_coefficient is None
-        assert rep.bound.constant is None
-        assert not rep.nilpotent.vanishes
-        assert not rep.square_zero.vanishes
-        assert not rep.rank_one_constancy.constant
+        assert rep.spectral_bound.constant is None
+        assert not rep.vanishes_on_nilpotents.vanishes
+        assert not rep.vanishes_on_square_zero.vanishes
+        assert not rep.constant_on_rank_one_projections.constant
 
     def test_zero_functional_keeps_every_verdict(self, spec23):
         f = sl.blockwise_scalar_functional(spec23, [0.0, 0.0])
         assert f.weight_scale() == 0.0
         rep = sl.characterize(f)
-        assert rep.tracial and rep.scalar_trace_coefficient == 0
-        assert rep.bound.constant == 0.0
-        assert rep.nilpotent.vanishes and rep.square_zero.vanishes
-        assert rep.rank_one_constancy.constant and rep.rank_one_constancy.value == 0
+        assert rep.is_tracial and rep.scalar_trace_coefficient == 0
+        assert rep.spectral_bound.constant == 0.0
+        assert rep.vanishes_on_nilpotents.vanishes and rep.vanishes_on_square_zero.vanishes
+        constancy = rep.constant_on_rank_one_projections
+        assert constancy.constant and constancy.value == 0
 
     @settings(max_examples=150, deadline=None)
     @given(f=awkward_functionals(), k=st.integers(-26, 26))
@@ -857,16 +866,17 @@ class TestThresholdBands:
         t = functionals.TRACIAL_TOL * f.weight_scale()
         n = max(f.spec.block_sizes)
         if not t < dev <= 4 * n * t:
-            bounded = rep.bound.constant is not None
-            assert rep.tracial == rep.square_zero.vanishes == rep.nilpotent.vanishes == bounded
+            bounded = rep.spectral_bound.constant is not None
+            square_zero, nilpotent = rep.vanishes_on_square_zero, rep.vanishes_on_nilpotents
+            assert rep.is_tracial == square_zero.vanishes == nilpotent.vanishes == bounded
         m = max(dev, max(abs(a - np.mean(alphas)) for a in alphas))
         if not t / 5 < m <= 2 * n * t:
-            assert rep.rank_one_constancy.constant == rep.is_scalar_trace
+            assert rep.constant_on_rank_one_projections.constant == rep.is_scalar_trace
 
     def test_near_tracial_4_splits_inside_the_band(self):
         rep = sl.characterize(NEAR_TRACIAL_4)
         _, dev = functionals._scalar_deviations(NEAR_TRACIAL_4)
         t = functionals.TRACIAL_TOL * NEAR_TRACIAL_4.weight_scale()
         assert t < dev <= 16 * t
-        assert not rep.tracial
-        assert rep.square_zero.vanishes and rep.nilpotent.vanishes
+        assert not rep.is_tracial
+        assert rep.vanishes_on_square_zero.vanishes and rep.vanishes_on_nilpotents.vanishes

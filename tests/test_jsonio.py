@@ -86,7 +86,7 @@ class TestReportSerialization:
         text = json.dumps(payload, sort_keys=True)
         assert set(payload["counterexample"]) == {"functional", "characterization"}
         assert payload["counterexample"]["characterization"] == (
-            jsonio.characterization_to_json(rep.counterexample)
+            jsonio.report_to_json(rep.counterexample.characterization)
         )
         assert json.loads(text)["socle_is_minimal_ideal"] is False
 

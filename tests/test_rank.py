@@ -48,7 +48,7 @@ class TestSpectralRank:
     def test_best_probe_attains_rank(self, spec23):
         a = random_low_rank_element(spec23, rng_for(23), ranks=(1, 2))
         rep = sl.spectral_rank(a, probes=16, seed=5)
-        assert sl.nonzero_spectrum_count(rep.best_probe @ a) == rep.rank == 3
+        assert sl.spectrum(rep.best_probe @ a).num_nonzero == rep.rank == 3
 
     def test_deterministic_in_seed(self, spec23):
         a = random_element(spec23, rng_for(29))
@@ -74,7 +74,7 @@ class TestRankProperties:
             rng = rng_for(37, i)
             a = random_low_rank_element(spec23, rng)
             a.blocks[0][:] = np.triu(a.blocks[0], k=1)
-            assert sl.nonzero_spectrum_count(a) <= sl.spectral_rank(a, probes=8).rank
+            assert sl.spectrum(a).num_nonzero <= sl.spectral_rank(a, probes=8).rank
 
     def test_subadditive(self, spec23):
         for i in range(8):
@@ -115,7 +115,7 @@ class TestRankProperties:
 def reference_is_maximal(a):
     """The maximality rule that always probes: the probed rank against
     the nonzero-spectrum count."""
-    return sl.spectral_rank(a).rank == sl.nonzero_spectrum_count(a)
+    return sl.spectral_rank(a).rank == sl.spectrum(a).num_nonzero
 
 
 class TestMaximalElements:
@@ -143,7 +143,7 @@ class TestMaximalElements:
             mp.setattr(rank, "random_element_stack", spy)
             got = sl.is_maximal_finite_rank(a)
         # a is its own witness exactly when its count is the SVD rank
-        witnessed = sl.nonzero_spectrum_count(a) == sl.classical_rank(a)
+        witnessed = sl.spectrum(a).num_nonzero == sl.classical_rank(a)
         assert draws == ([] if witnessed else [DEFAULT_PROBES])
         assert got == witnessed
         if kind in ("maximal", "zero-block"):
@@ -196,7 +196,7 @@ def reference_probe_counts(a, probes, seed):
     rng = rng_for(seed, PROBE)
     for i in range(probes):
         x = random_element(a.spec, rng)
-        counts.append(sl.nonzero_spectrum_count(x @ a))
+        counts.append(sl.spectrum(x @ a).num_nonzero)
         if counts[-1] > max(counts[:-1], default=-1):
             best = x
     return counts, best
